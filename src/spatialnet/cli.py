@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
@@ -23,9 +23,9 @@ from typing import Optional, Sequence
 from . import __version__
 from . import communities as communities_mod
 from . import empirical, fitting, measures, null_models, small_world
-from .exceptions import ComputeError, SchemaError, SpatialNetError
+from .exceptions import SchemaError, SpatialNetError
 from .graph import SpatialGraph
-from .io import ingest, sanitize, validate_report
+from .io import ingest, sanitize
 
 COMMANDS = ("analyze", "omega", "communities", "fit", "regress", "all")
 SEEDED_COMMANDS = ("omega", "communities", "all")
@@ -49,20 +49,19 @@ class AnalysisConfig:
     model_sets: tuple[tuple[str, ...], ...] = ()
     out_dir: Path = Path("reports")
 
+    def __post_init__(self):
+        if self.replicates < 1:
+            raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
+        if self.swaps_per_edge < 0:
+            raise ConfigError(f"swaps_per_edge must be >= 0, got {self.swaps_per_edge}")
+        if not 0 < self.alpha < 1:
+            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not 0 <= self.omega_threshold < 1:
+            raise ConfigError(f"omega_threshold must lie in [0, 1), got {self.omega_threshold}")
+
     def echo(self) -> dict:
         # analysis inputs only; out_dir is run bookkeeping, not input
-        return {
-            "nodes": str(self.nodes),
-            "edges": str(self.edges),
-            "variables": str(self.variables) if self.variables else None,
-            "epoch": self.epoch,
-            "seed": self.seed,
-            "swaps_per_edge": self.swaps_per_edge,
-            "replicates": self.replicates,
-            "omega_threshold": self.omega_threshold,
-            "alpha": self.alpha,
-            "model_sets": [list(names) for names in self.model_sets],
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"}
 
 
 @dataclass
@@ -81,54 +80,16 @@ def _provenance(config: AnalysisConfig) -> dict:
     }
 
 
-def _measures_payload(g: SpatialGraph, config: AnalysisConfig) -> dict:
-    report = measures.measure_report(g, epoch=config.epoch)
-    gm = report.global_measures
-    payload = {
-        "provenance": _provenance(config),
-        "global": {
-            "n": gm.n,
-            "m": gm.m,
-            "average_degree": gm.average_degree,
-            "average_strength_km": gm.average_strength,
-            "density_planar": gm.density_planar,
-            "density_nonplanar": gm.density_nonplanar,
-            "avg_path_length_binary": gm.avg_path_length_binary,
-            "avg_path_length_km": gm.avg_path_length_km,
-            "diameter_binary": gm.diameter_binary,
-            "diameter_km": gm.diameter_km,
-            "clustering_global": gm.clustering_global,
-            "clustering_average": gm.clustering_average,
-            "total_edge_length_km": gm.total_edge_length_km,
-            "average_edge_length_km": gm.average_edge_length_km,
-        },
+def _measures_payload(report: measures.MeasureReport) -> dict:
+    return {
+        "global": report.global_measures,
         "nearest_neighbor": {
             "average_degree": report.neighbor_average_degree,
             "average_strength_km": report.neighbor_average_strength,
         },
-        "per_node": {
-            node_id: {
-                "degree": nm.degree,
-                "strength_km": nm.strength_km,
-                "closeness": nm.closeness,
-                "betweenness": nm.betweenness,
-                "clustering": nm.clustering,
-                "straightness": nm.straightness,
-                "avg_neighbor_degree": nm.avg_neighbor_degree,
-                "avg_neighbor_strength": nm.avg_neighbor_strength,
-            }
-            for node_id, nm in report.per_node.items()
-        },
-        "time": None,
+        "per_node": report.per_node,
+        "time": report.time_measures,
     }
-    if report.time_measures is not None:
-        tm = report.time_measures
-        payload["time"] = {
-            "epoch": tm.epoch,
-            "avg_path_length_min": tm.avg_path_length_min,
-            "diameter_min": tm.diameter_min,
-        }
-    return payload
 
 
 def _ensemble_summary(ensemble: null_models.NullModelEnsemble) -> dict:
@@ -139,16 +100,8 @@ def _ensemble_summary(ensemble: null_models.NullModelEnsemble) -> dict:
         "replicates": len(ensemble.replicates),
         "mean_path_length": ensemble.stats.mean_path_length,
         "mean_clustering": ensemble.stats.mean_clustering,
-        "node_order": list(ensemble.node_order) if ensemble.node_order else None,
-        "per_replicate": [
-            {
-                "path_length": r.path_length,
-                "clustering": r.clustering,
-                "accepted_swaps": r.accepted_swaps,
-                "attempts": r.attempts,
-            }
-            for r in ensemble.stats.per_replicate
-        ],
+        "node_order": ensemble.node_order,
+        "per_replicate": ensemble.stats.per_replicate,
     }
 
 
@@ -160,47 +113,32 @@ def _omega_payload(g: SpatialGraph, config: AnalysisConfig) -> dict:
         g, config.seed, config.swaps_per_edge, config.replicates
     )
     result = small_world.omega(g, rand, latt, threshold=config.omega_threshold)
-    return {
-        "provenance": _provenance(config),
-        "inputs": {
-            "l_emp": result.l_emp,
-            "c_emp": result.c_emp,
-            "l_rand": result.l_rand,
-            "c_latt": result.c_latt,
-        },
-        "omega": result.omega,
-        "classification": result.classification,
-        "threshold": result.threshold,
-        "in_range": result.in_range,
-        "per_replicate_omegas": list(result.per_replicate_omegas),
-        "ensembles": {
-            "random": _ensemble_summary(rand),
-            "lattice": _ensemble_summary(latt),
-        },
+    payload = asdict(result)
+    payload["inputs"] = {key: payload.pop(key) for key in ("l_emp", "c_emp", "l_rand", "c_latt")}
+    payload["ensembles"] = {
+        "random": _ensemble_summary(rand),
+        "lattice": _ensemble_summary(latt),
     }
+    return payload
 
 
 def _communities_payload(g: SpatialGraph, config: AnalysisConfig) -> dict:
     partition = communities_mod.find_communities(g, config.seed)
     return {
-        "provenance": _provenance(config),
-        "assignment": dict(partition.assignment),
+        "assignment": partition.assignment,
         "q": partition.q,
-        "levels": [dict(level) for level in partition.levels],
+        "levels": partition.levels,
         "community_count": len(set(partition.assignment.values())),
     }
 
 
-def _fit_payload_entry(fit: fitting.FitResult) -> dict:
-    return {
-        "family": fit.family,
-        "params": dict(fit.params),
-        "r_squared": fit.r_squared,
-        "points_used": fit.points_used,
-    }
+# NodeMeasures field that carries each scaling measure
+SCALING_FIELDS = {"betweenness": "betweenness", "strength": "strength_km", "clustering": "clustering"}
 
 
-def _fits_payload(g: SpatialGraph, config: AnalysisConfig, bundle: ReportBundle) -> dict:
+def _fits_payload(
+    g: SpatialGraph, report: Optional[measures.MeasureReport], bundle: ReportBundle
+) -> dict:
     histogram = fitting.degree_histogram(g)
     points = [(float(k), float(count)) for k, count in histogram]
     normal = fitting.fit_normal(points)
@@ -212,11 +150,16 @@ def _fits_payload(g: SpatialGraph, config: AnalysisConfig, bundle: ReportBundle)
             for k, count in points
         ],
     ]
-    scaling: dict[str, dict] = {}
+    scaling: dict[str, fitting.FitResult] = {}
     for measure_name in fitting.SCALING_MEASURES:
-        class_means = fitting.degree_class_means(g, measure_name)
-        fit = fitting.scaling_by_degree_class(g, measure_name)
-        scaling[measure_name] = _fit_payload_entry(fit)
+        if report is None:
+            values = fitting.measure_values(g, measure_name)
+        else:
+            field_name = SCALING_FIELDS[measure_name]
+            values = {node_id: getattr(nm, field_name) for node_id, nm in report.per_node.items()}
+        class_means = fitting.degree_class_means(g, measure_name, values=values)
+        fit = fitting.scaling_by_degree_class(g, measure_name, values=values)
+        scaling[measure_name] = fit
         bundle.plotdata[f"scaling_{measure_name}.csv"] = [
             ["k", "class_mean", "class_size", "fitted"],
             *[
@@ -225,12 +168,8 @@ def _fits_payload(g: SpatialGraph, config: AnalysisConfig, bundle: ReportBundle)
             ],
         ]
     return {
-        "provenance": _provenance(config),
-        "degree_histogram": [[k, count] for k, count in histogram],
-        "distribution_fits": {
-            "normal": _fit_payload_entry(normal),
-            "powerlaw": _fit_payload_entry(powerlaw),
-        },
+        "degree_histogram": histogram,
+        "distribution_fits": {"normal": normal, "powerlaw": powerlaw},
         "scaling_fits": scaling,
     }
 
@@ -275,26 +214,7 @@ def _regression_payload(table: empirical.VariableTable, config: AnalysisConfig) 
     for names in model_sets:
         model = empirical.ols_regress(table, names)
         models.append(_model_payload(model))
-    return {
-        "provenance": _provenance(config),
-        "selection": {
-            "alpha": selection.alpha,
-            "representatives": dict(selection.representatives),
-            "scores": [
-                {
-                    "name": s.name,
-                    "class": s.klass,
-                    "within_sum_r2": s.within_sum,
-                    "within_rank": s.within_rank,
-                    "global_sum_r2": s.global_sum,
-                    "global_rank": s.global_rank,
-                    "is_response": s.is_response,
-                }
-                for s in selection.scores
-            ],
-        },
-        "models": models,
-    }
+    return {"selection": selection, "models": models}
 
 
 def run(command: str, config: AnalysisConfig) -> ReportBundle:
@@ -314,21 +234,30 @@ def run(command: str, config: AnalysisConfig) -> ReportBundle:
             f"epoch {config.epoch!r} not present in the edge file; "
             f"declared epochs: {list(graph.epochs())}"
         )
+    if needs_table:
+        predictors = {variable.name for variable in table.predictors()}
+        unknown = sorted({name for names in config.model_sets for name in names} - predictors)
+        if unknown:
+            raise ConfigError(f"--models names {unknown} are not predictor columns")
 
     bundle = ReportBundle()
+    payloads = {}
+    report = None
     if command in ("analyze", "all"):
-        bundle.reports["measures"] = _measures_payload(graph, config)
+        report = measures.measure_report(graph, epoch=config.epoch)
+        payloads["measures"] = _measures_payload(report)
     if command in ("omega", "all"):
-        bundle.reports["omega"] = _omega_payload(graph, config)
+        payloads["omega"] = _omega_payload(graph, config)
     if command in ("communities", "all"):
-        bundle.reports["communities"] = _communities_payload(graph, config)
+        payloads["communities"] = _communities_payload(graph, config)
     if command in ("fit", "all"):
-        bundle.reports["fits"] = _fits_payload(graph, config, bundle)
-    if command in ("regress", "all") and table is not None:
-        bundle.reports["regression"] = _regression_payload(table, config)
+        payloads["fits"] = _fits_payload(graph, report, bundle)
+    if needs_table:
+        payloads["regression"] = _regression_payload(table, config)
 
-    for name, payload in bundle.reports.items():
-        validate_report(name, payload)
+    provenance = _provenance(config)
+    for name, payload in payloads.items():
+        bundle.reports[name] = sanitize({"provenance": provenance, **payload})
     return bundle
 
 
@@ -340,7 +269,7 @@ def write_bundle(bundle: ReportBundle, out_dir: Path) -> list[Path]:
     for name, payload in sorted(bundle.reports.items()):
         path = out_dir / f"{name}.json"
         path.write_text(
-            json.dumps(sanitize(payload), indent=2, sort_keys=True, allow_nan=False) + "\n",
+            json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
             encoding="utf-8",
         )
         written.append(path)
@@ -357,9 +286,7 @@ def write_bundle(bundle: ReportBundle, out_dir: Path) -> list[Path]:
     return written
 
 
-def _parse_model_sets(raw: Optional[str]) -> tuple[tuple[str, ...], ...]:
-    if not raw:
-        return ()
+def _parse_model_sets(raw: str) -> tuple[tuple[str, ...], ...]:
     sets = []
     for chunk in raw.split(";"):
         names = tuple(name.strip() for name in chunk.split(",") if name.strip())
@@ -377,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--nodes", required=True, type=Path, help="nodes CSV")
     parser.add_argument("--edges", required=True, type=Path, help="edges CSV")
-    parser.add_argument("--vars", type=Path, default=None, help="variables CSV")
+    parser.add_argument("--vars", dest="variables", type=Path, default=None,
+                        help="variables CSV")
     parser.add_argument("--epoch", default=None, help="time epoch label, e.g. 2010")
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed (required for omega/communities/all)")
@@ -386,36 +314,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--replicates", type=int, default=null_models.DEFAULT_REPLICATES)
     parser.add_argument("--omega-threshold", type=float, default=small_world.DEFAULT_THRESHOLD)
     parser.add_argument("--alpha", type=float, default=empirical.DEFAULT_ALPHA)
-    parser.add_argument("--models", default=None,
+    parser.add_argument("--models", dest="model_sets", type=_parse_model_sets, default=(),
                         help="semicolon-separated predictor sets, e.g. 'a,b,c;a,b,d'")
-    parser.add_argument("--out", type=Path, default=Path("reports"), help="output directory")
+    parser.add_argument("--out", dest="out_dir", type=Path, default=Path("reports"),
+                        help="output directory")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = AnalysisConfig(
-        nodes=args.nodes,
-        edges=args.edges,
-        variables=args.vars,
-        epoch=args.epoch,
-        seed=args.seed,
-        swaps_per_edge=args.swaps_per_edge,
-        replicates=args.replicates,
-        omega_threshold=args.omega_threshold,
-        alpha=args.alpha,
-        model_sets=_parse_model_sets(args.models),
-        out_dir=args.out,
-    )
+    args = vars(build_parser().parse_args(argv))
+    command = args.pop("command")
     try:
-        bundle = run(args.command, config)
+        config = AnalysisConfig(**args)
+        bundle = run(command, config)
         written = write_bundle(bundle, config.out_dir)
-    except SchemaError as exc:
+    except SpatialNetError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 2
-    except (ComputeError, SpatialNetError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, SchemaError) else 3
     for path in written:
         print(path)
     return 0

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -146,6 +146,17 @@ def fit_log_decay(points: Iterable[tuple[float, float]]) -> FitResult:
     return FitResult("log_decay", {"a": a, "b": -slope}, _r_squared(y, fitted), len(x))
 
 
+def measure_values(g: SpatialGraph, measure: str) -> Mapping[str, float]:
+    """Per-node values of one scaling measure, computed from the graph."""
+    if measure == "betweenness":
+        return _measures.betweenness(g)
+    if measure == "strength":
+        return _measures.degree_and_strength(g).strength_km
+    if measure == "clustering":
+        return _measures.clustering(g).per_node
+    raise ValueError(f"unknown measure {measure!r}; expected one of {SCALING_MEASURES}")
+
+
 def degree_class_means(
     g: SpatialGraph,
     measure: str,
@@ -160,12 +171,7 @@ def degree_class_means(
     if measure not in SCALING_MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected one of {SCALING_MEASURES}")
     if values is None:
-        if measure == "betweenness":
-            values = _measures.betweenness(g)
-        elif measure == "strength":
-            values = _measures.degree_and_strength(g).strength_km
-        else:
-            values = _measures.clustering(g).per_node
+        values = measure_values(g, measure)
     grouped: dict[int, list[float]] = {}
     for node in g.nodes:
         if node.id not in values:
@@ -203,9 +209,3 @@ def scaling_by_degree_class(
         )
     return fitter(usable)
 
-
-def fit_series(
-    fit: FitResult, points: Sequence[tuple[float, float]]
-) -> list[tuple[float, float, float]]:
-    """Plot-ready (x, y, fitted_y) rows for a fit and its source points."""
-    return [(float(x), float(y), predict(fit, float(x))) for x, y in points]

@@ -8,16 +8,21 @@ CSV schemas (UTF-8, decimal point):
                  one column tagged :Y (the response)
 
 Schema violations raise CsvSchemaError with the file and line number.
-Every report payload carries a provenance block; the timestamp lives in
-the single field provenance.generated_at so determinism checks can mask
-it. Non-finite numbers are emitted as null.
+
+Report payloads are built from the result dataclasses: ``sanitize``
+turns each into a dict keyed by its field names, so the dataclasses are
+the report schema. REPORT_RENAMES lists the few fields whose report key
+differs. Non-finite numbers are emitted as null. Every report carries a
+provenance block; the timestamp lives in the single field
+provenance.generated_at so determinism checks can mask it.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from pathlib import Path
+from dataclasses import fields, is_dataclass
+from pathlib import Path, PurePath
 from typing import Mapping, Optional
 
 from .empirical import Variable, VariableTable, build_variable_table
@@ -206,42 +211,33 @@ def export_graph(g: SpatialGraph, nodes_path, edges_path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Report schemas
+# Report payloads
 # ---------------------------------------------------------------------------
 
-REPORT_SCHEMAS: Mapping[str, frozenset] = {
-    "measures": frozenset({"provenance", "global", "nearest_neighbor", "per_node", "time"}),
-    "omega": frozenset({"provenance", "inputs", "omega", "classification", "threshold",
-                        "in_range", "per_replicate_omegas", "ensembles"}),
-    "communities": frozenset({"provenance", "assignment", "q", "levels", "community_count"}),
-    "fits": frozenset({"provenance", "degree_histogram", "distribution_fits", "scaling_fits"}),
-    "regression": frozenset({"provenance", "selection", "models"}),
+# Result dataclass fields whose report key differs from the field name.
+REPORT_RENAMES: Mapping[str, str] = {
+    "average_strength": "average_strength_km",
+    "klass": "class",
+    "within_sum": "within_sum_r2",
+    "global_sum": "global_sum_r2",
 }
 
 
-def validate_report(name: str, payload: Mapping) -> None:
-    """Reject payloads whose top-level fields stray from the schema."""
-    if name not in REPORT_SCHEMAS:
-        raise SchemaError(f"unknown report {name!r}")
-    allowed = REPORT_SCHEMAS[name]
-    unknown = set(payload) - allowed
-    if unknown:
-        raise SchemaError(f"report {name!r} has unknown fields: {sorted(unknown)}")
-    if "provenance" not in payload:
-        raise SchemaError(f"report {name!r} is missing its provenance block")
-
-
-def finite_or_none(value):
-    """Map non-finite floats to None so JSON stays standard."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
 def sanitize(obj):
-    """Recursively apply finite_or_none over dicts/lists/tuples."""
-    if isinstance(obj, dict):
+    """Convert a report payload into JSON-ready values: dataclasses become
+    dicts keyed by field name (see REPORT_RENAMES), mappings and sequences
+    recurse, paths become strings and non-finite floats None."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {
+            REPORT_RENAMES.get(f.name, f.name): sanitize(getattr(obj, f.name))
+            for f in fields(obj)
+        }
+    if isinstance(obj, Mapping):
         return {key: sanitize(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [sanitize(value) for value in obj]
-    return finite_or_none(obj)
+    if isinstance(obj, PurePath):
+        return str(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj

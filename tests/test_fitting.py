@@ -13,8 +13,6 @@ from spatialnet.fitting import (
     fit_log_decay,
     fit_normal,
     fit_powerlaw,
-    fit_series,
-    predict,
     scaling_by_degree_class,
 )
 
@@ -183,11 +181,3 @@ def test_noisy_powerlaw_recovery_within_tolerance():
         fit = fit_powerlaw(points)
         assert abs(fit.params["beta"] - 2.0) <= 0.1
 
-
-def test_fit_series_shape():
-    points = [(float(k), 2.0 * k) for k in range(1, 6)]
-    fit = fit_powerlaw(points)
-    series = fit_series(fit, points)
-    assert len(series) == 5
-    for x, y, fitted in series:
-        assert fitted == pytest.approx(predict(fit, x))

@@ -1,9 +1,12 @@
+import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from spatialnet.cli import AnalysisConfig, ConfigError, main, run
+from spatialnet.empirical import VariableScore
 from spatialnet.io import (
     CsvSchemaError,
     MissingResponseError,
@@ -11,11 +14,10 @@ from spatialnet.io import (
     ingest,
     read_variables_csv,
     sanitize,
-    validate_report,
 )
-from spatialnet.exceptions import SchemaError
 
 DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
 NODES = DATA / "nodes.csv"
 EDGES = DATA / "edges.csv"
 VARIABLES = DATA / "variables.csv"
@@ -81,19 +83,24 @@ def test_roundtrip_export_ingest(tmp_path):
            [(n.lat, n.lon, dict(n.attributes)) for n in g.nodes]
 
 
-# --- report schema --------------------------------------------------------------
-
-def test_validate_report_rejects_unknown_fields():
-    with pytest.raises(SchemaError, match="surprise"):
-        validate_report("omega", {"provenance": {}, "surprise": 1})
-    with pytest.raises(SchemaError, match="provenance"):
-        validate_report("omega", {})
-
+# --- report payloads ------------------------------------------------------------
 
 def test_sanitize_maps_nonfinite_to_none():
-    payload = {"a": float("inf"), "b": [1.0, float("nan")], "c": {"d": 2.0}}
+    score = VariableScore("pop", "S", float("nan"), 1, 2.5, 3, False)
+    payload = {
+        "a": float("inf"), "b": [1.0, float("nan")], "c": {"d": 2.0},
+        "score": score, "path": Path("data") / "nodes.csv", "pair": (1, float("-inf")),
+    }
     clean = sanitize(payload)
-    assert clean == {"a": None, "b": [1.0, None], "c": {"d": 2.0}}
+    assert clean == {
+        "a": None, "b": [1.0, None], "c": {"d": 2.0},
+        "score": {
+            "name": "pop", "class": "S", "within_sum_r2": None, "within_rank": 1,
+            "global_sum_r2": 2.5, "global_rank": 3, "is_response": False,
+        },
+        "path": str(Path("data") / "nodes.csv"),
+        "pair": [1, None],
+    }
 
 
 # --- run() and the CLI ----------------------------------------------------------
@@ -183,6 +190,33 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert not (tmp_path / "bad").exists()  # nothing written on failure
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("all", ["--replicates", "0"], "replicates"),
+    ("regress", ["--models", "S6_population,nosuch"], "nosuch"),
+    ("all", ["--swaps-per-edge", "-3"], "swaps_per_edge"),
+    ("all", ["--alpha", "7"], "alpha"),
+    ("all", ["--omega-threshold", "-1"], "omega_threshold"),
+])
+def test_cli_rejects_bad_config(tmp_path, capsys, command, flags, message):
+    code = main([
+        command, "--nodes", str(NODES), "--edges", str(EDGES),
+        "--vars", str(VARIABLES), "--seed", "1", *flags,
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "ConfigError"
+    assert message in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_boundary_values_accepted():
+    config = AnalysisConfig(NODES, EDGES, swaps_per_edge=0, replicates=1, omega_threshold=0.0)
+    assert (config.swaps_per_edge, config.replicates, config.omega_threshold) == (0, 1, 0.0)
+
+
 def test_cli_schema_error_exit_2(tmp_path, capsys):
     edges = tmp_path / "edges.csv"
     edges.write_text("source,target,distance_km\nR01,R02,-3\n", encoding="utf-8")
@@ -240,3 +274,66 @@ def test_different_seed_changes_omega(tmp_path):
     a = run("omega", _config(tmp_path, seed=1))
     b = run("omega", _config(tmp_path, seed=2))
     assert a.reports["omega"]["omega"] != b.reports["omega"]["omega"]
+
+
+# --- golden reports -----------------------------------------------------------
+
+def _assert_matches(actual, expected, where="$"):
+    """Exact keys, types, strings, ints and None; floats to rel 1e-12."""
+    assert type(actual) is type(expected), f"{where}: {actual!r} vs {expected!r}"
+    if isinstance(expected, dict):
+        assert actual.keys() == expected.keys(), where
+        for key in expected:
+            _assert_matches(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected), where
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            _assert_matches(a, e, f"{where}[{i}]")
+    elif isinstance(expected, float):
+        assert math.isclose(actual, expected, rel_tol=1e-12, abs_tol=0.0), \
+            f"{where}: {actual!r} vs {expected!r}"
+    else:
+        assert actual == expected, f"{where}: {actual!r} vs {expected!r}"
+
+
+def _csv_cell(cell: str):
+    if cell == "":
+        return None
+    for parse in (int, float):
+        try:
+            return parse(cell)
+        except ValueError:
+            pass
+    return cell
+
+
+def _read_csv(path: Path) -> list[list]:
+    with path.open(newline="", encoding="utf-8") as handle:
+        return [[_csv_cell(cell) for cell in row] for row in csv.reader(handle)]
+
+
+@pytest.mark.parametrize("command, reports", [
+    ("all", ("measures", "fits", "regression")),
+    ("fit", ("fits",)),  # fits computed without a measure report
+])
+def test_matches_golden_reports(tmp_path, command, reports):
+    # The golden files hold `all --epoch 2010 --seed 7` on the sample,
+    # without provenance. Omega and communities are left out, so the
+    # null-model ensembles (which only feed omega) are kept small here.
+    out = tmp_path / "out"
+    assert main([
+        command, "--nodes", str(NODES), "--edges", str(EDGES), "--vars", str(VARIABLES),
+        "--epoch", "2010", "--seed", "7", "--swaps-per-edge", "1", "--replicates", "2",
+        "--out", str(out),
+    ]) == 0
+    for name in reports:
+        actual = json.loads((out / f"{name}.json").read_text(encoding="utf-8"))
+        actual.pop("provenance")
+        expected = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+        _assert_matches(actual, expected, name)
+    golden_plots = sorted(path.name for path in (GOLDEN / "plotdata").glob("*.csv"))
+    assert sorted(path.name for path in (out / "plotdata").glob("*.csv")) == golden_plots
+    for name in golden_plots:
+        _assert_matches(
+            _read_csv(out / "plotdata" / name), _read_csv(GOLDEN / "plotdata" / name), name
+        )
