@@ -3,7 +3,8 @@
 Commands: analyze, omega, communities, fit, regress, all. Every command
 reads the node/edge CSVs (regress additionally needs the variables CSV),
 computes in memory, and only then writes its JSON reports — a failing
-command never leaves a partial bundle behind. Stochastic commands
+command never leaves a partial bundle behind: if writing fails part way,
+the files already written are removed again. Stochastic commands
 (omega, communities, all) require --seed so runs are reproducible.
 
 Exit codes: 0 success, 2 schema/input error, 3 compute error. Errors are
@@ -32,6 +33,10 @@ SEEDED_COMMANDS = ("omega", "communities", "all")
 
 
 class ConfigError(SchemaError):
+    pass
+
+
+class BundleWriteError(SchemaError):
     pass
 
 
@@ -262,27 +267,33 @@ def run(command: str, config: AnalysisConfig) -> ReportBundle:
 
 
 def write_bundle(bundle: ReportBundle, out_dir: Path) -> list[Path]:
-    """Write every report and plotdata file; returns the paths written."""
+    """Write every report and plotdata file; returns the paths written.
+    On an I/O error, removes the files it wrote and raises BundleWriteError."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, payload in sorted(bundle.reports.items()):
-        path = out_dir / f"{name}.json"
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
-            encoding="utf-8",
-        )
-        written.append(path)
-    if bundle.plotdata:
-        plot_dir = out_dir / "plotdata"
-        plot_dir.mkdir(parents=True, exist_ok=True)
-        for name, rows in sorted(bundle.plotdata.items()):
-            path = plot_dir / name
-            text = "\n".join(
-                ",".join("" if cell is None else str(cell) for cell in row) for row in rows
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, payload in sorted(bundle.reports.items()):
+            path = out_dir / f"{name}.json"
+            path.write_text(
+                json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
+                encoding="utf-8",
             )
-            path.write_text(text + "\n", encoding="utf-8")
             written.append(path)
+        if bundle.plotdata:
+            plot_dir = out_dir / "plotdata"
+            plot_dir.mkdir(parents=True, exist_ok=True)
+            for name, rows in sorted(bundle.plotdata.items()):
+                path = plot_dir / name
+                text = "\n".join(
+                    ",".join("" if cell is None else str(cell) for cell in row) for row in rows
+                )
+                path.write_text(text + "\n", encoding="utf-8")
+                written.append(path)
+    except OSError as exc:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise BundleWriteError(f"cannot write the bundle to {out_dir}: {exc}") from None
     return written
 
 

@@ -11,9 +11,9 @@ aggregate communities into super-nodes and repeat until no pass
 improves. Node visit order is shuffled by the seed; equal gains break
 toward the lowest community label, so results are reproducible.
 
-Community detection works on the binary adjacency by default, matching
-the convention under which the topology results are reported; pass
-``weighted=True`` to use kilometric edge weights instead.
+Both modularity and detection use the binary adjacency (A_ij is 1 for
+an edge, 0 otherwise, and k_i is the degree), the convention under which
+the topology results are reported; edge lengths play no part.
 """
 
 from __future__ import annotations
@@ -37,14 +37,9 @@ class CommunityPartition:
     q: float
     levels: tuple[Mapping[str, int], ...]
     seed: int
-    weighted: bool = False
 
 
-def _edge_weight(edge, weighted: bool) -> float:
-    return edge.distance_km if weighted else 1.0
-
-
-def modularity(g: SpatialGraph, assignment: Mapping[str, int], weighted: bool = False) -> float:
+def modularity(g: SpatialGraph, assignment: Mapping[str, int]) -> float:
     """Modularity Q of a complete node -> community assignment."""
     node_ids = set(g.node_ids)
     missing = node_ids - set(assignment)
@@ -54,24 +49,18 @@ def modularity(g: SpatialGraph, assignment: Mapping[str, int], weighted: bool = 
     if unknown:
         raise IncompleteAssignmentError(f"assignment names unknown nodes: {sorted(unknown)}")
 
-    strength = {
-        node.id: math.fsum(_edge_weight(e, weighted) for e in g.adjacency[node.id].values())
-        for node in g.nodes
-    }
-    two_m = math.fsum(strength[node.id] for node in g.nodes)
+    two_m = 2 * g.m
     if two_m == 0:
         return 0.0
 
-    internal = 0.0  # sum of A_ij over ordered same-community pairs
-    for edge in g.edges:
-        if assignment[edge.u] == assignment[edge.v]:
-            internal += 2.0 * _edge_weight(edge, weighted)
+    # sum of A_ij over ordered same-community pairs
+    internal = 2 * sum(1 for edge in g.edges if assignment[edge.u] == assignment[edge.v])
 
-    community_strength: dict[int, float] = {}
+    community_degree: dict[int, int] = {}
     for node in g.nodes:
         label = assignment[node.id]
-        community_strength[label] = community_strength.get(label, 0.0) + strength[node.id]
-    expected = math.fsum(s * s for s in community_strength.values()) / two_m
+        community_degree[label] = community_degree.get(label, 0) + g.degree(node.id)
+    expected = math.fsum(k * k for k in community_degree.values()) / two_m
 
     return (internal - expected) / two_m
 
@@ -152,7 +141,7 @@ def _aggregate(level: _Level, comm: dict[int, int]) -> tuple[_Level, dict[int, i
     return new_level, renumber
 
 
-def find_communities(g: SpatialGraph, seed: int, weighted: bool = False) -> CommunityPartition:
+def find_communities(g: SpatialGraph, seed: int) -> CommunityPartition:
     """Multi-level greedy modularity optimization.
 
     Returns the partition of the original nodes, its Q recomputed on the
@@ -166,10 +155,9 @@ def find_communities(g: SpatialGraph, seed: int, weighted: bool = False) -> Comm
     index = {node_id: i for i, node_id in enumerate(ids)}
     adj: dict[int, dict[int, float]] = {i: {} for i in range(len(ids))}
     for edge in g.edges:
-        w = _edge_weight(edge, weighted)
         iu, iv = index[edge.u], index[edge.v]
-        adj[iu][iv] = w
-        adj[iv][iu] = w
+        adj[iu][iv] = 1.0
+        adj[iv][iu] = 1.0
     level = _Level(list(range(len(ids))), adj, {i: 0.0 for i in range(len(ids))})
 
     rng = random.Random(seed)
@@ -188,8 +176,7 @@ def find_communities(g: SpatialGraph, seed: int, weighted: bool = False) -> Comm
     assignment = levels[-1]
     return CommunityPartition(
         assignment=assignment,
-        q=modularity(g, assignment, weighted=weighted),
+        q=modularity(g, assignment),
         levels=tuple(levels),
         seed=seed,
-        weighted=weighted,
     )

@@ -214,15 +214,6 @@ class PearsonMatrix:
     r: np.ndarray
     p: np.ndarray
 
-    def _index(self, name: str) -> int:
-        return self.names.index(name)
-
-    def r_of(self, x: str, y: str) -> float:
-        return float(self.r[self._index(x), self._index(y)])
-
-    def p_of(self, x: str, y: str) -> float:
-        return float(self.p[self._index(x), self._index(y)])
-
 
 def pearson_matrix(table: VariableTable) -> PearsonMatrix:
     """All-pairs Pearson r with two-tailed significance.
@@ -275,12 +266,6 @@ class SelectionReport:
     alpha: float
     scores: tuple[VariableScore, ...]
     representatives: Mapping[str, str]  # class -> variable name
-
-    def score_of(self, name: str) -> VariableScore:
-        for score in self.scores:
-            if score.name == name:
-                return score
-        raise KeyError(f"no score for variable {name!r}")
 
 
 def _dense_ranks(names: Sequence[str], sums: Mapping[str, float]) -> dict[str, int]:
@@ -375,14 +360,6 @@ class RegressionModel:
     se_estimate: float
     n: int
     df_resid: int
-
-    def predict(self, rows: Sequence[Sequence[float]]) -> list[float]:
-        out = []
-        for row in rows:
-            out.append(self.intercept + math.fsum(
-                b * x for b, x in zip(self.coefficients, row)
-            ))
-        return out
 
 
 def _t_and_p(b: float, se: float, df: int) -> tuple[float, float]:

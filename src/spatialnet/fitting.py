@@ -31,7 +31,6 @@ from .exceptions import ComputeError
 from .graph import SpatialGraph
 from . import measures as _measures
 
-FAMILIES = ("normal", "powerlaw", "log_decay")
 SCALING_MEASURES = ("betweenness", "strength", "clustering")
 
 

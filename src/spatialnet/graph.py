@@ -121,12 +121,6 @@ class SpatialGraph:
     def node_ids(self) -> tuple[str, ...]:
         return tuple(node.id for node in self.nodes)
 
-    def node(self, node_id: str) -> NodeRecord:
-        for record in self.nodes:
-            if record.id == node_id:
-                return record
-        raise UnknownNodeError(f"node {node_id!r} is not in the graph")
-
     def neighbors(self, node_id: str) -> tuple[str, ...]:
         if node_id not in self.adjacency:
             raise UnknownNodeError(f"node {node_id!r} is not in the graph")

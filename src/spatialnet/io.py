@@ -1,4 +1,4 @@
-"""File formats: CSV ingestion, graph export, and JSON report payloads.
+"""File formats: CSV ingestion and JSON report payloads.
 
 CSV schemas (UTF-8, decimal point):
 
@@ -7,7 +7,9 @@ CSV schemas (UTF-8, decimal point):
 * variables.csv  id,<name:class>... with class one of S/B/O and exactly
                  one column tagged :Y (the response)
 
-Schema violations raise CsvSchemaError with the file and line number.
+Schema violations raise CsvSchemaError with the file and line number; so
+do files that cannot be read (missing, not UTF-8, malformed CSV) and a
+nodes file with no rows. An edges file with no rows is valid.
 
 Report payloads are built from the result dataclasses: ``sanitize``
 turns each into a dict keyed by its field names, so the dataclasses are
@@ -23,7 +25,7 @@ import csv
 import math
 from dataclasses import fields, is_dataclass
 from pathlib import Path, PurePath
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .empirical import Variable, VariableTable, build_variable_table
 from .exceptions import SchemaError
@@ -52,104 +54,100 @@ def _parse_float(raw: str, path, line: int, what: str) -> float:
         raise CsvSchemaError(path, line, f"{what}: {raw!r} is not a number") from None
 
 
-def read_nodes_csv(path) -> list[NodeRecord]:
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvSchemaError(path, 1, "empty file") from None
-        header = [cell.strip() for cell in header]
-        if tuple(header[:4]) != NODE_COLUMNS:
-            raise CsvSchemaError(path, 1, f"header must start with {','.join(NODE_COLUMNS)}")
-        attr_names = header[4:]
-        nodes = []
-        for line, row in enumerate(reader, start=2):
+def _read_csv(path) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """Read a CSV file into its stripped header and its (line, cells)
+    rows. Blank rows are skipped and each row's cell count is checked as
+    the rows are consumed, so callers report errors in file order."""
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            records = list(csv.reader(handle))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise CsvSchemaError(path, None, f"cannot read file: {exc}") from None
+    if not records:
+        raise CsvSchemaError(path, 1, "empty file")
+    header = [cell.strip() for cell in records[0]]
+
+    def rows():
+        for line, row in enumerate(records[1:], start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise CsvSchemaError(path, line, f"expected {len(header)} cells, got {len(row)}")
-            lat = _parse_float(row[2], path, line, "lat")
-            lon = _parse_float(row[3], path, line, "lon")
-            attributes = {
-                name: _parse_float(value, path, line, f"attribute {name!r}")
-                for name, value in zip(attr_names, row[4:])
-            }
-            nodes.append(NodeRecord(row[0].strip(), row[1].strip(), lat, lon, attributes))
+            yield line, row
+
+    return header, rows()
+
+
+def read_nodes_csv(path) -> list[NodeRecord]:
+    path = Path(path)
+    header, rows = _read_csv(path)
+    if tuple(header[:4]) != NODE_COLUMNS:
+        raise CsvSchemaError(path, 1, f"header must start with {','.join(NODE_COLUMNS)}")
+    attr_names = header[4:]
+    nodes = []
+    for line, row in rows:
+        lat = _parse_float(row[2], path, line, "lat")
+        lon = _parse_float(row[3], path, line, "lon")
+        attributes = {
+            name: _parse_float(value, path, line, f"attribute {name!r}")
+            for name, value in zip(attr_names, row[4:])
+        }
+        nodes.append(NodeRecord(row[0].strip(), row[1].strip(), lat, lon, attributes))
+    if not nodes:
+        raise CsvSchemaError(path, None, "no node rows")
     return nodes
 
 
 def read_edges_csv(path) -> list[EdgeRecord]:
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvSchemaError(path, 1, "empty file") from None
-        header = [cell.strip() for cell in header]
-        if tuple(header[:3]) != EDGE_COLUMNS:
-            raise CsvSchemaError(path, 1, f"header must start with {','.join(EDGE_COLUMNS)}")
-        epochs = []
-        for cell in header[3:]:
-            if not (cell.startswith(TIME_PREFIX) and cell.endswith(TIME_SUFFIX)):
-                raise CsvSchemaError(path, 1, f"time column {cell!r} must match time_<epoch>_min")
-            epochs.append(cell[len(TIME_PREFIX):-len(TIME_SUFFIX)])
-        edges = []
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CsvSchemaError(path, line, f"expected {len(header)} cells, got {len(row)}")
-            km = _parse_float(row[2], path, line, "distance_km")
-            if km <= 0:
-                raise CsvSchemaError(path, line, f"distance_km must be positive, got {km}")
-            times = {}
-            for epoch, cell in zip(epochs, row[3:]):
-                minutes = _parse_float(cell, path, line, f"time_{epoch}_min")
-                if minutes <= 0:
-                    raise CsvSchemaError(path, line, f"time_{epoch}_min must be positive, got {minutes}")
-                times[epoch] = minutes
-            edges.append(EdgeRecord(row[0].strip(), row[1].strip(), km, times))
+    header, rows = _read_csv(path)
+    if tuple(header[:3]) != EDGE_COLUMNS:
+        raise CsvSchemaError(path, 1, f"header must start with {','.join(EDGE_COLUMNS)}")
+    epochs = []
+    for cell in header[3:]:
+        if not (cell.startswith(TIME_PREFIX) and cell.endswith(TIME_SUFFIX)):
+            raise CsvSchemaError(path, 1, f"time column {cell!r} must match time_<epoch>_min")
+        epochs.append(cell[len(TIME_PREFIX):-len(TIME_SUFFIX)])
+    edges = []
+    for line, row in rows:
+        km = _parse_float(row[2], path, line, "distance_km")
+        if km <= 0:
+            raise CsvSchemaError(path, line, f"distance_km must be positive, got {km}")
+        times = {}
+        for epoch, cell in zip(epochs, row[3:]):
+            minutes = _parse_float(cell, path, line, f"time_{epoch}_min")
+            if minutes <= 0:
+                raise CsvSchemaError(path, line, f"time_{epoch}_min must be positive, got {minutes}")
+            times[epoch] = minutes
+        edges.append(EdgeRecord(row[0].strip(), row[1].strip(), km, times))
     return edges
 
 
 def read_variables_csv(path) -> VariableTable:
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvSchemaError(path, 1, "empty file") from None
-        header = [cell.strip() for cell in header]
-        if not header or header[0] != "id":
-            raise CsvSchemaError(path, 1, "first column must be 'id'")
-        names: list[str] = []
-        classes: list[str] = []
-        for cell in header[1:]:
-            if ":" not in cell:
-                raise CsvSchemaError(path, 1, f"column {cell!r} is missing its ':<class>' tag")
-            name, _, klass = cell.rpartition(":")
-            if klass not in ("S", "B", "O", "Y"):
-                raise CsvSchemaError(path, 1, f"column {cell!r} has unknown class {klass!r}")
-            names.append(name)
-            classes.append(klass)
-        if classes.count("Y") == 0:
-            raise MissingResponseError(path, 1, "no column tagged ':Y' (the response)")
-        if classes.count("Y") > 1:
-            raise CsvSchemaError(path, 1, "more than one column tagged ':Y'")
-        ids: list[str] = []
-        columns: list[list[float]] = [[] for _ in names]
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CsvSchemaError(path, line, f"expected {len(header)} cells, got {len(row)}")
-            ids.append(row[0].strip())
-            for j, cell in enumerate(row[1:]):
-                columns[j].append(_parse_float(cell, path, line, f"variable {names[j]!r}"))
+    header, rows = _read_csv(path)
+    if not header or header[0] != "id":
+        raise CsvSchemaError(path, 1, "first column must be 'id'")
+    names: list[str] = []
+    classes: list[str] = []
+    for cell in header[1:]:
+        if ":" not in cell:
+            raise CsvSchemaError(path, 1, f"column {cell!r} is missing its ':<class>' tag")
+        name, _, klass = cell.rpartition(":")
+        if klass not in ("S", "B", "O", "Y"):
+            raise CsvSchemaError(path, 1, f"column {cell!r} has unknown class {klass!r}")
+        names.append(name)
+        classes.append(klass)
+    if classes.count("Y") == 0:
+        raise MissingResponseError(path, 1, "no column tagged ':Y' (the response)")
+    if classes.count("Y") > 1:
+        raise CsvSchemaError(path, 1, "more than one column tagged ':Y'")
+    ids: list[str] = []
+    columns: list[list[float]] = [[] for _ in names]
+    for line, row in rows:
+        ids.append(row[0].strip())
+        for j, cell in enumerate(row[1:]):
+            columns[j].append(_parse_float(cell, path, line, f"variable {names[j]!r}"))
     variables = [
         Variable(name, klass, tuple(column))
         for name, klass, column in zip(names, classes, columns)
@@ -186,28 +184,6 @@ def ingest(
                 f"row ids do not match the node set (missing {missing}, unknown {extra})",
             )
     return graph, table
-
-
-def export_graph(g: SpatialGraph, nodes_path, edges_path) -> None:
-    """Write a graph back out in the ingestion schema (round-trippable)."""
-    attr_names = sorted({name for node in g.nodes for name in node.attributes})
-    epochs = list(g.epochs())
-    with Path(nodes_path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(list(NODE_COLUMNS) + attr_names)
-        for node in g.nodes:
-            writer.writerow(
-                [node.id, node.label, repr(node.lat), repr(node.lon)]
-                + [repr(node.attributes.get(name, 0.0)) for name in attr_names]
-            )
-    with Path(edges_path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(list(EDGE_COLUMNS) + [f"time_{epoch}_min" for epoch in epochs])
-        for edge in g.edges:
-            writer.writerow(
-                [edge.u, edge.v, repr(edge.distance_km)]
-                + [repr(edge.time_min[epoch]) for epoch in epochs]
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ Conventions used throughout:
   so smaller values mean better reachability.
 * Betweenness is normalized by the (n-1)(n-2)/2 pairs that could route
   through a node, so values live in [0, 1] across graph sizes.
-* Local clustering of a node with fewer than two neighbors is 0; by
-  default those zeros are included in the network average.
+* Local clustering of a node with fewer than two neighbors is 0, and
+  those zeros always count in the network average (it is the mean over
+  all n nodes).
 * Average path length is the mean over ordered pairs i != j.
 * Aggregates over distances (closeness, path length, diameter,
   straightness, betweenness) refuse disconnected graphs outright rather
@@ -197,13 +198,9 @@ def betweenness(g: SpatialGraph, mode: str = "binary", epoch: Optional[str] = No
     return {node_id: value / 2.0 / pairs for node_id, value in raw.items()}
 
 
-def clustering(g: SpatialGraph, exclude_low_degree: bool = False) -> ClusteringResult:
+def clustering(g: SpatialGraph) -> ClusteringResult:
     """Local clustering per node, the transitivity-style global
-    coefficient, and the network average.
-
-    ``exclude_low_degree`` drops nodes with degree < 2 from the average
-    instead of counting them as zero.
-    """
+    coefficient, and the network average over all nodes."""
     per_node: dict[str, float] = {}
     neighbor_sets = {node.id: set(g.adjacency[node.id]) for node in g.nodes}
     triangles2 = 0.0  # ordered connected-neighbor pairs, summed over nodes
@@ -223,11 +220,7 @@ def clustering(g: SpatialGraph, exclude_low_degree: bool = False) -> ClusteringR
         triangles2 += 2.0 * links
         triplets += k * (k - 1) / 2.0
     global_c = (triangles2 / 2.0) / triplets if triplets else 0.0
-    if exclude_low_degree:
-        values = [per_node[node.id] for node in g.nodes if len(neighbor_sets[node.id]) >= 2]
-    else:
-        values = [per_node[node.id] for node in g.nodes]
-    average = math.fsum(values) / len(values) if values else 0.0
+    average = math.fsum(per_node.values()) / g.n if g.n else 0.0
     return ClusteringResult(per_node, global_c, average)
 
 
@@ -296,15 +289,11 @@ def avg_nearest_neighbor(g: SpatialGraph) -> NeighborStats:
     )
 
 
-def measure_report(
-    g: SpatialGraph,
-    epoch: Optional[str] = None,
-    exclude_low_degree: bool = False,
-) -> MeasureReport:
+def measure_report(g: SpatialGraph, epoch: Optional[str] = None) -> MeasureReport:
     """Assemble the full per-node and global measure table for one graph
     snapshot. Requires a connected graph with node coordinates."""
     ds = degree_and_strength(g)
-    clus = clustering(g, exclude_low_degree=exclude_low_degree)
+    clus = clustering(g)
     close = closeness(g)
     between = betweenness(g)
     straight = straightness(g)

@@ -8,8 +8,10 @@ does not increase the total ring-index cost
 
     sum over edges (u, v) of min(|pos u - pos v|, n - |pos u - pos v|)
 
-under a fixed node ordering, which drives the topology toward a ring
-lattice while keeping the degree sequence exact.
+where pos is a node's place in the ingestion order (the order of the
+nodes file), which drives the topology toward that ring lattice while
+keeping the degree sequence exact. The ensemble records the order it
+used as ``node_order``.
 
 Swap weights travel with their source endpoint ((a, d) inherits the
 payload of (a, b)), so replicates remain valid spatial graphs; only the
@@ -23,7 +25,8 @@ such as a triangle and already-minimal ring lattices pass through
 unchanged, and a stalled latticeization finishes its cost descent by
 exhaustive scan. SwapBudgetExhaustedError marks the genuine failure
 case: a randomization whose attempt budget ran out while acceptable
-swaps still existed.
+swaps still existed. The attempt budget of a replicate is
+MAX_ATTEMPT_FACTOR times its target swap count.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .measures import clustering, path_length_and_diameter
 
 DEFAULT_SWAPS_PER_EDGE = 10
 DEFAULT_REPLICATES = 20
+MAX_ATTEMPT_FACTOR = 100
 
 
 class SwapBudgetExhaustedError(ComputeError):
@@ -78,7 +82,6 @@ class _Rewirer:
         self.n = g.n
         self.edges: list[tuple[str, str]] = [(e.u, e.v) for e in g.edges]
         self.payloads: list[EdgeRecord] = list(g.edges)
-        self.edge_set: set[frozenset[str]] = {frozenset(pair) for pair in self.edges}
         self.adj: dict[str, set[str]] = {node.id: set(g.adjacency[node.id]) for node in g.nodes}
         self.positions = positions
 
@@ -94,7 +97,7 @@ class _Rewirer:
     def swap_ok_cheap(self, a: str, b: str, c: str, d: str) -> bool:
         if len({a, b, c, d}) < 4:
             return False
-        if frozenset((a, d)) in self.edge_set or frozenset((c, b)) in self.edge_set:
+        if d in self.adj[a] or b in self.adj[c]:
             return False
         return True
 
@@ -120,17 +123,12 @@ class _Rewirer:
         self.adj[c].add(b); self.adj[b].add(c)
 
     def commit(self, e1: int, e2: int, a: str, b: str, c: str, d: str) -> None:
-        old1, old2 = self.edges[e1], self.edges[e2]
-        self.edge_set.discard(frozenset(old1))
-        self.edge_set.discard(frozenset(old2))
         self._flip_adj(a, b, c, d)
         p1, p2 = self.payloads[e1], self.payloads[e2]
         self.edges[e1] = (a, d)
         self.payloads[e1] = EdgeRecord(a, d, p1.distance_km, p1.time_min)
         self.edges[e2] = (c, b)
         self.payloads[e2] = EdgeRecord(c, b, p2.distance_km, p2.time_min)
-        self.edge_set.add(frozenset((a, d)))
-        self.edge_set.add(frozenset((c, b)))
 
     def acceptable(self, a: str, b: str, c: str, d: str, improving_only: bool) -> bool:
         if not self.swap_ok_cheap(a, b, c, d):
@@ -164,13 +162,12 @@ def _rewire_replicate(
     rng: random.Random,
     swaps_per_edge: int,
     positions: Optional[Mapping[str, int]],
-    max_attempt_factor: int,
 ) -> tuple[list[EdgeRecord], int, int]:
     """Run one replicate's swap loop; returns (edges, accepted, attempts)."""
     rewirer = _Rewirer(g, positions)
     m = len(rewirer.edges)
     target = swaps_per_edge * m
-    budget = max_attempt_factor * target
+    budget = MAX_ATTEMPT_FACTOR * target
     # Latticeization is done once no cost-decreasing swap remains (equal-
     # cost churn is not progress); an exhaustive scan certifies that.
     improving_only = positions is not None
@@ -222,9 +219,7 @@ def _build_ensemble(
     seed: int,
     swaps_per_edge: int,
     replicates: int,
-    positions: Optional[Mapping[str, int]],
-    node_order: Optional[Sequence[str]],
-    max_attempt_factor: int,
+    node_order: Optional[tuple[str, ...]],
 ) -> NullModelEnsemble:
     if not g.is_connected:
         raise DisconnectedError("null models require a connected source graph")
@@ -232,6 +227,9 @@ def _build_ensemble(
         raise ComputeError(f"need at least 2 edges to rewire, got m = {g.m}")
     if replicates < 1:
         raise ValueError("replicate count must be >= 1")
+    positions = None
+    if node_order is not None:
+        positions = {node_id: i for i, node_id in enumerate(node_order)}
 
     graphs: list[SpatialGraph] = []
     per_replicate: list[ReplicateStats] = []
@@ -239,9 +237,7 @@ def _build_ensemble(
         # disjoint per-replicate streams; plain seed ^ index would collide
         # across adjacent seeds
         rng = random.Random((seed << 32) ^ index)
-        edges, accepted, attempts = _rewire_replicate(
-            g, rng, swaps_per_edge, positions, max_attempt_factor
-        )
+        edges, accepted, attempts = _rewire_replicate(g, rng, swaps_per_edge, positions)
         replicate = build_graph(g.nodes, edges)
         graphs.append(replicate)
         per_replicate.append(
@@ -263,7 +259,7 @@ def _build_ensemble(
         seed=seed,
         swaps_per_edge=swaps_per_edge,
         stats=stats,
-        node_order=tuple(node_order) if node_order is not None else None,
+        node_order=node_order,
     )
 
 
@@ -272,13 +268,9 @@ def randomize(
     seed: int,
     swaps_per_edge: int = DEFAULT_SWAPS_PER_EDGE,
     replicates: int = DEFAULT_REPLICATES,
-    max_attempt_factor: int = 100,
 ) -> NullModelEnsemble:
     """Ensemble of degree-preserving, connectivity-preserving random rewires."""
-    return _build_ensemble(
-        g, "random", seed, swaps_per_edge, replicates,
-        positions=None, node_order=None, max_attempt_factor=max_attempt_factor,
-    )
+    return _build_ensemble(g, "random", seed, swaps_per_edge, replicates, node_order=None)
 
 
 def latticeize(
@@ -286,33 +278,10 @@ def latticeize(
     seed: int,
     swaps_per_edge: int = DEFAULT_SWAPS_PER_EDGE,
     replicates: int = DEFAULT_REPLICATES,
-    node_order: str = "ingestion",
-    max_attempt_factor: int = 100,
 ) -> NullModelEnsemble:
-    """Ensemble of degree-preserving rewires driven toward a ring lattice.
-
-    ``node_order`` fixes the ring positions: "ingestion" keeps the node
-    list order, "longitude" sorts by lon (then lat, then id). The chosen
-    order is recorded on the ensemble.
-    """
-    if node_order == "ingestion":
-        ordered = [node.id for node in g.nodes]
-    elif node_order == "longitude":
-        def lon_key(record):
-            return (
-                record.lon is None,
-                record.lon if record.lon is not None else 0.0,
-                record.lat if record.lat is not None else 0.0,
-                record.id,
-            )
-        ordered = [node.id for node in sorted(g.nodes, key=lon_key)]
-    else:
-        raise ValueError(f"unknown node_order {node_order!r}; expected 'ingestion' or 'longitude'")
-    positions = {node_id: i for i, node_id in enumerate(ordered)}
-    return _build_ensemble(
-        g, "lattice", seed, swaps_per_edge, replicates,
-        positions=positions, node_order=ordered, max_attempt_factor=max_attempt_factor,
-    )
+    """Ensemble of degree-preserving rewires driven toward a ring lattice
+    whose positions follow the node ingestion order."""
+    return _build_ensemble(g, "lattice", seed, swaps_per_edge, replicates, node_order=g.node_ids)
 
 
 def ring_index_cost(g: SpatialGraph, node_order: Sequence[str]) -> int:

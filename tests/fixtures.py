@@ -194,7 +194,7 @@ def sample_variable_table(g, seed=2024):
     ids = list(g.node_ids)
     n = len(ids)
     degree = np.array([len(g.adjacency[i]) for i in ids], dtype=float)
-    population = np.array([g.node(i).attributes["population"] for i in ids])
+    population = np.array([node.attributes["population"] for node in g.nodes])
     log_pop = np.log(population)
 
     def z(x):

@@ -108,14 +108,6 @@ def test_detection_deterministic_per_seed():
     assert a.q == b.q
 
 
-def test_weighted_variant_runs_and_recomputes():
-    g = fixtures.synthetic_network()
-    partition = find_communities(g, seed=4, weighted=True)
-    assert partition.weighted
-    assert partition.q == pytest.approx(
-        modularity(g, partition.assignment, weighted=True), abs=1e-9)
-
-
 def test_disconnected_detection_rejected():
     from spatialnet import EdgeRecord, NodeRecord, build_graph
 

@@ -63,10 +63,11 @@ def test_pearson_self_and_antilinear():
         ("resp", "Y", (2.0, 4.0, 9.0)),
     ])
     matrix = pearson_matrix(table)
-    assert matrix.r_of("x", "x") == pytest.approx(1.0)
-    assert matrix.p_of("x", "x") == 0.0
-    assert matrix.r_of("x", "y") == pytest.approx(-1.0)
-    assert matrix.p_of("x", "y") == 0.0  # |r| = 1 convention
+    x, y = matrix.names.index("x"), matrix.names.index("y")
+    assert matrix.r[x, x] == pytest.approx(1.0)
+    assert matrix.p[x, x] == 0.0
+    assert matrix.r[x, y] == pytest.approx(-1.0)
+    assert matrix.p[x, y] == 0.0  # |r| = 1 convention
 
 
 def test_pearson_hand_example():
@@ -77,9 +78,10 @@ def test_pearson_hand_example():
         ("resp", "Y", (1.0, 2.0, 2.0, 4.0, 3.0)),
     ])
     matrix = pearson_matrix(table)
-    assert matrix.r_of("x", "y") == pytest.approx(0.8, abs=1e-12)
-    assert matrix.p_of("x", "y") == pytest.approx(0.104, abs=5e-4)
-    assert matrix.p_of("x", "y") == pytest.approx(
+    x, y = matrix.names.index("x"), matrix.names.index("y")
+    assert matrix.r[x, y] == pytest.approx(0.8, abs=1e-12)
+    assert matrix.p[x, y] == pytest.approx(0.104, abs=5e-4)
+    assert matrix.p[x, y] == pytest.approx(
         oracles.pearson_p(0.8, 5), abs=1e-9)
 
 
@@ -163,7 +165,7 @@ def test_selection_matches_bruteforce_oracle():
         # the documented tie rule: lexicographically first among the argmax
         assert report.representatives[cls] == min(m for m in members if sums[m] == top)
 
-    y_score = report.score_of("Y_flow")
+    [y_score] = [score for score in report.scores if score.name == "Y_flow"]
     assert y_score.is_response
     assert y_score.within_sum == 0.0  # no same-class peers
     assert "Y_flow" not in report.representatives.values()
@@ -254,9 +256,9 @@ def test_residual_orthogonality():
     table = fixtures.exact_beta_table(seed=31)
     predictors = ["S6_population", "B6_cars", "O2_education"]
     model = ols_regress(table, predictors)
-    rows = list(zip(*[table.column(p).values for p in predictors]))
-    fitted = model.predict(rows)
-    resid = np.asarray(table.response.values) - np.asarray(fitted)
+    x = np.column_stack([table.column(p).values for p in predictors])
+    fitted = model.intercept + x @ np.asarray(model.coefficients)
+    resid = np.asarray(table.response.values) - fitted
     scale = float(np.abs(np.asarray(table.response.values)).mean())
     assert abs(resid.sum()) / scale < 1e-8
     for p in predictors:

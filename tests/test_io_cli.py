@@ -10,7 +10,6 @@ from spatialnet.empirical import VariableScore
 from spatialnet.io import (
     CsvSchemaError,
     MissingResponseError,
-    export_graph,
     ingest,
     read_variables_csv,
     sanitize,
@@ -70,17 +69,6 @@ def test_unknown_class_tag_rejected(tmp_path):
     path.write_text("id,pop:Q\nR01,1\n", encoding="utf-8")
     with pytest.raises(CsvSchemaError, match="Q"):
         read_variables_csv(path)
-
-
-def test_roundtrip_export_ingest(tmp_path):
-    g, _ = ingest(NODES, EDGES)
-    export_graph(g, tmp_path / "n.csv", tmp_path / "e.csv")
-    g2, _ = ingest(tmp_path / "n.csv", tmp_path / "e.csv")
-    assert g2.node_ids == g.node_ids
-    assert [(e.u, e.v, e.distance_km, dict(e.time_min)) for e in g2.edges] == \
-           [(e.u, e.v, e.distance_km, dict(e.time_min)) for e in g.edges]
-    assert [(n.lat, n.lon, dict(n.attributes)) for n in g2.nodes] == \
-           [(n.lat, n.lon, dict(n.attributes)) for n in g.nodes]
 
 
 # --- report payloads ------------------------------------------------------------
@@ -227,6 +215,39 @@ def test_cli_schema_error_exit_2(tmp_path, capsys):
     assert code == 2
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert "distance_km" in record["message"]
+
+
+def _write(path: Path, data: bytes) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+    return path
+
+
+@pytest.mark.parametrize("command, flag, make, message", [
+    ("analyze", "--edges", lambda tmp: tmp / "nonexistent.csv", "cannot read file"),
+    ("analyze", "--nodes", lambda tmp: DATA, "cannot read file"),
+    ("analyze", "--nodes", lambda tmp: _write(tmp / "nodes.csv", b"\xff\xfe"), "cannot read file"),
+    # an unclosed quote makes a cell longer than the csv module's field limit
+    ("analyze", "--nodes",
+     lambda tmp: _write(tmp / "nodes.csv", b'id,label,lat,lon\na,"' + b"x" * 2**18),
+     "cannot read file"),
+    ("analyze", "--nodes", lambda tmp: _write(tmp / "nodes.csv", b"id,label,lat,lon\n"),
+     "no node rows"),
+    ("analyze", "--out", lambda tmp: _write(tmp / "out", b""), "cannot write"),
+    ("fit", "--out", lambda tmp: _write(tmp / "out" / "plotdata", b"").parent, "cannot write"),
+], ids=["missing-file", "directory", "not-utf8", "oversized-cell", "no-node-rows",
+        "out-is-file", "plotdata-is-file"])
+def test_unusable_input_or_output_exit_2(tmp_path, capsys, command, flag, make, message):
+    flags = {"--nodes": NODES, "--edges": EDGES, "--out": tmp_path / "out"}
+    flags[flag] = make(tmp_path)
+    code = main([command, *(str(part) for item in flags.items() for part in item)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert message in json.loads(lines[0])["message"]
+    assert not (tmp_path / "out" / "fits.json").exists()  # no partial bundle
 
 
 def test_cli_compute_error_exit_3(tmp_path, capsys):

@@ -135,9 +135,7 @@ def test_clustering_average_low_degree_flag():
     # path: endpoints have k=1 -> 0, midpoint has open neighborhood -> 0
     g = fixtures.graph_from_edges([("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
     default = clustering(g)
-    trimmed = clustering(g, exclude_low_degree=True)
     assert default.average == pytest.approx((1 + 1 + 1 / 3 + 0) / 4)
-    assert trimmed.average == pytest.approx((1 + 1 + 1 / 3) / 3)
 
 
 def test_er_baseline_mean_clustering():
@@ -152,7 +150,9 @@ def test_er_baseline_mean_clustering():
     means = []
     for seed in range(30):
         g = fixtures.er_gnm(n, m, seed)
-        means.append(clustering(g, exclude_low_degree=True).average)
+        per_node = clustering(g).per_node
+        values = [per_node[v] for v in g.node_ids if len(g.adjacency[v]) >= 2]
+        means.append(sum(values) / len(values))
     ensemble_mean = sum(means) / len(means)
     assert ensemble_mean == pytest.approx(p, abs=0.01)
     clustered = clustering(fixtures.synthetic_network()).average

@@ -1,5 +1,6 @@
 import pytest
 
+from spatialnet import null_models
 from spatialnet.exceptions import DisconnectedError
 from spatialnet.measures import clustering
 from spatialnet.null_models import (
@@ -91,11 +92,12 @@ def test_determinism_same_seed_same_ensemble():
     assert [_edge_pairs(r) for r in a.replicates] != [_edge_pairs(r) for r in c.replicates]
 
 
-def test_swap_budget_exhaustion_raises_when_swaps_remain():
+def test_swap_budget_exhaustion_raises_when_swaps_remain(monkeypatch):
     # a 6-cycle admits valid swaps, so a zero attempt budget must fail loudly
+    monkeypatch.setattr(null_models, "MAX_ATTEMPT_FACTOR", 0)
     g = fixtures.cycle_graph(6)
     with pytest.raises(SwapBudgetExhaustedError):
-        randomize(g, seed=1, swaps_per_edge=2, replicates=1, max_attempt_factor=0)
+        randomize(g, seed=1, swaps_per_edge=2, replicates=1)
 
 
 def test_zero_swaps_returns_copies():
@@ -114,10 +116,3 @@ def test_disconnected_input_rejected():
     )
     with pytest.raises(DisconnectedError):
         randomize(g, seed=1)
-
-
-def test_longitude_node_order_recorded():
-    g = fixtures.synthetic_network()
-    ensemble = latticeize(g, seed=2, swaps_per_edge=1, replicates=1, node_order="longitude")
-    lons = [g.node(node_id).lon for node_id in ensemble.node_order]
-    assert lons == sorted(lons)
