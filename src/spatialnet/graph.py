@@ -5,7 +5,19 @@ The graph is undirected, node- and edge-weighted. Nodes carry geographic
 coordinates and named attribute values; edges carry a kilometric length
 and one travel time per epoch label (e.g. "1988", "2010"). Edge costs for
 routing come in three modes: "binary" (1 per edge), "km", and "time"
-(which additionally needs an epoch).
+(which additionally needs an epoch). Every weight must be finite and
+positive; ``build_graph`` rejects the rest.
+
+``build_graph`` numbers the nodes once, in ingestion order, and keeps
+integer neighbour lists in adjacency insertion order. All traversals run
+on those lists: one BFS kernel for binary mode and one Dijkstra kernel
+for km/time, both returning per-source lists indexed by node number.
+``traverse`` is the one entry point to them; ``shortest_paths`` maps a
+traversal back onto node ids.
+
+Dijkstra treats two path costs as equal when they differ by at most
+``TIE_RTOL`` relative (so 0.1 + 0.2 and 0.15 + 0.15 km are one length),
+and counts both routes in ``sigma``. The distance kept is the smaller.
 
 A SpatialGraph is immutable once built, so concurrent read-only
 traversals are safe. Unreachable targets are reported with an explicit
@@ -15,7 +27,6 @@ traversals are safe. Unreachable targets are reported with an explicit
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
 from typing import Iterable, Mapping, Optional
@@ -23,6 +34,11 @@ from typing import Iterable, Mapping, Optional
 from .exceptions import ComputeError, SchemaError
 
 MODES = ("binary", "km", "time")
+
+# Two weighted path costs whose ratio is at most 1 + TIE_RTOL are one
+# length. That is far above the rounding of a float sum of edge costs
+# (about 1e-16 relative per edge) and far below one metre in 1000 km.
+TIE_RTOL = 1e-9
 
 
 class DuplicateNodeError(SchemaError):
@@ -42,6 +58,10 @@ class DuplicateEdgeError(SchemaError):
 
 
 class NegativeWeightError(SchemaError):
+    pass
+
+
+class NonFiniteWeightError(SchemaError):
     pass
 
 
@@ -98,12 +118,17 @@ class EdgeRecord:
 
 @dataclass(frozen=True)
 class SpatialGraph:
-    """Validated undirected graph. Build through :func:`build_graph`."""
+    """Validated undirected graph. Build through :func:`build_graph`.
+
+    A node's number is its position in ``nodes``; ``adj_index[i]`` lists
+    the numbers of node i's neighbours in ``adjacency`` order.
+    """
 
     nodes: tuple[NodeRecord, ...]
     edges: tuple[EdgeRecord, ...]
     adjacency: Mapping[str, Mapping[str, EdgeRecord]]
     components: int
+    adj_index: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
@@ -128,6 +153,18 @@ class SpatialGraph:
 
     def degree(self, node_id: str) -> int:
         return len(self.neighbors(node_id))
+
+    def costs(self, mode: str, epoch: Optional[str] = None) -> Optional[tuple[tuple[float, ...], ...]]:
+        """Edge costs aligned with ``adj_index``, or None in binary mode
+        (the BFS kernel needs none)."""
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+        if mode == "binary":
+            return None
+        return tuple(
+            tuple(edge.cost(mode, epoch) for edge in self.adjacency[node.id].values())
+            for node in self.nodes
+        )
 
     def epochs(self) -> tuple[str, ...]:
         labels: set[str] = set()
@@ -160,8 +197,8 @@ def build_graph(nodes: Iterable[NodeRecord], edges: Iterable[EdgeRecord]) -> Spa
     """Validate records and assemble a SpatialGraph.
 
     Rejects duplicate node ids, dangling edge endpoints, self-loops,
-    repeated unordered node pairs, and nonpositive weights. The error
-    message always names the offending record.
+    repeated unordered node pairs, and nonpositive or non-finite weights.
+    The error message always names the offending record.
     """
     node_list = tuple(nodes)
     edge_list = tuple(edges)
@@ -187,35 +224,34 @@ def build_graph(nodes: Iterable[NodeRecord], edges: Iterable[EdgeRecord]) -> Spa
         if pair in seen_pairs:
             raise DuplicateEdgeError(f"edge ({edge.u}, {edge.v}) repeats an existing pair")
         seen_pairs.add(pair)
-        if not edge.distance_km > 0:
-            raise NegativeWeightError(
-                f"edge ({edge.u}, {edge.v}) has nonpositive distance_km {edge.distance_km}"
-            )
+        _check_weight(edge, "distance_km", edge.distance_km)
         for epoch, minutes in edge.time_min.items():
-            if not minutes > 0:
-                raise NegativeWeightError(
-                    f"edge ({edge.u}, {edge.v}) has nonpositive time {minutes} for epoch {epoch!r}"
-                )
+            _check_weight(edge, "time", minutes, f" for epoch {epoch!r}")
         adjacency[edge.u][edge.v] = edge
         adjacency[edge.v][edge.u] = edge
 
-    components = _count_components(adjacency)
-    frozen = {u: dict(nbrs) for u, nbrs in adjacency.items()}
-    return SpatialGraph(nodes=node_list, edges=edge_list, adjacency=frozen, components=components)
+    index = {node.id: i for i, node in enumerate(node_list)}
+    adj_index = tuple(tuple(index[v] for v in adjacency[node.id]) for node in node_list)
+    components = _count_components(adj_index)
+    return SpatialGraph(nodes=node_list, edges=edge_list, adjacency=adjacency,
+                        components=components, adj_index=adj_index)
 
 
-def _count_components(adjacency: Mapping[str, Mapping[str, EdgeRecord]]) -> int:
-    unvisited = set(adjacency)
+def _check_weight(edge: EdgeRecord, what: str, value: float, where: str = "") -> None:
+    if not value > 0:
+        raise NegativeWeightError(f"edge ({edge.u}, {edge.v}) has nonpositive {what} {value}{where}")
+    if value == math.inf:
+        raise NonFiniteWeightError(f"edge ({edge.u}, {edge.v}) has non-finite {what} {value}{where}")
+
+
+def _count_components(adj: tuple[tuple[int, ...], ...]) -> int:
+    reached = [False] * len(adj)
     count = 0
-    while unvisited:
-        count += 1
-        queue = deque([next(iter(unvisited))])
-        while queue:
-            u = queue.popleft()
-            if u not in unvisited:
-                continue
-            unvisited.discard(u)
-            queue.extend(v for v in adjacency[u] if v in unvisited)
+    for source in range(len(adj)):
+        if not reached[source]:
+            count += 1
+            for v in _bfs(adj, source)[3]:
+                reached[v] = True
     return count
 
 
@@ -225,76 +261,100 @@ def shortest_paths(
     mode: str = "binary",
     epoch: Optional[str] = None,
 ) -> PathTable:
-    """Single-source shortest paths under the chosen edge cost.
+    """Single-source shortest paths under the chosen edge cost, keyed by
+    node id.
 
     Binary mode runs a BFS; km/time modes run Dijkstra. Equal-cost paths
-    are all counted in ``sigma`` (ties are never broken), which is what
-    betweenness accumulation needs.
+    are all counted in ``sigma`` (ties are never broken, and weighted
+    costs within ``TIE_RTOL`` are equal), which is what betweenness
+    accumulation needs.
     """
     if source not in g.adjacency:
         raise UnknownNodeError(f"source {source!r} is not in the graph")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if mode == "binary":
-        dist, sigma, preds, order = _bfs_paths(g, source)
-    else:
-        dist, sigma, preds, order = _dijkstra_paths(g, source, mode, epoch)
-    full_dist = {node.id: dist.get(node.id, math.inf) for node in g.nodes}
-    full_sigma = {node.id: sigma.get(node.id, 0) for node in g.nodes}
-    full_preds = {node.id: tuple(preds.get(node.id, ())) for node in g.nodes}
+    ids = g.node_ids
+    dist, sigma, preds, order = traverse(g, ids.index(source), g.costs(mode, epoch))
     return PathTable(
         source=source,
         mode=mode,
         epoch=epoch if mode == "time" else None,
-        dist=full_dist,
-        sigma=full_sigma,
-        preds=full_preds,
-        order=tuple(order),
+        dist=dict(zip(ids, dist)),
+        sigma=dict(zip(ids, sigma)),
+        preds={ids[i]: tuple(ids[p] for p in preds[i] or ()) for i in range(len(ids))},
+        order=tuple(ids[i] for i in order),
     )
 
 
-def _bfs_paths(g: SpatialGraph, source: str):
-    dist: dict[str, float] = {source: 0.0}
-    sigma: dict[str, int] = {source: 1}
-    preds: dict[str, list[str]] = {source: []}
-    order: list[str] = []
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for v in g.adjacency[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1.0
-                sigma[v] = 0
-                preds[v] = []
-                queue.append(v)
-            if dist[v] == dist[u] + 1.0:
-                sigma[v] += sigma[u]
+def traverse(g: SpatialGraph, source: int, costs=None):
+    """One single-source traversal from node number ``source``: BFS when
+    ``costs`` is None, Dijkstra over ``costs`` (see ``SpatialGraph.costs``)
+    otherwise.
+
+    Returns ``(dist, sigma, preds, order)``: lists indexed by node number
+    holding the distance (``math.inf`` when unreachable), the number of
+    shortest paths, and the predecessors on them in arrival order (None
+    when unreachable), plus the reached nodes in nondecreasing distance.
+    """
+    if costs is None:
+        return _bfs(g.adj_index, source)
+    return _dijkstra(g.adj_index, costs, source)
+
+
+def _bfs(adj, source: int):
+    n = len(adj)
+    dist = [math.inf] * n
+    sigma = [0] * n
+    preds: list = [None] * n
+    dist[source] = 0.0
+    sigma[source] = 1
+    preds[source] = ()
+    order = [source]
+    for u in order:  # grows while iterated: the list is the queue
+        du = dist[u] + 1.0
+        su = sigma[u]
+        for v in adj[u]:
+            dv = dist[v]
+            if dv == math.inf:
+                dist[v] = du
+                sigma[v] = su
+                preds[v] = [u]
+                order.append(v)
+            elif dv == du:
+                sigma[v] += su
                 preds[v].append(u)
     return dist, sigma, preds, order
 
 
-def _dijkstra_paths(g: SpatialGraph, source: str, mode: str, epoch: Optional[str]):
-    dist: dict[str, float] = {source: 0.0}
-    sigma: dict[str, int] = {source: 1}
-    preds: dict[str, list[str]] = {source: []}
-    order: list[str] = []
-    settled: set[str] = set()
-    heap: list[tuple[float, str]] = [(0.0, source)]
+def _dijkstra(adj, costs, source: int):
+    n = len(adj)
+    dist = [math.inf] * n
+    sigma = [0] * n
+    preds: list = [None] * n
+    settled = [False] * n
+    dist[source] = 0.0
+    sigma[source] = 1
+    preds[source] = ()
+    order = []
+    heap = [(0.0, source)]
+    tie = 1.0 + TIE_RTOL
     while heap:
         d, u = heappop(heap)
-        if u in settled:
+        if settled[u]:
             continue
-        settled.add(u)
+        settled[u] = True
         order.append(u)
-        for v, edge in g.adjacency[u].items():
-            nd = d + edge.cost(mode, epoch)
-            if v not in dist or nd < dist[v]:
+        su = sigma[u]
+        for v, w in zip(adj[u], costs[u]):
+            nd = d + w
+            dv = dist[v]
+            if nd * tie < dv:
                 dist[v] = nd
-                sigma[v] = sigma[u]
+                sigma[v] = su
                 preds[v] = [u]
                 heappush(heap, (nd, v))
-            elif nd == dist[v] and v not in settled:
-                sigma[v] += sigma[u]
+            elif nd <= dv * tie and not settled[v]:
+                sigma[v] += su
                 preds[v].append(u)
+                if nd < dv:
+                    dist[v] = nd
+                    heappush(heap, (nd, v))
     return dist, sigma, preds, order

@@ -9,7 +9,9 @@ CSV schemas (UTF-8, decimal point):
 
 Schema violations raise CsvSchemaError with the file and line number; so
 do files that cannot be read (missing, not UTF-8, malformed CSV) and a
-nodes file with no rows. An edges file with no rows is valid.
+nodes file with no rows. An edges file with no rows is valid. Edge
+weights must be finite and positive: the reader rejects nonpositive ones
+by line, and ``build_graph`` rejects nan and inf by edge.
 
 Report payloads are built from the result dataclasses: ``sanitize``
 turns each into a dict keyed by its field names, so the dataclasses are

@@ -16,6 +16,15 @@ Conventions used throughout:
 * Straight-line distances come from the haversine formula on lat/lon
   with an Earth radius of 6371 km.
 
+Every path-based measure is read off one all-sources pass per cost mode
+(``_sweep``): one traversal from each node over the integer core of
+``graph``, yielding closeness, the path-length sum and diameter, and on
+request Brandes betweenness accumulation and straightness in the same
+loop. ``measure_report`` runs that pass once for binary, once for km,
+and once for time when an epoch is given: 3n traversals. Weighted path
+costs within ``graph.TIE_RTOL`` of each other count as ties, and graphs
+with non-finite weights cannot be built.
+
 All functions are pure; sums accumulate in node ingestion order via
 ``math.fsum`` so repeated runs are bit-stable.
 """
@@ -27,7 +36,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .exceptions import ComputeError, DisconnectedError
-from .graph import SpatialGraph, shortest_paths
+from .graph import SpatialGraph, traverse
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -63,6 +72,14 @@ class ClusteringResult:
 class PathStats:
     average: float
     diameter: float
+
+
+@dataclass(frozen=True)
+class _SweepResult:
+    closeness: dict[str, float]
+    path_stats: PathStats
+    betweenness: Optional[dict[str, float]]
+    straightness: Optional[dict[str, float]]
 
 
 @dataclass(frozen=True)
@@ -161,41 +178,83 @@ def _require_connected(g: SpatialGraph, what: str) -> None:
         raise DisconnectedError(f"{what} requires a connected graph; found {g.components} components")
 
 
+def _sweep(
+    g: SpatialGraph,
+    what: str,
+    mode: str = "binary",
+    epoch: Optional[str] = None,
+    brandes: bool = False,
+    straight: bool = False,
+) -> _SweepResult:
+    """One traversal from every node under one cost mode, read into
+    closeness, path stats and, when asked, betweenness and straightness.
+
+    Sums keep the order of a per-measure computation: ``fsum`` over
+    targets in node order, ``+=`` across sources in node order, and
+    Brandes dependencies in reverse visit order.
+    """
+    _require_connected(g, what)
+    if straight:
+        missing = [node.id for node in g.nodes if not node.has_coordinates]
+        if missing:
+            raise MissingCoordinatesError(f"nodes without coordinates: {missing}")
+    costs = g.costs(mode, epoch)
+    ids = g.node_ids
+    n = g.n
+    if n < 2:
+        return _SweepResult(dict.fromkeys(ids, 0.0), PathStats(0.0, 0.0),
+                            dict.fromkeys(ids, 0.0) if brandes else None,
+                            dict.fromkeys(ids, 1.0) if straight else None)
+    close: dict[str, float] = {}
+    raw = [0.0] * n
+    straight_by_node: dict[str, float] = {}
+    coords = [(node.lat, node.lon) for node in g.nodes]
+    total = 0.0
+    diameter = 0.0
+    for s, node_id in enumerate(ids):
+        dist, sigma, preds, order = traverse(g, s, costs)
+        others = dist[:s] + dist[s + 1:]
+        dist_sum = math.fsum(others)
+        close[node_id] = dist_sum / (n - 1)
+        total += dist_sum
+        diameter = max(diameter, max(others))
+        if brandes:
+            delta = [0.0] * n
+            for w in reversed(order):
+                coeff = 1.0 + delta[w]
+                sigma_w = sigma[w]
+                for v in preds[w]:
+                    delta[v] += sigma[v] / sigma_w * coeff
+                if w != s:
+                    raw[w] += delta[w]
+        if straight:
+            lat, lon = coords[s]
+            straight_by_node[node_id] = math.fsum(
+                haversine_km(lat, lon, *coords[t]) / dist[t] for t in range(n) if t != s
+            ) / (n - 1)
+    between = None
+    if brandes:
+        pairs = (n - 1) * (n - 2) / 2.0
+        between = dict.fromkeys(ids, 0.0) if pairs <= 0 else {
+            node_id: value / 2.0 / pairs for node_id, value in zip(ids, raw)
+        }
+    return _SweepResult(close, PathStats(total / (n * (n - 1)), diameter), between,
+                        straight_by_node if straight else None)
+
+
 def closeness(g: SpatialGraph, mode: str = "binary", epoch: Optional[str] = None) -> dict[str, float]:
     """Mean shortest-path distance from each node to all others."""
-    _require_connected(g, "closeness")
-    if g.n < 2:
-        return {node.id: 0.0 for node in g.nodes}
-    result: dict[str, float] = {}
-    for node in g.nodes:
-        table = shortest_paths(g, node.id, mode, epoch)
-        result[node.id] = math.fsum(
-            table.dist[other.id] for other in g.nodes if other.id != node.id
-        ) / (g.n - 1)
-    return result
+    return _sweep(g, "closeness", mode, epoch).closeness
 
 
 def betweenness(g: SpatialGraph, mode: str = "binary", epoch: Optional[str] = None) -> dict[str, float]:
     """Share of all-pairs shortest paths through each node, in [0, 1].
 
-    Accumulates per-source dependencies over the path-count tables in
-    reverse distance order, halves the total to de-duplicate ordered
-    pairs, then divides by (n-1)(n-2)/2.
+    Accumulates per-source dependencies over the path counts in reverse
+    distance order, halves the total to de-duplicate ordered pairs, then
+    divides by (n-1)(n-2)/2.
     """
-    _require_connected(g, "betweenness")
-    raw = {node.id: 0.0 for node in g.nodes}
-    for node in g.nodes:
-        table = shortest_paths(g, node.id, mode, epoch)
-        delta = {other.id: 0.0 for other in g.nodes}
-        for w in reversed(table.order):
-            for v in table.preds[w]:
-                delta[v] += table.sigma[v] / table.sigma[w] * (1.0 + delta[w])
-            if w != node.id:
-                raw[w] += delta[w]
-    pairs = (g.n - 1) * (g.n - 2) / 2.0
-    if pairs <= 0:
-        return {node_id: 0.0 for node_id in raw}
-    return {node_id: value / 2.0 / pairs for node_id, value in raw.items()}
+    return _sweep(g, "betweenness", mode, epoch, brandes=True).betweenness
 
 
 def clustering(g: SpatialGraph) -> ClusteringResult:
@@ -228,17 +287,7 @@ def path_length_and_diameter(
     g: SpatialGraph, mode: str = "binary", epoch: Optional[str] = None
 ) -> PathStats:
     """Mean ordered-pair shortest-path length and the maximum (diameter)."""
-    _require_connected(g, "average path length")
-    if g.n < 2:
-        return PathStats(0.0, 0.0)
-    total = 0.0
-    diameter = 0.0
-    for node in g.nodes:
-        table = shortest_paths(g, node.id, mode, epoch)
-        distances = [table.dist[other.id] for other in g.nodes if other.id != node.id]
-        total += math.fsum(distances)
-        diameter = max(diameter, max(distances))
-    return PathStats(total / (g.n * (g.n - 1)), diameter)
+    return _sweep(g, "average path length", mode, epoch).path_stats
 
 
 def straightness(g: SpatialGraph) -> dict[str, float]:
@@ -247,24 +296,7 @@ def straightness(g: SpatialGraph) -> dict[str, float]:
     Equals 1 only when every route out of the node is as short as the
     great-circle line; any detour pulls the value below 1.
     """
-    _require_connected(g, "straightness")
-    missing = [node.id for node in g.nodes if not node.has_coordinates]
-    if missing:
-        raise MissingCoordinatesError(f"nodes without coordinates: {missing}")
-    if g.n < 2:
-        return {node.id: 1.0 for node in g.nodes}
-    coords = {node.id: (node.lat, node.lon) for node in g.nodes}
-    result: dict[str, float] = {}
-    for node in g.nodes:
-        table = shortest_paths(g, node.id, "km")
-        ratios = []
-        for other in g.nodes:
-            if other.id == node.id:
-                continue
-            straight = haversine_km(*coords[node.id], *coords[other.id])
-            ratios.append(straight / table.dist[other.id])
-        result[node.id] = math.fsum(ratios) / (g.n - 1)
-    return result
+    return _sweep(g, "straightness", "km", straight=True).straightness
 
 
 def avg_nearest_neighbor(g: SpatialGraph) -> NeighborStats:
@@ -294,21 +326,20 @@ def measure_report(g: SpatialGraph, epoch: Optional[str] = None) -> MeasureRepor
     snapshot. Requires a connected graph with node coordinates."""
     ds = degree_and_strength(g)
     clus = clustering(g)
-    close = closeness(g)
-    between = betweenness(g)
-    straight = straightness(g)
+    # a disconnected graph is reported as failing closeness, the first
+    # measure of the report that needs connectivity
+    binary = _sweep(g, "closeness", "binary", brandes=True)
+    km = _sweep(g, "straightness", "km", straight=True)
     nbr = avg_nearest_neighbor(g)
-    binary_paths = path_length_and_diameter(g, "binary")
-    km_paths = path_length_and_diameter(g, "km")
 
     per_node = {
         node.id: NodeMeasures(
             degree=ds.degree[node.id],
             strength_km=ds.strength_km[node.id],
-            closeness=close[node.id],
-            betweenness=between[node.id],
+            closeness=binary.closeness[node.id],
+            betweenness=binary.betweenness[node.id],
             clustering=clus.per_node[node.id],
-            straightness=straight[node.id],
+            straightness=km.straightness[node.id],
             avg_neighbor_degree=nbr.degree[node.id],
             avg_neighbor_strength=nbr.strength[node.id],
         )
@@ -322,10 +353,10 @@ def measure_report(g: SpatialGraph, epoch: Optional[str] = None) -> MeasureRepor
         average_strength=ds.average_strength,
         density_planar=density(g, "planar"),
         density_nonplanar=density(g, "nonplanar"),
-        avg_path_length_binary=binary_paths.average,
-        avg_path_length_km=km_paths.average,
-        diameter_binary=binary_paths.diameter,
-        diameter_km=km_paths.diameter,
+        avg_path_length_binary=binary.path_stats.average,
+        avg_path_length_km=km.path_stats.average,
+        diameter_binary=binary.path_stats.diameter,
+        diameter_km=km.path_stats.diameter,
         clustering_global=clus.global_coefficient,
         clustering_average=clus.average,
         total_edge_length_km=total_km,

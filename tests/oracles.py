@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to verify the package.
 
-Nothing here shares code paths with spatialnet: distances come from
-boolean matrix powers, path counts from explicit DFS enumeration,
+Nothing here shares code paths with spatialnet: hop distances come from
+boolean matrix powers, weighted distances from Floyd–Warshall over numpy
+rows, path counts from explicit DFS enumeration in exact arithmetic,
 clustering from triple loops, modularity from the raw double sum, and
 Student-t tails from numerical quadrature of the density. Keep it that
 way — these are the other side of every dual-route check.
@@ -42,37 +43,81 @@ def distance_matrix_by_powers(a: np.ndarray) -> np.ndarray:
     return dist
 
 
-def enumerate_shortest_paths(adj_sets: dict, s, t, target_len: int) -> list[tuple]:
-    """Every simple path from s to t of exactly target_len edges, by DFS."""
+def floyd_warshall(g, weight) -> tuple[list[str], np.ndarray]:
+    """All-pairs least costs, with ``weight(edge)`` the cost of an edge."""
+    ids = list(g.node_ids)
+    index = {node_id: i for i, node_id in enumerate(ids)}
+    dist = np.full((len(ids), len(ids)), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    for edge in g.edges:
+        dist[index[edge.u], index[edge.v]] = dist[index[edge.v], index[edge.u]] = weight(edge)
+    for k in range(len(ids)):
+        dist = np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :])
+    return ids, dist
+
+
+def distances(g, weight=None) -> tuple[list[str], np.ndarray]:
+    """Hop distances by matrix powers when ``weight`` is None, else
+    Floyd–Warshall over ``weight``."""
+    if weight is None:
+        ids, a = adjacency_matrix(g)
+        return ids, distance_matrix_by_powers(a)
+    return floyd_warshall(g, weight)
+
+
+def enumerate_min_cost_paths(costs: dict, s, t, to_t: dict) -> list[tuple]:
+    """Every simple s-t path of least total cost, by DFS.
+
+    ``costs[u][v]`` is the cost of edge u-v and ``to_t[x]`` the least
+    cost from x to t; costs must add exactly (integers). A branch is cut
+    once its cost plus the remaining least cost exceeds the s-t least
+    cost, so the walk only follows prefixes of shortest paths.
+    """
     paths = []
 
-    def walk(node, path):
-        if len(path) - 1 > target_len:
+    def walk(node, cost, path):
+        if cost + to_t[node] > to_t[s]:
             return
         if node == t:
-            if len(path) - 1 == target_len:
-                paths.append(tuple(path))
+            paths.append(tuple(path))
             return
-        for nxt in sorted(adj_sets[node]):
+        for nxt in sorted(costs[node]):
             if nxt not in path:
                 path.append(nxt)
-                walk(nxt, path)
+                walk(nxt, cost + costs[node][nxt], path)
                 path.pop()
 
-    walk(s, [s])
+    walk(s, 0, [s])
     return paths
 
 
-def oracle_betweenness(g) -> dict:
+def _edge_costs(g, weight=None) -> dict:
+    """costs[u][v] for every edge, 1 when ``weight`` is None."""
+    costs = {node_id: {} for node_id in g.node_ids}
+    for edge in g.edges:
+        costs[edge.u][edge.v] = costs[edge.v][edge.u] = 1 if weight is None else weight(edge)
+    return costs
+
+
+def shortest_path_lists(g, weight=None) -> dict:
+    """Every shortest path of each connected pair (s, t), s before t in
+    node order. ``weight(edge)`` must be an exact integer cost; hop counts
+    when None."""
+    ids, dist = distances(g, weight)
+    costs = _edge_costs(g, weight)
+    to = [dict(zip(ids, dist[:, j].tolist())) for j in range(len(ids))]
+    return {
+        (ids[i], ids[j]): enumerate_min_cost_paths(costs, ids[i], ids[j], to[j])
+        for i, j in combinations(range(len(ids)), 2)
+        if np.isfinite(dist[i, j])
+    }
+
+
+def oracle_betweenness(g, weight=None) -> dict:
     """Normalized betweenness by full shortest-path enumeration."""
-    ids, a = adjacency_matrix(g)
-    dist = distance_matrix_by_powers(a)
-    adj_sets = {node_id: set(g.adjacency[node_id]) for node_id in ids}
+    ids = list(g.node_ids)
     raw = {node_id: 0.0 for node_id in ids}
-    for i, j in combinations(range(len(ids)), 2):
-        if not np.isfinite(dist[i, j]):
-            continue
-        paths = enumerate_shortest_paths(adj_sets, ids[i], ids[j], int(dist[i, j]))
+    for paths in shortest_path_lists(g, weight).values():
         sigma = len(paths)
         through = {node_id: 0 for node_id in ids}
         for path in paths:
@@ -89,20 +134,17 @@ def oracle_betweenness(g) -> dict:
 
 
 def oracle_sigma(g, s, t) -> int:
-    """Number of shortest s-t paths, by enumeration."""
-    ids, a = adjacency_matrix(g)
+    """Number of shortest s-t paths (in hops), by enumeration."""
+    ids, dist = distances(g)
     index = {node_id: i for i, node_id in enumerate(ids)}
-    dist = distance_matrix_by_powers(a)
-    d = dist[index[s], index[t]]
-    if not np.isfinite(d):
+    if not np.isfinite(dist[index[s], index[t]]):
         return 0
-    adj_sets = {node_id: set(g.adjacency[node_id]) for node_id in ids}
-    return len(enumerate_shortest_paths(adj_sets, s, t, int(d)))
+    to_t = dict(zip(ids, dist[:, index[t]].tolist()))
+    return len(enumerate_min_cost_paths(_edge_costs(g), s, t, to_t))
 
 
-def oracle_closeness(g) -> dict:
-    ids, a = adjacency_matrix(g)
-    dist = distance_matrix_by_powers(a)
+def oracle_closeness(g, weight=None) -> dict:
+    ids, dist = distances(g, weight)
     n = len(ids)
     return {
         node_id: float(sum(dist[i, j] for j in range(n) if j != i)) / (n - 1)
@@ -110,13 +152,25 @@ def oracle_closeness(g) -> dict:
     }
 
 
-def oracle_path_stats(g) -> tuple[float, float]:
+def oracle_path_stats(g, weight=None) -> tuple[float, float]:
     """(average ordered-pair distance, diameter)."""
-    ids, a = adjacency_matrix(g)
-    dist = distance_matrix_by_powers(a)
+    ids, dist = distances(g, weight)
     n = len(ids)
     values = [dist[i, j] for i in range(n) for j in range(n) if i != j]
     return float(sum(values)) / (n * (n - 1)), float(max(values))
+
+
+def oracle_straightness(g) -> dict:
+    """Mean great-circle over km route distance, great-circle distances
+    by the haversine formula in numpy."""
+    ids, dist = floyd_warshall(g, lambda edge: edge.distance_km)
+    lat = np.radians([node.lat for node in g.nodes])
+    lon = np.radians([node.lon for node in g.nodes])
+    h = (np.sin((lat[:, None] - lat[None, :]) / 2.0) ** 2
+         + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin((lon[:, None] - lon[None, :]) / 2.0) ** 2)
+    straight = 6371.0 * 2.0 * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+    np.fill_diagonal(dist, 1.0)  # the diagonal then adds 0 / 1 to each row
+    return dict(zip(ids, ((straight / dist).sum(axis=1) / (len(ids) - 1)).tolist()))
 
 
 def oracle_clustering(g) -> dict:

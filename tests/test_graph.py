@@ -4,12 +4,14 @@ from itertools import combinations
 import pytest
 
 from spatialnet import EdgeRecord, NodeRecord, build_graph, shortest_paths
+from spatialnet.measures import betweenness
 from spatialnet.graph import (
     DanglingEdgeError,
     DuplicateEdgeError,
     DuplicateNodeError,
     InvalidCoordinateError,
     NegativeWeightError,
+    NonFiniteWeightError,
     SelfLoopError,
     UnknownEpochError,
     UnknownNodeError,
@@ -60,6 +62,16 @@ def test_nonpositive_weight_rejected():
         build_graph(nodes, [EdgeRecord("a", "b", 5.0, {"1988": 0.0})])
 
 
+def test_nonfinite_weight_rejected():
+    nodes = [NodeRecord("a"), NodeRecord("b")]
+    with pytest.raises(NonFiniteWeightError, match=r"\(a, b\).*distance_km"):
+        build_graph(nodes, [EdgeRecord("a", "b", math.inf)])
+    with pytest.raises(NonFiniteWeightError, match=r"\(a, b\).*'2010'"):
+        build_graph(nodes, [EdgeRecord("a", "b", 5.0, {"2010": math.inf})])
+    with pytest.raises(NegativeWeightError):
+        build_graph(nodes, [EdgeRecord("a", "b", math.nan)])
+
+
 def test_coordinate_range_checked():
     with pytest.raises(InvalidCoordinateError):
         build_graph([NodeRecord("a", lat=91.0, lon=0.0)], [])
@@ -81,6 +93,27 @@ def test_km_triangle_prefers_direct_edge():
     table = shortest_paths(g, "a", "km")
     assert table.dist["c"] == 5.0
     assert table.dist["b"] == 3.0
+
+
+def _float_tie_square():
+    # s-a-t costs 0.1 + 0.2 = 0.30000000000000004, s-b-t costs 0.15 + 0.15 = 0.3
+    return fixtures.graph_from_edges(
+        [("a", "s"), ("a", "t"), ("b", "s"), ("b", "t")],
+        km={("a", "s"): 0.1, ("a", "t"): 0.2, ("b", "s"): 0.15, ("b", "t"): 0.15},
+    )
+
+
+def test_km_float_ties_count_both_paths():
+    table = shortest_paths(_float_tie_square(), "s", "km")
+    assert table.sigma["t"] == 2
+    assert sorted(table.preds["t"]) == ["a", "b"]
+    assert table.dist["t"] == 0.3  # the smaller of the two rounded sums
+
+
+def test_km_betweenness_splits_float_ties():
+    cb = betweenness(_float_tie_square(), "km")
+    assert cb["a"] == pytest.approx(1 / 6, rel=1e-12)
+    assert cb["b"] == pytest.approx(1 / 6, rel=1e-12)
 
 
 def test_unreachable_distance_is_inf_sentinel():

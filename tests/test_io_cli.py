@@ -217,6 +217,25 @@ def test_cli_schema_error_exit_2(tmp_path, capsys):
     assert "distance_km" in record["message"]
 
 
+@pytest.mark.parametrize("header, row, what", [
+    ("source,target,distance_km", "b,c,inf", "distance_km"),
+    ("source,target,distance_km,time_2010_min", "b,c,5,inf", "time"),
+], ids=["km", "time"])
+def test_nonfinite_edge_weight_exit_2(tmp_path, capsys, header, row, what):
+    nodes = _write(tmp_path / "nodes.csv", b"id,label,lat,lon\na,A,38,22\nb,B,38,23\nc,C,38,24\n")
+    first = "a,b,5" + (",4" if "time" in header else "")
+    edges = _write(tmp_path / "edges.csv", f"{header}\n{first}\n{row}\n".encode())
+    code = main(["analyze", "--nodes", str(nodes), "--edges", str(edges),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "NonFiniteWeightError"
+    assert "(b, c)" in record["message"] and what in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def _write(path: Path, data: bytes) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(data)

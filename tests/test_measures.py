@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from spatialnet import EdgeRecord, NodeRecord, build_graph
+from spatialnet import EdgeRecord, NodeRecord, build_graph, graph
 from spatialnet.exceptions import DisconnectedError
 from spatialnet.measures import (
     IsolatedNodeError,
@@ -257,6 +257,19 @@ def test_measures_match_oracles_on_small_graphs(seed):
     cl_oracle = oracles.oracle_clustering(g)
     for node_id in g.node_ids:
         assert cl[node_id] == pytest.approx(cl_oracle[node_id], abs=1e-9)
+
+
+def test_measure_report_sweeps_each_mode_once(monkeypatch):
+    # binary, km and time: one traversal from each node per mode, not one
+    # per measure
+    g = fixtures.synthetic_network()
+    traversals = []
+    for name in ("_bfs", "_dijkstra"):
+        kernel = getattr(graph, name)
+        monkeypatch.setattr(graph, name,
+                            lambda *args, _kernel=kernel: traversals.append(1) or _kernel(*args))
+    measure_report(g, epoch="2010")
+    assert len(traversals) == 3 * g.n
 
 
 def test_scale_covariance_of_km_measures():

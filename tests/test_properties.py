@@ -1,16 +1,24 @@
-"""Property tests over random connected graphs (n <= 20).
+"""Property tests over random connected graphs.
 
-The null-model properties pin down what a swap may never do: change a
-node's degree, disconnect the graph, create a repeated pair, or (for
-latticeization) raise the ring-index cost. Modularity is checked
+The null-model properties (n <= 20) pin down what a swap may never do:
+change a node's degree, disconnect the graph, create a repeated pair, or
+(for latticeization) raise the ring-index cost. Modularity is checked
 against the raw ordered-pair double sum for arbitrary assignments.
+
+The path measures are checked against the independent oracles at n <= 40:
+binary measures against matrix powers and path enumeration, km measures
+against Floyd–Warshall, and weighted path counts against enumeration in
+exact arithmetic on km weights drawn from a set whose sums tie often
+(0.1 + 0.2 vs 0.15 + 0.15), so float ties must be counted as ties.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spatialnet import shortest_paths
 from spatialnet.communities import modularity
+from spatialnet.measures import betweenness, closeness, path_length_and_diameter, straightness
 from spatialnet.null_models import latticeize, randomize, ring_index_cost
 
 import fixtures
@@ -19,18 +27,41 @@ import oracles
 SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
 
 
+# Tie-prone km weights; times 20 they are the exact integers 2, 3, 4, 6.
+TIE_PRONE_KM = (0.1, 0.15, 0.2, 0.3)
+
+
+def _scaled_km(edge):
+    return round(edge.distance_km * 20)
+
+
 @st.composite
-def connected_graphs(draw, n_max=20):
-    """A random spanning tree plus random extra edges."""
+def connected_edge_lists(draw, n_max=20, extra_per_node=2):
+    """A random spanning tree plus up to extra_per_node * n extra edges."""
     n = draw(st.integers(min_value=3, max_value=n_max))
     ids = [f"v{i:02d}" for i in range(n)]
     pairs = {(ids[draw(st.integers(0, i - 1))], ids[i]) for i in range(1, n)}
     extra = draw(st.lists(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=extra_per_node * n))
     for i, j in extra:
         if i != j:
             pairs.add((ids[min(i, j)], ids[max(i, j)]))
-    return fixtures.graph_from_edges(sorted(pairs))
+    return sorted(pairs)
+
+
+def connected_graphs(n_max=20, extra_per_node=2):
+    return connected_edge_lists(n_max, extra_per_node).map(fixtures.graph_from_edges)
+
+
+@st.composite
+def spatial_graphs(draw, km_values, n_max=40):
+    """A connected graph with drawn km weights and node coordinates."""
+    pairs = draw(connected_edge_lists(n_max, extra_per_node=1))
+    ids = sorted({node_id for pair in pairs for node_id in pair})
+    coords = {node_id: (draw(st.floats(35.0, 41.5)), draw(st.floats(20.0, 26.5)))
+              for node_id in ids}
+    km = {pair: draw(km_values) for pair in pairs}
+    return fixtures.graph_from_edges(pairs, km=km, coords=coords)
 
 
 @SETTINGS
@@ -66,3 +97,35 @@ def test_modularity_equals_raw_double_sum(g, labels):
     assignment = dict(zip(g.node_ids, labels))
     assert modularity(g, assignment) == pytest.approx(
         oracles.oracle_modularity(g, assignment), abs=1e-12)
+
+
+@SETTINGS
+@given(g=connected_graphs(n_max=40, extra_per_node=1))
+def test_binary_path_measures_match_oracles(g):
+    assert closeness(g) == pytest.approx(oracles.oracle_closeness(g), rel=1e-12)
+    assert betweenness(g) == pytest.approx(oracles.oracle_betweenness(g), abs=1e-12)
+    stats = path_length_and_diameter(g)
+    assert (stats.average, stats.diameter) == pytest.approx(oracles.oracle_path_stats(g), rel=1e-12)
+
+
+@SETTINGS
+@given(g=spatial_graphs(st.floats(0.5, 500.0)))
+def test_km_path_measures_match_floyd_warshall(g):
+    def km(edge):
+        return edge.distance_km
+
+    assert closeness(g, "km") == pytest.approx(oracles.oracle_closeness(g, km), rel=1e-9)
+    stats = path_length_and_diameter(g, "km")
+    assert (stats.average, stats.diameter) == pytest.approx(
+        oracles.oracle_path_stats(g, km), rel=1e-9)
+    assert straightness(g) == pytest.approx(oracles.oracle_straightness(g), rel=1e-9)
+
+
+@SETTINGS
+@given(g=spatial_graphs(st.sampled_from(TIE_PRONE_KM)))
+def test_km_path_counts_match_enumeration_with_float_ties(g):
+    tables = {node_id: shortest_paths(g, node_id, "km") for node_id in g.node_ids}
+    for (s, t), paths in oracles.shortest_path_lists(g, _scaled_km).items():
+        assert tables[s].sigma[t] == tables[t].sigma[s] == len(paths)
+    assert betweenness(g, "km") == pytest.approx(
+        oracles.oracle_betweenness(g, _scaled_km), abs=1e-12)
