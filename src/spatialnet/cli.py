@@ -110,14 +110,20 @@ def _ensemble_summary(ensemble: null_models.NullModelEnsemble) -> dict:
     }
 
 
-def _omega_payload(g: SpatialGraph, config: AnalysisConfig) -> dict:
+def _omega_payload(
+    g: SpatialGraph, report: Optional[measures.MeasureReport], config: AnalysisConfig
+) -> dict:
     rand = null_models.randomize(
         g, config.seed, config.swaps_per_edge, config.replicates
     )
     latt = null_models.latticeize(
         g, config.seed, config.swaps_per_edge, config.replicates
     )
-    result = small_world.omega(g, rand, latt, threshold=config.omega_threshold)
+    l_emp = c_emp = None
+    if report is not None:  # under `all`, reuse what the measure report read
+        l_emp = report.global_measures.avg_path_length_binary
+        c_emp = report.global_measures.clustering_average
+    result = small_world.omega(g, rand, latt, config.omega_threshold, l_emp, c_emp)
     payload = asdict(result)
     payload["inputs"] = {key: payload.pop(key) for key in ("l_emp", "c_emp", "l_rand", "c_latt")}
     payload["ensembles"] = {
@@ -252,7 +258,7 @@ def run(command: str, config: AnalysisConfig) -> ReportBundle:
         report = measures.measure_report(graph, epoch=config.epoch)
         payloads["measures"] = _measures_payload(report)
     if command in ("omega", "all"):
-        payloads["omega"] = _omega_payload(graph, config)
+        payloads["omega"] = _omega_payload(graph, report, config)
     if command in ("communities", "all"):
         payloads["communities"] = _communities_payload(graph, config)
     if command in ("fit", "all"):

@@ -91,6 +91,8 @@ def _local_moves(level: _Level, rng: random.Random) -> tuple[dict[int, int], boo
     sigma_tot = {u: level.k[u] for u in level.nodes}
     m = level.two_m / 2.0
     improved = False
+    if m == 0:  # no edges: no move can gain anything
+        return comm, improved
 
     order = list(level.nodes)
     changed = True
@@ -145,8 +147,8 @@ def find_communities(g: SpatialGraph, seed: int) -> CommunityPartition:
     """Multi-level greedy modularity optimization.
 
     Returns the partition of the original nodes, its Q recomputed on the
-    original graph, and the flattened partition recorded after each
-    level.
+    original graph, and the flattened partition recorded after each pass
+    that improved it (the singleton partition when none did).
     """
     if not g.is_connected:
         raise DisconnectedError("community detection requires a connected graph")
@@ -167,11 +169,13 @@ def find_communities(g: SpatialGraph, seed: int) -> CommunityPartition:
 
     while True:
         comm, improved = _local_moves(level, rng)
+        if not improved:
+            break
         level, renumber = _aggregate(level, comm)
         membership = {i: renumber[comm[membership[i]]] for i in membership}
         levels.append({ids[i]: membership[i] for i in range(len(ids))})
-        if not improved:
-            break
+    if not levels:  # no move helped: the singletons are the one level
+        levels.append({node_id: i for i, node_id in enumerate(ids)})
 
     assignment = levels[-1]
     return CommunityPartition(

@@ -1,41 +1,56 @@
 """Degree-preserving null models: randomization and latticeization.
 
-Both builders run double-edge swaps — pick edges (a, b) and (c, d),
-rewire to (a, d) and (c, b) — rejecting any swap that would create a
-self-loop, a multi-edge, or disconnect the graph. Randomization accepts
-every remaining swap; latticeization additionally requires that the swap
-does not increase the total ring-index cost
+Both builders run double-edge swaps — take edges (a, b) and (c, d),
+rewire them to (a, d) and (c, b) — and reject any swap that would create
+a self-loop, a multi-edge, or disconnect the graph. Swaps work on node
+numbers (a node's position in ``g.nodes``, which is the ingestion
+order). A swap keeps a connected graph connected exactly when, after it,
+a still reaches b (then c reaches d through b and a), so the check is
+one search that stops as soon as it meets b.
 
-    sum over edges (u, v) of min(|pos u - pos v|, n - |pos u - pos v|)
+Randomization samples swaps at random and accepts every acceptable one
+until ``swaps_per_edge * m`` are accepted. A replicate stops early,
+without error, when an exhaustive scan finds no acceptable swap at all
+(a rigid graph such as a triangle). SwapBudgetExhaustedError marks the
+genuine failure: the attempt budget, MAX_ATTEMPT_FACTOR times the target
+swap count, ran out while acceptable swaps still existed.
 
-where pos is a node's place in the ingestion order (the order of the
-nodes file), which drives the topology toward that ring lattice while
-keeping the degree sequence exact. The ensemble records the order it
-used as ``node_order``.
+Latticeization is a steepest descent on the ring-index cost
+
+    sum over edges (i, j) of min(|i - j|, n - |i - j|)
+
+with i and j node numbers, which drives the topology toward the ring
+lattice over the ingestion order while keeping the degree sequence
+exact. Each step scores every unordered edge pair in both orientations
+of the second edge, orders the simple, cost-lowering swaps by their cost
+change (ties in the replicate's random order), and commits the first one
+that keeps the graph connected. The descent stops when no such swap
+remains — then ``converged`` is True and certifies that no single swap
+can lower the cost further — or after ``swaps_per_edge * m`` steps. The
+ensemble records the ring order as ``node_order``.
+
+``ReplicateStats`` counts, per replicate: ``accepted_swaps``, the swaps
+committed (descent steps for the lattice); ``attempts``, the sampled
+swaps for randomization and the connectivity checks for the lattice;
+and ``converged``, True when randomization reached its target or found
+the graph rigid, and when the descent ran out of improving swaps.
 
 Swap weights travel with their source endpoint ((a, d) inherits the
 payload of (a, b)), so replicates remain valid spatial graphs; only the
 binary topology of a replicate is meaningful.
 
 Each replicate draws its own RNG stream derived from (seed, replicate
-index), so ensembles are reproducible and replicates are independent. A
-replicate stops early, without error, once no acceptable swap exists
-anywhere (for latticeization: no cost-decreasing swap) — rigid graphs
-such as a triangle and already-minimal ring lattices pass through
-unchanged, and a stalled latticeization finishes its cost descent by
-exhaustive scan. SwapBudgetExhaustedError marks the genuine failure
-case: a randomization whose attempt budget ran out while acceptable
-swaps still existed. The attempt budget of a replicate is
-MAX_ATTEMPT_FACTOR times its target swap count.
+index), so ensembles are reproducible and replicates are independent.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .exceptions import ComputeError, DisconnectedError
 from .graph import EdgeRecord, SpatialGraph, build_graph
@@ -56,6 +71,7 @@ class ReplicateStats:
     clustering: float
     accepted_swaps: int
     attempts: int
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -76,101 +92,71 @@ class NullModelEnsemble:
 
 
 class _Rewirer:
-    """Mutable edge list + adjacency used while swapping one replicate."""
+    """Integer edge list and adjacency sets of one replicate while it is
+    being rewired; edge k keeps the weights of ``g.edges[k]``."""
 
-    def __init__(self, g: SpatialGraph, positions: Optional[Mapping[str, int]] = None):
-        self.n = g.n
-        self.edges: list[tuple[str, str]] = [(e.u, e.v) for e in g.edges]
-        self.payloads: list[EdgeRecord] = list(g.edges)
-        self.adj: dict[str, set[str]] = {node.id: set(g.adjacency[node.id]) for node in g.nodes}
-        self.positions = positions
+    def __init__(self, g: SpatialGraph):
+        self.g = g
+        index = {node_id: i for i, node_id in enumerate(g.node_ids)}
+        self.ends: list[tuple[int, int]] = [(index[e.u], index[e.v]) for e in g.edges]
+        self.adj: list[set[int]] = [set(nbrs) for nbrs in g.adj_index]
 
-    def ring_cost(self, u: str, v: str) -> int:
-        assert self.positions is not None
-        gap = abs(self.positions[u] - self.positions[v])
-        return min(gap, self.n - gap)
-
-    def cost_delta(self, a: str, b: str, c: str, d: str) -> int:
-        return (self.ring_cost(a, d) + self.ring_cost(c, b)
-                - self.ring_cost(a, b) - self.ring_cost(c, d))
-
-    def swap_ok_cheap(self, a: str, b: str, c: str, d: str) -> bool:
-        if len({a, b, c, d}) < 4:
+    def acceptable(self, a: int, b: int, c: int, d: int) -> bool:
+        if len({a, b, c, d}) < 4 or d in self.adj[a] or b in self.adj[c]:
             return False
-        if d in self.adj[a] or b in self.adj[c]:
-            return False
-        return True
-
-    def connected_after(self, a: str, b: str, c: str, d: str) -> bool:
-        # Apply tentatively on the adjacency only, BFS, then revert.
-        self._flip_adj(a, b, c, d)
-        seen = {a}
-        queue = deque([a])
-        while queue:
-            u = queue.popleft()
-            for v in self.adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        ok = len(seen) == self.n
-        self._flip_adj(a, d, c, b)  # revert: swap back
-        return ok
-
-    def _flip_adj(self, a: str, b: str, c: str, d: str) -> None:
-        self.adj[a].discard(b); self.adj[b].discard(a)
-        self.adj[c].discard(d); self.adj[d].discard(c)
-        self.adj[a].add(d); self.adj[d].add(a)
-        self.adj[c].add(b); self.adj[b].add(c)
-
-    def commit(self, e1: int, e2: int, a: str, b: str, c: str, d: str) -> None:
-        self._flip_adj(a, b, c, d)
-        p1, p2 = self.payloads[e1], self.payloads[e2]
-        self.edges[e1] = (a, d)
-        self.payloads[e1] = EdgeRecord(a, d, p1.distance_km, p1.time_min)
-        self.edges[e2] = (c, b)
-        self.payloads[e2] = EdgeRecord(c, b, p2.distance_km, p2.time_min)
-
-    def acceptable(self, a: str, b: str, c: str, d: str, improving_only: bool) -> bool:
-        if not self.swap_ok_cheap(a, b, c, d):
-            return False
-        if self.positions is not None:
-            delta = self.cost_delta(a, b, c, d)
-            if improving_only:
-                if delta >= 0:
-                    return False
-            elif delta > 0:
-                return False
         return self.connected_after(a, b, c, d)
 
-    def find_acceptable(self, improving_only: bool) -> Optional[tuple[int, int, str, str, str, str]]:
-        """Deterministic exhaustive scan over edge pairs and orientations."""
-        m = len(self.edges)
-        for e1 in range(m):
-            a, b = self.edges[e1]
-            for e2 in range(m):
-                if e1 == e2:
-                    continue
-                c, d = self.edges[e2]
-                for cc, dd in ((c, d), (d, c)):
-                    if self.acceptable(a, b, cc, dd, improving_only):
-                        return e1, e2, a, b, cc, dd
-        return None
+    def connected_after(self, a: int, b: int, c: int, d: int) -> bool:
+        self._flip(a, b, c, d)
+        ok = self._reaches(a, b)
+        self._flip(a, d, c, b)  # swap back
+        return ok
+
+    def _reaches(self, source: int, target: int) -> bool:
+        adj = self.adj
+        seen = {source}
+        frontier = [source]
+        for u in frontier:  # grows while iterated: the list is the queue
+            for v in adj[u]:
+                if v == target:
+                    return True
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+        return False
+
+    def _flip(self, a: int, b: int, c: int, d: int) -> None:
+        adj = self.adj
+        adj[a].discard(b); adj[b].discard(a)
+        adj[c].discard(d); adj[d].discard(c)
+        adj[a].add(d); adj[d].add(a)
+        adj[c].add(b); adj[b].add(c)
+
+    def commit(self, e1: int, e2: int, a: int, b: int, c: int, d: int) -> None:
+        self._flip(a, b, c, d)
+        self.ends[e1] = (a, d)
+        self.ends[e2] = (c, b)
+
+    def any_acceptable(self) -> bool:
+        """Exhaustive scan over edge pairs and orientations."""
+        return any(self.acceptable(a, b, cc, dd)
+                   for e1, (a, b) in enumerate(self.ends)
+                   for e2, (c, d) in enumerate(self.ends) if e1 != e2
+                   for cc, dd in ((c, d), (d, c)))
+
+    def edge_records(self) -> list[EdgeRecord]:
+        ids = self.g.node_ids
+        return [EdgeRecord(ids[u], ids[v], e.distance_km, e.time_min)
+                for (u, v), e in zip(self.ends, self.g.edges)]
 
 
-def _rewire_replicate(
-    g: SpatialGraph,
-    rng: random.Random,
-    swaps_per_edge: int,
-    positions: Optional[Mapping[str, int]],
-) -> tuple[list[EdgeRecord], int, int]:
-    """Run one replicate's swap loop; returns (edges, accepted, attempts)."""
-    rewirer = _Rewirer(g, positions)
-    m = len(rewirer.edges)
+def _randomize_replicate(g: SpatialGraph, rng: random.Random, swaps_per_edge: int):
+    """Random swaps until the target count; returns (rewirer, accepted,
+    attempts, converged)."""
+    rewirer = _Rewirer(g)
+    m = g.m
     target = swaps_per_edge * m
     budget = MAX_ATTEMPT_FACTOR * target
-    # Latticeization is done once no cost-decreasing swap remains (equal-
-    # cost churn is not progress); an exhaustive scan certifies that.
-    improving_only = positions is not None
     stall_limit = max(200, 20 * m)
 
     accepted = 0
@@ -178,17 +164,8 @@ def _rewire_replicate(
     stall = 0
     while accepted < target:
         if attempts >= budget or stall >= stall_limit:
-            found = rewirer.find_acceptable(improving_only)
-            if found is None:
-                break  # certified converged (or rigid): return what we have
-            if improving_only:
-                # finish the cost descent deterministically; each applied
-                # swap lowers the integer cost, so this terminates
-                e1, e2, a, b, c, d = found
-                rewirer.commit(e1, e2, a, b, c, d)
-                accepted += 1
-                stall = 0
-                continue
+            if not rewirer.any_acceptable():
+                break  # certified rigid: return what we have
             if attempts >= budget:
                 raise SwapBudgetExhaustedError(
                     f"accepted {accepted} of {target} swaps within {budget} attempts"
@@ -200,17 +177,75 @@ def _rewire_replicate(
         if e1 == e2:
             stall += 1
             continue
-        a, b = rewirer.edges[e1]
-        c, d = rewirer.edges[e2]
+        a, b = rewirer.ends[e1]
+        c, d = rewirer.ends[e2]
         if rng.random() > 0.5:
             c, d = d, c  # explore both orientations of the second edge
-        if rewirer.acceptable(a, b, c, d, improving_only=False):
+        if rewirer.acceptable(a, b, c, d):
             rewirer.commit(e1, e2, a, b, c, d)
             accepted += 1
             stall = 0
         else:
             stall += 1
-    return rewirer.payloads, accepted, attempts
+    return rewirer, accepted, attempts, True
+
+
+def _latticeize_replicate(g: SpatialGraph, rng: random.Random, swaps_per_edge: int):
+    """Steepest descent on the ring-index cost; returns (rewirer, steps,
+    connectivity checks, converged)."""
+    rewirer = _Rewirer(g)
+    n, m = g.n, g.m
+    position = np.arange(n, dtype=np.int32)
+    gap = np.abs(position[:, None] - position)
+    ring = np.minimum(gap, n - gap)  # ring[i, j]: ring cost of an edge i-j
+    upper = np.triu(np.ones((m, m), dtype=bool), 1)
+
+    steps = 0
+    checks = 0
+    while steps < swaps_per_edge * m:
+        ends = rewirer.ends
+        for e1, e2, flipped in _ranked_swaps(np.array(ends), ring, upper, rng):
+            (a, b), (c, d) = ends[e1], ends[e2]
+            if flipped:
+                c, d = d, c
+            checks += 1
+            if rewirer.connected_after(a, b, c, d):
+                rewirer.commit(e1, e2, a, b, c, d)
+                steps += 1
+                break
+        else:
+            return rewirer, steps, checks, True  # no improving swap remains
+    return rewirer, steps, checks, False
+
+
+def _ranked_swaps(ends: np.ndarray, ring: np.ndarray, upper: np.ndarray, rng: random.Random):
+    """Yield (e1, e2, flipped) for every swap of edges e1 < e2 that lowers
+    the ring cost and creates no self-loop or multi-edge, the largest
+    decrease first and equal decreases in random order. Edge e1 = (a, b)
+    and e2 = (c, d) rewire to (a, d), (c, b), or when ``flipped`` to
+    (a, c), (d, b)."""
+    u, v = ends[:, 0], ends[:, 1]
+    # the diagonal is set so that a self-loop reads as an existing edge
+    linked = np.eye(len(ring), dtype=bool)
+    linked[u, v] = linked[v, u] = True
+    # entry [e1, e2] of X_uv is X[u[e1], v[e2]]
+    ring_uv = ring[u][:, v]
+    linked_uv = linked[u][:, v]
+    cost = np.diagonal(ring_uv)
+    old = cost[:, None] + cost[None, :]
+    delta = np.stack((ring_uv + ring_uv.T - old, ring[u][:, u] + ring[v][:, v] - old))
+    clash = np.stack((linked_uv | linked_uv.T, linked[u][:, u] | linked[v][:, v]))
+    candidates = np.flatnonzero(upper & (delta < 0) & ~clash)
+    changes = delta.ravel()[candidates]
+    m = len(ends)
+    while candidates.size:  # one group of equal decrease at a time
+        best = changes == changes.min()
+        group = candidates[best].tolist()
+        candidates, changes = candidates[~best], changes[~best]
+        rng.shuffle(group)
+        for k in group:
+            flipped, rest = divmod(k, m * m)
+            yield rest // m, rest % m, bool(flipped)
 
 
 def _build_ensemble(
@@ -219,7 +254,6 @@ def _build_ensemble(
     seed: int,
     swaps_per_edge: int,
     replicates: int,
-    node_order: Optional[tuple[str, ...]],
 ) -> NullModelEnsemble:
     if not g.is_connected:
         raise DisconnectedError("null models require a connected source graph")
@@ -227,9 +261,7 @@ def _build_ensemble(
         raise ComputeError(f"need at least 2 edges to rewire, got m = {g.m}")
     if replicates < 1:
         raise ValueError("replicate count must be >= 1")
-    positions = None
-    if node_order is not None:
-        positions = {node_id: i for i, node_id in enumerate(node_order)}
+    rewire = _randomize_replicate if kind == "random" else _latticeize_replicate
 
     graphs: list[SpatialGraph] = []
     per_replicate: list[ReplicateStats] = []
@@ -237,8 +269,8 @@ def _build_ensemble(
         # disjoint per-replicate streams; plain seed ^ index would collide
         # across adjacent seeds
         rng = random.Random((seed << 32) ^ index)
-        edges, accepted, attempts = _rewire_replicate(g, rng, swaps_per_edge, positions)
-        replicate = build_graph(g.nodes, edges)
+        rewirer, accepted, attempts, converged = rewire(g, rng, swaps_per_edge)
+        replicate = build_graph(g.nodes, rewirer.edge_records())
         graphs.append(replicate)
         per_replicate.append(
             ReplicateStats(
@@ -246,6 +278,7 @@ def _build_ensemble(
                 clustering=clustering(replicate).average,
                 accepted_swaps=accepted,
                 attempts=attempts,
+                converged=converged,
             )
         )
     stats = EnsembleStats(
@@ -259,7 +292,7 @@ def _build_ensemble(
         seed=seed,
         swaps_per_edge=swaps_per_edge,
         stats=stats,
-        node_order=node_order,
+        node_order=g.node_ids if kind == "lattice" else None,
     )
 
 
@@ -270,7 +303,7 @@ def randomize(
     replicates: int = DEFAULT_REPLICATES,
 ) -> NullModelEnsemble:
     """Ensemble of degree-preserving, connectivity-preserving random rewires."""
-    return _build_ensemble(g, "random", seed, swaps_per_edge, replicates, node_order=None)
+    return _build_ensemble(g, "random", seed, swaps_per_edge, replicates)
 
 
 def latticeize(
@@ -279,9 +312,10 @@ def latticeize(
     swaps_per_edge: int = DEFAULT_SWAPS_PER_EDGE,
     replicates: int = DEFAULT_REPLICATES,
 ) -> NullModelEnsemble:
-    """Ensemble of degree-preserving rewires driven toward a ring lattice
-    whose positions follow the node ingestion order."""
-    return _build_ensemble(g, "lattice", seed, swaps_per_edge, replicates, node_order=g.node_ids)
+    """Ensemble of degree-preserving rewires descended toward a ring
+    lattice whose positions follow the node ingestion order; at most
+    ``swaps_per_edge * m`` descent steps per replicate."""
+    return _build_ensemble(g, "lattice", seed, swaps_per_edge, replicates)
 
 
 def ring_index_cost(g: SpatialGraph, node_order: Sequence[str]) -> int:

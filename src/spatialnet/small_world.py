@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
+
 from .exceptions import ComputeError
 from .graph import SpatialGraph
 from .measures import clustering, path_length_and_diameter
@@ -77,12 +79,16 @@ def omega(
     rand_ensemble: NullModelEnsemble,
     latt_ensemble: NullModelEnsemble,
     threshold: float = DEFAULT_THRESHOLD,
+    l_emp: Optional[float] = None,
+    c_emp: Optional[float] = None,
 ) -> OmegaResult:
     """Omega for a graph given its two null-model ensembles.
 
     Ensemble means feed the index; per-replicate omegas (pairing the
     i-th random with the i-th lattice replicate) are attached for
-    variance inspection.
+    variance inspection. ``l_emp`` (binary average path length) and
+    ``c_emp`` (average clustering) of ``g`` are computed unless the
+    caller already has them.
     """
     if rand_ensemble.kind != "random" or latt_ensemble.kind != "lattice":
         raise ValueError(
@@ -93,8 +99,10 @@ def omega(
         replicate = ensemble.replicates[0]
         if replicate.n != g.n or replicate.m != g.m:
             raise ValueError("ensemble does not match the graph (n or m differ)")
-    l_emp = path_length_and_diameter(g, "binary").average
-    c_emp = clustering(g).average
+    if l_emp is None:
+        l_emp = path_length_and_diameter(g, "binary").average
+    if c_emp is None:
+        c_emp = clustering(g).average
 
     per_rep = []
     pairs = zip(rand_ensemble.stats.per_replicate, latt_ensemble.stats.per_replicate)

@@ -3,8 +3,9 @@
 Nothing here shares code paths with spatialnet: hop distances come from
 boolean matrix powers, weighted distances from Floyd–Warshall over numpy
 rows, path counts from explicit DFS enumeration in exact arithmetic,
-clustering from triple loops, modularity from the raw double sum, and
-Student-t tails from numerical quadrature of the density. Keep it that
+clustering from triple loops, modularity from the raw double sum,
+connectivity from union–find, lattice swaps from a scan of every edge
+pair, and Student-t tails from numerical quadrature of the density. Keep it that
 way — these are the other side of every dual-route check.
 """
 
@@ -188,6 +189,55 @@ def oracle_clustering(g) -> dict:
         )
         out[node_id] = 2.0 * links / (k * (k - 1))
     return out
+
+
+def is_connected(ids, pairs) -> bool:
+    """Connectivity of the graph on ``ids`` with edges ``pairs``, by
+    union–find."""
+    parent = {node_id: node_id for node_id in ids}
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    parts = len(parent)
+    for u, v in pairs:
+        ru, rv = root(u), root(v)
+        if ru != rv:
+            parent[ru] = rv
+            parts -= 1
+    return parts == 1
+
+
+def improving_ring_swaps(g) -> list[tuple]:
+    """Every double-edge swap (a, b), (c, d) -> (a, d), (c, b), over all
+    edge pairs and both orientations of the second edge, that lowers the
+    ring-index cost over the node order and leaves the graph simple and
+    connected."""
+    ids = list(g.node_ids)
+    pos = {node_id: i for i, node_id in enumerate(ids)}
+    n = len(ids)
+
+    def ring(u, v):
+        gap = abs(pos[u] - pos[v])
+        return min(gap, n - gap)
+
+    edges = [(edge.u, edge.v) for edge in g.edges]
+    present = {frozenset(edge) for edge in edges}
+    found = []
+    for (a, b), (c0, d0) in combinations(edges, 2):
+        for c, d in ((c0, d0), (d0, c0)):
+            new = {frozenset((a, d)), frozenset((c, b))}
+            if any(len(pair) < 2 or pair in present for pair in new):
+                continue
+            if ring(a, d) + ring(c, b) >= ring(a, b) + ring(c, d):
+                continue
+            after = present - {frozenset((a, b)), frozenset((c, d))} | new
+            if is_connected(ids, [tuple(pair) for pair in after]):
+                found.append((a, b, c, d))
+    return found
 
 
 def oracle_modularity(g, assignment) -> float:

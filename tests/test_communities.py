@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from spatialnet.communities import (
@@ -6,6 +8,7 @@ from spatialnet.communities import (
     modularity,
 )
 from spatialnet.exceptions import DisconnectedError
+from spatialnet.io import ingest
 
 import fixtures
 import oracles
@@ -124,3 +127,22 @@ def test_levels_recorded_and_final_matches():
     partition = find_communities(g, seed=11)
     assert len(partition.levels) >= 1
     assert partition.levels[-1] == partition.assignment
+
+
+def test_levels_record_only_improving_passes():
+    data = Path(__file__).parent / "data"
+    sample, _ = ingest(data / "nodes.csv", data / "edges.csv")
+    partition = find_communities(sample, seed=7)
+    assert [len(set(level.values())) for level in partition.levels] == [10, 5]
+    for g in (sample, fixtures.synthetic_network()):
+        for seed in range(10):
+            levels = find_communities(g, seed).levels
+            assert all(a != b for a, b in zip(levels, levels[1:]))
+
+
+def test_levels_keep_singletons_when_no_pass_improves():
+    from spatialnet import NodeRecord, build_graph
+
+    partition = find_communities(build_graph([NodeRecord("a")], []), seed=1)
+    assert partition.levels == ({"a": 0},)
+    assert partition.assignment == {"a": 0}

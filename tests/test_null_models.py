@@ -1,7 +1,12 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from spatialnet import null_models
 from spatialnet.exceptions import DisconnectedError
+from spatialnet.io import ingest
 from spatialnet.measures import clustering
 from spatialnet.null_models import (
     SwapBudgetExhaustedError,
@@ -11,6 +16,8 @@ from spatialnet.null_models import (
 )
 
 import fixtures
+
+DATA = Path(__file__).parent / "data"
 
 
 def _edge_pairs(g):
@@ -102,9 +109,38 @@ def test_swap_budget_exhaustion_raises_when_swaps_remain(monkeypatch):
 
 def test_zero_swaps_returns_copies():
     g = fixtures.clustered_fixture(seed=3)
-    ensemble = randomize(g, seed=5, swaps_per_edge=0, replicates=2)
-    for replicate in ensemble.replicates:
-        assert _edge_pairs(replicate) == _edge_pairs(g)
+    for builder in (randomize, latticeize):
+        ensemble = builder(g, seed=5, swaps_per_edge=0, replicates=2)
+        for replicate in ensemble.replicates:
+            assert _edge_pairs(replicate) == _edge_pairs(g)
+        for stats in ensemble.stats.per_replicate:
+            assert (stats.accepted_swaps, stats.attempts) == (0, 0)
+            # a zero target is reached; a zero step cap stops the descent
+            # before it could certify anything
+            assert stats.converged == (builder is randomize)
+
+
+def test_randomize_replicates_pinned_on_sample():
+    # the seed-1 edge lists, order and orientation included, as a full
+    # BFS per candidate swap produced them: the early-exit check must
+    # accept exactly the same swaps
+    g, _ = ingest(DATA / "nodes.csv", DATA / "edges.csv")
+    ensemble = randomize(g, seed=1)
+    blob = json.dumps([[[e.u, e.v] for e in r.edges] for r in ensemble.replicates])
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "fad67371166bf5a8a940c3fc2959ee4ca7233895b68ebac5e7abf47f5903b904")
+    assert all(stats.converged for stats in ensemble.stats.per_replicate)
+
+
+def test_lattice_descent_counters_on_sample():
+    g, _ = ingest(DATA / "nodes.csv", DATA / "edges.csv")
+    ensemble = latticeize(g, seed=1, swaps_per_edge=10, replicates=3)
+    before = ring_index_cost(g, ensemble.node_order)
+    for replicate, stats in zip(ensemble.replicates, ensemble.stats.per_replicate):
+        assert stats.converged
+        assert 0 < stats.accepted_swaps <= stats.attempts
+        # every descent step lowers the integer cost by at least 1
+        assert ring_index_cost(replicate, ensemble.node_order) <= before - stats.accepted_swaps
 
 
 def test_disconnected_input_rejected():

@@ -1,9 +1,12 @@
 """Property tests over random connected graphs.
 
-The null-model properties (n <= 20) pin down what a swap may never do:
+The null-model properties (n <= 60) pin down what a swap may never do:
 change a node's degree, disconnect the graph, create a repeated pair, or
-(for latticeization) raise the ring-index cost. Modularity is checked
-against the raw ordered-pair double sum for arbitrary assignments.
+(for latticeization) raise the ring-index cost. The early-exit swap check
+must agree with a union–find over the swapped edge set, and a lattice
+replicate that reports convergence must admit no improving swap under a
+brute-force scan. Modularity is checked against the raw ordered-pair
+double sum for arbitrary assignments.
 
 The path measures are checked against the independent oracles at n <= 40:
 binary measures against matrix powers and path enumeration, km measures
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 from spatialnet import shortest_paths
 from spatialnet.communities import modularity
 from spatialnet.measures import betweenness, closeness, path_length_and_diameter, straightness
-from spatialnet.null_models import latticeize, randomize, ring_index_cost
+from spatialnet.null_models import _Rewirer, latticeize, randomize, ring_index_cost
 
 import fixtures
 import oracles
@@ -66,7 +69,7 @@ def spatial_graphs(draw, km_values, n_max=40):
 
 @SETTINGS
 @given(
-    g=connected_graphs(),
+    g=connected_graphs(n_max=60),
     seed=st.integers(0, 2**16),
     swaps_per_edge=st.integers(0, 3),
     builder=st.sampled_from([randomize, latticeize]),
@@ -82,13 +85,48 @@ def test_null_model_replicates_keep_degrees_and_connectivity(g, seed, swaps_per_
 
 
 @SETTINGS
-@given(g=connected_graphs(), seed=st.integers(0, 2**16), swaps_per_edge=st.integers(1, 3))
+@given(g=connected_graphs(n_max=60), seed=st.integers(0, 2**16), swaps_per_edge=st.integers(1, 3))
 def test_lattice_replicates_never_raise_ring_cost(g, seed, swaps_per_edge):
     ensemble = latticeize(g, seed, swaps_per_edge, replicates=2)
     assert ensemble.node_order == g.node_ids
     before = ring_index_cost(g, ensemble.node_order)
     for replicate in ensemble.replicates:
         assert ring_index_cost(replicate, ensemble.node_order) <= before
+
+
+@SETTINGS
+@given(g=connected_graphs(n_max=60), seed=st.integers(0, 2**16), swaps_per_edge=st.integers(1, 3))
+def test_lattice_convergence_is_certified(g, seed, swaps_per_edge):
+    ensemble = latticeize(g, seed, swaps_per_edge, replicates=2)
+    for replicate, stats in zip(ensemble.replicates, ensemble.stats.per_replicate):
+        if stats.converged:
+            assert oracles.improving_ring_swaps(replicate) == []
+        else:
+            assert stats.accepted_swaps == swaps_per_edge * g.m
+
+
+@SETTINGS
+@given(
+    g=connected_graphs(n_max=60),
+    picks=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.booleans()),
+                   min_size=1, max_size=20),
+)
+def test_early_exit_swap_check_matches_full_connectivity(g, picks):
+    rewirer = _Rewirer(g)
+    ids = g.node_ids
+    present = {frozenset(pair) for pair in rewirer.ends}
+    for i, j, flip in picks:
+        (a, b), (c, d) = rewirer.ends[i % g.m], rewirer.ends[j % g.m]
+        if flip:
+            c, d = d, c
+        new = {frozenset((a, d)), frozenset((c, b))}
+        simple = len({a, b, c, d}) == 4 and not new & present
+        after = present - {frozenset((a, b)), frozenset((c, d))} | new
+        expected = simple and oracles.is_connected(
+            ids, [(ids[u], ids[v]) for u, v in map(tuple, after)])
+        assert rewirer.acceptable(a, b, c, d) == expected
+    assert {frozenset(pair) for pair in rewirer.ends} == present
+    assert [sorted(nbrs) for nbrs in rewirer.adj] == [sorted(nbrs) for nbrs in g.adj_index]
 
 
 @SETTINGS

@@ -88,3 +88,36 @@ def test_omega_rejects_mismatched_ensembles():
     other_rand = randomize(other, seed=5, swaps_per_edge=3, replicates=2)
     with pytest.raises(ValueError):
         omega(g, other_rand, latt)
+
+
+def test_measure_report_holds_omega_empirical_inputs():
+    # what lets `all` hand the report's values to omega in place of its own
+    from spatialnet.measures import measure_report
+
+    g = fixtures.synthetic_network()
+    report = measure_report(g)
+    rand = randomize(g, seed=3, swaps_per_edge=1, replicates=2)
+    latt = latticeize(g, seed=3, swaps_per_edge=1, replicates=2)
+    own = omega(g, rand, latt)
+    assert (report.global_measures.avg_path_length_binary,
+            report.global_measures.clustering_average) == (own.l_emp, own.c_emp)
+    assert omega(g, rand, latt, l_emp=own.l_emp, c_emp=own.c_emp) == own
+
+
+def test_all_reads_omega_path_length_off_the_measure_report(tmp_path, monkeypatch):
+    # 39 BFS for the report's binary pass, 39 per replicate graph (2 random
+    # + 2 lattice) and one component count per graph built (input + 4);
+    # omega runs no pass of its own
+    from pathlib import Path
+
+    from spatialnet import graph
+    from spatialnet.cli import main
+
+    data = Path(__file__).parent / "data"
+    calls = []
+    bfs = graph._bfs
+    monkeypatch.setattr(graph, "_bfs", lambda *args: calls.append(1) or bfs(*args))
+    assert main(["all", "--nodes", str(data / "nodes.csv"), "--edges", str(data / "edges.csv"),
+                 "--vars", str(data / "variables.csv"), "--epoch", "2010", "--seed", "1",
+                 "--replicates", "2", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 200
