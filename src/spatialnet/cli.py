@@ -28,8 +28,19 @@ from .exceptions import SchemaError, SpatialNetError
 from .graph import SpatialGraph
 from .io import ingest, sanitize
 
+# CPython's own sha256, as the random module does for sha512: hashlib loads
+# OpenSSL, which adds about 3.5 MiB of resident memory to every command
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 COMMANDS = ("analyze", "omega", "communities", "fit", "regress", "all")
 SEEDED_COMMANDS = ("omega", "communities", "all")
+INPUT_FILES = ("nodes", "edges", "variables")
 
 
 class ConfigError(SchemaError):
@@ -65,8 +76,16 @@ class AnalysisConfig:
             raise ConfigError(f"omega_threshold must lie in [0, 1), got {self.omega_threshold}")
 
     def echo(self) -> dict:
-        # analysis inputs only; out_dir is run bookkeeping, not input
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"}
+        # analysis inputs only; out_dir is run bookkeeping, not input. Input
+        # files are echoed by name and content hash, not by the path typed,
+        # so the same inputs reached by two paths give the same bundle.
+        echoed = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"}
+        for name in INPUT_FILES:
+            if echoed[name] is not None:
+                path = Path(echoed[name])
+                echoed[name] = {"name": path.name,
+                                "sha256": sha256(path.read_bytes()).hexdigest()}
+        return echoed
 
 
 @dataclass

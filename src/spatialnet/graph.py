@@ -1,5 +1,5 @@
 """Spatial graph core: node/edge records, validated construction, and
-single-source shortest paths with path counting.
+single-source shortest paths, with path counting where it is asked for.
 
 The graph is undirected, node- and edge-weighted. Nodes carry geographic
 coordinates and named attribute values; edges carry a kilometric length
@@ -15,9 +15,19 @@ for km/time, both returning per-source lists indexed by node number.
 ``traverse`` is the one entry point to them; ``shortest_paths`` maps a
 traversal back onto node ids.
 
-Dijkstra treats two path costs as equal when they differ by at most
-``TIE_RTOL`` relative (so 0.1 + 0.2 and 0.15 + 0.15 km are one length),
-and counts both routes in ``sigma``. The distance kept is the smaller.
+Each kernel has a ``count`` switch. Counted, it also returns the number
+of shortest paths (``sigma``) and the predecessors on them (``preds``),
+which only Brandes betweenness reads: ``shortest_paths``, ``betweenness``
+and the binary pass of the measure report. Every other caller (the km
+and time passes, closeness, path length and diameter, straightness, each
+null-model replicate's path length and the component count in
+``build_graph``) asks for distances only, and the kernel then keeps no
+path bookkeeping at all. Both variants return the same ``dist``.
+
+Counted Dijkstra treats two path costs as equal when they differ by at
+most ``TIE_RTOL`` relative (so 0.1 + 0.2 and 0.15 + 0.15 km are one
+length), and counts both routes in ``sigma``. The distance kept is the
+smaller.
 
 A SpatialGraph is immutable once built, so concurrent read-only
 traversals are safe. Unreachable targets are reported with an explicit
@@ -154,16 +164,19 @@ class SpatialGraph:
     def degree(self, node_id: str) -> int:
         return len(self.neighbors(node_id))
 
-    def costs(self, mode: str, epoch: Optional[str] = None) -> Optional[tuple[tuple[float, ...], ...]]:
-        """Edge costs aligned with ``adj_index``, or None in binary mode
-        (the BFS kernel needs none)."""
+    def costs(
+        self, mode: str, epoch: Optional[str] = None
+    ) -> Optional[tuple[tuple[tuple[int, float], ...], ...]]:
+        """Per-node arc lists ``((neighbour, cost), ...)`` in ``adj_index``
+        order, or None in binary mode (the BFS kernel needs none). Built
+        per call, so the graph itself stores no cost tables."""
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
         if mode == "binary":
             return None
         return tuple(
-            tuple(edge.cost(mode, epoch) for edge in self.adjacency[node.id].values())
-            for node in self.nodes
+            tuple(zip(nbrs, (edge.cost(mode, epoch) for edge in self.adjacency[node.id].values())))
+            for node, nbrs in zip(self.nodes, self.adj_index)
         )
 
     def epochs(self) -> tuple[str, ...]:
@@ -250,7 +263,7 @@ def _count_components(adj: tuple[tuple[int, ...], ...]) -> int:
     for source in range(len(adj)):
         if not reached[source]:
             count += 1
-            for v in _bfs(adj, source)[3]:
+            for v in _bfs(adj, source, False)[3]:
                 reached[v] = True
     return count
 
@@ -272,7 +285,7 @@ def shortest_paths(
     if source not in g.adjacency:
         raise UnknownNodeError(f"source {source!r} is not in the graph")
     ids = g.node_ids
-    dist, sigma, preds, order = traverse(g, ids.index(source), g.costs(mode, epoch))
+    dist, sigma, preds, order = traverse(g, ids.index(source), g.costs(mode, epoch), True)
     return PathTable(
         source=source,
         mode=mode,
@@ -284,31 +297,42 @@ def shortest_paths(
     )
 
 
-def traverse(g: SpatialGraph, source: int, costs=None):
+def traverse(g: SpatialGraph, source: int, arcs=None, count: bool = False):
     """One single-source traversal from node number ``source``: BFS when
-    ``costs`` is None, Dijkstra over ``costs`` (see ``SpatialGraph.costs``)
+    ``arcs`` is None, Dijkstra over ``arcs`` (see ``SpatialGraph.costs``)
     otherwise.
 
     Returns ``(dist, sigma, preds, order)``: lists indexed by node number
     holding the distance (``math.inf`` when unreachable), the number of
     shortest paths, and the predecessors on them in arrival order (None
     when unreachable), plus the reached nodes in nondecreasing distance.
+    Without ``count``, ``sigma`` and ``preds`` are None and no path
+    bookkeeping is done.
     """
-    if costs is None:
-        return _bfs(g.adj_index, source)
-    return _dijkstra(g.adj_index, costs, source)
+    # positional calls: tests count kernel calls through ``*args`` wrappers
+    if arcs is None:
+        return _bfs(g.adj_index, source, count)
+    return _dijkstra(arcs, source, count)
 
 
-def _bfs(adj, source: int):
+def _bfs(adj, source: int, count: bool):
     n = len(adj)
     dist = [math.inf] * n
+    dist[source] = 0.0
+    order = [source]
+    if not count:
+        for u in order:  # grows while iterated: the list is the queue
+            du = dist[u] + 1.0
+            for v in adj[u]:
+                if dist[v] == math.inf:
+                    dist[v] = du
+                    order.append(v)
+        return dist, None, None, order
     sigma = [0] * n
     preds: list = [None] * n
-    dist[source] = 0.0
     sigma[source] = 1
     preds[source] = ()
-    order = [source]
-    for u in order:  # grows while iterated: the list is the queue
+    for u in order:
         du = dist[u] + 1.0
         su = sigma[u]
         for v in adj[u]:
@@ -324,17 +348,31 @@ def _bfs(adj, source: int):
     return dist, sigma, preds, order
 
 
-def _dijkstra(adj, costs, source: int):
-    n = len(adj)
+def _dijkstra(arcs, source: int, count: bool):
+    n = len(arcs)
     dist = [math.inf] * n
+    dist[source] = 0.0
+    order = []
+    heap = [(0.0, source)]
+    if not count:
+        # a node is pushed only when its distance strictly falls, so the
+        # one entry whose key equals its distance is the live one
+        while heap:
+            d, u = heappop(heap)
+            if d > dist[u]:
+                continue
+            order.append(u)
+            for v, w in arcs[u]:
+                nd = d + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    heappush(heap, (nd, v))
+        return dist, None, None, order
     sigma = [0] * n
     preds: list = [None] * n
     settled = [False] * n
-    dist[source] = 0.0
     sigma[source] = 1
     preds[source] = ()
-    order = []
-    heap = [(0.0, source)]
     tie = 1.0 + TIE_RTOL
     while heap:
         d, u = heappop(heap)
@@ -343,7 +381,7 @@ def _dijkstra(adj, costs, source: int):
         settled[u] = True
         order.append(u)
         su = sigma[u]
-        for v, w in zip(adj[u], costs[u]):
+        for v, w in arcs[u]:
             nd = d + w
             dv = dist[v]
             if nd * tie < dv:

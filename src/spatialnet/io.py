@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import fields, is_dataclass
-from pathlib import Path, PurePath
+from pathlib import Path
 from typing import Iterator, Mapping, Optional
 
 from .empirical import Variable, VariableTable, build_variable_table
@@ -204,7 +204,7 @@ REPORT_RENAMES: Mapping[str, str] = {
 def sanitize(obj):
     """Convert a report payload into JSON-ready values: dataclasses become
     dicts keyed by field name (see REPORT_RENAMES), mappings and sequences
-    recurse, paths become strings and non-finite floats None."""
+    recurse and non-finite floats become None."""
     if is_dataclass(obj) and not isinstance(obj, type):
         return {
             REPORT_RENAMES.get(f.name, f.name): sanitize(getattr(obj, f.name))
@@ -214,8 +214,6 @@ def sanitize(obj):
         return {key: sanitize(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [sanitize(value) for value in obj]
-    if isinstance(obj, PurePath):
-        return str(obj)
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj

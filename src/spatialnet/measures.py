@@ -21,9 +21,12 @@ Every path-based measure is read off one all-sources pass per cost mode
 ``graph``, yielding closeness, the path-length sum and diameter, and on
 request Brandes betweenness accumulation and straightness in the same
 loop. ``measure_report`` runs that pass once for binary, once for km,
-and once for time when an epoch is given: 3n traversals. Weighted path
-costs within ``graph.TIE_RTOL`` of each other count as ties, and graphs
-with non-finite weights cannot be built.
+and once for time when an epoch is given: 3n traversals. Only a pass
+that accumulates betweenness counts shortest paths (the binary pass of
+the report, and ``betweenness`` in any mode); the km and time passes and
+every other measure run distance-only traversals. Weighted path costs
+within ``graph.TIE_RTOL`` of each other count as ties, and graphs with
+non-finite weights cannot be built.
 
 All functions are pure; sums accumulate in node ingestion order via
 ``math.fsum`` so repeated runs are bit-stable.
@@ -194,11 +197,14 @@ def _sweep(
     Brandes dependencies in reverse visit order.
     """
     _require_connected(g, what)
+    geo = None
     if straight:
         missing = [node.id for node in g.nodes if not node.has_coordinates]
         if missing:
             raise MissingCoordinatesError(f"nodes without coordinates: {missing}")
-    costs = g.costs(mode, epoch)
+        # haversine_km is inlined below, with each node's cos(lat) computed once
+        geo = [(node.lat, node.lon, math.cos(math.radians(node.lat))) for node in g.nodes]
+    arcs = g.costs(mode, epoch)
     ids = g.node_ids
     n = g.n
     if n < 2:
@@ -208,11 +214,11 @@ def _sweep(
     close: dict[str, float] = {}
     raw = [0.0] * n
     straight_by_node: dict[str, float] = {}
-    coords = [(node.lat, node.lon) for node in g.nodes]
+    sin, radians, sqrt, atan2 = math.sin, math.radians, math.sqrt, math.atan2
     total = 0.0
     diameter = 0.0
     for s, node_id in enumerate(ids):
-        dist, sigma, preds, order = traverse(g, s, costs)
+        dist, sigma, preds, order = traverse(g, s, arcs, brandes)
         others = dist[:s] + dist[s + 1:]
         dist_sum = math.fsum(others)
         close[node_id] = dist_sum / (n - 1)
@@ -228,10 +234,14 @@ def _sweep(
                 if w != s:
                     raw[w] += delta[w]
         if straight:
-            lat, lon = coords[s]
-            straight_by_node[node_id] = math.fsum(
-                haversine_km(lat, lon, *coords[t]) / dist[t] for t in range(n) if t != s
-            ) / (n - 1)
+            lat, lon, cos_s = geo[s]
+            terms = []
+            for t, (lat_t, lon_t, cos_t) in enumerate(geo):
+                if t != s:
+                    a = (sin(radians(lat_t - lat) / 2.0) ** 2
+                         + cos_s * cos_t * sin(radians(lon_t - lon) / 2.0) ** 2)
+                    terms.append(EARTH_RADIUS_KM * 2.0 * atan2(sqrt(a), sqrt(1.0 - a)) / dist[t])
+            straight_by_node[node_id] = math.fsum(terms) / (n - 1)
     between = None
     if brandes:
         pairs = (n - 1) * (n - 2) / 2.0

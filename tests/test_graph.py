@@ -15,6 +15,7 @@ from spatialnet.graph import (
     SelfLoopError,
     UnknownEpochError,
     UnknownNodeError,
+    traverse,
 )
 
 import fixtures
@@ -114,6 +115,35 @@ def test_km_betweenness_splits_float_ties():
     cb = betweenness(_float_tie_square(), "km")
     assert cb["a"] == pytest.approx(1 / 6, rel=1e-12)
     assert cb["b"] == pytest.approx(1 / 6, rel=1e-12)
+
+
+@pytest.mark.parametrize("g, mode, epoch", [
+    (fixtures.synthetic_network(), "binary", None),
+    (fixtures.synthetic_network(), "km", None),
+    (fixtures.synthetic_network(), "time", "1988"),
+    (fixtures.synthetic_network(), "time", "2010"),
+    (_float_tie_square(), "binary", None),
+    (_float_tie_square(), "km", None),
+])
+def test_distance_only_kernels_match_counted_kernels(g, mode, epoch):
+    arcs = g.costs(mode, epoch)
+    if arcs is not None:
+        assert tuple(tuple(v for v, _ in row) for row in arcs) == g.adj_index
+    for source in range(g.n):
+        dist, sigma, preds, order = traverse(g, source, arcs)
+        counted = traverse(g, source, arcs, True)
+        assert (sigma, preds) == (None, None)
+        assert dist == counted[0]
+        assert order == counted[3]
+
+
+def test_distance_only_dijkstra_keeps_smaller_float_tie():
+    # from s the larger sum reaches t first, from t the smaller one does
+    g = _float_tie_square()
+    ids = g.node_ids
+    dist = traverse(g, ids.index("s"), g.costs("km"))[0]
+    assert dist[ids.index("t")] == 0.3
+    assert traverse(g, ids.index("t"), g.costs("km"))[0][ids.index("s")] == 0.3
 
 
 def test_unreachable_distance_is_inf_sentinel():

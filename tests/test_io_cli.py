@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -77,7 +79,7 @@ def test_sanitize_maps_nonfinite_to_none():
     score = VariableScore("pop", "S", float("nan"), 1, 2.5, 3, False)
     payload = {
         "a": float("inf"), "b": [1.0, float("nan")], "c": {"d": 2.0},
-        "score": score, "path": Path("data") / "nodes.csv", "pair": (1, float("-inf")),
+        "score": score, "pair": (1, float("-inf")),
     }
     clean = sanitize(payload)
     assert clean == {
@@ -86,7 +88,6 @@ def test_sanitize_maps_nonfinite_to_none():
             "name": "pop", "class": "S", "within_sum_r2": None, "within_rank": 1,
             "global_sum_r2": 2.5, "global_rank": 3, "is_response": False,
         },
-        "path": str(Path("data") / "nodes.csv"),
         "pair": [1, None],
     }
 
@@ -308,6 +309,34 @@ def test_run_all_deterministic_modulo_timestamp(tmp_path):
     assert main(args + ["--out", str(tmp_path / "one")]) == 0
     assert main(args + ["--out", str(tmp_path / "two")]) == 0
     assert _masked_bundle_bytes(tmp_path / "one") == _masked_bundle_bytes(tmp_path / "two")
+
+
+def _raw_bundle_bytes(out_dir: Path) -> dict:
+    return {
+        str(path.relative_to(out_dir)): re.sub(rb'"generated_at": "[^"]*"', b"", path.read_bytes())
+        for path in sorted(out_dir.rglob("*")) if path.is_file()
+    }
+
+
+def test_bundle_independent_of_input_paths(tmp_path, monkeypatch):
+    # the same input bytes reached by an absolute and a relative path of
+    # different lengths give the same bundle
+    for where in ("a", "deeper/copy/b"):
+        (tmp_path / where).mkdir(parents=True)
+        for source in (NODES, EDGES, VARIABLES):
+            (tmp_path / where / source.name).write_bytes(source.read_bytes())
+    common = ["--epoch", "2010", "--seed", "7", "--swaps-per-edge", "1", "--replicates", "2"]
+    first = tmp_path / "a"
+    assert main(["all", "--nodes", str(first / "nodes.csv"), "--edges", str(first / "edges.csv"),
+                 "--vars", str(first / "variables.csv"), *common,
+                 "--out", str(tmp_path / "one")]) == 0
+    monkeypatch.chdir(tmp_path / "deeper")
+    assert main(["all", "--nodes", "copy/b/nodes.csv", "--edges", "copy/b/edges.csv",
+                 "--vars", "copy/b/variables.csv", *common, "--out", str(tmp_path / "two")]) == 0
+    assert _raw_bundle_bytes(tmp_path / "one") == _raw_bundle_bytes(tmp_path / "two")
+    config = json.loads((tmp_path / "one" / "measures.json").read_text())["provenance"]["config"]
+    assert config["nodes"] == {"name": "nodes.csv",
+                               "sha256": hashlib.sha256(NODES.read_bytes()).hexdigest()}
 
 
 def test_different_seed_changes_omega(tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from spatialnet import EdgeRecord, NodeRecord, build_graph, graph
+from spatialnet import EdgeRecord, NodeRecord, build_graph, graph, shortest_paths
 from spatialnet.exceptions import DisconnectedError
 from spatialnet.measures import (
     IsolatedNodeError,
@@ -214,6 +214,20 @@ def test_straightness_detour_below_one():
     assert all(v < 1.0 for v in straightness(g).values())
 
 
+def test_straightness_equals_per_pair_haversine_exactly():
+    # the sweep inlines haversine_km with hoisted cosines; the arithmetic
+    # is the same, so the values must be equal, not merely close
+    g = fixtures.synthetic_network()
+    coords = {node.id: (node.lat, node.lon) for node in g.nodes}
+    expected = {}
+    for s in g.node_ids:
+        dist = shortest_paths(g, s, "km").dist
+        expected[s] = math.fsum(
+            haversine_km(*coords[s], *coords[t]) / dist[t] for t in g.node_ids if t != s
+        ) / (g.n - 1)
+    assert straightness(g) == expected
+
+
 def test_straightness_needs_coordinates():
     with pytest.raises(MissingCoordinatesError):
         straightness(fixtures.path_graph("abc"))
@@ -261,15 +275,17 @@ def test_measures_match_oracles_on_small_graphs(seed):
 
 def test_measure_report_sweeps_each_mode_once(monkeypatch):
     # binary, km and time: one traversal from each node per mode, not one
-    # per measure
+    # per measure; only the binary pass, which feeds betweenness, counts
+    # shortest paths
     g = fixtures.synthetic_network()
     traversals = []
     for name in ("_bfs", "_dijkstra"):
         kernel = getattr(graph, name)
-        monkeypatch.setattr(graph, name,
-                            lambda *args, _kernel=kernel: traversals.append(1) or _kernel(*args))
+        monkeypatch.setattr(graph, name, lambda *args, _name=name, _kernel=kernel:
+                            traversals.append((_name, args[-1])) or _kernel(*args))
     measure_report(g, epoch="2010")
     assert len(traversals) == 3 * g.n
+    assert [call for call in traversals if call[1]] == [("_bfs", True)] * g.n
 
 
 def test_scale_covariance_of_km_measures():

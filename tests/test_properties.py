@@ -8,11 +8,16 @@ replicate that reports convergence must admit no improving swap under a
 brute-force scan. Modularity is checked against the raw ordered-pair
 double sum for arbitrary assignments.
 
-The path measures are checked against the independent oracles at n <= 40:
-binary measures against matrix powers and path enumeration, km measures
-against Floyd–Warshall, and weighted path counts against enumeration in
-exact arithmetic on km weights drawn from a set whose sums tie often
-(0.1 + 0.2 vs 0.15 + 0.15), so float ties must be counted as ties.
+The path measures are checked against the independent oracles at
+n <= 60: binary measures against matrix powers and path enumeration, km
+measures against Floyd–Warshall. Weighted path counts are checked at
+n <= 40 against enumeration in exact arithmetic on km weights drawn from
+a set whose sums tie often (0.1 + 0.2 vs 0.15 + 0.15), so float ties
+must be counted as ties.
+
+Graphs are a random spanning tree plus up to 2n extra node pairs, the
+number of pairs drawn uniformly, so dense graphs come up as often as
+sparse ones.
 """
 
 import pytest
@@ -39,27 +44,32 @@ def _scaled_km(edge):
 
 
 @st.composite
-def connected_edge_lists(draw, n_max=20, extra_per_node=2):
-    """A random spanning tree plus up to extra_per_node * n extra edges."""
+def connected_edge_lists(draw, n_max=20):
+    """A random spanning tree plus up to 2n extra edges.
+
+    The number of extra node pairs is drawn first, uniformly, so dense
+    graphs come up as often as sparse ones (a free-size list stays short).
+    """
     n = draw(st.integers(min_value=3, max_value=n_max))
     ids = [f"v{i:02d}" for i in range(n)]
     pairs = {(ids[draw(st.integers(0, i - 1))], ids[i]) for i in range(1, n)}
+    size = draw(st.integers(0, 2 * n))
     extra = draw(st.lists(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=extra_per_node * n))
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=size, max_size=size))
     for i, j in extra:
         if i != j:
             pairs.add((ids[min(i, j)], ids[max(i, j)]))
     return sorted(pairs)
 
 
-def connected_graphs(n_max=20, extra_per_node=2):
-    return connected_edge_lists(n_max, extra_per_node).map(fixtures.graph_from_edges)
+def connected_graphs(n_max=20):
+    return connected_edge_lists(n_max).map(fixtures.graph_from_edges)
 
 
 @st.composite
 def spatial_graphs(draw, km_values, n_max=40):
     """A connected graph with drawn km weights and node coordinates."""
-    pairs = draw(connected_edge_lists(n_max, extra_per_node=1))
+    pairs = draw(connected_edge_lists(n_max))
     ids = sorted({node_id for pair in pairs for node_id in pair})
     coords = {node_id: (draw(st.floats(35.0, 41.5)), draw(st.floats(20.0, 26.5)))
               for node_id in ids}
@@ -138,7 +148,7 @@ def test_modularity_equals_raw_double_sum(g, labels):
 
 
 @SETTINGS
-@given(g=connected_graphs(n_max=40, extra_per_node=1))
+@given(g=connected_graphs(n_max=60))
 def test_binary_path_measures_match_oracles(g):
     assert closeness(g) == pytest.approx(oracles.oracle_closeness(g), rel=1e-12)
     assert betweenness(g) == pytest.approx(oracles.oracle_betweenness(g), abs=1e-12)
@@ -147,7 +157,7 @@ def test_binary_path_measures_match_oracles(g):
 
 
 @SETTINGS
-@given(g=spatial_graphs(st.floats(0.5, 500.0)))
+@given(g=spatial_graphs(st.floats(0.5, 500.0), n_max=60))
 def test_km_path_measures_match_floyd_warshall(g):
     def km(edge):
         return edge.distance_km
