@@ -3,9 +3,11 @@
 Commands: analyze, omega, communities, fit, regress, all. Every command
 reads the node/edge CSVs (regress additionally needs the variables CSV),
 computes in memory, and only then writes its JSON reports — a failing
-command never leaves a partial bundle behind: if writing fails part way,
-the files already written are removed again. Stochastic commands
-(omega, communities, all) require --seed so runs are reproducible.
+command never leaves a partial bundle behind: every file is written to a
+temporary sibling first and renamed into place only once all are
+complete, and if writing fails part way, what was written is removed.
+Stochastic commands (omega, communities, all) require --seed so runs are
+reproducible.
 
 Exit codes: 0 success, 2 schema/input error, 3 compute error. Errors are
 reported to stderr as a one-line JSON record.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
@@ -293,33 +296,39 @@ def run(command: str, config: AnalysisConfig) -> ReportBundle:
 
 def write_bundle(bundle: ReportBundle, out_dir: Path) -> list[Path]:
     """Write every report and plotdata file; returns the paths written.
-    On an I/O error, removes the files it wrote and raises BundleWriteError."""
+
+    Each file is first written whole to a hidden temporary sibling, and
+    only when every one is complete are they renamed into place, so a
+    write that fails part way leaves no truncated file and no part of
+    the new bundle. On an I/O error, removes what it wrote and raises
+    BundleWriteError.
+    """
     out_dir = Path(out_dir)
-    written = []
+    texts = {
+        out_dir / f"{name}.json":
+            json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        for name, payload in sorted(bundle.reports.items())
+    }
+    for name, rows in sorted(bundle.plotdata.items()):
+        texts[out_dir / "plotdata" / name] = "\n".join(
+            ",".join("" if cell is None else str(cell) for cell in row) for row in rows
+        ) + "\n"
+    staged: list[tuple[Path, Path]] = []
+    placed: list[Path] = []
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, payload in sorted(bundle.reports.items()):
-            path = out_dir / f"{name}.json"
-            path.write_text(
-                json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
-                encoding="utf-8",
-            )
-            written.append(path)
-        if bundle.plotdata:
-            plot_dir = out_dir / "plotdata"
-            plot_dir.mkdir(parents=True, exist_ok=True)
-            for name, rows in sorted(bundle.plotdata.items()):
-                path = plot_dir / name
-                text = "\n".join(
-                    ",".join("" if cell is None else str(cell) for cell in row) for row in rows
-                )
-                path.write_text(text + "\n", encoding="utf-8")
-                written.append(path)
+        for path, text in texts.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            temp = path.with_name(f".{path.name}.tmp")
+            staged.append((temp, path))
+            temp.write_text(text, encoding="utf-8")
+        for temp, path in staged:
+            os.replace(temp, path)
+            placed.append(path)
     except OSError as exc:
-        for path in written:
+        for path in [temp for temp, _ in staged] + placed:
             path.unlink(missing_ok=True)
         raise BundleWriteError(f"cannot write the bundle to {out_dir}: {exc}") from None
-    return written
+    return list(texts)
 
 
 def _parse_model_sets(raw: str) -> tuple[tuple[str, ...], ...]:

@@ -19,10 +19,14 @@ Each kernel has a ``count`` switch. Counted, it also returns the number
 of shortest paths (``sigma``) and the predecessors on them (``preds``),
 which only Brandes betweenness reads: ``shortest_paths``, ``betweenness``
 and the binary pass of the measure report. Every other caller (the km
-and time passes, closeness, path length and diameter, straightness, each
-null-model replicate's path length and the component count in
+and time passes, straightness and the component count in
 ``build_graph``) asks for distances only, and the kernel then keeps no
 path bookkeeping at all. Both variants return the same ``dist``.
+
+Binary closeness, path length and diameter need only each node's sum of
+hop distances and the largest one. ``hop_distances`` computes those for
+all sources at once over Python-int bitsets, in integers, so they are
+exact.
 
 Counted Dijkstra treats two path costs as equal when they differ by at
 most ``TIE_RTOL`` relative (so 0.1 + 0.2 and 0.15 + 0.15 km are one
@@ -41,7 +45,7 @@ from dataclasses import dataclass, field
 from heapq import heappush, heappop
 from typing import Iterable, Mapping, Optional
 
-from .exceptions import ComputeError, SchemaError
+from .exceptions import ComputeError, DisconnectedError, SchemaError
 
 MODES = ("binary", "km", "time")
 
@@ -313,6 +317,44 @@ def traverse(g: SpatialGraph, source: int, arcs=None, count: bool = False):
     if arcs is None:
         return _bfs(g.adj_index, source, count)
     return _dijkstra(arcs, source, count)
+
+
+def hop_distances(g: SpatialGraph) -> tuple[list[int], int]:
+    """Hop distances from every node at once, over bitsets.
+
+    Returns each node's sum of hop distances to all other nodes, and the
+    largest hop distance (the diameter). Python ints serve as bitsets:
+    ``reach[i]`` has bit t set when t lies within h hops of i, and one
+    level ORs each node's set with its neighbours' sets from the level
+    before. The sums and the diameter are integers, so they are exact. A
+    node's sum is the number of (h, t) with t more than h hops away, taken
+    over h = 0, 1, ... until ``reach[i]`` holds every node. Raises
+    DisconnectedError when some node cannot reach every other.
+    """
+    adj = g.adj_index
+    n = len(adj)
+    everyone = (1 << n) - 1
+    reach = [1 << i for i in range(n)]
+    sums = [n - 1] * n
+    pending = [i for i in range(n) if reach[i] != everyone]
+    hops = 0
+    while pending:
+        hops += 1
+        grown = reach[:]
+        still = []
+        for i in pending:
+            r = reach[i]
+            for j in adj[i]:
+                r |= reach[j]
+            if r == reach[i]:
+                raise DisconnectedError(f"hop distances require a connected graph; "
+                                        f"node {g.nodes[i].id!r} reaches {r.bit_count()} of {n}")
+            grown[i] = r
+            if r != everyone:
+                sums[i] += n - r.bit_count()
+                still.append(i)
+        reach, pending = grown, still
+    return sums, hops
 
 
 def _bfs(adj, source: int, count: bool):

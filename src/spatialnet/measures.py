@@ -23,10 +23,14 @@ request Brandes betweenness accumulation and straightness in the same
 loop. ``measure_report`` runs that pass once for binary, once for km,
 and once for time when an epoch is given: 3n traversals. Only a pass
 that accumulates betweenness counts shortest paths (the binary pass of
-the report, and ``betweenness`` in any mode); the km and time passes and
-every other measure run distance-only traversals. Weighted path costs
-within ``graph.TIE_RTOL`` of each other count as ties, and graphs with
-non-finite weights cannot be built.
+the report, and ``betweenness`` in any mode); the km and time passes
+run distance-only traversals. A binary pass that needs distances only
+(``closeness``, ``path_length_and_diameter`` and so each null-model
+replicate's path length) runs no per-source traversal at all: it reads
+the integer hop sums and the diameter off ``graph.hop_distances``, which
+gives the same floats. Weighted path costs within ``graph.TIE_RTOL`` of
+each other count as ties, and graphs with non-finite weights cannot be
+built.
 
 All functions are pure; sums accumulate in node ingestion order via
 ``math.fsum`` so repeated runs are bit-stable.
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .exceptions import ComputeError, DisconnectedError
-from .graph import SpatialGraph, traverse
+from .graph import SpatialGraph, hop_distances, traverse
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -211,6 +215,12 @@ def _sweep(
         return _SweepResult(dict.fromkeys(ids, 0.0), PathStats(0.0, 0.0),
                             dict.fromkeys(ids, 0.0) if brandes else None,
                             dict.fromkeys(ids, 1.0) if straight else None)
+    if arcs is None and not (brandes or straight):
+        # binary distances only: integer hop sums from all sources at once,
+        # equal to the per-source float sums below, which are exact too
+        sums, hops = hop_distances(g)
+        return _SweepResult({node_id: total / (n - 1) for node_id, total in zip(ids, sums)},
+                            PathStats(sum(sums) / (n * (n - 1)), float(hops)), None, None)
     close: dict[str, float] = {}
     raw = [0.0] * n
     straight_by_node: dict[str, float] = {}

@@ -5,8 +5,10 @@ rewire them to (a, d) and (c, b) — and reject any swap that would create
 a self-loop, a multi-edge, or disconnect the graph. Swaps work on node
 numbers (a node's position in ``g.nodes``, which is the ingestion
 order). A swap keeps a connected graph connected exactly when, after it,
-a still reaches b (then c reaches d through b and a), so the check is
-one search that stops as soon as it meets b.
+a still reaches b (then c reaches d through b and a). So a candidate is
+flipped into the adjacency once, one search grows from a and from b,
+always on the smaller side, and stops as soon as the two meet; the flip
+is undone only if they never do.
 
 Randomization samples swaps at random and accepts every acceptable one
 until ``swaps_per_edge * m`` are accepted. A replicate stops early,
@@ -21,13 +23,16 @@ Latticeization is a steepest descent on the ring-index cost
 
 with i and j node numbers, which drives the topology toward the ring
 lattice over the ingestion order while keeping the degree sequence
-exact. Each step scores every unordered edge pair in both orientations
-of the second edge, orders the simple, cost-lowering swaps by their cost
-change (ties in the replicate's random order), and commits the first one
-that keeps the graph connected. The descent stops when no such swap
-remains — then ``converged`` is True and certifies that no single swap
-can lower the cost further — or after ``swaps_per_edge * m`` steps. The
-ensemble records the ring order as ``node_order``.
+exact. Each replicate keeps a table of the cost change of every
+unordered edge pair in both orientations of the second edge, in which
+swaps that are not simple never read as improving; a committed swap
+re-scores only the rows of the edges that touch its four nodes. Each
+step takes the swaps of the largest decrease in the replicate's random
+order, then those of the next decrease, and commits the first one that
+keeps the graph connected. The descent stops when no such swap remains —
+then ``converged`` is True and certifies that no single swap can lower
+the cost further — or after ``swaps_per_edge * m`` steps. The ensemble
+records the ring order as ``node_order``.
 
 ``ReplicateStats`` counts, per replicate: ``accepted_swaps``, the swaps
 committed (descent steps for the lattice); ``attempts``, the sampled
@@ -101,28 +106,42 @@ class _Rewirer:
         self.ends: list[tuple[int, int]] = [(index[e.u], index[e.v]) for e in g.edges]
         self.adj: list[set[int]] = [set(nbrs) for nbrs in g.adj_index]
 
-    def acceptable(self, a: int, b: int, c: int, d: int) -> bool:
-        if len({a, b, c, d}) < 4 or d in self.adj[a] or b in self.adj[c]:
-            return False
-        return self.connected_after(a, b, c, d)
+    def simple_after(self, a: int, b: int, c: int, d: int) -> bool:
+        """Whether rewiring (a, b), (c, d) to (a, d), (c, b) creates no
+        self-loop and no repeated pair."""
+        return len({a, b, c, d}) == 4 and d not in self.adj[a] and b not in self.adj[c]
 
-    def connected_after(self, a: int, b: int, c: int, d: int) -> bool:
+    def swap(self, e1: int, e2: int, a: int, b: int, c: int, d: int) -> bool:
+        """Rewire edges e1 = (a, b) and e2 = (c, d) to (a, d) and (c, b)
+        if the graph stays connected, and return whether it did. The
+        adjacency is flipped once and flipped back only on rejection; the
+        caller has checked ``simple_after``."""
         self._flip(a, b, c, d)
-        ok = self._reaches(a, b)
-        self._flip(a, d, c, b)  # swap back
-        return ok
+        if not self._joined(a, b):
+            self._flip(a, d, c, b)
+            return False
+        self.ends[e1] = (a, d)
+        self.ends[e2] = (c, b)
+        return True
 
-    def _reaches(self, source: int, target: int) -> bool:
+    def _joined(self, a: int, b: int) -> bool:
+        """Whether a reaches b: a search from both ends that always grows
+        the smaller frontier and stops as soon as the two sides meet."""
         adj = self.adj
-        seen = {source}
-        frontier = [source]
-        for u in frontier:  # grows while iterated: the list is the queue
-            for v in adj[u]:
-                if v == target:
-                    return True
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
+        near, far = {a}, {b}
+        frontier, other = [a], [b]
+        while frontier:
+            if len(frontier) > len(other):
+                near, far, frontier, other = far, near, other, frontier
+            grown = []
+            for u in frontier:
+                for v in adj[u]:
+                    if v in far:
+                        return True
+                    if v not in near:
+                        near.add(v)
+                        grown.append(v)
+            frontier = grown
         return False
 
     def _flip(self, a: int, b: int, c: int, d: int) -> None:
@@ -132,17 +151,19 @@ class _Rewirer:
         adj[a].add(d); adj[d].add(a)
         adj[c].add(b); adj[b].add(c)
 
-    def commit(self, e1: int, e2: int, a: int, b: int, c: int, d: int) -> None:
-        self._flip(a, b, c, d)
-        self.ends[e1] = (a, d)
-        self.ends[e2] = (c, b)
-
     def any_acceptable(self) -> bool:
-        """Exhaustive scan over edge pairs and orientations."""
-        return any(self.acceptable(a, b, cc, dd)
-                   for e1, (a, b) in enumerate(self.ends)
-                   for e2, (c, d) in enumerate(self.ends) if e1 != e2
-                   for cc, dd in ((c, d), (d, c)))
+        """Exhaustive scan over edge pairs and orientations; leaves the
+        edges as they were."""
+        for e1, (a, b) in enumerate(self.ends):
+            for e2, (c, d) in enumerate(self.ends):
+                if e1 == e2:
+                    continue
+                for cc, dd in ((c, d), (d, c)):
+                    if self.simple_after(a, b, cc, dd) and self.swap(e1, e2, a, b, cc, dd):
+                        self._flip(a, dd, cc, b)  # undo
+                        self.ends[e1], self.ends[e2] = (a, b), (c, d)
+                        return True
+        return False
 
     def edge_records(self) -> list[EdgeRecord]:
         ids = self.g.node_ids
@@ -181,8 +202,7 @@ def _randomize_replicate(g: SpatialGraph, rng: random.Random, swaps_per_edge: in
         c, d = rewirer.ends[e2]
         if rng.random() > 0.5:
             c, d = d, c  # explore both orientations of the second edge
-        if rewirer.acceptable(a, b, c, d):
-            rewirer.commit(e1, e2, a, b, c, d)
+        if rewirer.simple_after(a, b, c, d) and rewirer.swap(e1, e2, a, b, c, d):
             accepted += 1
             stall = 0
         else:
@@ -194,23 +214,14 @@ def _latticeize_replicate(g: SpatialGraph, rng: random.Random, swaps_per_edge: i
     """Steepest descent on the ring-index cost; returns (rewirer, steps,
     connectivity checks, converged)."""
     rewirer = _Rewirer(g)
-    n, m = g.n, g.m
-    position = np.arange(n, dtype=np.int32)
-    gap = np.abs(position[:, None] - position)
-    ring = np.minimum(gap, n - gap)  # ring[i, j]: ring cost of an edge i-j
-    upper = np.triu(np.ones((m, m), dtype=bool), 1)
-
+    deltas = _RingDeltas(rewirer.ends, g.n)
     steps = 0
     checks = 0
-    while steps < swaps_per_edge * m:
-        ends = rewirer.ends
-        for e1, e2, flipped in _ranked_swaps(np.array(ends), ring, upper, rng):
-            (a, b), (c, d) = ends[e1], ends[e2]
-            if flipped:
-                c, d = d, c
+    while steps < swaps_per_edge * g.m:
+        for e1, e2, a, b, c, d in deltas.ranked_swaps(rewirer.ends, rng):
             checks += 1
-            if rewirer.connected_after(a, b, c, d):
-                rewirer.commit(e1, e2, a, b, c, d)
+            if rewirer.swap(e1, e2, a, b, c, d):
+                deltas.rewired(rewirer.ends, e1, e2)
                 steps += 1
                 break
         else:
@@ -218,34 +229,100 @@ def _latticeize_replicate(g: SpatialGraph, rng: random.Random, swaps_per_edge: i
     return rewirer, steps, checks, False
 
 
-def _ranked_swaps(ends: np.ndarray, ring: np.ndarray, upper: np.ndarray, rng: random.Random):
-    """Yield (e1, e2, flipped) for every swap of edges e1 < e2 that lowers
-    the ring cost and creates no self-loop or multi-edge, the largest
-    decrease first and equal decreases in random order. Edge e1 = (a, b)
-    and e2 = (c, d) rewire to (a, d), (c, b), or when ``flipped`` to
-    (a, c), (d, b)."""
-    u, v = ends[:, 0], ends[:, 1]
-    # the diagonal is set so that a self-loop reads as an existing edge
-    linked = np.eye(len(ring), dtype=bool)
-    linked[u, v] = linked[v, u] = True
-    # entry [e1, e2] of X_uv is X[u[e1], v[e2]]
-    ring_uv = ring[u][:, v]
-    linked_uv = linked[u][:, v]
-    cost = np.diagonal(ring_uv)
-    old = cost[:, None] + cost[None, :]
-    delta = np.stack((ring_uv + ring_uv.T - old, ring[u][:, u] + ring[v][:, v] - old))
-    clash = np.stack((linked_uv | linked_uv.T, linked[u][:, u] | linked[v][:, v]))
-    candidates = np.flatnonzero(upper & (delta < 0) & ~clash)
-    changes = delta.ravel()[candidates]
-    m = len(ends)
-    while candidates.size:  # one group of equal decrease at a time
-        best = changes == changes.min()
-        group = candidates[best].tolist()
-        candidates, changes = candidates[~best], changes[~best]
-        rng.shuffle(group)
-        for k in group:
-            flipped, rest = divmod(k, m * m)
-            yield rest // m, rest % m, bool(flipped)
+class _RingDeltas:
+    """Ring-cost change of every swap of one replicate, kept up to date as
+    the replicate is rewired.
+
+    ``table[0, e1, e2]`` is the change when edges e1 = (a, b) and
+    e2 = (c, d) rewire to (a, d), (c, b); ``table[1, e1, e2]`` the change
+    when they rewire to (a, c), (d, b) (the second edge read the other
+    way round). Both are symmetric in e1 and e2. A swap that would create
+    a self-loop or a repeated pair scores above 0, so only simple swaps
+    can be candidates: new edges are priced with ``penalized[x, y]``, the
+    ring cost of x-y plus n + 1 when x = y or x-y is an edge, and a swap
+    removes at most n of ring cost.
+
+    A swap of (a, b), (c, d) changes the ring cost of its two edges and
+    the penalties of pairs among a, b, c, d, so ``rewired`` re-scores the
+    rows and columns of the edges that touch those four nodes, O(m) each.
+    ``by_u[x, f]`` and ``by_v[x, f]`` hold ``penalized[x, u_f]`` and
+    ``penalized[x, v_f]`` so that a row is scored from whole-row gathers.
+    """
+
+    def __init__(self, ends: list[tuple[int, int]], n: int):
+        self.n = n
+        position = np.arange(n, dtype=np.int32)
+        gap = np.abs(position[:, None] - position)
+        ring = np.minimum(gap, n - gap)  # ring[i, j]: ring cost of an edge i-j
+        edges = np.array(ends, dtype=np.int32)
+        self.u = edges[:, 0].copy()
+        self.v = edges[:, 1].copy()
+        self.cost = ring[self.u, self.v]
+        self.penalized = ring
+        self.penalized[position, position] += n + 1
+        self.penalized[self.u, self.v] += n + 1
+        self.penalized[self.v, self.u] += n + 1
+        self.by_u = self.penalized[:, self.u]
+        self.by_v = self.penalized[:, self.v]
+        self.table = self._rows(np.arange(len(ends)))
+
+    def _rows(self, rows: np.ndarray) -> np.ndarray:
+        """``table[:, rows, :]`` scored from the current edges, in place
+        so that at most one rows-by-m temporary is alive at a time."""
+        ur, vr = self.u[rows], self.v[rows]
+        scores = np.empty((2, len(rows), len(self.u)), dtype=np.int32)
+        scores[0] = self.by_v[ur]
+        scores[0] += self.by_u[vr]
+        scores[1] = self.by_u[ur]
+        scores[1] += self.by_v[vr]
+        scores -= self.cost[rows, None]
+        scores -= self.cost
+        return scores
+
+    def rewired(self, ends: list[tuple[int, int]], e1: int, e2: int) -> None:
+        """Re-score after edges e1 = (a, b) and e2 = (c, d) rewired to
+        ``ends[e1]`` = (a, d) and ``ends[e2]`` = (c, b)."""
+        (a, d), (c, b) = ends[e1], ends[e2]
+        n, u, v, penalized = self.n, self.u, self.v, self.penalized
+        for x, y, change in ((a, b, -n - 1), (c, d, -n - 1), (a, d, n + 1), (c, b, n + 1)):
+            penalized[x, y] += change
+            penalized[y, x] += change
+        u[e1], v[e1], u[e2], v[e2] = a, d, c, b
+        for e, x, y in ((e1, a, d), (e2, c, b)):
+            gap = abs(x - y)
+            self.cost[e] = min(gap, n - gap)
+        pair = [e1, e2]
+        quad = [a, b, c, d]
+        self.by_u[:, pair] = penalized[:, u[pair]]
+        self.by_v[:, pair] = penalized[:, v[pair]]
+        self.by_u[quad] = penalized[quad][:, u]
+        self.by_v[quad] = penalized[quad][:, v]
+        touched = np.zeros(n, dtype=bool)
+        touched[quad] = True
+        rows = np.flatnonzero(touched[u] | touched[v])
+        scores = self._rows(rows)
+        self.table[:, rows, :] = scores
+        self.table[:, :, rows] = scores.transpose(0, 2, 1)
+
+    def ranked_swaps(self, ends: list[tuple[int, int]], rng: random.Random):
+        """Yield (e1, e2, a, b, c, d) for every simple swap of edges
+        e1 < e2, (a, b), (c, d) -> (a, d), (c, b), that lowers the ring
+        cost: the largest decrease first, and equal decreases in the order
+        of one shuffle of their flat table indices (orientation, then e1,
+        then e2)."""
+        flat = self.table.ravel()
+        m = len(ends)
+        level = flat.min()
+        while level < 0:
+            group = [k for k in np.flatnonzero(flat == level).tolist()
+                     if k // m % m < k % m]
+            rng.shuffle(group)
+            for k in group:
+                flipped, rest = divmod(k, m * m)
+                e1, e2 = divmod(rest, m)
+                (a, b), (c, d) = ends[e1], ends[e2]
+                yield (e1, e2, a, b, d, c) if flipped else (e1, e2, a, b, c, d)
+            level = np.min(flat, initial=0, where=flat > level)
 
 
 def _build_ensemble(

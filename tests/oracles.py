@@ -5,8 +5,10 @@ boolean matrix powers, weighted distances from Floyd–Warshall over numpy
 rows, path counts from explicit DFS enumeration in exact arithmetic,
 clustering from triple loops, modularity from the raw double sum,
 connectivity from union–find, lattice swaps from a scan of every edge
-pair, and Student-t tails from numerical quadrature of the density. Keep it that
-way — these are the other side of every dual-route check.
+pair, swap cost changes from the swap's own four endpoints over all edge
+pairs at once, and Student-t tails from numerical quadrature of the
+density. Keep it that way — these are the other side of every dual-route
+check.
 """
 
 from __future__ import annotations
@@ -238,6 +240,29 @@ def improving_ring_swaps(g) -> list[tuple]:
             if is_connected(ids, [tuple(pair) for pair in after]):
                 found.append((a, b, c, d))
     return found
+
+
+def ring_swap_changes(ends, n) -> tuple[np.ndarray, np.ndarray]:
+    """Full recomputation over an integer edge list ``ends`` on nodes
+    0..n-1: for every ordered edge pair (e1, e2) and both readings of e2,
+    entry [0, e1, e2] for (c, d) = e2 and [1, e1, e2] for (c, d) read
+    the other way round, the ring-index cost change of the swap
+    (a, b), (c, d) -> (a, d), (c, b) with (a, b) = e1, and whether that
+    swap is simple (no self-loop, no new pair that is already an edge)."""
+    ends = np.array(ends, dtype=np.int64)
+    present = np.zeros((n, n), dtype=bool)
+    present[ends[:, 0], ends[:, 1]] = present[ends[:, 1], ends[:, 0]] = True
+
+    def ring(x, y):
+        gap = np.abs(x - y)
+        return np.minimum(gap, n - gap)
+
+    a, b = ends[:, 0, None], ends[:, 1, None]
+    change, simple = [], []
+    for c, d in ((ends[None, :, 0], ends[None, :, 1]), (ends[None, :, 1], ends[None, :, 0])):
+        change.append(ring(a, d) + ring(c, b) - ring(a, b) - ring(c, d))
+        simple.append((a != d) & (c != b) & ~present[a, d] & ~present[c, b])
+    return np.stack(change), np.stack(simple)
 
 
 def oracle_modularity(g, assignment) -> float:

@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -270,6 +271,35 @@ def test_unusable_input_or_output_exit_2(tmp_path, capsys, command, flag, make, 
     assert not (tmp_path / "out" / "fits.json").exists()  # no partial bundle
 
 
+def test_write_failing_part_way_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
+    # the second file's write puts half its text on disk and then fails,
+    # as on a full disk; the bundle already in --out stays as it was
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "measures.json").write_text("earlier run\n", encoding="utf-8")
+    write_text = Path.write_text
+    calls = []
+
+    def failing_write_text(path, text, *args, **kwargs):
+        calls.append(path)
+        if len(calls) == 2:
+            write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write_text(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing_write_text)
+    code = main(["fit", "--nodes", str(NODES), "--edges", str(EDGES), "--out", str(out)])
+    monkeypatch.undo()
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert "No space left on device" in json.loads(lines[0])["message"]
+    assert len(calls) == 2
+    left = sorted(str(path.relative_to(out)) for path in out.rglob("*") if path.is_file())
+    assert left == ["measures.json"]
+    assert (out / "measures.json").read_text(encoding="utf-8") == "earlier run\n"
+
+
 def test_cli_compute_error_exit_3(tmp_path, capsys):
     # a disconnected graph passes the schema but fails the analysis
     nodes = tmp_path / "nodes.csv"
@@ -379,6 +409,21 @@ def _csv_cell(cell: str):
 def _read_csv(path: Path) -> list[list]:
     with path.open(newline="", encoding="utf-8") as handle:
         return [[_csv_cell(cell) for cell in row] for row in csv.reader(handle)]
+
+
+def test_matches_golden_omega_at_default_ensemble_sizes(tmp_path):
+    # `all --epoch 2010 --seed 7` with the default 20 + 20 replicates and
+    # 10 swaps per edge, without provenance: pins every replicate's
+    # counters, path length and clustering
+    out = tmp_path / "out"
+    assert main([
+        "all", "--nodes", str(NODES), "--edges", str(EDGES), "--vars", str(VARIABLES),
+        "--epoch", "2010", "--seed", "7", "--out", str(out),
+    ]) == 0
+    actual = json.loads((out / "omega.json").read_text(encoding="utf-8"))
+    actual.pop("provenance")
+    expected = json.loads((GOLDEN / "omega.json").read_text(encoding="utf-8"))
+    _assert_matches(actual, expected, "omega")
 
 
 @pytest.mark.parametrize("command, reports", [

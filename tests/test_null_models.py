@@ -132,6 +132,18 @@ def test_randomize_replicates_pinned_on_sample():
     assert all(stats.converged for stats in ensemble.stats.per_replicate)
 
 
+def test_latticeize_replicates_pinned_on_sample():
+    # the seed-1 edge lists as the full m x m re-scoring per descent step
+    # produced them: the incremental delta table must give the same
+    # candidate order and the same RNG draws
+    g, _ = ingest(DATA / "nodes.csv", DATA / "edges.csv")
+    ensemble = latticeize(g, seed=1)
+    blob = json.dumps([[[e.u, e.v] for e in r.edges] for r in ensemble.replicates])
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "b79baaec44686e38402e757f967f083522d280a18a436060b926ffdf02e4ea90")
+    assert all(stats.converged for stats in ensemble.stats.per_replicate)
+
+
 def test_lattice_descent_counters_on_sample():
     g, _ = ingest(DATA / "nodes.csv", DATA / "edges.csv")
     ensemble = latticeize(g, seed=1, swaps_per_edge=10, replicates=3)

@@ -2,32 +2,43 @@
 
 The null-model properties (n <= 60) pin down what a swap may never do:
 change a node's degree, disconnect the graph, create a repeated pair, or
-(for latticeization) raise the ring-index cost. The early-exit swap check
-must agree with a union–find over the swapped edge set, and a lattice
-replicate that reports convergence must admit no improving swap under a
+(for latticeization) raise the ring-index cost. The flip-once swap must
+accept exactly the swaps that a union–find over the swapped edge set
+finds connected, and leave the edge list and adjacency as the accepted
+swaps made them. The lattice's incremental swap-cost table must equal a
+full recomputation after every descent step, and a lattice replicate
+that reports convergence must admit no improving swap under a
 brute-force scan. Modularity is checked against the raw ordered-pair
 double sum for arbitrary assignments.
 
 The path measures are checked against the independent oracles at
 n <= 60: binary measures against matrix powers and path enumeration, km
-measures against Floyd–Warshall. Weighted path counts are checked at
-n <= 40 against enumeration in exact arithmetic on km weights drawn from
-a set whose sums tie often (0.1 + 0.2 vs 0.15 + 0.15), so float ties
-must be counted as ties.
+measures against Floyd–Warshall. The bitset hop kernel must equal a
+per-source BFS sweep exactly, and refuse disconnected graphs. Weighted
+path counts are checked at n <= 40 against enumeration in exact
+arithmetic on km weights drawn from a set whose sums tie often
+(0.1 + 0.2 vs 0.15 + 0.15), so float ties must be counted as ties.
 
 Graphs are a random spanning tree plus up to 2n extra node pairs, the
 number of pairs drawn uniformly, so dense graphs come up as often as
 sparse ones.
 """
 
+import math
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spatialnet import shortest_paths
 from spatialnet.communities import modularity
-from spatialnet.measures import betweenness, closeness, path_length_and_diameter, straightness
-from spatialnet.null_models import _Rewirer, latticeize, randomize, ring_index_cost
+from spatialnet.exceptions import DisconnectedError
+from spatialnet.graph import hop_distances, traverse
+from spatialnet.measures import (
+    PathStats, betweenness, closeness, path_length_and_diameter, straightness)
+from spatialnet.null_models import _RingDeltas, _Rewirer, latticeize, randomize, ring_index_cost
 
 import fixtures
 import oracles
@@ -122,21 +133,92 @@ def test_lattice_convergence_is_certified(g, seed, swaps_per_edge):
                    min_size=1, max_size=20),
 )
 def test_early_exit_swap_check_matches_full_connectivity(g, picks):
+    # accepted swaps stay, so later picks run on the rewired graph
     rewirer = _Rewirer(g)
     ids = g.node_ids
-    present = {frozenset(pair) for pair in rewirer.ends}
     for i, j, flip in picks:
-        (a, b), (c, d) = rewirer.ends[i % g.m], rewirer.ends[j % g.m]
+        e1, e2 = i % g.m, j % g.m
+        (a, b), (c, d) = rewirer.ends[e1], rewirer.ends[e2]
         if flip:
             c, d = d, c
+        before = list(rewirer.ends)
+        present = {frozenset(pair) for pair in before}
         new = {frozenset((a, d)), frozenset((c, b))}
         simple = len({a, b, c, d}) == 4 and not new & present
         after = present - {frozenset((a, b)), frozenset((c, d))} | new
         expected = simple and oracles.is_connected(
             ids, [(ids[u], ids[v]) for u, v in map(tuple, after)])
-        assert rewirer.acceptable(a, b, c, d) == expected
-    assert {frozenset(pair) for pair in rewirer.ends} == present
-    assert [sorted(nbrs) for nbrs in rewirer.adj] == [sorted(nbrs) for nbrs in g.adj_index]
+        accepted = rewirer.simple_after(a, b, c, d) and rewirer.swap(e1, e2, a, b, c, d)
+        assert accepted == expected
+        if accepted:
+            before[e1], before[e2] = (a, d), (c, b)
+        assert rewirer.ends == before
+        nbrs = [set() for _ in ids]
+        for u, v in before:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        assert rewirer.adj == nbrs
+
+
+def _assert_matches_ring_swap_changes(deltas, ends, n):
+    change, simple = oracles.ring_swap_changes(ends, n)
+    assert np.array_equal(deltas.table[simple], change[simple])
+    assert (deltas.table[~simple] > 0).all()  # never a candidate
+
+
+@SETTINGS
+@given(g=connected_graphs(n_max=60), seed=st.integers(0, 2**16), swaps_per_edge=st.integers(1, 3))
+def test_incremental_ring_deltas_equal_full_recomputation(g, seed, swaps_per_edge):
+    ends = _Rewirer(g).ends
+    _assert_matches_ring_swap_changes(_RingDeltas(ends, g.n), ends, g.n)
+    rewired = _RingDeltas.rewired
+    steps = []
+
+    def checked(deltas, ends, e1, e2):
+        rewired(deltas, ends, e1, e2)
+        _assert_matches_ring_swap_changes(deltas, ends, g.n)
+        steps.append((e1, e2))
+
+    with mock.patch.object(_RingDeltas, "rewired", checked):
+        ensemble = latticeize(g, seed, swaps_per_edge, replicates=1)
+    assert len(steps) == ensemble.stats.per_replicate[0].accepted_swaps
+
+
+def _bfs_sweep(g):
+    """Closeness, path length and diameter from one distance-only BFS per
+    source, summed as a per-source sweep sums them."""
+    n = g.n
+    close = {}
+    total = 0.0
+    diameter = 0.0
+    for s, node_id in enumerate(g.node_ids):
+        dist = traverse(g, s)[0]
+        others = dist[:s] + dist[s + 1:]
+        dist_sum = math.fsum(others)
+        close[node_id] = dist_sum / (n - 1)
+        total += dist_sum
+        diameter = max(diameter, max(others))
+    return close, PathStats(total / (n * (n - 1)), diameter)
+
+
+@SETTINGS
+@given(g=connected_graphs(n_max=60))
+def test_hop_kernel_equals_bfs_sweep_exactly(g):
+    close, stats = _bfs_sweep(g)
+    assert closeness(g) == close
+    assert path_length_and_diameter(g) == stats
+    sums, hops = hop_distances(g)
+    assert [total / (g.n - 1) for total in sums] == list(close.values())
+    assert float(hops) == stats.diameter
+
+
+@SETTINGS
+@given(pairs=connected_edge_lists(n_max=60), other=connected_edge_lists(n_max=10))
+def test_hop_kernel_rejects_disconnected_graphs(pairs, other):
+    g = fixtures.graph_from_edges(pairs + [("w" + u, "w" + v) for u, v in other])
+    assert not g.is_connected
+    with pytest.raises(DisconnectedError):
+        hop_distances(g)
 
 
 @SETTINGS

@@ -105,19 +105,23 @@ def test_measure_report_holds_omega_empirical_inputs():
 
 
 def test_all_reads_omega_path_length_off_the_measure_report(tmp_path, monkeypatch):
-    # 39 BFS for the report's binary pass, 39 per replicate graph (2 random
-    # + 2 lattice) and one component count per graph built (input + 4);
-    # omega runs no pass of its own
+    # 39 counted BFS for the report's Brandes pass, one distance-only BFS
+    # (a component count) per graph built (input + 4 replicates) and one
+    # hop-kernel call per replicate graph (2 random + 2 lattice); omega
+    # runs no pass of its own
     from pathlib import Path
 
-    from spatialnet import graph
+    from spatialnet import graph, measures
     from spatialnet.cli import main
 
     data = Path(__file__).parent / "data"
-    calls = []
-    bfs = graph._bfs
-    monkeypatch.setattr(graph, "_bfs", lambda *args: calls.append(1) or bfs(*args))
+    bfs_calls = []
+    hop_calls = []
+    bfs, hops = graph._bfs, measures.hop_distances
+    monkeypatch.setattr(graph, "_bfs", lambda *args: bfs_calls.append(args[-1]) or bfs(*args))
+    monkeypatch.setattr(measures, "hop_distances",
+                        lambda *args: hop_calls.append(1) or hops(*args))
     assert main(["all", "--nodes", str(data / "nodes.csv"), "--edges", str(data / "edges.csv"),
                  "--vars", str(data / "variables.csv"), "--epoch", "2010", "--seed", "1",
                  "--replicates", "2", "--out", str(tmp_path)]) == 0
-    assert len(calls) == 200
+    assert (bfs_calls.count(True), bfs_calls.count(False), len(hop_calls)) == (39, 5, 4)
