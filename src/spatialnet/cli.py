@@ -11,25 +11,35 @@ reproducible.
 
 Exit codes: 0 success, 2 schema/input error, 3 compute error. Errors are
 reported to stderr as a one-line JSON record.
+
+Only ``null_models`` imports numpy at module level, and this module
+imports it only inside ``_omega_payload``; ``fitting`` and ``empirical``
+import numpy inside the functions that compute with it. So ``analyze``
+and ``communities`` run without loading numpy, and only omega, fit,
+regress and all pay for it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from . import communities as communities_mod
-from . import empirical, fitting, measures, null_models, small_world
+from . import empirical, fitting, measures, small_world
 from .exceptions import SchemaError, SpatialNetError
 from .graph import SpatialGraph
 from .io import ingest, sanitize
+
+if TYPE_CHECKING:
+    from .null_models import NullModelEnsemble
 
 # CPython's own sha256, as the random module does for sha512: hashlib loads
 # OpenSSL, which adds about 3.5 MiB of resident memory to every command
@@ -61,8 +71,8 @@ class AnalysisConfig:
     variables: Optional[Path] = None
     epoch: Optional[str] = None
     seed: Optional[int] = None
-    swaps_per_edge: int = null_models.DEFAULT_SWAPS_PER_EDGE
-    replicates: int = null_models.DEFAULT_REPLICATES
+    swaps_per_edge: int = small_world.DEFAULT_SWAPS_PER_EDGE
+    replicates: int = small_world.DEFAULT_REPLICATES
     omega_threshold: float = small_world.DEFAULT_THRESHOLD
     alpha: float = empirical.DEFAULT_ALPHA
     model_sets: tuple[tuple[str, ...], ...] = ()
@@ -119,7 +129,7 @@ def _measures_payload(report: measures.MeasureReport) -> dict:
     }
 
 
-def _ensemble_summary(ensemble: null_models.NullModelEnsemble) -> dict:
+def _ensemble_summary(ensemble: NullModelEnsemble) -> dict:
     return {
         "kind": ensemble.kind,
         "seed": ensemble.seed,
@@ -135,6 +145,8 @@ def _ensemble_summary(ensemble: null_models.NullModelEnsemble) -> dict:
 def _omega_payload(
     g: SpatialGraph, report: Optional[measures.MeasureReport], config: AnalysisConfig
 ) -> dict:
+    from . import null_models  # the one module that loads numpy
+
     rand = null_models.randomize(
         g, config.seed, config.swaps_per_edge, config.replicates
     )
@@ -300,8 +312,8 @@ def write_bundle(bundle: ReportBundle, out_dir: Path) -> list[Path]:
     Each file is first written whole to a hidden temporary sibling, and
     only when every one is complete are they renamed into place, so a
     write that fails part way leaves no truncated file and no part of
-    the new bundle. On an I/O error, removes what it wrote and raises
-    BundleWriteError.
+    the new bundle. On an I/O error, removes what it wrote and the
+    directories it created, and raises BundleWriteError.
     """
     out_dir = Path(out_dir)
     texts = {
@@ -315,9 +327,17 @@ def write_bundle(bundle: ReportBundle, out_dir: Path) -> list[Path]:
         ) + "\n"
     staged: list[tuple[Path, Path]] = []
     placed: list[Path] = []
+    created: list[Path] = []  # directories this call made, shallowest first
     try:
         for path, text in texts.items():
-            path.parent.mkdir(parents=True, exist_ok=True)
+            missing = []
+            directory = path.parent
+            while not directory.is_dir():
+                missing.append(directory)
+                directory = directory.parent
+            for directory in reversed(missing):
+                directory.mkdir()
+                created.append(directory)
             temp = path.with_name(f".{path.name}.tmp")
             staged.append((temp, path))
             temp.write_text(text, encoding="utf-8")
@@ -327,6 +347,9 @@ def write_bundle(bundle: ReportBundle, out_dir: Path) -> list[Path]:
     except OSError as exc:
         for path in [temp for temp, _ in staged] + placed:
             path.unlink(missing_ok=True)
+        for directory in reversed(created):
+            with contextlib.suppress(OSError):  # left alone if not empty
+                directory.rmdir()
         raise BundleWriteError(f"cannot write the bundle to {out_dir}: {exc}") from None
     return list(texts)
 
@@ -355,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed (required for omega/communities/all)")
     parser.add_argument("--swaps-per-edge", type=int,
-                        default=null_models.DEFAULT_SWAPS_PER_EDGE)
-    parser.add_argument("--replicates", type=int, default=null_models.DEFAULT_REPLICATES)
+                        default=small_world.DEFAULT_SWAPS_PER_EDGE)
+    parser.add_argument("--replicates", type=int, default=small_world.DEFAULT_REPLICATES)
     parser.add_argument("--omega-threshold", type=float, default=small_world.DEFAULT_THRESHOLD)
     parser.add_argument("--alpha", type=float, default=empirical.DEFAULT_ALPHA)
     parser.add_argument("--models", dest="model_sets", type=_parse_model_sets, default=(),

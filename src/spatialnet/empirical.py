@@ -19,17 +19,22 @@ counts from node variables:
 Student-t tail probabilities are computed here via the regularized
 incomplete beta function (continued-fraction evaluation, absolute error
 well under 1e-10) rather than delegating to a stats package.
+
+Only ``null_models`` imports numpy at module level. Here
+``pearson_matrix`` and ``ols_regress`` import it themselves, so reading a
+variables file (``io`` imports this module) does not load numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .exceptions import ComputeError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PREDICTOR_CLASSES = ("S", "B", "O")
 RESPONSE_CLASS = "Y"
@@ -221,6 +226,8 @@ def pearson_matrix(table: VariableTable) -> PearsonMatrix:
     p values come from t = r * sqrt((n - 2) / (1 - r^2)) with n - 2
     degrees of freedom; |r| = 1 maps to p = 0.
     """
+    import numpy as np
+
     names = table.names()
     data = np.array([table.column(name).values for name in names], dtype=float)
     n = table.n
@@ -373,6 +380,8 @@ def _t_and_p(b: float, se: float, df: int) -> tuple[float, float]:
 
 def ols_regress(table: VariableTable, predictors: Sequence[str]) -> RegressionModel:
     """Least squares of the response on the named predictor columns."""
+    import numpy as np
+
     names = tuple(predictors)
     if not names:
         raise ValueError("need at least one predictor")

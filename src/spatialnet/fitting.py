@@ -17,19 +17,24 @@ Every FitResult reports R-squared on the original (k, y) scale:
 1 - SS_res / SS_tot. That value can go negative for a hopeless family,
 which is exactly what makes the normal-vs-powerlaw comparison on peaked
 data meaningful.
+
+Only ``null_models`` imports numpy at module level. Here the functions
+that compute with it import it themselves, so importing this module
+(as ``cli`` does for every command) does not load numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from .exceptions import ComputeError
 from .graph import SpatialGraph
 from . import measures as _measures
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SCALING_MEASURES = ("betweenness", "strength", "clustering")
 
@@ -67,6 +72,8 @@ def predict(fit: FitResult, x: float) -> float:
 
 
 def _as_arrays(points: Iterable[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     pts = list(points)
     if not pts:
         return np.empty(0), np.empty(0)
@@ -75,6 +82,8 @@ def _as_arrays(points: Iterable[tuple[float, float]]) -> tuple[np.ndarray, np.nd
 
 
 def _r_squared(y: np.ndarray, fitted: np.ndarray) -> float:
+    import numpy as np
+
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot == 0.0:
@@ -93,6 +102,8 @@ def degree_histogram(g: SpatialGraph) -> list[tuple[int, int]]:
 
 def fit_powerlaw(points: Iterable[tuple[float, float]]) -> FitResult:
     """Least-squares fit of y = a * k**beta on log-log axes."""
+    import numpy as np
+
     x, y = _as_arrays(points)
     if len(x) < 3:
         raise InsufficientPointsError(f"power-law fit needs >= 3 points, got {len(x)}")
@@ -107,6 +118,8 @@ def fit_powerlaw(points: Iterable[tuple[float, float]]) -> FitResult:
 
 def fit_normal(points: Iterable[tuple[float, float]]) -> FitResult:
     """Fit y = a * exp(-(k - mu)^2 / (2 sigma^2)) in closed form."""
+    import numpy as np
+
     x, y = _as_arrays(points)
     if len(x) < 3:
         raise InsufficientPointsError(f"normal fit needs >= 3 points, got {len(x)}")
@@ -134,6 +147,8 @@ def fit_normal(points: Iterable[tuple[float, float]]) -> FitResult:
 
 def fit_log_decay(points: Iterable[tuple[float, float]]) -> FitResult:
     """Least-squares fit of y = a - b * ln k."""
+    import numpy as np
+
     x, y = _as_arrays(points)
     if len(x) < 3:
         raise InsufficientPointsError(f"log-decay fit needs >= 3 points, got {len(x)}")

@@ -46,6 +46,12 @@ binary topology of a replicate is meaningful.
 
 Each replicate draws its own RNG stream derived from (seed, replicate
 index), so ensembles are reproducible and replicates are independent.
+
+This is the one module that imports numpy at module level: every command
+that builds ensembles (``omega``, ``all``) also latticeizes. ``cli``
+imports it only inside ``_omega_payload``, so ``analyze``,
+``communities``, ``fit`` and ``regress`` never load it; its defaults
+live in ``small_world``.
 """
 
 from __future__ import annotations
@@ -60,9 +66,8 @@ import numpy as np
 from .exceptions import ComputeError, DisconnectedError
 from .graph import EdgeRecord, SpatialGraph, build_graph
 from .measures import clustering, path_length_and_diameter
+from .small_world import DEFAULT_REPLICATES, DEFAULT_SWAPS_PER_EDGE
 
-DEFAULT_SWAPS_PER_EDGE = 10
-DEFAULT_REPLICATES = 20
 MAX_ATTEMPT_FACTOR = 100
 
 

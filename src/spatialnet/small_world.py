@@ -6,20 +6,28 @@ compares the empirical path length against a degree-matched random null
 and the empirical clustering against a degree-matched lattice null.
 Values near zero indicate a small world, negative values a more regular
 (lattice-like) topology, positive values a more random one.
+
+The null-model ensemble defaults live here rather than in ``null_models``
+so that ``cli`` can read them without importing that module, the one
+that loads numpy; ``null_models`` imports them from here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .exceptions import ComputeError
 from .graph import SpatialGraph
 from .measures import clustering, path_length_and_diameter
-from .null_models import NullModelEnsemble
+
+if TYPE_CHECKING:
+    from .null_models import NullModelEnsemble
 
 DEFAULT_THRESHOLD = 0.3
+DEFAULT_SWAPS_PER_EDGE = 10
+DEFAULT_REPLICATES = 20
 
 
 class ZeroClusteringError(ComputeError):

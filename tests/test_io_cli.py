@@ -3,7 +3,10 @@ import errno
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,7 @@ GOLDEN = DATA / "golden"
 NODES = DATA / "nodes.csv"
 EDGES = DATA / "edges.csv"
 VARIABLES = DATA / "variables.csv"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # --- ingestion ----------------------------------------------------------------
@@ -271,12 +275,9 @@ def test_unusable_input_or_output_exit_2(tmp_path, capsys, command, flag, make, 
     assert not (tmp_path / "out" / "fits.json").exists()  # no partial bundle
 
 
-def test_write_failing_part_way_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
+def _fit_with_second_write_failing(out: Path, capsys, monkeypatch) -> None:
     # the second file's write puts half its text on disk and then fails,
-    # as on a full disk; the bundle already in --out stays as it was
-    out = tmp_path / "out"
-    out.mkdir()
-    (out / "measures.json").write_text("earlier run\n", encoding="utf-8")
+    # as on a full disk
     write_text = Path.write_text
     calls = []
 
@@ -294,10 +295,52 @@ def test_write_failing_part_way_leaves_no_partial_file(tmp_path, capsys, monkeyp
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert "No space left on device" in json.loads(lines[0])["message"]
-    assert len(calls) == 2
-    left = sorted(str(path.relative_to(out)) for path in out.rglob("*") if path.is_file())
-    assert left == ["measures.json"]
+    assert [path.parent for path in calls] == [out, out / "plotdata"]
+
+
+def test_write_failing_part_way_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
+    # the bundle already in --out stays as it was, and the plotdata/
+    # directory the write created is removed again
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "measures.json").write_text("earlier run\n", encoding="utf-8")
+    _fit_with_second_write_failing(out, capsys, monkeypatch)
+    assert sorted(str(path.relative_to(out)) for path in out.rglob("*")) == ["measures.json"]
     assert (out / "measures.json").read_text(encoding="utf-8") == "earlier run\n"
+
+
+def test_write_failing_part_way_removes_the_out_dir_it_created(tmp_path, capsys, monkeypatch):
+    # --out and its parent did not exist before the run, so neither is left
+    _fit_with_second_write_failing(tmp_path / "new" / "out", capsys, monkeypatch)
+    assert list(tmp_path.iterdir()) == []
+
+
+# --- start-up imports ------------------------------------------------------------
+
+_SAMPLE = ["--nodes", str(NODES), "--edges", str(EDGES)]
+
+
+@pytest.mark.parametrize("code, loads_numpy", [
+    (f"from spatialnet import cli\n"
+     f"assert cli.main(['analyze', '--epoch', '2010', *{_SAMPLE}, '--out', 'a']) == 0\n"
+     f"assert cli.main(['communities', '--seed', '7', *{_SAMPLE}, '--out', 'c']) == 0\n",
+     False),
+    (f"from spatialnet import io\n"
+     f"io.ingest({str(NODES)!r}, {str(EDGES)!r}, {str(VARIABLES)!r})\n",
+     False),
+    (f"from spatialnet import cli\n"
+     f"assert cli.main(['omega', '--seed', '3', '--replicates', '1', *{_SAMPLE}]) == 0\n",
+     True),
+], ids=["analyze-communities", "ingest", "omega"])
+def test_numpy_loaded_only_by_commands_that_compute_with_it(tmp_path, code, loads_numpy):
+    # a fresh process, so no earlier import in this one decides the answer
+    code += "import sys\nprint('numpy' in sys.modules)\n"
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == str(loads_numpy)
 
 
 def test_cli_compute_error_exit_3(tmp_path, capsys):

@@ -1,8 +1,12 @@
-"""The benchmark tracer patches spatialnet functions by name; a rename
-in the package must fail here, not only in a traced benchmark run."""
+"""The benchmark tracer patches spatialnet functions by name, in modules
+it finds loaded after importing the CLI; a rename or a lazy import in the
+package must fail here, not only in a traced benchmark run."""
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -23,3 +27,46 @@ def test_every_traced_function_exists():
         missing += [f"{module_name}.{name}" for name in functions
                     if not callable(getattr(module, name, None))]
     assert not missing
+
+
+# What perfbench/worker.py does in a traced run: import the CLI and
+# null_models, load the tracer from its own directory, then install and
+# uninstall it. Printed as JSON: the spatialnet modules that importing the
+# CLI loaded, and the traced functions left unpatched after install and
+# left patched after uninstall. argv holds the src and perfbench paths.
+_WORKER_STEPS = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+from spatialnet import cli
+loaded = sorted(name for name in sys.modules if name.startswith("spatialnet."))
+from spatialnet import null_models
+import tracer as tracing
+
+pairs = [(module, name) for module, names in tracing.TRACED.items() for name in names]
+
+def patched():
+    return {f"{module}.{name}" for module, name in pairs
+            if hasattr(getattr(sys.modules["spatialnet." + module], name), "__wrapped__")}
+
+tracer = tracing.Tracer("t")
+tracer.install()
+unpatched = sorted({f"{module}.{name}" for module, name in pairs} - patched())
+tracer.uninstall()
+print(json.dumps({"loaded": loaded, "unpatched": unpatched,
+                  "still_patched": sorted(patched())}))
+"""
+
+
+def test_tracer_installs_in_a_worker_process():
+    # a lazy import in the package must not leave a traced module out of
+    # sys.modules when the tracer installs (KeyError), or a function unpatched
+    src = TRACER.parent.parent / "src"
+    result = subprocess.run([sys.executable, "-c", _WORKER_STEPS, str(src), str(TRACER.parent)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    state = json.loads(result.stdout.splitlines()[-1])
+    traced = _load_tracer().TRACED
+    assert set(state["loaded"]) >= {f"spatialnet.{module}" for module in traced
+                                    if module != "null_models"}
+    assert state["unpatched"] == []
+    assert state["still_patched"] == []
