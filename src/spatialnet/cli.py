@@ -79,6 +79,9 @@ class AnalysisConfig:
     out_dir: Path = Path("reports")
 
     def __post_init__(self):
+        # random.Random seeds from |seed|, so -7 would replay seed 7
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
         if self.swaps_per_edge < 0:

@@ -53,13 +53,13 @@ def modularity(g: SpatialGraph, assignment: Mapping[str, int]) -> float:
     if two_m == 0:
         return 0.0
 
+    labels = [assignment[node.id] for node in g.nodes]
     # sum of A_ij over ordered same-community pairs
-    internal = 2 * sum(1 for edge in g.edges if assignment[edge.u] == assignment[edge.v])
+    internal = sum(1 for i, nbrs in enumerate(g.adj_index) for j in nbrs if labels[i] == labels[j])
 
     community_degree: dict[int, int] = {}
-    for node in g.nodes:
-        label = assignment[node.id]
-        community_degree[label] = community_degree.get(label, 0) + g.degree(node.id)
+    for label, nbrs in zip(labels, g.adj_index):
+        community_degree[label] = community_degree.get(label, 0) + len(nbrs)
     expected = math.fsum(k * k for k in community_degree.values()) / two_m
 
     return (internal - expected) / two_m
@@ -153,13 +153,8 @@ def find_communities(g: SpatialGraph, seed: int) -> CommunityPartition:
     if not g.is_connected:
         raise DisconnectedError("community detection requires a connected graph")
 
-    ids = list(g.node_ids)
-    index = {node_id: i for i, node_id in enumerate(ids)}
-    adj: dict[int, dict[int, float]] = {i: {} for i in range(len(ids))}
-    for edge in g.edges:
-        iu, iv = index[edge.u], index[edge.v]
-        adj[iu][iv] = 1.0
-        adj[iv][iu] = 1.0
+    ids = g.node_ids
+    adj = {i: dict.fromkeys(nbrs, 1.0) for i, nbrs in enumerate(g.adj_index)}
     level = _Level(list(range(len(ids))), adj, {i: 0.0 for i in range(len(ids))})
 
     rng = random.Random(seed)

@@ -94,9 +94,8 @@ def _r_squared(y: np.ndarray, fitted: np.ndarray) -> float:
 def degree_histogram(g: SpatialGraph) -> list[tuple[int, int]]:
     """(degree, node count) pairs, ascending, zero counts omitted."""
     counts: dict[int, int] = {}
-    for node in g.nodes:
-        k = len(g.adjacency[node.id])
-        counts[k] = counts.get(k, 0) + 1
+    for nbrs in g.adj_index:
+        counts[len(nbrs)] = counts.get(len(nbrs), 0) + 1
     return sorted(counts.items())
 
 
@@ -187,11 +186,9 @@ def degree_class_means(
     if values is None:
         values = measure_values(g, measure)
     grouped: dict[int, list[float]] = {}
-    for node in g.nodes:
-        if node.id not in values:
-            continue
-        k = len(g.adjacency[node.id])
-        grouped.setdefault(k, []).append(values[node.id])
+    for node, nbrs in zip(g.nodes, g.adj_index):
+        if node.id in values:
+            grouped.setdefault(len(nbrs), []).append(values[node.id])
     return [
         (k, math.fsum(vals) / len(vals), len(vals))
         for k, vals in sorted(grouped.items())

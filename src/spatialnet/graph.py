@@ -9,7 +9,8 @@ routing come in three modes: "binary" (1 per edge), "km", and "time"
 positive; ``build_graph`` rejects the rest.
 
 ``build_graph`` numbers the nodes once, in ingestion order, and keeps
-integer neighbour lists in adjacency insertion order. All traversals run
+integer neighbour lists in edge order; node numbers are the graph's only
+topology, and ``index`` maps a node id to its number. All traversals run
 on those lists: one BFS kernel for binary mode and one Dijkstra kernel
 for km/time, both returning per-source lists indexed by node number.
 ``traverse`` is the one entry point to them; ``shortest_paths`` maps a
@@ -115,32 +116,19 @@ class EdgeRecord:
     distance_km: float
     time_min: Mapping[str, float] = field(default_factory=dict)
 
-    def cost(self, mode: str, epoch: Optional[str] = None) -> float:
-        if mode == "binary":
-            return 1.0
-        if mode == "km":
-            return self.distance_km
-        if mode == "time":
-            if epoch is None or epoch not in self.time_min:
-                raise UnknownEpochError(
-                    f"edge ({self.u}, {self.v}) has no time for epoch {epoch!r}; "
-                    f"declared epochs: {sorted(self.time_min)}"
-                )
-            return self.time_min[epoch]
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-
 
 @dataclass(frozen=True)
 class SpatialGraph:
     """Validated undirected graph. Build through :func:`build_graph`.
 
-    A node's number is its position in ``nodes``; ``adj_index[i]`` lists
-    the numbers of node i's neighbours in ``adjacency`` order.
+    A node's number is its position in ``nodes``, and ``index`` maps its
+    id to that number. ``adj_index[i]`` lists the numbers of node i's
+    neighbours in the order of the edges that join them.
     """
 
     nodes: tuple[NodeRecord, ...]
     edges: tuple[EdgeRecord, ...]
-    adjacency: Mapping[str, Mapping[str, EdgeRecord]]
+    index: Mapping[str, int]
     components: int
     adj_index: tuple[tuple[int, ...], ...]
 
@@ -160,28 +148,40 @@ class SpatialGraph:
     def node_ids(self) -> tuple[str, ...]:
         return tuple(node.id for node in self.nodes)
 
-    def neighbors(self, node_id: str) -> tuple[str, ...]:
-        if node_id not in self.adjacency:
-            raise UnknownNodeError(f"node {node_id!r} is not in the graph")
-        return tuple(self.adjacency[node_id])
-
     def degree(self, node_id: str) -> int:
-        return len(self.neighbors(node_id))
+        if node_id not in self.index:
+            raise UnknownNodeError(f"node {node_id!r} is not in the graph")
+        return len(self.adj_index[self.index[node_id]])
 
     def costs(
         self, mode: str, epoch: Optional[str] = None
     ) -> Optional[tuple[tuple[tuple[int, float], ...], ...]]:
         """Per-node arc lists ``((neighbour, cost), ...)`` in ``adj_index``
         order, or None in binary mode (the BFS kernel needs none). Built
-        per call, so the graph itself stores no cost tables."""
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+        per call in one pass over ``edges``, so the graph itself stores no
+        cost tables."""
         if mode == "binary":
             return None
-        return tuple(
-            tuple(zip(nbrs, (edge.cost(mode, epoch) for edge in self.adjacency[node.id].values())))
-            for node, nbrs in zip(self.nodes, self.adj_index)
-        )
+        if mode == "km":
+            weights = [edge.distance_km for edge in self.edges]
+        elif mode == "time":
+            weights = []
+            for edge in self.edges:
+                if epoch not in edge.time_min:
+                    raise UnknownEpochError(
+                        f"edge ({edge.u}, {edge.v}) has no time for epoch {epoch!r}; "
+                        f"declared epochs: {sorted(edge.time_min)}"
+                    )
+                weights.append(edge.time_min[epoch])
+        else:
+            raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+        index = self.index
+        arcs: list[list[tuple[int, float]]] = [[] for _ in self.nodes]
+        for edge, w in zip(self.edges, weights):
+            u, v = index[edge.u], index[edge.v]
+            arcs[u].append((v, w))
+            arcs[v].append((u, w))
+        return tuple(map(tuple, arcs))
 
     def epochs(self) -> tuple[str, ...]:
         labels: set[str] = set()
@@ -220,38 +220,35 @@ def build_graph(nodes: Iterable[NodeRecord], edges: Iterable[EdgeRecord]) -> Spa
     node_list = tuple(nodes)
     edge_list = tuple(edges)
 
-    seen_ids: set[str] = set()
-    for node in node_list:
-        if node.id in seen_ids:
+    index: dict[str, int] = {}
+    for i, node in enumerate(node_list):
+        if node.id in index:
             raise DuplicateNodeError(f"duplicate node id {node.id!r}")
-        seen_ids.add(node.id)
+        index[node.id] = i
         if node.lat is not None and not -90.0 <= node.lat <= 90.0:
             raise InvalidCoordinateError(f"node {node.id!r}: lat {node.lat} outside [-90, 90]")
         if node.lon is not None and not -180.0 <= node.lon <= 180.0:
             raise InvalidCoordinateError(f"node {node.id!r}: lon {node.lon} outside [-180, 180]")
 
-    adjacency: dict[str, dict[str, EdgeRecord]] = {node.id: {} for node in node_list}
-    seen_pairs: set[frozenset[str]] = set()
+    # per node, its neighbours' numbers as an ordered set, in edge order
+    neighbours: list[dict[int, None]] = [{} for _ in node_list]
     for edge in edge_list:
-        if edge.u not in seen_ids or edge.v not in seen_ids:
+        u, v = index.get(edge.u), index.get(edge.v)
+        if u is None or v is None:
             raise DanglingEdgeError(f"edge ({edge.u}, {edge.v}) references a missing node")
-        if edge.u == edge.v:
+        if u == v:
             raise SelfLoopError(f"edge ({edge.u}, {edge.v}) is a self-loop")
-        pair = frozenset((edge.u, edge.v))
-        if pair in seen_pairs:
+        if v in neighbours[u]:
             raise DuplicateEdgeError(f"edge ({edge.u}, {edge.v}) repeats an existing pair")
-        seen_pairs.add(pair)
         _check_weight(edge, "distance_km", edge.distance_km)
         for epoch, minutes in edge.time_min.items():
             _check_weight(edge, "time", minutes, f" for epoch {epoch!r}")
-        adjacency[edge.u][edge.v] = edge
-        adjacency[edge.v][edge.u] = edge
+        neighbours[u][v] = None
+        neighbours[v][u] = None
 
-    index = {node.id: i for i, node in enumerate(node_list)}
-    adj_index = tuple(tuple(index[v] for v in adjacency[node.id]) for node in node_list)
-    components = _count_components(adj_index)
-    return SpatialGraph(nodes=node_list, edges=edge_list, adjacency=adjacency,
-                        components=components, adj_index=adj_index)
+    adj_index = tuple(map(tuple, neighbours))
+    return SpatialGraph(nodes=node_list, edges=edge_list, index=index,
+                        components=_count_components(adj_index), adj_index=adj_index)
 
 
 def _check_weight(edge: EdgeRecord, what: str, value: float, where: str = "") -> None:
@@ -286,10 +283,10 @@ def shortest_paths(
     costs within ``TIE_RTOL`` are equal), which is what betweenness
     accumulation needs.
     """
-    if source not in g.adjacency:
+    if source not in g.index:
         raise UnknownNodeError(f"source {source!r} is not in the graph")
     ids = g.node_ids
-    dist, sigma, preds, order = traverse(g, ids.index(source), g.costs(mode, epoch), True)
+    dist, sigma, preds, order = traverse(g, g.index[source], g.costs(mode, epoch), True)
     return PathTable(
         source=source,
         mode=mode,

@@ -29,7 +29,7 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Optional
 
-from .empirical import Variable, VariableTable, build_variable_table
+from .empirical import MissingValueError, Variable, VariableTable, build_variable_table
 from .exceptions import SchemaError
 from .graph import EdgeRecord, NodeRecord, SpatialGraph, build_graph
 
@@ -156,7 +156,7 @@ def read_variables_csv(path) -> VariableTable:
     ]
     try:
         return build_variable_table(ids, variables)
-    except ValueError as exc:
+    except (ValueError, MissingValueError) as exc:  # a nan or inf cell is an input fault
         raise CsvSchemaError(path, None, str(exc)) from exc
 
 

@@ -156,10 +156,9 @@ def degree_and_strength(g: SpatialGraph) -> DegreeStrength:
     """Node degree and kilometric strength, with their network means."""
     degree: dict[str, int] = {}
     strength: dict[str, float] = {}
-    for node in g.nodes:
-        nbrs = g.adjacency[node.id]
-        degree[node.id] = len(nbrs)
-        strength[node.id] = math.fsum(edge.distance_km for edge in nbrs.values())
+    for node, arcs in zip(g.nodes, g.costs("km")):
+        degree[node.id] = len(arcs)
+        strength[node.id] = math.fsum(km for _, km in arcs)
     n = g.n
     avg_k = 2.0 * g.m / n if n else 0.0
     avg_s = math.fsum(strength[node.id] for node in g.nodes) / n if n else 0.0
@@ -281,20 +280,16 @@ def clustering(g: SpatialGraph) -> ClusteringResult:
     """Local clustering per node, the transitivity-style global
     coefficient, and the network average over all nodes."""
     per_node: dict[str, float] = {}
-    neighbor_sets = {node.id: set(g.adjacency[node.id]) for node in g.nodes}
+    neighbor_sets = [set(nbrs) for nbrs in g.adj_index]
     triangles2 = 0.0  # ordered connected-neighbor pairs, summed over nodes
     triplets = 0.0
-    for node in g.nodes:
-        nbrs = sorted(neighbor_sets[node.id])
+    for node, nbrs in zip(g.nodes, g.adj_index):
         k = len(nbrs)
         if k < 2:
             per_node[node.id] = 0.0
             continue
-        links = 0
-        for i, u in enumerate(nbrs):
-            for v in nbrs[i + 1:]:
-                if v in neighbor_sets[u]:
-                    links += 1
+        # each link between two neighbours is seen from both ends
+        links = sum(len(neighbor_sets[u].intersection(nbrs)) for u in nbrs) // 2
         per_node[node.id] = 2.0 * links / (k * (k - 1))
         triangles2 += 2.0 * links
         triplets += k * (k - 1) / 2.0
@@ -322,16 +317,17 @@ def straightness(g: SpatialGraph) -> dict[str, float]:
 def avg_nearest_neighbor(g: SpatialGraph) -> NeighborStats:
     """Per-node mean degree and strength of the node's neighbors, plus
     the network-wide means of those values."""
-    isolated = [node.id for node in g.nodes if not g.adjacency[node.id]]
+    isolated = [node.id for node, nbrs in zip(g.nodes, g.adj_index) if not nbrs]
     if isolated:
         raise IsolatedNodeError(f"isolated nodes: {isolated}")
     ds = degree_and_strength(g)
+    degree = [ds.degree[node.id] for node in g.nodes]
+    strength = [ds.strength_km[node.id] for node in g.nodes]
     nbr_degree: dict[str, float] = {}
     nbr_strength: dict[str, float] = {}
-    for node in g.nodes:
-        nbrs = list(g.adjacency[node.id])
-        nbr_degree[node.id] = math.fsum(ds.degree[v] for v in nbrs) / len(nbrs)
-        nbr_strength[node.id] = math.fsum(ds.strength_km[v] for v in nbrs) / len(nbrs)
+    for node, nbrs in zip(g.nodes, g.adj_index):
+        nbr_degree[node.id] = math.fsum(degree[v] for v in nbrs) / len(nbrs)
+        nbr_strength[node.id] = math.fsum(strength[v] for v in nbrs) / len(nbrs)
     n = g.n
     return NeighborStats(
         nbr_degree,

@@ -107,7 +107,7 @@ class _Rewirer:
 
     def __init__(self, g: SpatialGraph):
         self.g = g
-        index = {node_id: i for i, node_id in enumerate(g.node_ids)}
+        index = g.index
         self.ends: list[tuple[int, int]] = [(index[e.u], index[e.v]) for e in g.edges]
         self.adj: list[set[int]] = [set(nbrs) for nbrs in g.adj_index]
 

@@ -193,7 +193,7 @@ def sample_variable_table(g, seed=2024):
     rng = np.random.default_rng(seed)
     ids = list(g.node_ids)
     n = len(ids)
-    degree = np.array([len(g.adjacency[i]) for i in ids], dtype=float)
+    degree = np.array([g.degree(i) for i in ids], dtype=float)
     population = np.array([node.attributes["population"] for node in g.nodes])
     log_pop = np.log(population)
 

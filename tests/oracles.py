@@ -177,8 +177,12 @@ def oracle_straightness(g) -> dict:
 
 
 def oracle_clustering(g) -> dict:
-    """Local clustering by triple loop over neighbor pairs."""
-    adj_sets = {node_id: set(g.adjacency[node_id]) for node_id in g.node_ids}
+    """Local clustering by triple loop over neighbor pairs, with the
+    neighbor sets read off the edge list."""
+    adj_sets = {node_id: set() for node_id in g.node_ids}
+    for edge in g.edges:
+        adj_sets[edge.u].add(edge.v)
+        adj_sets[edge.v].add(edge.u)
     out = {}
     for node_id in g.node_ids:
         nbrs = sorted(adj_sets[node_id])

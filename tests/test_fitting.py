@@ -124,7 +124,7 @@ def _varied_degree_graph():
 
 def test_scaling_betweenness_constructed_square_law():
     g = _varied_degree_graph()
-    degrees = {node_id: len(g.adjacency[node_id]) for node_id in g.node_ids}
+    degrees = {node_id: g.degree(node_id) for node_id in g.node_ids}
     values = {node_id: float(k * k) for node_id, k in degrees.items()}
     fit = scaling_by_degree_class(g, "betweenness", values=values)
     assert fit.family == "powerlaw"
@@ -134,7 +134,7 @@ def test_scaling_betweenness_constructed_square_law():
 
 def test_scaling_strength_constructed_linear_law():
     g = _varied_degree_graph()
-    degrees = {node_id: len(g.adjacency[node_id]) for node_id in g.node_ids}
+    degrees = {node_id: g.degree(node_id) for node_id in g.node_ids}
     values = {node_id: 100.0 * k for node_id, k in degrees.items()}
     fit = scaling_by_degree_class(g, "strength", values=values)
     assert fit.params["beta"] == pytest.approx(1.0, abs=1e-9)
@@ -143,7 +143,7 @@ def test_scaling_strength_constructed_linear_law():
 
 def test_scaling_clustering_constructed_log_decay():
     g = _varied_degree_graph()
-    degrees = {node_id: len(g.adjacency[node_id]) for node_id in g.node_ids}
+    degrees = {node_id: g.degree(node_id) for node_id in g.node_ids}
     values = {node_id: 0.9 - 0.2 * math.log(k) for node_id, k in degrees.items()}
     fit = scaling_by_degree_class(g, "clustering", values=values)
     assert fit.family == "log_decay"

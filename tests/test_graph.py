@@ -170,6 +170,8 @@ def test_unknown_source_raises():
     g = fixtures.path_graph("ab")
     with pytest.raises(UnknownNodeError):
         shortest_paths(g, "zzz")
+    with pytest.raises(UnknownNodeError):
+        g.degree("zzz")
 
 
 def test_time_mode_uses_epoch_weights():

@@ -190,6 +190,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     ("all", ["--swaps-per-edge", "-3"], "swaps_per_edge"),
     ("all", ["--alpha", "7"], "alpha"),
     ("all", ["--omega-threshold", "-1"], "omega_threshold"),
+    ("communities", ["--seed", "-7"], "seed"),
 ])
 def test_cli_rejects_bad_config(tmp_path, capsys, command, flags, message):
     code = main([
@@ -260,8 +261,11 @@ def _write(path: Path, data: bytes) -> Path:
      "no node rows"),
     ("analyze", "--out", lambda tmp: _write(tmp / "out", b""), "cannot write"),
     ("fit", "--out", lambda tmp: _write(tmp / "out" / "plotdata", b"").parent, "cannot write"),
+    ("regress", "--vars",
+     lambda tmp: _write(tmp / "variables.csv", VARIABLES.read_bytes().replace(b",3279.0\n", b",nan\n")),
+     "missing values at rows ['R01']"),
 ], ids=["missing-file", "directory", "not-utf8", "oversized-cell", "no-node-rows",
-        "out-is-file", "plotdata-is-file"])
+        "out-is-file", "plotdata-is-file", "nan-variable-cell"])
 def test_unusable_input_or_output_exit_2(tmp_path, capsys, command, flag, make, message):
     flags = {"--nodes": NODES, "--edges": EDGES, "--out": tmp_path / "out"}
     flags[flag] = make(tmp_path)

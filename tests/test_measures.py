@@ -151,7 +151,7 @@ def test_er_baseline_mean_clustering():
     for seed in range(30):
         g = fixtures.er_gnm(n, m, seed)
         per_node = clustering(g).per_node
-        values = [per_node[v] for v in g.node_ids if len(g.adjacency[v]) >= 2]
+        values = [per_node[v] for v in g.node_ids if g.degree(v) >= 2]
         means.append(sum(values) / len(values))
     ensemble_mean = sum(means) / len(means)
     assert ensemble_mean == pytest.approx(p, abs=0.01)

@@ -25,7 +25,7 @@ def _edge_pairs(g):
 
 
 def _degree_multiset(g):
-    return sorted(len(g.adjacency[node_id]) for node_id in g.node_ids)
+    return sorted(g.degree(node_id) for node_id in g.node_ids)
 
 
 def test_triangle_is_rigid_under_randomization():

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _load_tracer():
@@ -70,3 +71,25 @@ def test_tracer_installs_in_a_worker_process():
                                     if module != "null_models"}
     assert state["unpatched"] == []
     assert state["still_patched"] == []
+
+
+def test_traced_omega_runs_the_hooks_in_a_worker_process(tmp_path):
+    # the hooks read the graph API (degree, nodes, edges, is_connected) and
+    # the ensembles; a narrowed API must fail here, not in a traced run
+    spec = {
+        "inputs": {"nodes": str(DATA / "nodes.csv"), "edges": str(DATA / "edges.csv")},
+        "argv": ["omega", "--nodes", str(DATA / "nodes.csv"), "--edges", str(DATA / "edges.csv"),
+                 "--seed", "1", "--replicates", "1", "--swaps-per-edge", "1",
+                 "--out", str(tmp_path / "out")],
+        "trace": True,
+        "run_id": "traced-omega",
+        "trace_file": str(tmp_path / "trace.json"),
+    }
+    result = subprocess.run([sys.executable, str(TRACER.parent / "worker.py"), json.dumps(spec)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    record = json.loads(result.stdout.splitlines()[-1])
+    assert record["rc"] == 0
+    assert record["errors"] == []
+    assert 0 < record["lattice_cost_ratio"] <= 1
+    assert record["layers"]["null_models.randomize.attempts"] > 0

@@ -1,5 +1,10 @@
 """Property tests over random connected graphs.
 
+The graph core's node numbers must agree with its records: ``index``
+maps each id to its position in ``nodes``, ``adj_index`` and ``costs``
+list a node's far endpoints in edge order, and ``degree`` reads them,
+for any node order, edge order and edge orientation.
+
 The null-model properties (n <= 60) pin down what a swap may never do:
 change a node's degree, disconnect the graph, create a repeated pair, or
 (for latticeization) raise the ring-index cost. The flip-once swap must
@@ -35,7 +40,7 @@ from hypothesis import strategies as st
 from spatialnet import shortest_paths
 from spatialnet.communities import modularity
 from spatialnet.exceptions import DisconnectedError
-from spatialnet.graph import hop_distances, traverse
+from spatialnet.graph import EdgeRecord, NodeRecord, build_graph, hop_distances, traverse
 from spatialnet.measures import (
     PathStats, betweenness, closeness, path_length_and_diameter, straightness)
 from spatialnet.null_models import _RingDeltas, _Rewirer, latticeize, randomize, ring_index_cost
@@ -86,6 +91,39 @@ def spatial_graphs(draw, km_values, n_max=40):
               for node_id in ids}
     km = {pair: draw(km_values) for pair in pairs}
     return fixtures.graph_from_edges(pairs, km=km, coords=coords)
+
+
+@st.composite
+def shuffled_graphs(draw, n_max=60):
+    """A connected graph whose nodes, edges and edge orientations come in
+    drawn orders, with a distinct km and time weight on every edge."""
+    pairs = draw(st.permutations(draw(connected_edge_lists(n_max))))
+    ids = draw(st.permutations(sorted({node_id for pair in pairs for node_id in pair})))
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [EdgeRecord(*(pair[::-1] if flip else pair), 1.0 + k, {"2010": 0.5 + k})
+             for k, (pair, flip) in enumerate(zip(pairs, flips))]
+    return build_graph([NodeRecord(node_id) for node_id in ids], edges)
+
+
+@SETTINGS
+@given(g=shuffled_graphs())
+def test_integer_core_follows_node_and_edge_order(g):
+    assert len(g.index) == g.n
+    for i, node in enumerate(g.nodes):
+        assert g.index[node.id] == i
+    km = [[] for _ in g.nodes]
+    minutes = [[] for _ in g.nodes]
+    for edge in g.edges:
+        u, v = g.index[edge.u], g.index[edge.v]
+        km[u].append((v, edge.distance_km))
+        km[v].append((u, edge.distance_km))
+        minutes[u].append((v, edge.time_min["2010"]))
+        minutes[v].append((u, edge.time_min["2010"]))
+    assert g.adj_index == tuple(tuple(j for j, _ in arcs) for arcs in km)
+    assert [g.degree(node.id) for node in g.nodes] == [len(arcs) for arcs in km]
+    assert g.costs("km") == tuple(map(tuple, km))
+    assert g.costs("time", "2010") == tuple(map(tuple, minutes))
+    assert g.costs("binary") is None
 
 
 @SETTINGS
