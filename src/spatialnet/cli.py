@@ -287,6 +287,10 @@ def run(command: str, config: AnalysisConfig) -> ReportBundle:
         unknown = sorted({name for names in config.model_sets for name in names} - predictors)
         if unknown:
             raise ConfigError(f"--models names {unknown} are not predictor columns")
+        repeated = sorted({name for names in config.model_sets for name in names
+                           if names.count(name) > 1})
+        if repeated:
+            raise ConfigError(f"--models names {repeated} repeat within one predictor set")
 
     bundle = ReportBundle()
     payloads = {}

@@ -1,6 +1,7 @@
 """File formats: CSV ingestion and JSON report payloads.
 
-CSV schemas (UTF-8, decimal point):
+CSV schemas (UTF-8 with or without a byte-order mark, decimal point,
+no column named twice):
 
 * nodes.csv      id,label,lat,lon[,<attr>...]
 * edges.csv      source,target,distance_km[,time_<epoch>_min...]
@@ -58,16 +59,24 @@ def _parse_float(raw: str, path, line: int, what: str) -> float:
 
 def _read_csv(path) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
     """Read a CSV file into its stripped header and its (line, cells)
-    rows. Blank rows are skipped and each row's cell count is checked as
-    the rows are consumed, so callers report errors in file order."""
+    rows. A leading byte-order mark is dropped and a header that repeats
+    a column is rejected. Blank rows are skipped and each row's cell
+    count is checked as the rows are consumed, so callers report errors
+    in file order."""
     try:
         with path.open(newline="", encoding="utf-8") as handle:
+            # skip a byte-order mark as utf-8-sig would, without its Python-level decoder
+            if handle.read(1) != "\ufeff":
+                handle.seek(0)
             records = list(csv.reader(handle))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise CsvSchemaError(path, None, f"cannot read file: {exc}") from None
     if not records:
         raise CsvSchemaError(path, 1, "empty file")
     header = [cell.strip() for cell in records[0]]
+    repeated = [cell for i, cell in enumerate(header) if cell in header[:i]]
+    if repeated:
+        raise CsvSchemaError(path, 1, f"column {repeated[0]!r} appears more than once")
 
     def rows():
         for line, row in enumerate(records[1:], start=2):

@@ -317,10 +317,14 @@ def straightness(g: SpatialGraph) -> dict[str, float]:
 def avg_nearest_neighbor(g: SpatialGraph) -> NeighborStats:
     """Per-node mean degree and strength of the node's neighbors, plus
     the network-wide means of those values."""
+    return _neighbor_means(g, degree_and_strength(g))
+
+
+def _neighbor_means(g: SpatialGraph, ds: DegreeStrength) -> NeighborStats:
+    """``avg_nearest_neighbor`` from the graph's degrees and strengths."""
     isolated = [node.id for node, nbrs in zip(g.nodes, g.adj_index) if not nbrs]
     if isolated:
         raise IsolatedNodeError(f"isolated nodes: {isolated}")
-    ds = degree_and_strength(g)
     degree = [ds.degree[node.id] for node in g.nodes]
     strength = [ds.strength_km[node.id] for node in g.nodes]
     nbr_degree: dict[str, float] = {}
@@ -346,7 +350,7 @@ def measure_report(g: SpatialGraph, epoch: Optional[str] = None) -> MeasureRepor
     # measure of the report that needs connectivity
     binary = _sweep(g, "closeness", "binary", brandes=True)
     km = _sweep(g, "straightness", "km", straight=True)
-    nbr = avg_nearest_neighbor(g)
+    nbr = _neighbor_means(g, ds)
 
     per_node = {
         node.id: NodeMeasures(

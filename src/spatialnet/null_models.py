@@ -4,11 +4,12 @@ Both builders run double-edge swaps — take edges (a, b) and (c, d),
 rewire them to (a, d) and (c, b) — and reject any swap that would create
 a self-loop, a multi-edge, or disconnect the graph. Swaps work on node
 numbers (a node's position in ``g.nodes``, which is the ingestion
-order). A swap keeps a connected graph connected exactly when, after it,
-a still reaches b (then c reaches d through b and a). So a candidate is
-flipped into the adjacency once, one search grows from a and from b,
-always on the smaller side, and stops as soon as the two meet; the flip
-is undone only if they never do.
+order), each node's neighbours held as one int bitset. A swap keeps a
+connected graph connected exactly when, after it, a still reaches b
+(then c reaches d through b and a). So a candidate is flipped in once,
+by four XORs; one search grows from a and from b, always on the smaller
+side, by ORing the bitsets of its frontier, and stops as soon as the two
+meet; the same XORs undo the flip only if they never do.
 
 Randomization samples swaps at random and accepts every acceptable one
 until ``swaps_per_edge * m`` are accepted. A replicate stops early,
@@ -102,70 +103,69 @@ class NullModelEnsemble:
 
 
 class _Rewirer:
-    """Integer edge list and adjacency sets of one replicate while it is
-    being rewired; edge k keeps the weights of ``g.edges[k]``."""
+    """Edge list and neighbour bitsets (bit v of ``bits[u]`` marks edge
+    u-v) of one replicate being rewired; edge k keeps ``g.edges[k]``'s weights."""
 
     def __init__(self, g: SpatialGraph):
         self.g = g
         index = g.index
         self.ends: list[tuple[int, int]] = [(index[e.u], index[e.v]) for e in g.edges]
-        self.adj: list[set[int]] = [set(nbrs) for nbrs in g.adj_index]
+        self.bits: list[int] = [sum(1 << v for v in nbrs) for nbrs in g.adj_index]
 
     def simple_after(self, a: int, b: int, c: int, d: int) -> bool:
         """Whether rewiring (a, b), (c, d) to (a, d), (c, b) creates no
         self-loop and no repeated pair."""
-        return len({a, b, c, d}) == 4 and d not in self.adj[a] and b not in self.adj[c]
+        return len({a, b, c, d}) == 4 and not (self.bits[a] >> d & 1 or self.bits[c] >> b & 1)
 
     def swap(self, e1: int, e2: int, a: int, b: int, c: int, d: int) -> bool:
         """Rewire edges e1 = (a, b) and e2 = (c, d) to (a, d) and (c, b)
         if the graph stays connected, and return whether it did. The
-        adjacency is flipped once and flipped back only on rejection; the
+        bitsets are flipped once and flipped back only on rejection; the
         caller has checked ``simple_after``."""
         self._flip(a, b, c, d)
         if not self._joined(a, b):
-            self._flip(a, d, c, b)
+            self._flip(a, b, c, d)
             return False
-        self.ends[e1] = (a, d)
-        self.ends[e2] = (c, b)
+        self.ends[e1], self.ends[e2] = (a, d), (c, b)
         return True
 
     def _joined(self, a: int, b: int) -> bool:
-        """Whether a reaches b: a search from both ends that always grows
-        the smaller frontier and stops as soon as the two sides meet."""
-        adj = self.adj
-        near, far = {a}, {b}
-        frontier, other = [a], [b]
+        """Whether a reaches b: a search from both ends that always grows the
+        smaller frontier by ORing its nodes' bitsets, until the sides meet."""
+        bits = self.bits
+        near = frontier = 1 << a
+        far = other = 1 << b
         while frontier:
-            if len(frontier) > len(other):
+            if frontier.bit_count() > other.bit_count():
                 near, far, frontier, other = far, near, other, frontier
-            grown = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v in far:
-                        return True
-                    if v not in near:
-                        near.add(v)
-                        grown.append(v)
-            frontier = grown
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                nbrs = bits[low.bit_length() - 1]
+                if nbrs & far:
+                    return True
+                grown |= nbrs
+                frontier ^= low
+            frontier = grown & ~near
+            near |= frontier
         return False
 
     def _flip(self, a: int, b: int, c: int, d: int) -> None:
-        adj = self.adj
-        adj[a].discard(b); adj[b].discard(a)
-        adj[c].discard(d); adj[d].discard(c)
-        adj[a].add(d); adj[d].add(a)
-        adj[c].add(b); adj[b].add(c)
+        """Exchange (a, b), (c, d) and (a, d), (c, b); valid after ``simple_after``."""
+        bits = self.bits
+        bits[a] ^= 1 << b | 1 << d
+        bits[b] ^= 1 << a | 1 << c
+        bits[c] ^= 1 << d | 1 << b
+        bits[d] ^= 1 << c | 1 << a
 
     def any_acceptable(self) -> bool:
-        """Exhaustive scan over edge pairs and orientations; leaves the
-        edges as they were."""
+        """Exhaustive scan over unordered edge pairs (e2, e1 rewires to a graph
+        that e1, e2 does) in both orientations; leaves the edges as they were."""
         for e1, (a, b) in enumerate(self.ends):
-            for e2, (c, d) in enumerate(self.ends):
-                if e1 == e2:
-                    continue
+            for e2, (c, d) in enumerate(self.ends[e1 + 1:], e1 + 1):
                 for cc, dd in ((c, d), (d, c)):
                     if self.simple_after(a, b, cc, dd) and self.swap(e1, e2, a, b, cc, dd):
-                        self._flip(a, dd, cc, b)  # undo
+                        self._flip(a, b, cc, dd)  # undo
                         self.ends[e1], self.ends[e2] = (a, b), (c, d)
                         return True
         return False

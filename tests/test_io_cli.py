@@ -191,6 +191,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     ("all", ["--alpha", "7"], "alpha"),
     ("all", ["--omega-threshold", "-1"], "omega_threshold"),
     ("communities", ["--seed", "-7"], "seed"),
+    ("regress", ["--models", "S1_road_degree,S1_road_degree"], "S1_road_degree"),
 ])
 def test_cli_rejects_bad_config(tmp_path, capsys, command, flags, message):
     code = main([
@@ -249,6 +250,13 @@ def _write(path: Path, data: bytes) -> Path:
     return path
 
 
+def _repeat_column(source: Path, column: int, path: Path) -> Path:
+    """A copy of ``source`` with the given column written twice on every line."""
+    rows = [line.split(",") for line in source.read_text(encoding="utf-8").splitlines()]
+    return _write(path, "".join(",".join(row[:column + 1] + row[column:]) + "\n"
+                                for row in rows).encode())
+
+
 @pytest.mark.parametrize("command, flag, make, message", [
     ("analyze", "--edges", lambda tmp: tmp / "nonexistent.csv", "cannot read file"),
     ("analyze", "--nodes", lambda tmp: DATA, "cannot read file"),
@@ -264,8 +272,15 @@ def _write(path: Path, data: bytes) -> Path:
     ("regress", "--vars",
      lambda tmp: _write(tmp / "variables.csv", VARIABLES.read_bytes().replace(b",3279.0\n", b",nan\n")),
      "missing values at rows ['R01']"),
+    ("analyze", "--edges", lambda tmp: _repeat_column(EDGES, 4, tmp / "edges.csv"),
+     "column 'time_2010_min' appears more than once"),
+    ("analyze", "--nodes", lambda tmp: _repeat_column(NODES, 4, tmp / "nodes.csv"),
+     "column 'population' appears more than once"),
+    ("regress", "--vars", lambda tmp: _repeat_column(VARIABLES, 1, tmp / "variables.csv"),
+     "column 'S1_road_degree:S' appears more than once"),
 ], ids=["missing-file", "directory", "not-utf8", "oversized-cell", "no-node-rows",
-        "out-is-file", "plotdata-is-file", "nan-variable-cell"])
+        "out-is-file", "plotdata-is-file", "nan-variable-cell", "repeated-edges-column",
+        "repeated-nodes-column", "repeated-variables-column"])
 def test_unusable_input_or_output_exit_2(tmp_path, capsys, command, flag, make, message):
     flags = {"--nodes": NODES, "--edges": EDGES, "--out": tmp_path / "out"}
     flags[flag] = make(tmp_path)
@@ -277,6 +292,20 @@ def test_unusable_input_or_output_exit_2(tmp_path, capsys, command, flag, make, 
     assert len(lines) == 1
     assert message in json.loads(lines[0])["message"]
     assert not (tmp_path / "out" / "fits.json").exists()  # no partial bundle
+
+
+def test_byte_order_mark_is_accepted(tmp_path):
+    # spreadsheet exports start a UTF-8 file with a byte-order mark
+    for source in (NODES, EDGES, VARIABLES):
+        _write(tmp_path / "bom" / source.name, b"\xef\xbb\xbf" + source.read_bytes())
+    marked = run("all", _config(tmp_path, epoch="2010", nodes=tmp_path / "bom" / "nodes.csv",
+                                edges=tmp_path / "bom" / "edges.csv",
+                                variables=tmp_path / "bom" / "variables.csv"))
+    plain = run("all", _config(tmp_path, epoch="2010"))
+    for bundle in (marked, plain):
+        for report in bundle.reports.values():
+            report.pop("provenance")
+    assert (marked.reports, marked.plotdata) == (plain.reports, plain.plotdata)
 
 
 def _fit_with_second_write_failing(out: Path, capsys, monkeypatch) -> None:

@@ -144,6 +144,18 @@ def test_latticeize_replicates_pinned_on_sample():
     assert all(stats.converged for stats in ensemble.stats.per_replicate)
 
 
+def test_replicates_pinned_on_multiword_bitsets():
+    # n = 160, so each node's neighbour bitset spans three 64-bit words;
+    # the edge lists as the set-based swap engine produced them
+    g = fixtures.ws_graph(160, 4, 0.2, seed=11)
+    rand = randomize(g, seed=3, replicates=1)
+    latt = latticeize(g, seed=3, replicates=2)
+    blob = json.dumps([[[e.u, e.v] for e in r.edges] for r in rand.replicates + latt.replicates])
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "fd7810b531cc685c6a05129aaed14554b828da820c776cbd7c6b098647054e09")
+    assert all(stats.converged for stats in rand.stats.per_replicate + latt.stats.per_replicate)
+
+
 def test_lattice_descent_counters_on_sample():
     g, _ = ingest(DATA / "nodes.csv", DATA / "edges.csv")
     ensemble = latticeize(g, seed=1, swaps_per_edge=10, replicates=3)

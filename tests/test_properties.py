@@ -34,7 +34,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spatialnet import shortest_paths
@@ -164,6 +164,18 @@ def test_lattice_convergence_is_certified(g, seed, swaps_per_edge):
             assert stats.accepted_swaps == swaps_per_edge * g.m
 
 
+def _acceptable_by_oracle(ids, ends, a, b, c, d):
+    """Whether rewiring (a, b), (c, d) of the edge list ``ends`` to
+    (a, d), (c, b) leaves a simple connected graph, by set arithmetic and
+    union-find."""
+    present = {frozenset(pair) for pair in ends}
+    new = {frozenset((a, d)), frozenset((c, b))}
+    if len({a, b, c, d}) < 4 or new & present:
+        return False
+    after = present - {frozenset((a, b)), frozenset((c, d))} | new
+    return oracles.is_connected(ids, [(ids[u], ids[v]) for u, v in map(tuple, after)])
+
+
 @SETTINGS
 @given(
     g=connected_graphs(n_max=60),
@@ -180,12 +192,7 @@ def test_early_exit_swap_check_matches_full_connectivity(g, picks):
         if flip:
             c, d = d, c
         before = list(rewirer.ends)
-        present = {frozenset(pair) for pair in before}
-        new = {frozenset((a, d)), frozenset((c, b))}
-        simple = len({a, b, c, d}) == 4 and not new & present
-        after = present - {frozenset((a, b)), frozenset((c, d))} | new
-        expected = simple and oracles.is_connected(
-            ids, [(ids[u], ids[v]) for u, v in map(tuple, after)])
+        expected = _acceptable_by_oracle(ids, before, a, b, c, d)
         accepted = rewirer.simple_after(a, b, c, d) and rewirer.swap(e1, e2, a, b, c, d)
         assert accepted == expected
         if accepted:
@@ -195,7 +202,25 @@ def test_early_exit_swap_check_matches_full_connectivity(g, picks):
         for u, v in before:
             nbrs[u].add(v)
             nbrs[v].add(u)
-        assert rewirer.adj == nbrs
+        assert rewirer.bits == [sum(1 << v for v in vs) for vs in nbrs]
+
+
+@SETTINGS
+@given(g=connected_graphs(n_max=9))
+@example(g=fixtures.path_graph("abcd"))  # only a-c, b-d: the second edge read backwards
+def test_exhaustive_scan_matches_every_ordered_swap(g):
+    # rigid exactly when no ordered edge pair, in either orientation of
+    # the second edge, rewires to a simple connected graph
+    rewirer = _Rewirer(g)
+    ends, bits = list(rewirer.ends), list(rewirer.bits)
+    expected = any(
+        _acceptable_by_oracle(g.node_ids, ends, a, b, *cd)
+        for e1, (a, b) in enumerate(ends)
+        for e2, (c, d) in enumerate(ends) if e1 != e2
+        for cd in ((c, d), (d, c))
+    )
+    assert rewirer.any_acceptable() == expected
+    assert (rewirer.ends, rewirer.bits) == (ends, bits)
 
 
 def _assert_matches_ring_swap_changes(deltas, ends, n):
