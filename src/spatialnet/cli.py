@@ -9,6 +9,12 @@ complete, and if writing fails part way, what was written is removed.
 Stochastic commands (omega, communities, all) require --seed so runs are
 reproducible.
 
+Each report is its result object passed once through ``io.sanitize``,
+plus the provenance block: measures.json is the ``MeasureReport``,
+communities.json the ``CommunityPartition``, and regression.json the
+``SelectionReport`` with one ``RegressionModel`` per predictor set. Only
+omega.json and fits.json are assembled here from several results.
+
 Exit codes: 0 success, 2 schema/input error, 3 compute error. Errors are
 reported to stderr as a one-line JSON record.
 
@@ -120,18 +126,6 @@ def _provenance(config: AnalysisConfig) -> dict:
     }
 
 
-def _measures_payload(report: measures.MeasureReport) -> dict:
-    return {
-        "global": report.global_measures,
-        "nearest_neighbor": {
-            "average_degree": report.neighbor_average_degree,
-            "average_strength_km": report.neighbor_average_strength,
-        },
-        "per_node": report.per_node,
-        "time": report.time_measures,
-    }
-
-
 def _ensemble_summary(ensemble: NullModelEnsemble) -> dict:
     return {
         "kind": ensemble.kind,
@@ -168,16 +162,6 @@ def _omega_payload(
         "lattice": _ensemble_summary(latt),
     }
     return payload
-
-
-def _communities_payload(g: SpatialGraph, config: AnalysisConfig) -> dict:
-    partition = communities_mod.find_communities(g, config.seed)
-    return {
-        "assignment": partition.assignment,
-        "q": partition.q,
-        "levels": partition.levels,
-        "community_count": len(set(partition.assignment.values())),
-    }
 
 
 # NodeMeasures field that carries each scaling measure
@@ -222,35 +206,6 @@ def _fits_payload(
     }
 
 
-def _model_payload(model: empirical.RegressionModel) -> dict:
-    rows = {
-        "(constant)": {
-            "b": model.intercept,
-            "se": model.se_intercept,
-            "beta": None,
-            "t": model.t_intercept,
-            "p": model.p_intercept,
-        }
-    }
-    for j, name in enumerate(model.predictors):
-        rows[name] = {
-            "b": model.coefficients[j],
-            "se": model.se[j],
-            "beta": model.beta[j],
-            "t": model.t[j],
-            "p": model.p[j],
-        }
-    return {
-        "predictors": list(model.predictors),
-        "r": model.r,
-        "r_squared": model.r_squared,
-        "se_estimate": model.se_estimate,
-        "n": model.n,
-        "df_resid": model.df_resid,
-        "coefficients": rows,
-    }
-
-
 def _regression_payload(table: empirical.VariableTable, config: AnalysisConfig) -> dict:
     selection = empirical.select_representatives(table, alpha=config.alpha)
     model_sets = config.model_sets
@@ -258,11 +213,8 @@ def _regression_payload(table: empirical.VariableTable, config: AnalysisConfig) 
         model_sets = (tuple(
             selection.representatives[klass] for klass in empirical.PREDICTOR_CLASSES
         ),)
-    models = []
-    for names in model_sets:
-        model = empirical.ols_regress(table, names)
-        models.append(_model_payload(model))
-    return {"selection": selection, "models": models}
+    return {"selection": selection,
+            "models": [empirical.ols_regress(table, names) for names in model_sets]}
 
 
 def run(command: str, config: AnalysisConfig) -> ReportBundle:
@@ -297,19 +249,19 @@ def run(command: str, config: AnalysisConfig) -> ReportBundle:
     report = None
     if command in ("analyze", "all"):
         report = measures.measure_report(graph, epoch=config.epoch)
-        payloads["measures"] = _measures_payload(report)
+        payloads["measures"] = report
     if command in ("omega", "all"):
         payloads["omega"] = _omega_payload(graph, report, config)
     if command in ("communities", "all"):
-        payloads["communities"] = _communities_payload(graph, config)
+        payloads["communities"] = communities_mod.find_communities(graph, config.seed)
     if command in ("fit", "all"):
         payloads["fits"] = _fits_payload(graph, report, bundle)
     if needs_table:
         payloads["regression"] = _regression_payload(table, config)
 
-    provenance = _provenance(config)
+    provenance = sanitize(_provenance(config))
     for name, payload in payloads.items():
-        bundle.reports[name] = sanitize({"provenance": provenance, **payload})
+        bundle.reports[name] = {"provenance": provenance, **sanitize(payload)}
     return bundle
 
 

@@ -36,7 +36,7 @@ class CommunityPartition:
     assignment: Mapping[str, int]
     q: float
     levels: tuple[Mapping[str, int], ...]
-    seed: int
+    community_count: int
 
 
 def modularity(g: SpatialGraph, assignment: Mapping[str, int]) -> float:
@@ -147,8 +147,9 @@ def find_communities(g: SpatialGraph, seed: int) -> CommunityPartition:
     """Multi-level greedy modularity optimization.
 
     Returns the partition of the original nodes, its Q recomputed on the
-    original graph, and the flattened partition recorded after each pass
-    that improved it (the singleton partition when none did).
+    original graph, the flattened partition recorded after each pass
+    that improved it (the singleton partition when none did), and the
+    number of communities.
     """
     if not g.is_connected:
         raise DisconnectedError("community detection requires a connected graph")
@@ -177,5 +178,5 @@ def find_communities(g: SpatialGraph, seed: int) -> CommunityPartition:
         assignment=assignment,
         q=modularity(g, assignment),
         levels=tuple(levels),
-        seed=seed,
+        community_count=len(set(assignment.values())),
     )

@@ -350,18 +350,25 @@ def select_representatives(table: VariableTable, alpha: float = DEFAULT_ALPHA) -
 # Ordinary least squares
 # ---------------------------------------------------------------------------
 
+CONSTANT = "(constant)"  # name of the intercept's coefficient row
+
+
+@dataclass(frozen=True)
+class Coefficient:
+    """One coefficient row: estimate, its standard error, the standardized
+    coefficient (None for the intercept), t statistic and two-tailed p."""
+
+    b: float
+    se: float
+    beta: Optional[float]
+    t: float
+    p: float
+
+
 @dataclass(frozen=True)
 class RegressionModel:
     predictors: tuple[str, ...]
-    coefficients: tuple[float, ...]
-    intercept: float
-    se: tuple[float, ...]
-    se_intercept: float
-    beta: tuple[float, ...]
-    t: tuple[float, ...]
-    t_intercept: float
-    p: tuple[float, ...]
-    p_intercept: float
+    coefficients: Mapping[str, Coefficient]  # CONSTANT first, then the predictors in order
     r: float
     r_squared: float
     se_estimate: float
@@ -416,25 +423,18 @@ def ols_regress(table: VariableTable, predictors: Sequence[str]) -> RegressionMo
     se_all = np.sqrt(np.maximum(np.diag(cov), 0.0))
 
     sd_y = float(y.std(ddof=1))
-    betas = []
-    for j, column in enumerate(columns):
-        sd_x = float(column.std(ddof=1))
-        betas.append(float(coef[j + 1]) * sd_x / sd_y if sd_y > 0 else 0.0)
-
-    stats = [_t_and_p(float(coef[j]), float(se_all[j]), df) for j in range(q + 1)]
+    coefficients = {}
+    for j, name in enumerate((CONSTANT,) + names):
+        b, se = float(coef[j]), float(se_all[j])
+        beta = None
+        if j:
+            beta = b * float(columns[j - 1].std(ddof=1)) / sd_y if sd_y > 0 else 0.0
+        coefficients[name] = Coefficient(b, se, beta, *_t_and_p(b, se, df))
     r_squared = 1.0 - sse / sst if sst > 0 else 0.0
 
     return RegressionModel(
         predictors=names,
-        coefficients=tuple(float(c) for c in coef[1:]),
-        intercept=float(coef[0]),
-        se=tuple(float(s) for s in se_all[1:]),
-        se_intercept=float(se_all[0]),
-        beta=tuple(betas),
-        t=tuple(t for t, _p in stats[1:]),
-        t_intercept=stats[0][0],
-        p=tuple(p for _t, p in stats[1:]),
-        p_intercept=stats[0][1],
+        coefficients=coefficients,
         r=math.sqrt(max(r_squared, 0.0)),
         r_squared=r_squared,
         se_estimate=math.sqrt(sigma2),

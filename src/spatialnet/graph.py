@@ -1,9 +1,9 @@
 """Spatial graph core: node/edge records, validated construction, and
 single-source shortest paths, with path counting where it is asked for.
 
-The graph is undirected, node- and edge-weighted. Nodes carry geographic
-coordinates and named attribute values; edges carry a kilometric length
-and one travel time per epoch label (e.g. "1988", "2010"). Edge costs for
+The graph is undirected and edge-weighted. Nodes carry a label
+and geographic coordinates; edges carry a kilometric length and one
+travel time per epoch label (e.g. "1988", "2010"). Edge costs for
 routing come in three modes: "binary" (1 per edge), "km", and "time"
 (which additionally needs an epoch). Every weight must be finite and
 positive; ``build_graph`` rejects the rest.
@@ -94,13 +94,12 @@ class UnknownEpochError(ComputeError):
 
 @dataclass(frozen=True)
 class NodeRecord:
-    """A place in the network: id, display label, position, attributes."""
+    """A place in the network: id, display label, position."""
 
     id: str
     label: str = ""
     lat: Optional[float] = None
     lon: Optional[float] = None
-    attributes: Mapping[str, float] = field(default_factory=dict)
 
     @property
     def has_coordinates(self) -> bool:
@@ -308,7 +307,9 @@ def traverse(g: SpatialGraph, source: int, arcs=None, count: bool = False):
     shortest paths, and the predecessors on them in arrival order (None
     when unreachable), plus the reached nodes in nondecreasing distance.
     Without ``count``, ``sigma`` and ``preds`` are None and no path
-    bookkeeping is done.
+    bookkeeping is done; a distance-only Dijkstra returns no ``order``
+    either (None), while a distance-only BFS keeps it: the list is its
+    queue.
     """
     # positional calls: tests count kernel calls through ``*args`` wrappers
     if arcs is None:
@@ -391,7 +392,6 @@ def _dijkstra(arcs, source: int, count: bool):
     n = len(arcs)
     dist = [math.inf] * n
     dist[source] = 0.0
-    order = []
     heap = [(0.0, source)]
     if not count:
         # a node is pushed only when its distance strictly falls, so the
@@ -400,13 +400,13 @@ def _dijkstra(arcs, source: int, count: bool):
             d, u = heappop(heap)
             if d > dist[u]:
                 continue
-            order.append(u)
             for v, w in arcs[u]:
                 nd = d + w
                 if nd < dist[v]:
                     dist[v] = nd
                     heappush(heap, (nd, v))
-        return dist, None, None, order
+        return dist, None, None, None
+    order = []
     sigma = [0] * n
     preds: list = [None] * n
     settled = [False] * n

@@ -3,10 +3,10 @@
 CSV schemas (UTF-8 with or without a byte-order mark, decimal point,
 no column named twice):
 
-* nodes.csv      id,label,lat,lon[,<attr>...]
+* nodes.csv      id,label,lat,lon[,<extra>...]; extra columns are ignored
 * edges.csv      source,target,distance_km[,time_<epoch>_min...]
 * variables.csv  id,<name:class>... with class one of S/B/O and exactly
-                 one column tagged :Y (the response)
+                 one column tagged :Y (the response); no id on two rows
 
 Schema violations raise CsvSchemaError with the file and line number; so
 do files that cannot be read (missing, not UTF-8, malformed CSV) and a
@@ -14,12 +14,13 @@ nodes file with no rows. An edges file with no rows is valid. Edge
 weights must be finite and positive: the reader rejects nonpositive ones
 by line, and ``build_graph`` rejects nan and inf by edge.
 
-Report payloads are built from the result dataclasses: ``sanitize``
-turns each into a dict keyed by its field names, so the dataclasses are
-the report schema. REPORT_RENAMES lists the few fields whose report key
-differs. Non-finite numbers are emitted as null. Every report carries a
-provenance block; the timestamp lives in the single field
-provenance.generated_at so determinism checks can mask it.
+Reports are the result dataclasses (``MeasureReport``,
+``CommunityPartition``, ``RegressionModel`` and the others they hold):
+``sanitize`` turns each into a dict keyed by its field names, so the
+dataclasses are the report schema. REPORT_RENAMES lists the few fields
+whose report key differs. Non-finite numbers are emitted as null. Every
+report carries a provenance block; the timestamp lives in the single
+field provenance.generated_at so determinism checks can mask it.
 """
 
 from __future__ import annotations
@@ -94,16 +95,11 @@ def read_nodes_csv(path) -> list[NodeRecord]:
     header, rows = _read_csv(path)
     if tuple(header[:4]) != NODE_COLUMNS:
         raise CsvSchemaError(path, 1, f"header must start with {','.join(NODE_COLUMNS)}")
-    attr_names = header[4:]
     nodes = []
     for line, row in rows:
         lat = _parse_float(row[2], path, line, "lat")
         lon = _parse_float(row[3], path, line, "lon")
-        attributes = {
-            name: _parse_float(value, path, line, f"attribute {name!r}")
-            for name, value in zip(attr_names, row[4:])
-        }
-        nodes.append(NodeRecord(row[0].strip(), row[1].strip(), lat, lon, attributes))
+        nodes.append(NodeRecord(row[0].strip(), row[1].strip(), lat, lon))
     if not nodes:
         raise CsvSchemaError(path, None, "no node rows")
     return nodes
@@ -153,10 +149,13 @@ def read_variables_csv(path) -> VariableTable:
         raise MissingResponseError(path, 1, "no column tagged ':Y' (the response)")
     if classes.count("Y") > 1:
         raise CsvSchemaError(path, 1, "more than one column tagged ':Y'")
-    ids: list[str] = []
+    lines: dict[str, int] = {}  # row id -> its line, in file order
     columns: list[list[float]] = [[] for _ in names]
     for line, row in rows:
-        ids.append(row[0].strip())
+        row_id = row[0].strip()
+        if row_id in lines:
+            raise CsvSchemaError(path, line, f"row id {row_id!r} repeats line {lines[row_id]}")
+        lines[row_id] = line
         for j, cell in enumerate(row[1:]):
             columns[j].append(_parse_float(cell, path, line, f"variable {names[j]!r}"))
     variables = [
@@ -164,7 +163,7 @@ def read_variables_csv(path) -> VariableTable:
         for name, klass, column in zip(names, classes, columns)
     ]
     try:
-        return build_variable_table(ids, variables)
+        return build_variable_table(list(lines), variables)
     except (ValueError, MissingValueError) as exc:  # a nan or inf cell is an input fault
         raise CsvSchemaError(path, None, str(exc)) from exc
 
@@ -207,6 +206,8 @@ REPORT_RENAMES: Mapping[str, str] = {
     "klass": "class",
     "within_sum": "within_sum_r2",
     "global_sum": "global_sum_r2",
+    "global_measures": "global",
+    "time_measures": "time",
 }
 
 

@@ -21,7 +21,8 @@ Every path-based measure is read off one all-sources pass per cost mode
 ``graph``, yielding closeness, the path-length sum and diameter, and on
 request Brandes betweenness accumulation and straightness in the same
 loop. ``measure_report`` runs that pass once for binary, once for km,
-and once for time when an epoch is given: 3n traversals. Only a pass
+and once for time when an epoch is given: 3n traversals, over one arc
+table per cost mode (strength reads the km pass's table). Only a pass
 that accumulates betweenness counts shortest paths (the binary pass of
 the report, and ``betweenness`` in any mode); the km and time passes
 run distance-only traversals. A binary pass that needs distances only
@@ -135,11 +136,16 @@ class TimeMeasures:
 
 
 @dataclass(frozen=True)
+class NeighborAverages:
+    average_degree: float
+    average_strength: float
+
+
+@dataclass(frozen=True)
 class MeasureReport:
     per_node: Mapping[str, NodeMeasures]
     global_measures: GlobalMeasures
-    neighbor_average_degree: float
-    neighbor_average_strength: float
+    nearest_neighbor: NeighborAverages
     time_measures: Optional[TimeMeasures] = None
 
 
@@ -154,9 +160,14 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 
 def degree_and_strength(g: SpatialGraph) -> DegreeStrength:
     """Node degree and kilometric strength, with their network means."""
+    return _degree_and_strength(g, g.costs("km"))
+
+
+def _degree_and_strength(g: SpatialGraph, km_arcs) -> DegreeStrength:
+    """``degree_and_strength`` from the graph's km arc table."""
     degree: dict[str, int] = {}
     strength: dict[str, float] = {}
-    for node, arcs in zip(g.nodes, g.costs("km")):
+    for node, arcs in zip(g.nodes, km_arcs):
         degree[node.id] = len(arcs)
         strength[node.id] = math.fsum(km for _, km in arcs)
     n = g.n
@@ -191,9 +202,11 @@ def _sweep(
     epoch: Optional[str] = None,
     brandes: bool = False,
     straight: bool = False,
+    arcs=None,
 ) -> _SweepResult:
     """One traversal from every node under one cost mode, read into
     closeness, path stats and, when asked, betweenness and straightness.
+    A weighted mode's arc table is built here unless passed as ``arcs``.
 
     Sums keep the order of a per-measure computation: ``fsum`` over
     targets in node order, ``+=`` across sources in node order, and
@@ -207,7 +220,8 @@ def _sweep(
             raise MissingCoordinatesError(f"nodes without coordinates: {missing}")
         # haversine_km is inlined below, with each node's cos(lat) computed once
         geo = [(node.lat, node.lon, math.cos(math.radians(node.lat))) for node in g.nodes]
-    arcs = g.costs(mode, epoch)
+    if arcs is None:
+        arcs = g.costs(mode, epoch)
     ids = g.node_ids
     n = g.n
     if n < 2:
@@ -344,12 +358,14 @@ def _neighbor_means(g: SpatialGraph, ds: DegreeStrength) -> NeighborStats:
 def measure_report(g: SpatialGraph, epoch: Optional[str] = None) -> MeasureReport:
     """Assemble the full per-node and global measure table for one graph
     snapshot. Requires a connected graph with node coordinates."""
-    ds = degree_and_strength(g)
     clus = clustering(g)
     # a disconnected graph is reported as failing closeness, the first
     # measure of the report that needs connectivity
     binary = _sweep(g, "closeness", "binary", brandes=True)
-    km = _sweep(g, "straightness", "km", straight=True)
+    km_arcs = g.costs("km")  # one table for strength and the km pass
+    ds = _degree_and_strength(g, km_arcs)
+    km = _sweep(g, "straightness", "km", straight=True, arcs=km_arcs)
+    del km_arcs  # freed before the time pass builds its table: peak memory
     nbr = _neighbor_means(g, ds)
 
     per_node = {
@@ -389,7 +405,6 @@ def measure_report(g: SpatialGraph, epoch: Optional[str] = None) -> MeasureRepor
     return MeasureReport(
         per_node=per_node,
         global_measures=global_measures,
-        neighbor_average_degree=nbr.average_degree,
-        neighbor_average_strength=nbr.average_strength,
+        nearest_neighbor=NeighborAverages(nbr.average_degree, nbr.average_strength),
         time_measures=time_measures,
     )

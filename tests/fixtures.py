@@ -132,6 +132,12 @@ def synthetic_network(seed=2024):
     factor > 1, so straightness stays in (0, 1]. Two time epochs mimic a
     slow historical network and a faster modern one.
     """
+    return synthetic_network_with_population(seed)[0]
+
+
+def synthetic_network_with_population(seed=2024):
+    """``synthetic_network`` and each node's population (id -> float),
+    which is drawn between the node and edge draws."""
     rng = random.Random(seed)
     ids = [f"R{i:02d}" for i in range(1, 40)]
     coords = {}
@@ -174,27 +180,27 @@ def synthetic_network(seed=2024):
             in_tree.add(frozenset((u, v)))
 
     nodes = []
+    population = {}
     for node_id in ids:
         lat, lon = coords[node_id]
-        population = round(math.exp(rng.gauss(10.6, 0.7)))
-        nodes.append(NodeRecord(node_id, f"Region {node_id[1:]}", lat, lon,
-                                {"population": float(population)}))
+        population[node_id] = float(round(math.exp(rng.gauss(10.6, 0.7))))
+        nodes.append(NodeRecord(node_id, f"Region {node_id[1:]}", lat, lon))
     edges = []
     for u, v in chosen:
         km = round(straight(u, v) * rng.uniform(1.12, 1.38), 3)
         slow = round(km / 65.0 * 60.0 * rng.uniform(1.0, 1.18), 2)
         fast = round(km / 92.0 * 60.0 * rng.uniform(1.0, 1.10), 2)
         edges.append(EdgeRecord(u, v, km, {"1988": slow, "2010": fast}))
-    return build_graph(nodes, edges)
+    return build_graph(nodes, edges), population
 
 
-def sample_variable_table(g, seed=2024):
+def sample_variable_table(g, population, seed=2024):
     """Variable table for the synthetic network: 10 predictors plus Y."""
     rng = np.random.default_rng(seed)
     ids = list(g.node_ids)
     n = len(ids)
     degree = np.array([g.degree(i) for i in ids], dtype=float)
-    population = np.array([node.attributes["population"] for node in g.nodes])
+    population = np.array([population[i] for i in ids])
     log_pop = np.log(population)
 
     def z(x):
@@ -330,8 +336,8 @@ def write_sample_csvs(directory, seed=2024):
     """Materialize the synthetic network + variables as CSV files."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    g = synthetic_network(seed)
-    table = sample_variable_table(g, seed)
+    g, population = synthetic_network_with_population(seed)
+    table = sample_variable_table(g, population, seed)
 
     nodes_path = directory / "nodes.csv"
     edges_path = directory / "edges.csv"
@@ -341,7 +347,7 @@ def write_sample_csvs(directory, seed=2024):
         handle.write("id,label,lat,lon,population\n")
         for node in g.nodes:
             handle.write(
-                f"{node.id},{node.label},{node.lat},{node.lon},{node.attributes['population']}\n"
+                f"{node.id},{node.label},{node.lat},{node.lon},{population[node.id]}\n"
             )
     with edges_path.open("w", encoding="utf-8") as handle:
         handle.write("source,target,distance_km,time_1988_min,time_2010_min\n")

@@ -18,7 +18,7 @@ import numpy as np
 
 from spatialnet.cli import main
 from spatialnet.communities import modularity
-from spatialnet.empirical import ols_regress, select_representatives
+from spatialnet.empirical import CONSTANT, ols_regress, select_representatives
 from spatialnet.fitting import fit_log_decay, fit_normal, fit_powerlaw
 from spatialnet.measures import (
     betweenness,
@@ -186,21 +186,22 @@ def test_criterion_08_regression_recovery():
     table = fixtures.exact_beta_table(seed=11)
     predictors = ["S6_population", "B6_cars", "O2_education"]
     model = ols_regress(table, predictors)
+    betas = [model.coefficients[name].beta for name in predictors]
     beta_ok = all(
         abs(beta - target) <= 0.05
-        for beta, target in zip(model.beta, (0.6, 0.3, 0.1))
+        for beta, target in zip(betas, (0.6, 0.3, 0.1))
     )
     x = np.column_stack(
         [np.ones(table.n)] + [np.asarray(table.column(p).values) for p in predictors]
     )
     y = np.asarray(table.response.values)
     oracle = np.linalg.solve(x.T @ x, x.T @ y)
-    oracle_ok = abs(model.intercept - oracle[0]) <= 1e-8 and all(
-        abs(c - e) <= 1e-8 for c, e in zip(model.coefficients, oracle[1:])
+    oracle_ok = abs(model.coefficients[CONSTANT].b - oracle[0]) <= 1e-8 and all(
+        abs(model.coefficients[name].b - e) <= 1e-8 for name, e in zip(predictors, oracle[1:])
     )
     ok = beta_ok and model.r_squared > 0.99 and oracle_ok
     _report(8, "standardized-beta recovery and normal-equations agreement",
-            ok, f": betas={['%.4f' % b for b in model.beta]}, R2={model.r_squared:.4f}")
+            ok, f": betas={['%.4f' % b for b in betas]}, R2={model.r_squared:.4f}")
 
 
 def test_criterion_09_selection_matches_bruteforce():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spatialnet.empirical import (
+    CONSTANT,
     EmptyClassError,
     RankDeficientError,
     TooFewRowsError,
@@ -221,21 +222,22 @@ def test_exact_line_recovered():
         ("resp", "Y", y),
     ])
     model = ols_regress(table, ["x"])
-    assert model.coefficients[0] == pytest.approx(2.0, abs=1e-9)
-    assert model.intercept == pytest.approx(3.0, abs=1e-9)
+    assert model.coefficients["x"].b == pytest.approx(2.0, abs=1e-9)
+    assert model.coefficients[CONSTANT].b == pytest.approx(3.0, abs=1e-9)
     assert model.r_squared == pytest.approx(1.0, abs=1e-12)
     assert model.se_estimate == pytest.approx(0.0, abs=1e-9)
-    assert math.isinf(model.t[0])  # infinite-significance sentinel
-    assert model.p[0] == 0.0
+    assert math.isinf(model.coefficients["x"].t)  # infinite-significance sentinel
+    assert model.coefficients["x"].p == 0.0
 
 
 def test_beta_recovery_on_planted_table():
     table = fixtures.exact_beta_table(seed=11)
     model = ols_regress(table, ["S6_population", "B6_cars", "O2_education"])
-    for beta, target in zip(model.beta, (0.6, 0.3, 0.1)):
+    betas = [model.coefficients[name].beta for name in model.predictors]
+    for beta, target in zip(betas, (0.6, 0.3, 0.1)):
         assert beta == pytest.approx(target, abs=0.05)
     assert model.r_squared > 0.99
-    assert model.beta[0] > model.beta[1] > model.beta[2]
+    assert betas[0] > betas[1] > betas[2]
 
 
 def test_coefficients_match_normal_equations_oracle():
@@ -247,9 +249,9 @@ def test_coefficients_match_normal_equations_oracle():
     )
     y = np.asarray(table.response.values)
     oracle = np.linalg.solve(x.T @ x, x.T @ y)
-    assert model.intercept == pytest.approx(oracle[0], abs=1e-8)
-    for coef, expected in zip(model.coefficients, oracle[1:]):
-        assert coef == pytest.approx(expected, abs=1e-8)
+    assert list(model.coefficients) == [CONSTANT, *predictors]
+    for row, expected in zip(model.coefficients.values(), oracle):
+        assert row.b == pytest.approx(expected, abs=1e-8)
 
 
 def test_residual_orthogonality():
@@ -257,7 +259,8 @@ def test_residual_orthogonality():
     predictors = ["S6_population", "B6_cars", "O2_education"]
     model = ols_regress(table, predictors)
     x = np.column_stack([table.column(p).values for p in predictors])
-    fitted = model.intercept + x @ np.asarray(model.coefficients)
+    fitted = model.coefficients[CONSTANT].b + x @ np.asarray(
+        [model.coefficients[p].b for p in predictors])
     resid = np.asarray(table.response.values) - fitted
     scale = float(np.abs(np.asarray(table.response.values)).mean())
     assert abs(resid.sum()) / scale < 1e-8
@@ -271,9 +274,11 @@ def test_standardization_identity():
     predictors = ["S6_population", "B6_cars", "O2_education"]
     model = ols_regress(table, predictors)
     y_sd = float(np.std(table.response.values, ddof=1))
-    for j, p in enumerate(predictors):
+    assert model.coefficients[CONSTANT].beta is None
+    for p in predictors:
         x_sd = float(np.std(table.column(p).values, ddof=1))
-        assert model.beta[j] == pytest.approx(model.coefficients[j] * x_sd / y_sd, rel=1e-12)
+        row = model.coefficients[p]
+        assert row.beta == pytest.approx(row.b * x_sd / y_sd, rel=1e-12)
 
 
 def test_rank_deficiency_detected():
@@ -307,7 +312,7 @@ def test_constant_response_gives_zero_r_squared():
         ("resp", "Y", (7.0, 7.0, 7.0, 7.0, 7.0)),
     ])
     model = ols_regress(table, ["x"])
-    assert model.coefficients[0] == pytest.approx(0.0, abs=1e-12)
+    assert model.coefficients["x"].b == pytest.approx(0.0, abs=1e-12)
     assert model.r_squared == 0.0
 
 

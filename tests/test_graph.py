@@ -134,7 +134,8 @@ def test_distance_only_kernels_match_counted_kernels(g, mode, epoch):
         counted = traverse(g, source, arcs, True)
         assert (sigma, preds) == (None, None)
         assert dist == counted[0]
-        assert order == counted[3]
+        if arcs is None:  # distance-only Dijkstra keeps no visit order
+            assert order == counted[3]
 
 
 def test_distance_only_dijkstra_keeps_smaller_float_tie():

@@ -278,9 +278,14 @@ def _repeat_column(source: Path, column: int, path: Path) -> Path:
      "column 'population' appears more than once"),
     ("regress", "--vars", lambda tmp: _repeat_column(VARIABLES, 1, tmp / "variables.csv"),
      "column 'S1_road_degree:S' appears more than once"),
+    # the first row again at the end: the id sets still match the nodes
+    ("regress", "--vars",
+     lambda tmp: _write(tmp / "variables.csv", VARIABLES.read_bytes()
+                        + VARIABLES.read_bytes().splitlines(keepends=True)[1]),
+     "variables.csv:41: row id 'R01' repeats line 2"),
 ], ids=["missing-file", "directory", "not-utf8", "oversized-cell", "no-node-rows",
         "out-is-file", "plotdata-is-file", "nan-variable-cell", "repeated-edges-column",
-        "repeated-nodes-column", "repeated-variables-column"])
+        "repeated-nodes-column", "repeated-variables-column", "repeated-variables-id"])
 def test_unusable_input_or_output_exit_2(tmp_path, capsys, command, flag, make, message):
     flags = {"--nodes": NODES, "--edges": EDGES, "--out": tmp_path / "out"}
     flags[flag] = make(tmp_path)
@@ -503,13 +508,13 @@ def test_matches_golden_omega_at_default_ensemble_sizes(tmp_path):
 
 
 @pytest.mark.parametrize("command, reports", [
-    ("all", ("measures", "fits", "regression")),
+    ("all", ("measures", "communities", "fits", "regression")),
     ("fit", ("fits",)),  # fits computed without a measure report
 ])
 def test_matches_golden_reports(tmp_path, command, reports):
     # The golden files hold `all --epoch 2010 --seed 7` on the sample,
-    # without provenance. Omega and communities are left out, so the
-    # null-model ensembles (which only feed omega) are kept small here.
+    # without provenance. Omega is left out, so the null-model ensembles
+    # (which only feed omega) are kept small here.
     out = tmp_path / "out"
     assert main([
         command, "--nodes", str(NODES), "--edges", str(EDGES), "--vars", str(VARIABLES),

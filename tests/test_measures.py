@@ -283,9 +283,15 @@ def test_measure_report_sweeps_each_mode_once(monkeypatch):
         kernel = getattr(graph, name)
         monkeypatch.setattr(graph, name, lambda *args, _name=name, _kernel=kernel:
                             traversals.append((_name, args[-1])) or _kernel(*args))
+    # and one arc table per cost mode: strength and the km pass share one
+    tables = []
+    costs = graph.SpatialGraph.costs
+    monkeypatch.setattr(graph.SpatialGraph, "costs", lambda self, mode, epoch=None:
+                        tables.append(mode) or costs(self, mode, epoch))
     measure_report(g, epoch="2010")
     assert len(traversals) == 3 * g.n
     assert [call for call in traversals if call[1]] == [("_bfs", True)] * g.n
+    assert sorted(tables) == ["binary", "km", "time"]
 
 
 def test_scale_covariance_of_km_measures():
