@@ -6,7 +6,8 @@ no column named twice):
 * nodes.csv      id,label,lat,lon[,<extra>...]; extra columns are ignored
 * edges.csv      source,target,distance_km[,time_<epoch>_min...]
 * variables.csv  id,<name:class>... with class one of S/B/O and exactly
-                 one column tagged :Y (the response); no id on two rows
+                 one column tagged :Y (the response); no id on two rows,
+                 no empty name and no name ``(constant)``
 
 Schema violations raise CsvSchemaError with the file and line number; so
 do files that cannot be read (missing, not UTF-8, malformed CSV) and a
@@ -31,7 +32,7 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Optional
 
-from .empirical import MissingValueError, Variable, VariableTable, build_variable_table
+from .empirical import CONSTANT, MissingValueError, Variable, VariableTable, build_variable_table
 from .exceptions import SchemaError
 from .graph import EdgeRecord, NodeRecord, SpatialGraph, build_graph
 
@@ -143,6 +144,8 @@ def read_variables_csv(path) -> VariableTable:
         name, _, klass = cell.rpartition(":")
         if klass not in ("S", "B", "O", "Y"):
             raise CsvSchemaError(path, 1, f"column {cell!r} has unknown class {klass!r}")
+        if name in ("", CONSTANT):  # CONSTANT names the intercept's coefficient row
+            raise CsvSchemaError(path, 1, f"column {cell!r}: a variable may not be named {name!r}")
         names.append(name)
         classes.append(klass)
     if classes.count("Y") == 0:

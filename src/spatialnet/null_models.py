@@ -7,16 +7,19 @@ numbers (a node's position in ``g.nodes``, which is the ingestion
 order), each node's neighbours held as one int bitset. A swap keeps a
 connected graph connected exactly when, after it, a still reaches b
 (then c reaches d through b and a). So a candidate is flipped in once,
-by four XORs; one search grows from a and from b, always on the smaller
+by four XORs, and kept at once if a and b then share a neighbour;
+otherwise one search grows from a and from b, always on the smaller
 side, by ORing the bitsets of its frontier, and stops as soon as the two
 meet; the same XORs undo the flip only if they never do.
 
 Randomization samples swaps at random and accepts every acceptable one
-until ``swaps_per_edge * m`` are accepted. A replicate stops early,
-without error, when an exhaustive scan finds no acceptable swap at all
-(a rigid graph such as a triangle). SwapBudgetExhaustedError marks the
-genuine failure: the attempt budget, MAX_ATTEMPT_FACTOR times the target
-swap count, ran out while acceptable swaps still existed.
+until ``swaps_per_edge * m`` are accepted; each edge draw is
+``rng.randrange(m)`` written out (``getrandbits(m.bit_length())`` until
+below m, as CPython draws it). A replicate stops early, without error,
+when an exhaustive scan finds no acceptable swap at all (a rigid graph
+such as a triangle). SwapBudgetExhaustedError marks the genuine failure:
+the attempt budget, MAX_ATTEMPT_FACTOR times the target swap count, ran
+out while acceptable swaps still existed.
 
 Latticeization is a steepest descent on the ring-index cost
 
@@ -42,8 +45,9 @@ and ``converged``, True when randomization reached its target or found
 the graph rigid, and when the descent ran out of improving swaps.
 
 Swap weights travel with their source endpoint ((a, d) inherits the
-payload of (a, b)), so replicates remain valid spatial graphs; only the
-binary topology of a replicate is meaningful.
+payload of (a, b)), so replicates remain valid spatial graphs; each is
+assembled on the input's nodes and id index without ``build_graph``'s
+checks or component count. Only its binary topology is meaningful.
 
 Each replicate draws its own RNG stream derived from (seed, replicate
 index), so ensembles are reproducible and replicates are independent.
@@ -65,7 +69,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exceptions import ComputeError, DisconnectedError
-from .graph import EdgeRecord, SpatialGraph, build_graph
+from .graph import EdgeRecord, SpatialGraph
 from .measures import clustering, path_length_and_diameter
 from .small_world import DEFAULT_REPLICATES, DEFAULT_SWAPS_PER_EDGE
 
@@ -119,11 +123,15 @@ class _Rewirer:
 
     def swap(self, e1: int, e2: int, a: int, b: int, c: int, d: int) -> bool:
         """Rewire edges e1 = (a, b) and e2 = (c, d) to (a, d) and (c, b)
-        if the graph stays connected, and return whether it did. The
-        bitsets are flipped once and flipped back only on rejection; the
-        caller has checked ``simple_after``."""
-        self._flip(a, b, c, d)
-        if not self._joined(a, b):
+        if the graph stays connected, and return whether it did; the caller
+        has checked ``simple_after``. The bitsets are flipped once, and back
+        only when a and b then share no neighbour and ``_joined`` fails."""
+        bits = self.bits
+        bits[a] ^= 1 << b | 1 << d
+        bits[b] ^= 1 << a | 1 << c
+        bits[c] ^= 1 << d | 1 << b
+        bits[d] ^= 1 << c | 1 << a
+        if not (bits[a] & bits[b] or self._joined(a, b)):
             self._flip(a, b, c, d)
             return False
         self.ends[e1], self.ends[e2] = (a, d), (c, b)
@@ -175,6 +183,15 @@ class _Rewirer:
         return [EdgeRecord(ids[u], ids[v], e.distance_km, e.time_min)
                 for (u, v), e in zip(self.ends, self.g.edges)]
 
+    def graph(self) -> SpatialGraph:
+        """The replicate on ``g``'s nodes and index; swaps keep it simple and connected."""
+        adj: list[list[int]] = [[] for _ in self.g.nodes]
+        for u, v in self.ends:
+            adj[u].append(v)
+            adj[v].append(u)
+        return SpatialGraph(nodes=self.g.nodes, edges=tuple(self.edge_records()),
+                            index=self.g.index, components=1, adj_index=tuple(map(tuple, adj)))
+
 
 def _randomize_replicate(g: SpatialGraph, rng: random.Random, swaps_per_edge: int):
     """Random swaps until the target count; returns (rewirer, accepted,
@@ -185,9 +202,10 @@ def _randomize_replicate(g: SpatialGraph, rng: random.Random, swaps_per_edge: in
     budget = MAX_ATTEMPT_FACTOR * target
     stall_limit = max(200, 20 * m)
 
-    accepted = 0
-    attempts = 0
-    stall = 0
+    ends, bits, swap = rewirer.ends, rewirer.bits, rewirer.swap
+    getrandbits, uniform, width = rng.getrandbits, rng.random, m.bit_length()
+
+    accepted = attempts = stall = 0
     while accepted < target:
         if attempts >= budget or stall >= stall_limit:
             if not rewirer.any_acceptable():
@@ -197,17 +215,21 @@ def _randomize_replicate(g: SpatialGraph, rng: random.Random, swaps_per_edge: in
                     f"accepted {accepted} of {target} swaps within {budget} attempts"
                 )
             stall = 0  # swaps exist; keep sampling
-        e1 = rng.randrange(m)
-        e2 = rng.randrange(m)
+        # rng.randrange(m) twice, drawn as CPython's _randbelow draws it
+        while (e1 := getrandbits(width)) >= m:
+            pass
+        while (e2 := getrandbits(width)) >= m:
+            pass
         attempts += 1
         if e1 == e2:
             stall += 1
             continue
-        a, b = rewirer.ends[e1]
-        c, d = rewirer.ends[e2]
-        if rng.random() > 0.5:
+        (a, b), (c, d) = ends[e1], ends[e2]
+        if uniform() > 0.5:
             c, d = d, c  # explore both orientations of the second edge
-        if rewirer.simple_after(a, b, c, d) and rewirer.swap(e1, e2, a, b, c, d):
+        # simple_after, inlined (a == c or b == d makes a new pair an edge)
+        if (a != d and b != c and not (bits[a] >> d & 1 or bits[c] >> b & 1)
+                and swap(e1, e2, a, b, c, d)):
             accepted += 1
             stall = 0
         else:
@@ -352,7 +374,7 @@ def _build_ensemble(
         # across adjacent seeds
         rng = random.Random((seed << 32) ^ index)
         rewirer, accepted, attempts, converged = rewire(g, rng, swaps_per_edge)
-        replicate = build_graph(g.nodes, rewirer.edge_records())
+        replicate = rewirer.graph()
         graphs.append(replicate)
         per_replicate.append(
             ReplicateStats(

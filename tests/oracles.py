@@ -4,11 +4,12 @@ Nothing here shares code paths with spatialnet: hop distances come from
 boolean matrix powers, weighted distances from Floyd–Warshall over numpy
 rows, path counts from explicit DFS enumeration in exact arithmetic,
 clustering from triple loops, modularity from the raw double sum,
-connectivity from union–find, lattice swaps from a scan of every edge
-pair, swap cost changes from the swap's own four endpoints over all edge
-pairs at once, and Student-t tails from numerical quadrature of the
-density. Keep it that way — these are the other side of every dual-route
-check.
+connectivity from union–find, the random swap chain from a plain loop
+over ``randrange`` draws and a union–find per swap, lattice swaps from a
+scan of every edge pair, swap cost changes from the swap's own four
+endpoints over all edge pairs at once, and Student-t tails from
+numerical quadrature of the density. Keep it that way — these are the
+other side of every dual-route check.
 """
 
 from __future__ import annotations
@@ -215,6 +216,66 @@ def is_connected(ids, pairs) -> bool:
             parent[ru] = rv
             parts -= 1
     return parts == 1
+
+
+def random_chain(g, rng, swaps_per_edge, max_attempt_factor) -> tuple[list, int, int]:
+    """The randomization chain as a plain loop. Each attempt draws two
+    edges with ``rng.randrange(m)`` and, when they differ, one
+    ``rng.random()`` that reverses the second edge above 0.5; the swap
+    (a, b), (c, d) -> (a, d), (c, b) is kept when its four nodes are
+    distinct, neither new pair is an edge and union–find finds the whole
+    new edge set connected. After max(200, 20 m) rejections in a row, or
+    once ``max_attempt_factor`` times the target count of attempts are
+    made, a scan of every ordered edge pair in both orientations decides
+    whether any swap is left: none ends the chain. Returns (ends,
+    accepted, attempts), ``ends`` the edges as pairs of positions in
+    ``g.node_ids``, in edge order, or None when the budget is spent
+    while swaps are left."""
+    number = {node_id: i for i, node_id in enumerate(g.node_ids)}
+    nodes = range(len(number))
+    ends = [(number[edge.u], number[edge.v]) for edge in g.edges]
+    m = len(ends)
+
+    def acceptable(e1, e2, a, b, c, d):
+        new = {frozenset((a, d)), frozenset((c, b))}
+        if len({a, b, c, d}) < 4 or new & {frozenset(pair) for pair in ends}:
+            return False
+        rest = [pair for k, pair in enumerate(ends) if k not in (e1, e2)]
+        return is_connected(nodes, rest + [(a, d), (c, b)])
+
+    def any_acceptable():
+        return any(acceptable(e1, e2, a, b, *cd)
+                   for e1, (a, b) in enumerate(ends)
+                   for e2, (c, d) in enumerate(ends) if e1 != e2
+                   for cd in ((c, d), (d, c)))
+
+    target = swaps_per_edge * m
+    budget = max_attempt_factor * target
+    stall_limit = max(200, 20 * m)
+    accepted = attempts = stall = 0
+    while accepted < target:
+        if attempts >= budget or stall >= stall_limit:
+            if not any_acceptable():
+                break
+            if attempts >= budget:
+                return None
+            stall = 0
+        e1 = rng.randrange(m)
+        e2 = rng.randrange(m)
+        attempts += 1
+        if e1 == e2:
+            stall += 1
+            continue
+        (a, b), (c, d) = ends[e1], ends[e2]
+        if rng.random() > 0.5:
+            c, d = d, c
+        if acceptable(e1, e2, a, b, c, d):
+            ends[e1], ends[e2] = (a, d), (c, b)
+            accepted += 1
+            stall = 0
+        else:
+            stall += 1
+    return ends, accepted, attempts
 
 
 def improving_ring_swaps(g) -> list[tuple]:

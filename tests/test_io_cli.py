@@ -283,9 +283,19 @@ def _repeat_column(source: Path, column: int, path: Path) -> Path:
      lambda tmp: _write(tmp / "variables.csv", VARIABLES.read_bytes()
                         + VARIABLES.read_bytes().splitlines(keepends=True)[1]),
      "variables.csv:41: row id 'R01' repeats line 2"),
+    # a predictor named like the intercept row would replace it in regression.json
+    ("regress", "--vars",
+     lambda tmp: _write(tmp / "variables.csv", VARIABLES.read_bytes()
+                        .replace(b"S1_road_degree:S", b"(constant):S", 1)),
+     "variables.csv:1: column '(constant):S': a variable may not be named '(constant)'"),
+    ("regress", "--vars",
+     lambda tmp: _write(tmp / "variables.csv", VARIABLES.read_bytes()
+                        .replace(b"S1_road_degree:S", b":S", 1)),
+     "variables.csv:1: column ':S': a variable may not be named ''"),
 ], ids=["missing-file", "directory", "not-utf8", "oversized-cell", "no-node-rows",
         "out-is-file", "plotdata-is-file", "nan-variable-cell", "repeated-edges-column",
-        "repeated-nodes-column", "repeated-variables-column", "repeated-variables-id"])
+        "repeated-nodes-column", "repeated-variables-column", "repeated-variables-id",
+        "constant-variable-name", "empty-variable-name"])
 def test_unusable_input_or_output_exit_2(tmp_path, capsys, command, flag, make, message):
     flags = {"--nodes": NODES, "--edges": EDGES, "--out": tmp_path / "out"}
     flags[flag] = make(tmp_path)

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from spatialnet import null_models
 from spatialnet.exceptions import DisconnectedError
+from spatialnet.graph import build_graph
 from spatialnet.io import ingest
 from spatialnet.measures import clustering
 from spatialnet.null_models import (
@@ -154,6 +156,24 @@ def test_replicates_pinned_on_multiword_bitsets():
     assert hashlib.sha256(blob.encode()).hexdigest() == (
         "fd7810b531cc685c6a05129aaed14554b828da820c776cbd7c6b098647054e09")
     assert all(stats.converged for stats in rand.stats.per_replicate + latt.stats.per_replicate)
+
+
+@pytest.mark.parametrize("rewire", [null_models._randomize_replicate,
+                                    null_models._latticeize_replicate])
+def test_replicates_assembled_as_build_graph_assembles_them(rewire):
+    # replicates skip build_graph's checks and component count; they must
+    # still be the graph that build_graph makes of their edge records
+    sample, _ = ingest(DATA / "nodes.csv", DATA / "edges.csv")
+    for g in (sample, fixtures.ws_graph(160, 4, 0.2, seed=11)):
+        rewirer, accepted, _, _ = rewire(g, random.Random(5), 2)
+        assert accepted > 0
+        replicate = rewirer.graph()
+        expected = build_graph(g.nodes, rewirer.edge_records())
+        assert replicate.nodes == expected.nodes
+        assert replicate.edges == expected.edges
+        assert replicate.index == expected.index
+        assert replicate.components == expected.components == 1
+        assert replicate.adj_index == expected.adj_index
 
 
 def test_lattice_descent_counters_on_sample():

@@ -10,11 +10,14 @@ change a node's degree, disconnect the graph, create a repeated pair, or
 (for latticeization) raise the ring-index cost. The flip-once swap must
 accept exactly the swaps that a union–find over the swapped edge set
 finds connected, and leave the edge list and adjacency as the accepted
-swaps made them. The lattice's incremental swap-cost table must equal a
-full recomputation after every descent step, and a lattice replicate
-that reports convergence must admit no improving swap under a
-brute-force scan. Modularity is checked against the raw ordered-pair
-double sum for arbitrary assignments.
+swaps made them. The random chain, with its edge draws inlined from
+``getrandbits``, must make the swaps, attempts and RNG draws of a plain
+loop over ``randrange``, on edge counts at and next to powers of two,
+where the rejection draw changes width. The lattice's incremental
+swap-cost table must equal a full recomputation after every descent
+step, and a lattice replicate that reports convergence must admit no
+improving swap under a brute-force scan. Modularity is checked against
+the raw ordered-pair double sum for arbitrary assignments.
 
 The path measures are checked against the independent oracles at
 n <= 60: binary measures against matrix powers and path enumeration, km
@@ -30,6 +33,8 @@ sparse ones.
 """
 
 import math
+import random
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -37,7 +42,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spatialnet import shortest_paths
+from spatialnet import null_models, shortest_paths
 from spatialnet.communities import modularity
 from spatialnet.exceptions import DisconnectedError
 from spatialnet.graph import EdgeRecord, NodeRecord, build_graph, hop_distances, traverse
@@ -221,6 +226,70 @@ def test_exhaustive_scan_matches_every_ordered_swap(g):
     )
     assert rewirer.any_acceptable() == expected
     assert (rewirer.ends, rewirer.bits) == (ends, bits)
+
+
+@st.composite
+def graphs_near_powers_of_two(draw):
+    """A connected graph on at most 60 nodes with 2**k - 1, 2**k or
+    2**k + 1 edges (k from 2 to 7): a spanning tree plus drawn pairs."""
+    m = 2 ** draw(st.integers(2, 7)) + draw(st.sampled_from((-1, 0, 1)))
+    n_min = next(n for n in range(3, 61) if n * (n - 1) // 2 >= m)
+    n = draw(st.integers(n_min, min(60, m + 1)))
+    ids = [f"v{i:02d}" for i in range(n)]
+    tree = {(ids[draw(st.integers(0, i - 1))], ids[i]) for i in range(1, n)}
+    rest = [pair for pair in combinations(ids, 2) if pair not in tree]
+    extra = draw(st.randoms(use_true_random=False)).sample(rest, m - len(tree))
+    return fixtures.graph_from_edges(sorted(tree) + extra)
+
+
+@SETTINGS
+@given(g=graphs_near_powers_of_two(), seed=st.integers(0, 2**16),
+       swaps_per_edge=st.integers(1, 3))
+@example(g=fixtures.er_gnm(60, 128, seed=1, connected=True), seed=1, swaps_per_edge=3)
+@example(g=fixtures.er_gnm(60, 129, seed=1, connected=True), seed=1, swaps_per_edge=3)
+@example(g=fixtures.star_graph(4), seed=1, swaps_per_edge=1)  # rigid: the scan ends it
+@example(g=fixtures.er_gnm(9, 31, seed=1, connected=True), seed=1, swaps_per_edge=1)  # budget
+def test_random_chain_matches_the_plain_randrange_loop(g, seed, swaps_per_edge):
+    rng, plain = random.Random(seed), random.Random(seed)
+    try:
+        rewirer, accepted, attempts, _ = null_models._randomize_replicate(g, rng, swaps_per_edge)
+        chain = (rewirer.ends, accepted, attempts)
+    except null_models.SwapBudgetExhaustedError:  # dense graphs with few swaps left
+        chain = None
+    assert chain == oracles.random_chain(g, plain, swaps_per_edge, null_models.MAX_ATTEMPT_FACTOR)
+    assert rng.getstate() == plain.getstate()  # no draw more or fewer
+
+
+class _RecordedBits(random.Random):
+    """A Random that records every ``getrandbits`` result."""
+
+    def __init__(self, seed):
+        self.bits = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.bits.append(super().getrandbits(k))
+        return self.bits[-1]
+
+
+@pytest.mark.parametrize("m", [2, 3, 64, 65, 71, 127, 128, 129])
+def test_inlined_edge_draws_are_randrange_draws(m):
+    # a draw is the first getrandbits result below m; replay the chain's
+    # call pattern (two edge draws, then one random() for distinct edges)
+    # with randrange on a fresh stream
+    g = fixtures.path_graph("abc") if m == 2 else fixtures.cycle_graph(m)
+    rng = _RecordedBits(m)
+    null_models._randomize_replicate(g, rng, 1)
+    draws = [r for r in rng.bits if r < m]
+    plain = random.Random(m)
+    expected = []
+    while len(expected) < len(draws):
+        e1, e2 = plain.randrange(m), plain.randrange(m)
+        expected += [e1, e2]
+        if e1 != e2:
+            plain.random()
+    assert draws == expected
+    assert rng.getstate() == plain.getstate()
 
 
 def _assert_matches_ring_swap_changes(deltas, ends, n):

@@ -106,9 +106,9 @@ def test_measure_report_holds_omega_empirical_inputs():
 
 def test_all_reads_omega_path_length_off_the_measure_report(tmp_path, monkeypatch):
     # 39 counted BFS for the report's Brandes pass, one distance-only BFS
-    # (a component count) per graph built (input + 4 replicates) and one
-    # hop-kernel call per replicate graph (2 random + 2 lattice); omega
-    # runs no pass of its own
+    # (the input's component count; replicates are assembled connected,
+    # without one) and one hop-kernel call per replicate graph (2 random +
+    # 2 lattice); omega runs no pass of its own
     from pathlib import Path
 
     from spatialnet import graph, measures
@@ -124,4 +124,4 @@ def test_all_reads_omega_path_length_off_the_measure_report(tmp_path, monkeypatc
     assert main(["all", "--nodes", str(data / "nodes.csv"), "--edges", str(data / "edges.csv"),
                  "--vars", str(data / "variables.csv"), "--epoch", "2010", "--seed", "1",
                  "--replicates", "2", "--out", str(tmp_path)]) == 0
-    assert (bfs_calls.count(True), bfs_calls.count(False), len(hop_calls)) == (39, 5, 4)
+    assert (bfs_calls.count(True), bfs_calls.count(False), len(hop_calls)) == (39, 1, 4)
