@@ -15,8 +15,9 @@ communities.json the ``CommunityPartition``, and regression.json the
 ``SelectionReport`` with one ``RegressionModel`` per predictor set. Only
 omega.json and fits.json are assembled here from several results.
 
-Exit codes: 0 success, 2 schema/input error, 3 compute error. Errors are
-reported to stderr as a one-line JSON record.
+Exit codes: 0 success, 2 schema/input error, 3 compute error. Errors,
+flags that argparse cannot read among them, are reported to stderr as a
+one-line JSON record.
 
 Only ``null_models`` imports numpy at module level, and this module
 imports it only inside ``_omega_payload``; ``fitting`` and ``empirical``
@@ -322,8 +323,14 @@ def _parse_model_sets(raw: str) -> tuple[tuple[str, ...], ...]:
     return tuple(sets)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # a malformed or missing flag is a flag error: exit 2 with one JSON line
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="spatialnet",
         description="Spatial network analysis: measures, small-world omega, "
                     "communities, distribution fits, and commuter regression.",
@@ -349,9 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = vars(build_parser().parse_args(argv))
-    command = args.pop("command")
     try:
+        args = vars(build_parser().parse_args(argv))
+        command = args.pop("command")
         config = AnalysisConfig(**args)
         bundle = run(command, config)
         written = write_bundle(bundle, config.out_dir)

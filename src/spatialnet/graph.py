@@ -16,13 +16,13 @@ for km/time, both returning per-source lists indexed by node number.
 ``traverse`` is the one entry point to them; ``shortest_paths`` maps a
 traversal back onto node ids.
 
-Each kernel has a ``count`` switch. Counted, it also returns the number
-of shortest paths (``sigma``) and the predecessors on them (``preds``),
-which only Brandes betweenness reads: ``shortest_paths``, ``betweenness``
-and the binary pass of the measure report. Every other caller (the km
-and time passes, straightness and the component count in
-``build_graph``) asks for distances only, and the kernel then keeps no
-path bookkeeping at all. Both variants return the same ``dist``.
+Both kernels return the number of shortest paths (``sigma``) and the
+predecessors on them (``preds``), which only Brandes betweenness reads.
+BFS always counts them; the component count in ``build_graph`` reads
+its visit order. Dijkstra has a ``count`` switch: only ``shortest_paths``
+and ``betweenness`` ask for counts, and the km and time passes (and
+straightness) run distance-only, keeping no path bookkeeping at all.
+Both variants return the same ``dist``.
 
 Binary closeness, path length and diameter need only each node's sum of
 hop distances and the largest one. ``hop_distances`` computes those for
@@ -263,7 +263,7 @@ def _count_components(adj: tuple[tuple[int, ...], ...]) -> int:
     for source in range(len(adj)):
         if not reached[source]:
             count += 1
-            for v in _bfs(adj, source, False)[3]:
+            for v in _bfs(adj, source)[3]:
                 reached[v] = True
     return count
 
@@ -306,14 +306,13 @@ def traverse(g: SpatialGraph, source: int, arcs=None, count: bool = False):
     holding the distance (``math.inf`` when unreachable), the number of
     shortest paths, and the predecessors on them in arrival order (None
     when unreachable), plus the reached nodes in nondecreasing distance.
-    Without ``count``, ``sigma`` and ``preds`` are None and no path
-    bookkeeping is done; a distance-only Dijkstra returns no ``order``
-    either (None), while a distance-only BFS keeps it: the list is its
-    queue.
+    BFS always counts paths and ignores ``count``. A Dijkstra without
+    ``count`` returns only ``dist``, with None for the other three, and
+    does no path bookkeeping.
     """
     # positional calls: tests count kernel calls through ``*args`` wrappers
     if arcs is None:
-        return _bfs(g.adj_index, source, count)
+        return _bfs(g.adj_index, source)
     return _dijkstra(arcs, source, count)
 
 
@@ -355,24 +354,16 @@ def hop_distances(g: SpatialGraph) -> tuple[list[int], int]:
     return sums, hops
 
 
-def _bfs(adj, source: int, count: bool):
+def _bfs(adj, source: int):
     n = len(adj)
     dist = [math.inf] * n
     dist[source] = 0.0
     order = [source]
-    if not count:
-        for u in order:  # grows while iterated: the list is the queue
-            du = dist[u] + 1.0
-            for v in adj[u]:
-                if dist[v] == math.inf:
-                    dist[v] = du
-                    order.append(v)
-        return dist, None, None, order
     sigma = [0] * n
     preds: list = [None] * n
     sigma[source] = 1
     preds[source] = ()
-    for u in order:
+    for u in order:  # grows while iterated: the list is the queue
         du = dist[u] + 1.0
         su = sigma[u]
         for v in adj[u]:

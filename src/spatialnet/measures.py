@@ -22,10 +22,10 @@ Every path-based measure is read off one all-sources pass per cost mode
 request Brandes betweenness accumulation and straightness in the same
 loop. ``measure_report`` runs that pass once for binary, once for km,
 and once for time when an epoch is given: 3n traversals, over one arc
-table per cost mode (strength reads the km pass's table). Only a pass
-that accumulates betweenness counts shortest paths (the binary pass of
-the report, and ``betweenness`` in any mode); the km and time passes
-run distance-only traversals. A binary pass that needs distances only
+table per cost mode. Every BFS counts shortest paths, which the
+report's binary pass needs for betweenness; a weighted traversal counts
+them only for ``betweenness`` in km or time mode, so the report's km and
+time passes run distance-only. A binary pass that needs distances only
 (``closeness``, ``path_length_and_diameter`` and so each null-model
 replicate's path length) runs no per-source traversal at all: it reads
 the integer hop sums and the diameter off ``graph.hop_distances``, which
@@ -159,17 +159,15 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 
 
 def degree_and_strength(g: SpatialGraph) -> DegreeStrength:
-    """Node degree and kilometric strength, with their network means."""
-    return _degree_and_strength(g, g.costs("km"))
-
-
-def _degree_and_strength(g: SpatialGraph, km_arcs) -> DegreeStrength:
-    """``degree_and_strength`` from the graph's km arc table."""
-    degree: dict[str, int] = {}
-    strength: dict[str, float] = {}
-    for node, arcs in zip(g.nodes, km_arcs):
-        degree[node.id] = len(arcs)
-        strength[node.id] = math.fsum(km for _, km in arcs)
+    """Node degree and kilometric strength, with their network means.
+    A node's strength is the ``fsum`` of its edges' lengths, which is
+    exact and so does not depend on the order of the edges."""
+    lengths: dict[str, list[float]] = {node.id: [] for node in g.nodes}
+    for edge in g.edges:
+        lengths[edge.u].append(edge.distance_km)
+        lengths[edge.v].append(edge.distance_km)
+    degree = {node_id: len(km) for node_id, km in lengths.items()}
+    strength = {node_id: math.fsum(km) for node_id, km in lengths.items()}
     n = g.n
     avg_k = 2.0 * g.m / n if n else 0.0
     avg_s = math.fsum(strength[node.id] for node in g.nodes) / n if n else 0.0
@@ -202,11 +200,9 @@ def _sweep(
     epoch: Optional[str] = None,
     brandes: bool = False,
     straight: bool = False,
-    arcs=None,
 ) -> _SweepResult:
     """One traversal from every node under one cost mode, read into
     closeness, path stats and, when asked, betweenness and straightness.
-    A weighted mode's arc table is built here unless passed as ``arcs``.
 
     Sums keep the order of a per-measure computation: ``fsum`` over
     targets in node order, ``+=`` across sources in node order, and
@@ -220,8 +216,7 @@ def _sweep(
             raise MissingCoordinatesError(f"nodes without coordinates: {missing}")
         # haversine_km is inlined below, with each node's cos(lat) computed once
         geo = [(node.lat, node.lon, math.cos(math.radians(node.lat))) for node in g.nodes]
-    if arcs is None:
-        arcs = g.costs(mode, epoch)
+    arcs = g.costs(mode, epoch)
     ids = g.node_ids
     n = g.n
     if n < 2:
@@ -362,10 +357,8 @@ def measure_report(g: SpatialGraph, epoch: Optional[str] = None) -> MeasureRepor
     # a disconnected graph is reported as failing closeness, the first
     # measure of the report that needs connectivity
     binary = _sweep(g, "closeness", "binary", brandes=True)
-    km_arcs = g.costs("km")  # one table for strength and the km pass
-    ds = _degree_and_strength(g, km_arcs)
-    km = _sweep(g, "straightness", "km", straight=True, arcs=km_arcs)
-    del km_arcs  # freed before the time pass builds its table: peak memory
+    ds = degree_and_strength(g)
+    km = _sweep(g, "straightness", "km", straight=True)
     nbr = _neighbor_means(g, ds)
 
     per_node = {

@@ -272,8 +272,8 @@ class _RingDeltas:
     A swap of (a, b), (c, d) changes the ring cost of its two edges and
     the penalties of pairs among a, b, c, d, so ``rewired`` re-scores the
     rows and columns of the edges that touch those four nodes, O(m) each.
-    ``by_u[x, f]`` and ``by_v[x, f]`` hold ``penalized[x, u_f]`` and
-    ``penalized[x, v_f]`` so that a row is scored from whole-row gathers.
+    A row of edge (x, y) is scored from the row gathers ``penalized[x]``
+    and ``penalized[y]``, read at every edge's two ends.
     """
 
     def __init__(self, ends: list[tuple[int, int]], n: int):
@@ -289,19 +289,18 @@ class _RingDeltas:
         self.penalized[position, position] += n + 1
         self.penalized[self.u, self.v] += n + 1
         self.penalized[self.v, self.u] += n + 1
-        self.by_u = self.penalized[:, self.u]
-        self.by_v = self.penalized[:, self.v]
         self.table = self._rows(np.arange(len(ends)))
 
     def _rows(self, rows: np.ndarray) -> np.ndarray:
         """``table[:, rows, :]`` scored from the current edges, in place
         so that at most one rows-by-m temporary is alive at a time."""
-        ur, vr = self.u[rows], self.v[rows]
-        scores = np.empty((2, len(rows), len(self.u)), dtype=np.int32)
-        scores[0] = self.by_v[ur]
-        scores[0] += self.by_u[vr]
-        scores[1] = self.by_u[ur]
-        scores[1] += self.by_v[vr]
+        u, v = self.u, self.v
+        at_u, at_v = self.penalized[u[rows]], self.penalized[v[rows]]
+        scores = np.empty((2, len(rows), len(u)), dtype=np.int32)
+        scores[0] = at_u[:, v]
+        scores[0] += at_v[:, u]
+        scores[1] = at_u[:, u]
+        scores[1] += at_v[:, v]
         scores -= self.cost[rows, None]
         scores -= self.cost
         return scores
@@ -318,14 +317,8 @@ class _RingDeltas:
         for e, x, y in ((e1, a, d), (e2, c, b)):
             gap = abs(x - y)
             self.cost[e] = min(gap, n - gap)
-        pair = [e1, e2]
-        quad = [a, b, c, d]
-        self.by_u[:, pair] = penalized[:, u[pair]]
-        self.by_v[:, pair] = penalized[:, v[pair]]
-        self.by_u[quad] = penalized[quad][:, u]
-        self.by_v[quad] = penalized[quad][:, v]
         touched = np.zeros(n, dtype=bool)
-        touched[quad] = True
+        touched[[a, b, c, d]] = True
         rows = np.flatnonzero(touched[u] | touched[v])
         scores = self._rows(rows)
         self.table[:, rows, :] = scores

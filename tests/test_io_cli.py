@@ -1,16 +1,22 @@
+import contextlib
 import csv
 import errno
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fixtures
 from spatialnet.cli import AnalysisConfig, ConfigError, main, run
 from spatialnet.empirical import VariableScore
 from spatialnet.io import (
@@ -192,6 +198,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     ("all", ["--omega-threshold", "-1"], "omega_threshold"),
     ("communities", ["--seed", "-7"], "seed"),
     ("regress", ["--models", "S1_road_degree,S1_road_degree"], "S1_road_degree"),
+    # flags argparse cannot read go through the same one-line record
+    ("analyze", ["--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    ("regress", ["--alpha", ""], "argument --alpha: invalid float value: ''"),
 ])
 def test_cli_rejects_bad_config(tmp_path, capsys, command, flags, message):
     code = main([
@@ -406,6 +415,130 @@ def test_cli_compute_error_exit_3(tmp_path, capsys):
     assert code == 3
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "DisconnectedError"
+
+
+def test_swap_budget_exhausted_exit_3(tmp_path, capsys):
+    # a dense graph where acceptable swaps are rare: the random chain runs
+    # out of its 100 attempts per target swap while swaps still exist
+    g = fixtures.er_gnm(9, 31, seed=1, connected=True)
+    nodes = _write(tmp_path / "nodes.csv", ("id,label,lat,lon\n" + "".join(
+        f"{node.id},{node.id},38,{20 + i}\n" for i, node in enumerate(g.nodes))).encode())
+    edges = _write(tmp_path / "edges.csv", ("source,target,distance_km\n" + "".join(
+        f"{edge.u},{edge.v},1\n" for edge in g.edges)).encode())
+    code = main(["omega", "--nodes", str(nodes), "--edges", str(edges), "--seed", "1",
+                 "--swaps-per-edge", "1", "--out", str(tmp_path / "out")])
+    assert code == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "SwapBudgetExhaustedError",
+                                    "message": "accepted 30 of 31 swaps within 3100 attempts"}
+    assert not (tmp_path / "out").exists()
+
+
+# --- contract fuzzing ---------------------------------------------------------
+
+SAMPLE = {path.stem: [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+          for path in (NODES, EDGES, VARIABLES)}
+BAD_CELLS = ("", "x", "nan", "inf", "-1")
+# per file: the columns a reader cannot do without (the fuzzed runs pass
+# --epoch 2010, so edges.csv needs time_2010_min, column 4), how many lead
+# the header in a fixed order, the numeric columns and the id columns
+NEEDED = {"nodes": {0, 1, 2, 3}, "edges": {0, 1, 2, 4}, "variables": {0, 11}}
+LEADING = {"nodes": 4, "edges": 3, "variables": 1}
+NUMERIC = {"nodes": {2, 3}, "edges": {2, 3, 4}, "variables": set(range(1, 12))}
+IDS = {"nodes": {0}, "edges": {0, 1}, "variables": {0}}
+FLAG_FAULTS = [("--seed", "-1"), ("--seed", "x"), ("--replicates", "0"),
+               ("--replicates", "1.5"), ("--swaps-per-edge", "-1"), ("--alpha", "1"),
+               ("--alpha", "nan"), ("--alpha", ""), ("--omega-threshold", "1"),
+               ("--omega-threshold", "-0.5"), ("--epoch", "1999")]
+
+
+def _is_input_error(name: str, fault: tuple) -> bool:
+    """Whether the README calls this one fault in ``name``.csv an input
+    error (exit 2); every other fault leaves valid input (exit 0)."""
+    kind, column = fault[0], fault[-1]
+    if kind == "drop":
+        return column in NEEDED[name]
+    if kind == "swap":  # columns column and column + 1
+        return column < LEADING[name]
+    if kind == "cell":
+        value = fault[2]
+        if column in IDS[name]:  # a renamed id leaves edges or variables unmatched
+            return True
+        if column in NUMERIC[name]:
+            return value != "-1" or name == "edges"
+        return False  # a label or an ignored extra column
+    return kind in ("repeat-column", "repeat-row")  # not "bom"
+
+
+@st.composite
+def _contract_cases(draw):
+    """One command and one fault: in a header or a cell of one sample CSV,
+    or one flag value out of range or not a number."""
+    command = draw(st.sampled_from(("analyze", "regress")))
+    if draw(st.integers(0, 3)) == 0:
+        repeated = [("--models", "B6_cars,B6_cars")] if command == "regress" else []
+        return command, None, draw(st.sampled_from(FLAG_FAULTS + repeated)), True
+    name = draw(st.sampled_from(sorted(SAMPLE)))
+    width = len(SAMPLE[name][0])
+    column = draw(st.integers(0, width - 1))
+    kind = draw(st.sampled_from(("drop", "repeat-column", "swap", "cell", "repeat-row", "bom")))
+    if kind == "swap":
+        column = min(column, width - 2)
+    if kind == "cell":
+        fault = (kind, draw(st.integers(1, 3)), draw(st.sampled_from(BAD_CELLS)), column)
+    elif kind == "repeat-row":
+        fault = (kind, draw(st.integers(1, 3)), 0)
+    else:
+        fault = (kind, column)
+    return command, (name, fault), None, _is_input_error(name, fault)
+
+
+def _corrupt(name: str, fault: tuple) -> bytes:
+    rows = [list(row) for row in SAMPLE[name]]
+    kind, column = fault[0], fault[-1]
+    if kind == "drop":
+        rows = [row[:column] + row[column + 1:] for row in rows]
+    elif kind == "repeat-column":
+        rows = [row[:column + 1] + row[column:] for row in rows]
+    elif kind == "swap":
+        for row in rows:
+            row[column], row[column + 1] = row[column + 1], row[column]
+    elif kind == "cell":
+        rows[fault[1]][column] = fault[2]
+    elif kind == "repeat-row":  # an edge comes back as the reversed pair
+        copy = list(rows[fault[1]])
+        if name == "edges":
+            copy[0], copy[1] = copy[1], copy[0]
+        rows.append(copy)
+    text = "".join(",".join(row) + "\n" for row in rows).encode()
+    return b"\xef\xbb\xbf" + text if kind == "bom" else text
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_contract_cases())
+def test_cli_contract_under_one_fault(case):
+    # exit 0, 2 or 3; a failure prints one JSON line and writes no bundle;
+    # an input or flag fault exits 2, and a harmless change exits 0
+    command, file_fault, flag, input_error = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        files = {"--nodes": NODES, "--edges": EDGES, "--vars": VARIABLES}
+        if file_fault is not None:
+            name, fault = file_fault
+            files[{"nodes": "--nodes", "edges": "--edges", "variables": "--vars"}[name]] = _write(
+                tmp / f"{name}.csv", _corrupt(name, fault))
+        argv = [command, *(str(part) for item in files.items() for part in item),
+                "--epoch", "2010", *(flag or ()), "--out", str(tmp / "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code == (2 if input_error else 0), err.getvalue()
+        if code:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1
+            assert set(json.loads(lines[0])) == {"error", "message"}
+            assert not (tmp / "out").exists()
 
 
 def _masked_bundle_bytes(out_dir: Path) -> dict:

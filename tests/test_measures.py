@@ -279,11 +279,17 @@ def test_measure_report_sweeps_each_mode_once(monkeypatch):
     # shortest paths
     g = fixtures.synthetic_network()
     traversals = []
+
+    def counting(name, kernel):
+        def wrapped(*args):
+            result = kernel(*args)
+            traversals.append((name, result[1] is not None))  # counted: sigma returned
+            return result
+        return wrapped
+
     for name in ("_bfs", "_dijkstra"):
-        kernel = getattr(graph, name)
-        monkeypatch.setattr(graph, name, lambda *args, _name=name, _kernel=kernel:
-                            traversals.append((_name, args[-1])) or _kernel(*args))
-    # and one arc table per cost mode: strength and the km pass share one
+        monkeypatch.setattr(graph, name, counting(name, getattr(graph, name)))
+    # and one arc table per cost mode; strength reads the edges themselves
     tables = []
     costs = graph.SpatialGraph.costs
     monkeypatch.setattr(graph.SpatialGraph, "costs", lambda self, mode, epoch=None:

@@ -317,8 +317,8 @@ def test_incremental_ring_deltas_equal_full_recomputation(g, seed, swaps_per_edg
 
 
 def _bfs_sweep(g):
-    """Closeness, path length and diameter from one distance-only BFS per
-    source, summed as a per-source sweep sums them."""
+    """Closeness, path length and diameter from one BFS per source,
+    summed as a per-source sweep sums them."""
     n = g.n
     close = {}
     total = 0.0

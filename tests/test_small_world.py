@@ -105,10 +105,10 @@ def test_measure_report_holds_omega_empirical_inputs():
 
 
 def test_all_reads_omega_path_length_off_the_measure_report(tmp_path, monkeypatch):
-    # 39 counted BFS for the report's Brandes pass, one distance-only BFS
-    # (the input's component count; replicates are assembled connected,
-    # without one) and one hop-kernel call per replicate graph (2 random +
-    # 2 lattice); omega runs no pass of its own
+    # 40 BFS: 39 for the report's Brandes pass and one for the input's
+    # component count (replicates are assembled connected, without one),
+    # and one hop-kernel call per replicate graph (2 random + 2 lattice);
+    # omega runs no pass of its own
     from pathlib import Path
 
     from spatialnet import graph, measures
@@ -118,10 +118,10 @@ def test_all_reads_omega_path_length_off_the_measure_report(tmp_path, monkeypatc
     bfs_calls = []
     hop_calls = []
     bfs, hops = graph._bfs, measures.hop_distances
-    monkeypatch.setattr(graph, "_bfs", lambda *args: bfs_calls.append(args[-1]) or bfs(*args))
+    monkeypatch.setattr(graph, "_bfs", lambda *args: bfs_calls.append(1) or bfs(*args))
     monkeypatch.setattr(measures, "hop_distances",
                         lambda *args: hop_calls.append(1) or hops(*args))
     assert main(["all", "--nodes", str(data / "nodes.csv"), "--edges", str(data / "edges.csv"),
                  "--vars", str(data / "variables.csv"), "--epoch", "2010", "--seed", "1",
                  "--replicates", "2", "--out", str(tmp_path)]) == 0
-    assert (bfs_calls.count(True), bfs_calls.count(False), len(hop_calls)) == (39, 1, 4)
+    assert (len(bfs_calls), len(hop_calls)) == (40, 4)
