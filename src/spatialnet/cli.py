@@ -7,7 +7,7 @@ command never leaves a partial bundle behind: every file is written to a
 temporary sibling first and renamed into place only once all are
 complete, and if writing fails part way, what was written is removed.
 Stochastic commands (omega, communities, all) require --seed so runs are
-reproducible.
+reproducible. Any command given --models checks it against --vars.
 
 Each report is its result object passed once through ``io.sanitize``,
 plus the provenance block: measures.json is the ``MeasureReport``,
@@ -228,6 +228,8 @@ def run(command: str, config: AnalysisConfig) -> ReportBundle:
     needs_table = command in ("regress", "all")
     if needs_table and config.variables is None:
         raise ConfigError(f"command {command!r} requires --vars")
+    if config.model_sets and config.variables is None:
+        raise ConfigError("--models requires --vars")
 
     graph, table = ingest(config.nodes, config.edges, config.variables)
     if config.epoch is not None and config.epoch not in graph.epochs():
@@ -235,7 +237,7 @@ def run(command: str, config: AnalysisConfig) -> ReportBundle:
             f"epoch {config.epoch!r} not present in the edge file; "
             f"declared epochs: {list(graph.epochs())}"
         )
-    if needs_table:
+    if config.model_sets:
         predictors = {variable.name for variable in table.predictors()}
         unknown = sorted({name for names in config.model_sets for name in names} - predictors)
         if unknown:
@@ -330,28 +332,27 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # a flag left out is left out of the namespace too, so AnalysisConfig
+    # holds the one copy of every default
     parser = _ArgumentParser(
         prog="spatialnet",
         description="Spatial network analysis: measures, small-world omega, "
                     "communities, distribution fits, and commuter regression.",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--nodes", required=True, type=Path, help="nodes CSV")
     parser.add_argument("--edges", required=True, type=Path, help="edges CSV")
-    parser.add_argument("--vars", dest="variables", type=Path, default=None,
-                        help="variables CSV")
-    parser.add_argument("--epoch", default=None, help="time epoch label, e.g. 2010")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (required for omega/communities/all)")
-    parser.add_argument("--swaps-per-edge", type=int,
-                        default=small_world.DEFAULT_SWAPS_PER_EDGE)
-    parser.add_argument("--replicates", type=int, default=small_world.DEFAULT_REPLICATES)
-    parser.add_argument("--omega-threshold", type=float, default=small_world.DEFAULT_THRESHOLD)
-    parser.add_argument("--alpha", type=float, default=empirical.DEFAULT_ALPHA)
-    parser.add_argument("--models", dest="model_sets", type=_parse_model_sets, default=(),
+    parser.add_argument("--vars", dest="variables", type=Path, help="variables CSV")
+    parser.add_argument("--epoch", help="time epoch label, e.g. 2010")
+    parser.add_argument("--seed", type=int, help="RNG seed (required for omega/communities/all)")
+    parser.add_argument("--swaps-per-edge", type=int)
+    parser.add_argument("--replicates", type=int)
+    parser.add_argument("--omega-threshold", type=float)
+    parser.add_argument("--alpha", type=float)
+    parser.add_argument("--models", dest="model_sets", type=_parse_model_sets,
                         help="semicolon-separated predictor sets, e.g. 'a,b,c;a,b,d'")
-    parser.add_argument("--out", dest="out_dir", type=Path, default=Path("reports"),
-                        help="output directory")
+    parser.add_argument("--out", dest="out_dir", type=Path, help="output directory")
     return parser
 
 

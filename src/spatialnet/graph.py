@@ -18,21 +18,21 @@ traversal back onto node ids.
 
 Both kernels return the number of shortest paths (``sigma``) and the
 predecessors on them (``preds``), which only Brandes betweenness reads.
-BFS always counts them; the component count in ``build_graph`` reads
-its visit order. Dijkstra has a ``count`` switch: only ``shortest_paths``
-and ``betweenness`` ask for counts, and the km and time passes (and
-straightness) run distance-only, keeping no path bookkeeping at all.
-Both variants return the same ``dist``.
+BFS counts them inline, always; the component count in ``build_graph``
+reads its visit order. Dijkstra runs one heap loop for the distances and
+the settle order; with ``count`` set, one pass over that order then reads
+``sigma`` and ``preds`` off the final distances. Only ``shortest_paths``
+and ``betweenness`` set it; the km and time passes run distance-only.
 
 Binary closeness, path length and diameter need only each node's sum of
 hop distances and the largest one. ``hop_distances`` computes those for
 all sources at once over Python-int bitsets, in integers, so they are
 exact.
 
-Counted Dijkstra treats two path costs as equal when they differ by at
-most ``TIE_RTOL`` relative (so 0.1 + 0.2 and 0.15 + 0.15 km are one
-length), and counts both routes in ``sigma``. The distance kept is the
-smaller.
+Counted Dijkstra puts the arc u-v on a shortest path when v settles
+after u and ``dist[u] + w <= dist[v] * (1 + TIE_RTOL)`` on final
+distances, so 0.1 + 0.2 and 0.15 + 0.15 km are one length and both
+routes count. The tie is judged once, so counts match in both directions.
 
 A SpatialGraph is immutable once built, so concurrent read-only
 traversals are safe. Unreachable targets are reported with an explicit
@@ -50,9 +50,9 @@ from .exceptions import ComputeError, DisconnectedError, SchemaError
 
 MODES = ("binary", "km", "time")
 
-# Two weighted path costs whose ratio is at most 1 + TIE_RTOL are one
-# length. That is far above the rounding of a float sum of edge costs
-# (about 1e-16 relative per edge) and far below one metre in 1000 km.
+# A path costing at most 1 + TIE_RTOL times the shortest weighted cost is a
+# shortest path: far above the rounding of a float sum of edge costs (about
+# 1e-16 relative per edge) and far below one metre in 1000 km.
 TIE_RTOL = 1e-9
 
 
@@ -251,10 +251,10 @@ def build_graph(nodes: Iterable[NodeRecord], edges: Iterable[EdgeRecord]) -> Spa
 
 
 def _check_weight(edge: EdgeRecord, what: str, value: float, where: str = "") -> None:
+    if not math.isfinite(value):
+        raise NonFiniteWeightError(f"edge ({edge.u}, {edge.v}) has non-finite {what} {value}{where}")
     if not value > 0:
         raise NegativeWeightError(f"edge ({edge.u}, {edge.v}) has nonpositive {what} {value}{where}")
-    if value == math.inf:
-        raise NonFiniteWeightError(f"edge ({edge.u}, {edge.v}) has non-finite {what} {value}{where}")
 
 
 def _count_components(adj: tuple[tuple[int, ...], ...]) -> int:
@@ -278,9 +278,9 @@ def shortest_paths(
     node id.
 
     Binary mode runs a BFS; km/time modes run Dijkstra. Equal-cost paths
-    are all counted in ``sigma`` (ties are never broken, and weighted
-    costs within ``TIE_RTOL`` are equal), which is what betweenness
-    accumulation needs.
+    are all counted in ``sigma`` (ties are never broken, and a weighted
+    cost within ``TIE_RTOL`` of the shortest ties it), which is what
+    betweenness accumulation needs.
     """
     if source not in g.index:
         raise UnknownNodeError(f"source {source!r} is not in the graph")
@@ -307,8 +307,8 @@ def traverse(g: SpatialGraph, source: int, arcs=None, count: bool = False):
     shortest paths, and the predecessors on them in arrival order (None
     when unreachable), plus the reached nodes in nondecreasing distance.
     BFS always counts paths and ignores ``count``. A Dijkstra without
-    ``count`` returns only ``dist``, with None for the other three, and
-    does no path bookkeeping.
+    ``count`` returns only ``dist``, with None for the other three; with
+    it, the counts are read off the final distances in settle order.
     """
     # positional calls: tests count kernel calls through ``*args`` wrappers
     if arcs is None:
@@ -384,45 +384,37 @@ def _dijkstra(arcs, source: int, count: bool):
     dist = [math.inf] * n
     dist[source] = 0.0
     heap = [(0.0, source)]
-    if not count:
-        # a node is pushed only when its distance strictly falls, so the
-        # one entry whose key equals its distance is the live one
-        while heap:
-            d, u = heappop(heap)
-            if d > dist[u]:
-                continue
-            for v, w in arcs[u]:
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heappush(heap, (nd, v))
-        return dist, None, None, None
     order = []
+    # a node is pushed only when its distance strictly falls, so the
+    # one entry whose key equals its distance is the live one
+    while heap:
+        d, u = heappop(heap)
+        if d > dist[u]:
+            continue
+        order.append(u)
+        for v, w in arcs[u]:
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                heappush(heap, (nd, v))
+    if not count:
+        return dist, None, None, None
+    # u-v is on a shortest path when v settles after u and the route
+    # through u ties v's final distance; the settle order, not the
+    # distances, orders the DAG, since w may vanish in d + w
+    rank = [0] * n
     sigma = [0] * n
     preds: list = [None] * n
-    settled = [False] * n
+    for i, u in enumerate(order):
+        rank[u] = i
+        preds[u] = []
     sigma[source] = 1
     preds[source] = ()
     tie = 1.0 + TIE_RTOL
-    while heap:
-        d, u = heappop(heap)
-        if settled[u]:
-            continue
-        settled[u] = True
-        order.append(u)
-        su = sigma[u]
+    for u in order:
+        du, su, ru = dist[u], sigma[u], rank[u]
         for v, w in arcs[u]:
-            nd = d + w
-            dv = dist[v]
-            if nd * tie < dv:
-                dist[v] = nd
-                sigma[v] = su
-                preds[v] = [u]
-                heappush(heap, (nd, v))
-            elif nd <= dv * tie and not settled[v]:
+            if rank[v] > ru and du + w <= dist[v] * tie:
                 sigma[v] += su
                 preds[v].append(u)
-                if nd < dv:
-                    dist[v] = nd
-                    heappush(heap, (nd, v))
     return dist, sigma, preds, order

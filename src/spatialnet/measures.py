@@ -30,7 +30,7 @@ time passes run distance-only. A binary pass that needs distances only
 replicate's path length) runs no per-source traversal at all: it reads
 the integer hop sums and the diameter off ``graph.hop_distances``, which
 gives the same floats. Weighted path costs within ``graph.TIE_RTOL`` of
-each other count as ties, and graphs with non-finite weights cannot be
+the shortest count as ties, and graphs with non-finite weights cannot be
 built.
 
 All functions are pure; sums accumulate in node ingestion order via

@@ -69,7 +69,7 @@ def test_nonfinite_weight_rejected():
         build_graph(nodes, [EdgeRecord("a", "b", math.inf)])
     with pytest.raises(NonFiniteWeightError, match=r"\(a, b\).*'2010'"):
         build_graph(nodes, [EdgeRecord("a", "b", 5.0, {"2010": math.inf})])
-    with pytest.raises(NegativeWeightError):
+    with pytest.raises(NonFiniteWeightError, match=r"\(a, b\).*distance_km nan"):
         build_graph(nodes, [EdgeRecord("a", "b", math.nan)])
 
 
@@ -109,6 +109,32 @@ def test_km_float_ties_count_both_paths():
     assert table.sigma["t"] == 2
     assert sorted(table.preds["t"]) == ["a", "b"]
     assert table.dist["t"] == 0.3  # the smaller of the two rounded sums
+
+
+def test_km_near_ties_do_not_chain():
+    # s-v routes of 10.0, 9.999999994 and 9.999999988 km: the middle one is
+    # within TIE_RTOL of the shortest, the longest 1.2e-9 relative above it
+    g = fixtures.graph_from_edges(
+        [("s", "u1"), ("u1", "v"), ("s", "u2"), ("u2", "v"), ("s", "u3"), ("u3", "v")],
+        km={("s", "u1"): 5.0, ("u1", "v"): 5.0, ("s", "u2"): 5.0,
+            ("u2", "v"): 4.999999994, ("s", "u3"): 5.0, ("u3", "v"): 4.999999988},
+    )
+    for source, target in (("s", "v"), ("v", "s")):
+        table = shortest_paths(g, source, "km")
+        assert table.sigma[target] == 2
+        assert sorted(table.preds[target]) == ["u2", "u3"]
+
+
+def test_km_counts_follow_settle_order_when_a_weight_vanishes():
+    # 10.0 + 1e-300 == 10.0, so x ties v although it lies one edge beyond
+    # it; x has a node number below v's, and still gets v as predecessor
+    g = build_graph([NodeRecord("s"), NodeRecord("x"), NodeRecord("v")],
+                    [EdgeRecord("s", "v", 10.0), EdgeRecord("v", "x", 1e-300)])
+    for source in g.node_ids:
+        table = shortest_paths(g, source, "km")
+        assert all(table.sigma[t] >= 1 for t in g.node_ids)
+    assert shortest_paths(g, "s", "km").preds["x"] == ("v",)
+    betweenness(g, "km")
 
 
 def test_km_betweenness_splits_float_ties():

@@ -201,6 +201,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     # flags argparse cannot read go through the same one-line record
     ("analyze", ["--seed", "x"], "argument --seed: invalid int value: 'x'"),
     ("regress", ["--alpha", ""], "argument --alpha: invalid float value: ''"),
+    # --models is checked whenever it is given, not only where it is read
+    ("analyze", ["--models", "nosuch"], "nosuch"),
+    ("fit", ["--models", "S6_population;nosuch"], "nosuch"),
+    ("analyze", ["--models", "S1_road_degree,S1_road_degree"], "S1_road_degree"),
+    ("omega", ["--models", "B6_cars,B6_cars"], "B6_cars"),
+    ("analyze", ["--seed", "-1"], "seed"),
 ])
 def test_cli_rejects_bad_config(tmp_path, capsys, command, flags, message):
     code = main([
@@ -215,6 +221,16 @@ def test_cli_rejects_bad_config(tmp_path, capsys, command, flags, message):
     assert record["error"] == "ConfigError"
     assert message in record["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "omega", "communities", "fit"])
+def test_models_without_vars_rejected(tmp_path, capsys, command):
+    code = main([command, "--nodes", str(NODES), "--edges", str(EDGES), "--seed", "1",
+                 "--models", "S6_population", "--out", str(tmp_path / "out")])
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(lines[-1]) == {"error": "ConfigError", "message": "--models requires --vars"}
+    assert len(lines) == 1 and not (tmp_path / "out").exists()
 
 
 def test_config_boundary_values_accepted():
@@ -450,7 +466,12 @@ IDS = {"nodes": {0}, "edges": {0, 1}, "variables": {0}}
 FLAG_FAULTS = [("--seed", "-1"), ("--seed", "x"), ("--replicates", "0"),
                ("--replicates", "1.5"), ("--swaps-per-edge", "-1"), ("--alpha", "1"),
                ("--alpha", "nan"), ("--alpha", ""), ("--omega-threshold", "1"),
-               ("--omega-threshold", "-0.5"), ("--epoch", "1999")]
+               ("--omega-threshold", "-0.5"), ("--epoch", "1999"),
+               ("--models", "B6_cars,B6_cars"), ("--models", "nosuch")]
+# what each command needs to run on the sample, kept small for speed; the
+# fault's flag comes after these, so it overrides them
+COMMAND_FLAGS = {"analyze": [], "regress": [], "fit": [], "communities": ["--seed", "1"],
+                 "omega": ["--seed", "1", "--replicates", "1", "--swaps-per-edge", "1"]}
 
 
 def _is_input_error(name: str, fault: tuple) -> bool:
@@ -474,11 +495,10 @@ def _is_input_error(name: str, fault: tuple) -> bool:
 @st.composite
 def _contract_cases(draw):
     """One command and one fault: in a header or a cell of one sample CSV,
-    or one flag value out of range or not a number."""
-    command = draw(st.sampled_from(("analyze", "regress")))
+    or one flag value out of range, not a number or naming bad models."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
     if draw(st.integers(0, 3)) == 0:
-        repeated = [("--models", "B6_cars,B6_cars")] if command == "regress" else []
-        return command, None, draw(st.sampled_from(FLAG_FAULTS + repeated)), True
+        return command, None, draw(st.sampled_from(FLAG_FAULTS)), True
     name = draw(st.sampled_from(sorted(SAMPLE)))
     width = len(SAMPLE[name][0])
     column = draw(st.integers(0, width - 1))
@@ -529,7 +549,8 @@ def test_cli_contract_under_one_fault(case):
             files[{"nodes": "--nodes", "edges": "--edges", "variables": "--vars"}[name]] = _write(
                 tmp / f"{name}.csv", _corrupt(name, fault))
         argv = [command, *(str(part) for item in files.items() for part in item),
-                "--epoch", "2010", *(flag or ()), "--out", str(tmp / "out")]
+                "--epoch", "2010", *COMMAND_FLAGS[command], *(flag or ()),
+                "--out", str(tmp / "out")]
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(argv)
