@@ -128,16 +128,11 @@ def _provenance(config: AnalysisConfig) -> dict:
 
 
 def _ensemble_summary(ensemble: NullModelEnsemble) -> dict:
-    return {
-        "kind": ensemble.kind,
-        "seed": ensemble.seed,
-        "swaps_per_edge": ensemble.swaps_per_edge,
-        "replicates": len(ensemble.replicates),
-        "mean_path_length": ensemble.stats.mean_path_length,
-        "mean_clustering": ensemble.stats.mean_clustering,
-        "node_order": ensemble.node_order,
-        "per_replicate": ensemble.stats.per_replicate,
-    }
+    # the ensemble's fields and its stats' fields, with the replicate graphs
+    # reported as their count
+    summary = {**vars(ensemble), **vars(ensemble.stats), "replicates": len(ensemble.replicates)}
+    del summary["stats"]
+    return summary
 
 
 def _omega_payload(
@@ -317,12 +312,11 @@ def write_bundle(bundle: ReportBundle, out_dir: Path) -> list[Path]:
 
 
 def _parse_model_sets(raw: str) -> tuple[tuple[str, ...], ...]:
-    sets = []
-    for chunk in raw.split(";"):
-        names = tuple(name.strip() for name in chunk.split(",") if name.strip())
-        if names:
-            sets.append(names)
-    return tuple(sets)
+    sets = tuple(tuple(name.strip() for name in chunk.split(",") if name.strip())
+                 for chunk in raw.split(";"))
+    if not all(sets):
+        raise ConfigError(f"--models {raw!r} has a predictor set that names no predictor")
+    return sets
 
 
 class _ArgumentParser(argparse.ArgumentParser):

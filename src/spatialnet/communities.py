@@ -9,7 +9,9 @@ the classic two-phase scheme: repeatedly move single nodes to the
 neighboring community with the largest positive modularity gain, then
 aggregate communities into super-nodes and repeat until no pass
 improves. Node visit order is shuffled by the seed; equal gains break
-toward the lowest community label, so results are reproducible.
+toward the lowest community label, so results are reproducible. Each
+level numbers its nodes 0..N-1 and keeps every per-node quantity
+(adjacency, loops, degree, community) in a list indexed by that number.
 
 Both modularity and detection use the binary adjacency (A_ij is 1 for
 an edge, 0 otherwise, and k_i is the degree), the convention under which
@@ -66,20 +68,17 @@ def modularity(g: SpatialGraph, assignment: Mapping[str, int]) -> float:
 
 
 class _Level:
-    """One aggregation level: weighted adjacency with explicit loops."""
+    """One aggregation level: weighted adjacency with explicit loops, as
+    lists indexed by node number."""
 
-    def __init__(self, nodes: list[int], adj: dict[int, dict[int, float]], loops: dict[int, float]):
-        self.nodes = nodes
+    def __init__(self, adj: list[dict[int, float]], loops: list[float]):
         self.adj = adj
         self.loops = loops
-        self.k = {
-            u: math.fsum(adj[u].values()) + loops[u]
-            for u in nodes
-        }
-        self.two_m = math.fsum(self.k[u] for u in nodes)
+        self.k = [math.fsum(nbrs.values()) + loop for nbrs, loop in zip(adj, loops)]
+        self.two_m = math.fsum(self.k)
 
 
-def _local_moves(level: _Level, rng: random.Random) -> tuple[dict[int, int], bool]:
+def _local_moves(level: _Level, rng: random.Random) -> tuple[list[int], bool]:
     """Phase one: greedy single-node moves until no positive gain remains.
 
     Candidate communities are visited in ascending label order and a
@@ -87,14 +86,14 @@ def _local_moves(level: _Level, rng: random.Random) -> tuple[dict[int, int], boo
     equal gains the lowest label wins and ties with staying keep the
     node where it is.
     """
-    comm = {u: u for u in level.nodes}
-    sigma_tot = {u: level.k[u] for u in level.nodes}
+    order = list(range(len(level.adj)))
+    comm = list(order)
+    sigma_tot = list(level.k)
     m = level.two_m / 2.0
     improved = False
     if m == 0:  # no edges: no move can gain anything
         return comm, improved
 
-    order = list(level.nodes)
     changed = True
     while changed:
         changed = False
@@ -124,23 +123,21 @@ def _local_moves(level: _Level, rng: random.Random) -> tuple[dict[int, int], boo
     return comm, improved
 
 
-def _aggregate(level: _Level, comm: dict[int, int]) -> tuple[_Level, dict[int, int]]:
+def _aggregate(level: _Level, comm: list[int]) -> tuple[_Level, dict[int, int]]:
     """Phase two: one super-node per community, labels renumbered densely."""
-    labels = sorted(set(comm.values()))
-    renumber = {label: i for i, label in enumerate(labels)}
-    adj: dict[int, dict[int, float]] = {i: {} for i in range(len(labels))}
-    loops: dict[int, float] = {i: 0.0 for i in range(len(labels))}
-    for u in level.nodes:
+    renumber = {label: i for i, label in enumerate(sorted(set(comm)))}
+    adj: list[dict[int, float]] = [{} for _ in renumber]
+    loops = [0.0] * len(renumber)
+    for u, nbrs in enumerate(level.adj):
         cu = renumber[comm[u]]
         loops[cu] += level.loops[u]
-        for v, w in level.adj[u].items():
+        for v, w in nbrs.items():
             cv = renumber[comm[v]]
             if cu == cv:
                 loops[cu] += w  # each ordered (u, v) counted once here
             else:
                 adj[cu][cv] = adj[cu].get(cv, 0.0) + w
-    new_level = _Level(list(range(len(labels))), adj, loops)
-    return new_level, renumber
+    return _Level(adj, loops), renumber
 
 
 def find_communities(g: SpatialGraph, seed: int) -> CommunityPartition:
@@ -155,12 +152,11 @@ def find_communities(g: SpatialGraph, seed: int) -> CommunityPartition:
         raise DisconnectedError("community detection requires a connected graph")
 
     ids = g.node_ids
-    adj = {i: dict.fromkeys(nbrs, 1.0) for i, nbrs in enumerate(g.adj_index)}
-    level = _Level(list(range(len(ids))), adj, {i: 0.0 for i in range(len(ids))})
+    level = _Level([dict.fromkeys(nbrs, 1.0) for nbrs in g.adj_index], [0.0] * len(ids))
 
     rng = random.Random(seed)
     # membership[i] = current super-node of original node i
-    membership = {i: i for i in range(len(ids))}
+    membership = list(range(len(ids)))
     levels: list[dict[str, int]] = []
 
     while True:
@@ -168,10 +164,10 @@ def find_communities(g: SpatialGraph, seed: int) -> CommunityPartition:
         if not improved:
             break
         level, renumber = _aggregate(level, comm)
-        membership = {i: renumber[comm[membership[i]]] for i in membership}
-        levels.append({ids[i]: membership[i] for i in range(len(ids))})
+        membership = [renumber[comm[c]] for c in membership]
+        levels.append(dict(zip(ids, membership)))
     if not levels:  # no move helped: the singletons are the one level
-        levels.append({node_id: i for i, node_id in enumerate(ids)})
+        levels.append(dict(zip(ids, membership)))
 
     assignment = levels[-1]
     return CommunityPartition(

@@ -77,25 +77,18 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 500):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even then the odd coefficient, one Lentz step each
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-14:
             return h
     raise ComputeError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
@@ -326,7 +319,7 @@ def select_representatives(table: VariableTable, alpha: float = DEFAULT_ALPHA) -
 
     representatives: dict[str, str] = {}
     for klass in PREDICTOR_CLASSES:
-        members = [name for name in by_class[klass] if not table.column(name).is_response]
+        members = by_class[klass]  # the response is class Y, never one of these
         top = max(within_sums[name] for name in members)
         # tie on sum -> lexicographic, for determinism
         representatives[klass] = sorted(name for name in members if within_sums[name] == top)[0]
@@ -339,7 +332,7 @@ def select_representatives(table: VariableTable, alpha: float = DEFAULT_ALPHA) -
             within_rank=within_ranks[name],
             global_sum=global_sums[name],
             global_rank=global_ranks[name],
-            is_response=table.column(name).is_response,
+            is_response=klass_of[name] == RESPONSE_CLASS,
         )
         for name in names
     )

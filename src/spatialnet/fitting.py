@@ -71,12 +71,13 @@ def predict(fit: FitResult, x: float) -> float:
     raise ValueError(f"unknown family {fit.family!r}")
 
 
-def _as_arrays(points: Iterable[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
+def _as_arrays(points: Iterable[tuple[float, float]], family: str) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y arrays of a ``family`` fit, which needs >= 3 points."""
     import numpy as np
 
     pts = list(points)
-    if not pts:
-        return np.empty(0), np.empty(0)
+    if len(pts) < 3:
+        raise InsufficientPointsError(f"{family} fit needs >= 3 points, got {len(pts)}")
     x, y = zip(*pts)
     return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
 
@@ -103,9 +104,7 @@ def fit_powerlaw(points: Iterable[tuple[float, float]]) -> FitResult:
     """Least-squares fit of y = a * k**beta on log-log axes."""
     import numpy as np
 
-    x, y = _as_arrays(points)
-    if len(x) < 3:
-        raise InsufficientPointsError(f"power-law fit needs >= 3 points, got {len(x)}")
+    x, y = _as_arrays(points, "power-law")
     if np.any(x <= 0) or np.any(y <= 0):
         raise NonPositiveValuesError("power-law fit requires k > 0 and y > 0 for the log transform")
     coeffs = np.polyfit(np.log(x), np.log(y), 1)
@@ -119,9 +118,7 @@ def fit_normal(points: Iterable[tuple[float, float]]) -> FitResult:
     """Fit y = a * exp(-(k - mu)^2 / (2 sigma^2)) in closed form."""
     import numpy as np
 
-    x, y = _as_arrays(points)
-    if len(x) < 3:
-        raise InsufficientPointsError(f"normal fit needs >= 3 points, got {len(x)}")
+    x, y = _as_arrays(points, "normal")
     if np.any(y <= 0):
         raise NonPositiveValuesError("normal fit requires y > 0")
     c2, c1, _c0 = np.polyfit(x, np.log(y), 2)
@@ -148,9 +145,7 @@ def fit_log_decay(points: Iterable[tuple[float, float]]) -> FitResult:
     """Least-squares fit of y = a - b * ln k."""
     import numpy as np
 
-    x, y = _as_arrays(points)
-    if len(x) < 3:
-        raise InsufficientPointsError(f"log-decay fit needs >= 3 points, got {len(x)}")
+    x, y = _as_arrays(points, "log-decay")
     if np.any(x <= 0):
         raise NonPositiveValuesError("log-decay fit requires k > 0")
     coeffs = np.polyfit(np.log(x), y, 1)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,6 +56,25 @@ def test_incomplete_beta_basics():
 
 
 # --- Pearson matrix -----------------------------------------------------------
+
+def _binomial_tail(a: int, b: int, x: float) -> float:
+    """I_x(a, b) for integers a, b >= 1: the chance of at least a successes
+    in a + b - 1 trials of probability x, summed in exact rationals."""
+    trials, p = a + b - 1, Fraction(x)
+    return float(sum(math.comb(trials, j) * p ** j * (1 - p) ** (trials - j)
+                     for j in range(a, trials + 1)))
+
+
+@pytest.mark.parametrize("a", [1, 2, 3, 5, 8, 13, 21, 30])
+@pytest.mark.parametrize("b", [1, 2, 3, 5, 8, 13, 21, 30])
+def test_incomplete_beta_matches_binomial_sum(a, b):
+    # x on both sides of (a + 1) / (a + b + 2), where the continued fraction
+    # switches to the I_x(a, b) = 1 - I_(1-x)(b, a) form
+    pivot = (a + 1.0) / (a + b + 2.0)
+    for x in (0.01 * pivot, 0.5 * pivot, 0.97 * pivot, pivot,
+              pivot + 0.03 * (1.0 - pivot), pivot + 0.5 * (1.0 - pivot), 1.0 - 0.01 * (1.0 - pivot)):
+        assert regularized_incomplete_beta(a, b, x) == pytest.approx(_binomial_tail(a, b, x), abs=1e-12)
+
 
 def test_pearson_self_and_antilinear():
     table = _table([

@@ -1,0 +1,103 @@
+"""Oracles and byte pins on the seeded 200-node geometric graph.
+
+The graph is ``perfbench/gen_inputs.geo_graph(200, 1)``, the benchmark's
+own input generator, loaded read-only from its file. At this size the
+package's sweeps must still agree with the independent oracles, and the
+report bodies of two commands are pinned by sha256 so a refactor that
+changes a byte fails in the test suite, not only in a hand comparison.
+"""
+
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from spatialnet.cli import AnalysisConfig, run
+from spatialnet.io import ingest
+from spatialnet.measures import betweenness, closeness, path_length_and_diameter, straightness
+
+import oracles
+
+GEN_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "gen_inputs.py"
+
+# sha256 of the report that write_bundle writes, with "provenance" removed
+BYTE_PINS = [
+    ("analyze", {"epoch": "2010"}, "measures",
+     "e5f519d09d21cf8874f7c787044181a7d4e54798bcebd963e6f2ff6dadec6642"),
+    ("communities", {"seed": 3}, "communities",
+     "805ae66aa38a1252b64e55e72ec402b42b4f30291863d22117faccf28157172e"),
+]
+
+
+@pytest.fixture(scope="module")
+def geo200(tmp_path_factory):
+    spec = importlib.util.spec_from_file_location("perfbench_gen_inputs", GEN_INPUTS)
+    gen_inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_inputs)
+    paths = gen_inputs.write_inputs(tmp_path_factory.mktemp("geo200"), gen_inputs.geo_graph(200, 1))
+    graph, _ = ingest(paths["nodes.csv"], paths["edges.csv"])
+    return paths, graph
+
+
+def _km(edge):
+    return edge.distance_km
+
+
+@pytest.mark.parametrize("weight", [None, _km], ids=["binary", "km"])
+def test_closeness_and_path_stats_match_oracles(geo200, weight):
+    _, g = geo200
+    mode = "binary" if weight is None else "km"
+    ids, dist = oracles.distances(g, weight)
+    n = len(ids)
+    close = closeness(g, mode)
+    for i, node_id in enumerate(ids):
+        assert close[node_id] == pytest.approx(dist[i].sum() / (n - 1), rel=1e-12)
+    stats = path_length_and_diameter(g, mode)
+    assert stats.average == pytest.approx(dist.sum() / (n * (n - 1)), rel=1e-12)
+    assert stats.diameter == pytest.approx(dist.max(), rel=1e-12)
+
+
+def test_straightness_matches_oracle(geo200):
+    _, g = geo200
+    expected = oracles.oracle_straightness(g)
+    for node_id, value in straightness(g).items():
+        assert value == pytest.approx(expected[node_id], abs=1e-12)
+
+
+def test_binary_betweenness_matches_pair_dependency_oracle(geo200):
+    # sigma(s, t) = (A^d(s,t))_st: a walk of d(s, t) steps from s to t is a
+    # shortest path, so A^L kept on the pairs at distance L gives each count,
+    # and A^(L+1) on the pairs at distance L + 1 is that matrix times A
+    _, g = geo200
+    ids, a = oracles.adjacency_matrix(g)
+    dist = oracles.distance_matrix_by_powers(a)
+    n = len(ids)
+    sigma = np.eye(n)
+    power = np.eye(n)
+    for length in range(1, int(dist.max()) + 1):
+        power = np.where(dist == length, power @ a, 0.0)
+        sigma += power
+    assert sigma.max() < 2.0 ** 53  # every count is exact in float64
+    raw = np.zeros(n)
+    for v in range(n):
+        on_path = dist[:, v, None] + dist[None, v, :] == dist
+        on_path[v, :] = on_path[:, v] = False
+        raw[v] = np.sum(np.where(on_path, np.outer(sigma[:, v], sigma[v, :]) / sigma, 0.0))
+    expected = raw / 2.0 / ((n - 1) * (n - 2) / 2.0)  # ordered pairs, halved
+    got = betweenness(g)
+    for i, node_id in enumerate(ids):
+        assert got[node_id] == pytest.approx(expected[i], abs=1e-12)
+
+
+@pytest.mark.parametrize("command, flags, name, pin", BYTE_PINS,
+                         ids=[command for command, *_ in BYTE_PINS])
+def test_report_bytes_pinned(geo200, command, flags, name, pin):
+    paths, _ = geo200
+    report = dict(run(command, AnalysisConfig(paths["nodes.csv"], paths["edges.csv"], **flags))
+                  .reports[name])
+    del report["provenance"]
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == pin

@@ -207,6 +207,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     ("analyze", ["--models", "S1_road_degree,S1_road_degree"], "S1_road_degree"),
     ("omega", ["--models", "B6_cars,B6_cars"], "B6_cars"),
     ("analyze", ["--seed", "-1"], "seed"),
+    # every ;-separated predictor set names at least one predictor
+    ("regress", ["--models", ""], "names no predictor"),
+    ("regress", ["--models", ";"], "names no predictor"),
+    ("regress", ["--models", " , "], "names no predictor"),
+    ("regress", ["--models", "S6_population;"], "names no predictor"),
+    ("analyze", ["--models", ""], "names no predictor"),
 ])
 def test_cli_rejects_bad_config(tmp_path, capsys, command, flags, message):
     code = main([
@@ -231,6 +237,15 @@ def test_models_without_vars_rejected(tmp_path, capsys, command):
     lines = capsys.readouterr().err.strip().splitlines()
     assert json.loads(lines[-1]) == {"error": "ConfigError", "message": "--models requires --vars"}
     assert len(lines) == 1 and not (tmp_path / "out").exists()
+
+
+def test_empty_models_without_vars_rejected(tmp_path, capsys):
+    code = main(["analyze", "--nodes", str(NODES), "--edges", str(EDGES),
+                 "--models", "", "--out", str(tmp_path / "out")])
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and not (tmp_path / "out").exists()
+    assert json.loads(lines[0])["message"] == "--models '' has a predictor set that names no predictor"
 
 
 def test_config_boundary_values_accepted():
@@ -467,7 +482,8 @@ FLAG_FAULTS = [("--seed", "-1"), ("--seed", "x"), ("--replicates", "0"),
                ("--replicates", "1.5"), ("--swaps-per-edge", "-1"), ("--alpha", "1"),
                ("--alpha", "nan"), ("--alpha", ""), ("--omega-threshold", "1"),
                ("--omega-threshold", "-0.5"), ("--epoch", "1999"),
-               ("--models", "B6_cars,B6_cars"), ("--models", "nosuch")]
+               ("--models", "B6_cars,B6_cars"), ("--models", "nosuch"),
+               ("--models", ";")]
 # what each command needs to run on the sample, kept small for speed; the
 # fault's flag comes after these, so it overrides them
 COMMAND_FLAGS = {"analyze": [], "regress": [], "fit": [], "communities": ["--seed", "1"],
