@@ -34,6 +34,17 @@ after u and ``dist[u] + w <= dist[v] * (1 + TIE_RTOL)`` on final
 distances, so 0.1 + 0.2 and 0.15 + 0.15 km are one length and both
 routes count. The tie is judged once, so counts match in both directions.
 
+An all-sources pass that needs distances only may shrink its own copy of
+the arc lists as it goes: after the Dijkstra from s, ``drop_dominated_arcs``
+removes each arc s-v longer than v's distance from s by more than
+``TIE_RTOL`` times s's largest distance. Such an arc lies on no shortest
+path (the "essential subgraph" of Karger, Koller & Phillips, 1993), and
+the margin, absolute and scaled by the largest distance, outweighs the
+rounding of every float route sum, so later traversals return the same
+floats; the argument is given beside ``TIE_RTOL``. Counted traversals
+never run on pruned lists: their tie rule is relative to ``dist[v]``,
+so it can count an arc that the margin drops.
+
 A SpatialGraph is immutable once built, so concurrent read-only
 traversals are safe. Unreachable targets are reported with an explicit
 ``math.inf`` sentinel, never a large finite number.
@@ -53,6 +64,25 @@ MODES = ("binary", "km", "time")
 # A path costing at most 1 + TIE_RTOL times the shortest weighted cost is a
 # shortest path: far above the rounding of a float sum of edge costs (about
 # 1e-16 relative per edge) and far below one metre in 1000 km.
+#
+# ``drop_dominated_arcs`` uses TIE_RTOL as an absolute margin too: after the
+# Dijkstra from s, an arc s-v with w > dist[v] + TIE_RTOL * ecc_s (ecc_s the
+# largest distance from s) goes from both ends' lists, and no later
+# distance-only Dijkstra changes. Its float result is the fixed point
+# dist[v] = min_u fl(dist[u] + w_uv), and it settles nodes by distance, so
+# the dropped arc matters to a later source t only if fl(dist_t[s] + w) <=
+# dist_t[v]. A float distance is a float sum of at most n - 1 edges, so it
+# lies within about n * 2**-53 relative of the exact least cost; the exact
+# costs obey d_t(v) <= d_t(s) + d_s(v); and every distance is at most the
+# diameter, which is at most 2 * ecc_s. Together, fl(dist_t[s] + w) -
+# dist_t[v] > margin - 2 * (2n+1) * 2**-53 * diameter >= (TIE_RTOL -
+# 4 * (2n+1) * 2**-53) * ecc_s, which is positive for n below about a
+# million: the arc only ever offers a longer route, so no distance and no
+# settle order can change.
+# The margin is absolute on purpose: a margin relative to dist[v] falls
+# below the rounding of a long route's sum when a 0.001 km edge sits beside
+# 1000 km routes. Counted passes are never pruned, because their tie rule
+# is relative to dist[v] and can admit an arc that this margin drops.
 TIE_RTOL = 1e-9
 
 
@@ -314,6 +344,25 @@ def traverse(g: SpatialGraph, source: int, arcs=None, count: bool = False):
     if arcs is None:
         return _bfs(g.adj_index, source)
     return _dijkstra(arcs, source, count)
+
+
+def drop_dominated_arcs(arcs: list, source: int, dist, far: float) -> None:
+    """Remove from both ends' lists each arc source-v of ``arcs`` (per-node
+    lists of ``(neighbour, cost)``) whose cost exceeds ``dist[v]`` by more
+    than ``TIE_RTOL * far``. ``dist`` is the distance-only Dijkstra from
+    ``source`` over ``arcs`` and ``far`` its largest entry. Later
+    distance-only traversals over the pruned lists return the same floats
+    (see ``TIE_RTOL``); counted ones may not, so they must not use them.
+    """
+    margin = TIE_RTOL * far
+    kept = []
+    for arc in arcs[source]:
+        v, w = arc
+        if w > dist[v] + margin:
+            arcs[v].remove((source, w))
+        else:
+            kept.append(arc)
+    arcs[source] = kept
 
 
 def hop_distances(g: SpatialGraph) -> tuple[list[int], int]:

@@ -33,6 +33,19 @@ gives the same floats. Weighted path costs within ``graph.TIE_RTOL`` of
 the shortest count as ties, and graphs with non-finite weights cannot be
 built.
 
+The distance-only weighted passes (the report's km and time passes, and
+``closeness`` or ``path_length_and_diameter`` in km or time) prune as
+they go: after the traversal from s, ``graph.drop_dominated_arcs``
+removes each arc s-v that is longer than v's distance from s by more
+than ``TIE_RTOL`` times s's largest distance. No shortest path uses such
+an arc, and that margin exceeds the rounding of any route sum in the
+graph, so every later distance, and so every reported byte, is the same
+as without pruning. Counted passes (``betweenness`` in km or time) keep
+every arc, since their tie rule, relative to the target's distance, can
+still count a pruned arc. Straightness computes each unordered pair's
+haversine once, which is symmetric to the bit, and hands it to the later
+node through a per-node array that is freed once read.
+
 All functions are pure; sums accumulate in node ingestion order via
 ``math.fsum`` so repeated runs are bit-stable.
 """
@@ -40,11 +53,13 @@ All functions are pure; sums accumulate in node ingestion order via
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from operator import truediv
 from typing import Mapping, Optional
 
 from .exceptions import ComputeError, DisconnectedError
-from .graph import SpatialGraph, hop_distances, traverse
+from .graph import SpatialGraph, drop_dominated_arcs, hop_distances, traverse
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -229,6 +244,17 @@ def _sweep(
         sums, hops = hop_distances(g)
         return _SweepResult({node_id: total / (n - 1) for node_id, total in zip(ids, sums)},
                             PathStats(sum(sums) / (n * (n - 1)), float(hops)), None, None)
+    # a distance-only weighted pass drops each arc that no shortest path uses
+    # once a traversal from one of its ends shows it (see graph.TIE_RTOL)
+    prune = arcs is not None and not brandes
+    if prune:
+        arcs = list(map(list, arcs))
+    if straight:
+        # haversine is symmetric to the bit, so each pair is computed once, by
+        # its earlier node: ``before[t]`` gathers t's great-circle lengths to
+        # the sources before it and is freed once t reads it, which holds
+        # about n * n / 4 of them at the peak
+        before = [array("d") for _ in range(n)]
     close: dict[str, float] = {}
     raw = [0.0] * n
     straight_by_node: dict[str, float] = {}
@@ -241,7 +267,10 @@ def _sweep(
         dist_sum = math.fsum(others)
         close[node_id] = dist_sum / (n - 1)
         total += dist_sum
-        diameter = max(diameter, max(others))
+        far = max(others)
+        diameter = max(diameter, far)
+        if prune:
+            drop_dominated_arcs(arcs, s, dist, far)
         if brandes:
             delta = [0.0] * n
             for w in reversed(order):
@@ -253,13 +282,15 @@ def _sweep(
                     raw[w] += delta[w]
         if straight:
             lat, lon, cos_s = geo[s]
-            terms = []
-            for t, (lat_t, lon_t, cos_t) in enumerate(geo):
-                if t != s:
-                    a = (sin(radians(lat_t - lat) / 2.0) ** 2
-                         + cos_s * cos_t * sin(radians(lon_t - lon) / 2.0) ** 2)
-                    terms.append(EARTH_RADIUS_KM * 2.0 * atan2(sqrt(a), sqrt(1.0 - a)) / dist[t])
-            straight_by_node[node_id] = math.fsum(terms) / (n - 1)
+            line = before[s]
+            before[s] = None
+            for (lat_t, lon_t, cos_t), column in zip(geo[s + 1:], before[s + 1:]):
+                a = (sin(radians(lat_t - lat) / 2.0) ** 2
+                     + cos_s * cos_t * sin(radians(lon_t - lon) / 2.0) ** 2)
+                h = EARTH_RADIUS_KM * 2.0 * atan2(sqrt(a), sqrt(1.0 - a))
+                line.append(h)
+                column.append(h)
+            straight_by_node[node_id] = math.fsum(map(truediv, line, others)) / (n - 1)
     between = None
     if brandes:
         pairs = (n - 1) * (n - 2) / 2.0

@@ -2,19 +2,22 @@
 
 The graph is ``perfbench/gen_inputs.geo_graph(200, 1)``, the benchmark's
 own input generator, loaded read-only from its file. At this size the
-package's sweeps must still agree with the independent oracles, and the
-report bodies of two commands are pinned by sha256 so a refactor that
-changes a byte fails in the test suite, not only in a hand comparison.
+package's sweeps and its random swap chain must still agree with the
+independent oracles, and the report bodies of two commands are pinned by
+sha256 so a refactor that changes a byte fails in the test suite, not
+only in a hand comparison.
 """
 
 import hashlib
 import importlib.util
 import json
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spatialnet import null_models
 from spatialnet.cli import AnalysisConfig, run
 from spatialnet.io import ingest
 from spatialnet.measures import betweenness, closeness, path_length_and_diameter, straightness
@@ -42,20 +45,25 @@ def geo200(tmp_path_factory):
     return paths, graph
 
 
-def _km(edge):
-    return edge.distance_km
+# cost mode -> (epoch, edge weight for the oracle); the time pass drops
+# the most arcs as it goes
+WEIGHTS = {
+    "binary": (None, None),
+    "km": (None, lambda edge: edge.distance_km),
+    "time": ("2010", lambda edge: edge.time_min["2010"]),
+}
 
 
-@pytest.mark.parametrize("weight", [None, _km], ids=["binary", "km"])
-def test_closeness_and_path_stats_match_oracles(geo200, weight):
+@pytest.mark.parametrize("mode", list(WEIGHTS))
+def test_closeness_and_path_stats_match_oracles(geo200, mode):
     _, g = geo200
-    mode = "binary" if weight is None else "km"
+    epoch, weight = WEIGHTS[mode]
     ids, dist = oracles.distances(g, weight)
     n = len(ids)
-    close = closeness(g, mode)
+    close = closeness(g, mode, epoch)
     for i, node_id in enumerate(ids):
         assert close[node_id] == pytest.approx(dist[i].sum() / (n - 1), rel=1e-12)
-    stats = path_length_and_diameter(g, mode)
+    stats = path_length_and_diameter(g, mode, epoch)
     assert stats.average == pytest.approx(dist.sum() / (n * (n - 1)), rel=1e-12)
     assert stats.diameter == pytest.approx(dist.max(), rel=1e-12)
 
@@ -90,6 +98,17 @@ def test_binary_betweenness_matches_pair_dependency_oracle(geo200):
     got = betweenness(g)
     for i, node_id in enumerate(ids):
         assert got[node_id] == pytest.approx(expected[i], abs=1e-12)
+
+
+def test_random_replicate_matches_the_plain_chain(geo200):
+    # one swap per edge from seed 1: the same edges, counts and draws as the
+    # plain randrange loop with a union-find per swap
+    _, g = geo200
+    rng, plain = random.Random(1), random.Random(1)
+    rewirer, accepted, attempts, _ = null_models._randomize_replicate(g, rng, 1)
+    expected = oracles.random_chain(g, plain, 1, null_models.MAX_ATTEMPT_FACTOR)
+    assert (rewirer.ends, accepted, attempts) == expected
+    assert rng.getstate() == plain.getstate()
 
 
 @pytest.mark.parametrize("command, flags, name, pin", BYTE_PINS,

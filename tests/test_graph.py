@@ -15,6 +15,7 @@ from spatialnet.graph import (
     SelfLoopError,
     UnknownEpochError,
     UnknownNodeError,
+    drop_dominated_arcs,
     traverse,
 )
 
@@ -168,6 +169,24 @@ def test_distance_only_dijkstra_keeps_smaller_float_tie():
     dist = traverse(g, ids.index("s"), g.costs("km"))[0]
     assert dist[ids.index("t")] == 0.3
     assert traverse(g, ids.index("t"), g.costs("km"))[0][ids.index("s")] == 0.3
+
+
+@pytest.mark.parametrize("direct, kept", [(3.0, True), (3.5, False)])
+def test_drop_dominated_arcs_on_a_triangle(direct, kept):
+    # a-b-c costs 1 + 2 = 3 exactly: a direct a-c arc of equal cost stays,
+    # a longer one leaves both ends' lists and the other arcs stay
+    g = fixtures.graph_from_edges(
+        [("a", "b"), ("b", "c"), ("a", "c")],
+        km={("a", "b"): 1.0, ("b", "c"): 2.0, ("a", "c"): direct},
+    )
+    a, b, c = (g.index[x] for x in "abc")
+    arcs = list(map(list, g.costs("km")))
+    dist = traverse(g, a, arcs)[0]
+    drop_dominated_arcs(arcs, a, dist, max(dist))
+    expected = [[(b, 1.0), (c, direct)], [(a, 1.0), (c, 2.0)], [(b, 2.0), (a, direct)]]
+    if not kept:
+        expected = [[(b, 1.0)], [(a, 1.0), (c, 2.0)], [(b, 2.0)]]
+    assert arcs == expected
 
 
 def test_unreachable_distance_is_inf_sentinel():

@@ -1,12 +1,15 @@
 import math
+import random
 
 import pytest
 
 from spatialnet import EdgeRecord, NodeRecord, build_graph, graph, shortest_paths
 from spatialnet.exceptions import DisconnectedError
+from spatialnet.graph import TIE_RTOL, drop_dominated_arcs, traverse
 from spatialnet.measures import (
     IsolatedNodeError,
     MissingCoordinatesError,
+    PathStats,
     TooFewNodesError,
     avg_nearest_neighbor,
     betweenness,
@@ -298,6 +301,109 @@ def test_measure_report_sweeps_each_mode_once(monkeypatch):
     assert len(traversals) == 3 * g.n
     assert [call for call in traversals if call[1]] == [("_bfs", True)] * g.n
     assert sorted(tables) == ["binary", "km", "time"]
+
+
+# --- arc pruning in distance-only weighted passes ------------------------------
+
+MARGIN_FACTORS = {"above": 1.001, "below": 0.999}  # excess over the pruning margin
+
+
+def _adversarial_graph(seed=5, n=40):
+    """A connected graph whose km and time weights are drawn across 1e-3 to
+    1e3, with a float near-tie square and, hung off node c00, two-edge
+    detours beside direct arcs whose excess over the detour is just above
+    and just below c00's pruning margin in either mode."""
+    rng = random.Random(seed)
+
+    def weight():
+        return 10.0 ** rng.uniform(-3.0, 3.0)
+
+    cloud = [f"c{i:02d}" for i in range(n)]
+    pairs = {(cloud[rng.randrange(i)], cloud[i]) for i in range(1, n)}
+    while len(pairs) < 2 * n:
+        u, v = rng.sample(cloud, 2)
+        if (v, u) not in pairs:
+            pairs.add((u, v))
+    edges = [EdgeRecord(u, v, weight(), {"2010": weight()}) for u, v in sorted(pairs)]
+    # qs-qa-qt costs 0.1 + 0.2 = 0.30000000000000004, qs-qb-qt costs 0.3 and
+    # the direct qs-qt arc 0.30000000000000004, one ulp above it
+    square = [("qs", "qa", 0.1), ("qa", "qt", 0.2), ("qs", "qb", 0.15), ("qb", "qt", 0.15),
+              ("qs", "qt", 0.1 + 0.2), ("c07", "qs", weight())]
+    edges += [EdgeRecord(u, v, w, {"2010": w}) for u, v, w in square]
+    nodes = [NodeRecord(node_id) for node_id in cloud + ["qs", "qa", "qb", "qt"]]
+    base = build_graph(nodes, edges)
+    # each detour is as long as c00's largest distance, which it stays
+    far = {}
+    for mode, epoch in (("km", None), ("time", "2010")):
+        far[mode] = max(traverse(base, 0, base.costs(mode, epoch))[0])
+    half = {mode: far[mode] / 2.0 for mode in far}
+    for name, factor in MARGIN_FACTORS.items():
+        nodes += [NodeRecord(f"x_{name}"), NodeRecord(f"q_{name}")]
+        direct = {mode: far[mode] + factor * TIE_RTOL * far[mode] for mode in far}
+        edges += [EdgeRecord("c00", f"x_{name}", half["km"], {"2010": half["time"]}),
+                  EdgeRecord(f"x_{name}", f"q_{name}", half["km"], {"2010": half["time"]}),
+                  EdgeRecord("c00", f"q_{name}", direct["km"], {"2010": direct["time"]})]
+    return build_graph(nodes, edges)
+
+
+def _unpruned_sweep(g, mode, epoch):
+    """Closeness and path stats read off Dijkstra rows over every arc."""
+    arcs = g.costs(mode, epoch)
+    n = g.n
+    close, total, diameter = {}, 0.0, 0.0
+    for s, node_id in enumerate(g.node_ids):
+        dist = traverse(g, s, arcs)[0]
+        others = dist[:s] + dist[s + 1:]
+        close[node_id] = math.fsum(others) / (n - 1)
+        total += math.fsum(others)
+        diameter = max(diameter, max(others))
+    return close, PathStats(total / (n * (n - 1)), diameter)
+
+
+def _unpruned_betweenness(g, mode):
+    """Brandes dependencies over counted Dijkstra rows on every arc."""
+    arcs = g.costs(mode)
+    n = g.n
+    raw = [0.0] * n
+    for s in range(n):
+        _, sigma, preds, order = traverse(g, s, arcs, True)
+        delta = [0.0] * n
+        for w in reversed(order):
+            for v in preds[w]:
+                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+            if w != s:
+                raw[w] += delta[w]
+    pairs = (n - 1) * (n - 2) / 2.0
+    return {node_id: value / 2.0 / pairs for node_id, value in zip(g.node_ids, raw)}
+
+
+def test_adversarial_graph_prunes_the_arc_above_the_margin_only():
+    g = _adversarial_graph()
+    for mode, epoch in (("km", None), ("time", "2010")):
+        arcs = list(map(list, g.costs(mode, epoch)))
+        dist = traverse(g, 0, arcs)[0]
+        drop_dominated_arcs(arcs, 0, dist, max(dist))
+        left = {g.node_ids[v] for v, _ in arcs[0]}
+        assert "q_below" in left and "q_above" not in left
+        assert [v for v, _ in arcs[g.index["q_above"]]] == [g.index["x_above"]]
+
+
+@pytest.mark.parametrize("mode, epoch", [("km", None), ("time", "2010")])
+def test_pruned_distance_passes_equal_unpruned_rows(mode, epoch):
+    g = _adversarial_graph()
+    close, stats = _unpruned_sweep(g, mode, epoch)
+    assert closeness(g, mode, epoch) == close
+    assert path_length_and_diameter(g, mode, epoch) == stats
+
+
+def test_counted_km_pass_keeps_the_arcs_that_pruning_drops():
+    g = _adversarial_graph()
+    # from c00's farthest node the direct c00-q_above arc is a float tie, so
+    # a counted pass must still see it
+    dist = traverse(g, 0, g.costs("km"))[0]
+    far = g.node_ids[max(range(g.n), key=dist.__getitem__)]
+    assert sorted(shortest_paths(g, far, "km").preds["q_above"]) == ["c00", "x_above"]
+    assert betweenness(g, "km") == _unpruned_betweenness(g, "km")
 
 
 def test_scale_covariance_of_km_measures():
