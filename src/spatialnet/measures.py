@@ -22,10 +22,11 @@ Every path-based measure is read off one all-sources pass per cost mode
 request Brandes betweenness accumulation and straightness in the same
 loop. ``measure_report`` runs that pass once for binary, once for km,
 and once for time when an epoch is given: 3n traversals, over one arc
-table per cost mode. Every BFS counts shortest paths, which the
-report's binary pass needs for betweenness; a weighted traversal counts
-them only for ``betweenness`` in km or time mode, so the report's km and
-time passes run distance-only. A binary pass that needs distances only
+table per cost mode, with the km pass in a child process (below). Every
+BFS counts shortest paths, which the report's binary pass needs for
+betweenness; a weighted traversal counts them only for ``betweenness``
+in km or time mode, so the report's km and time passes run
+distance-only. A binary pass that needs distances only
 (``closeness``, ``path_length_and_diameter`` and so each null-model
 replicate's path length) runs no per-source traversal at all: it reads
 the integer hop sums and the diameter off ``graph.hop_distances``, which
@@ -46,17 +47,50 @@ still count a pruned arc. Straightness computes each unordered pair's
 haversine once, which is symmetric to the bit, and hands it to the later
 node through a per-node array that is freed once read.
 
+``measure_report`` runs its km pass (straightness, km path length and
+diameter) in a child made with ``os.fork``, while this process runs
+clustering, the binary pass with Brandes and the time pass; the passes
+share nothing. On the benchmark's 400-node graph, on a 2-vCPU Xeon VM,
+the km pass took 0.30 s, the binary pass 0.15 s and the time pass
+0.20 s (best of 5) of a 0.65 s serial report; forked, the report took
+0.41 s against 0.75 s serial (best of 3).
+The child sends its result through a pipe with ``marshal``, which is
+built in and already loaded, and leaves by ``os._exit``. The parent
+reads the pipe to EOF before it reaps the child, raises SweepChildError
+(a ComputeError) if the child failed, and kills and reaps the child if
+it fails first itself. It forks only when ``os.fork`` and
+``os.sched_getaffinity`` exist and the affinity holds at least 2 CPUs,
+no other thread runs, and the report cannot raise on its input: the
+graph is connected, n >= 3, every node has coordinates and every edge
+carries the epoch. Otherwise the passes run here one after another, so
+a failing input raises the same error, with the same message, as it
+always did. There is no option and no size threshold: at n = 39 the
+fork cost did not show (6.3 ms against 7.0 ms in one process).
+
+``multiprocessing`` and ``pickle`` are left out on purpose. A spawn
+pool gained only about 8 %: its child re-imports and recompiles the
+package, and re-runs any unguarded ``__main__``. Importing
+``multiprocessing`` alone cost about 29 ms and 2.5 MiB of peak RSS,
+above the benchmark's 5 % bound on ``peak_rss_mb``, and ``pickle``
+about 4 ms and 0.22 MiB. The child's memory is not part of the parent's
+peak RSS, and counters kept in the parent do not see the child's
+traversals unless the child returns them with its result.
+
 All functions are pure; sums accumulate in node ingestion order via
 ``math.fsum`` so repeated runs are bit-stable.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
+import threading
 from array import array
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from operator import truediv
-from typing import Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from .exceptions import ComputeError, DisconnectedError
 from .graph import SpatialGraph, drop_dominated_arcs, hop_distances, traverse
@@ -74,6 +108,11 @@ class MissingCoordinatesError(ComputeError):
 
 class IsolatedNodeError(ComputeError):
     pass
+
+
+class SweepChildError(ComputeError):
+    """The child process that ran ``measure_report``'s km pass raised, or
+    exited without sending its result."""
 
 
 @dataclass(frozen=True)
@@ -381,16 +420,121 @@ def _neighbor_means(g: SpatialGraph, ds: DegreeStrength) -> NeighborStats:
     )
 
 
+def _fork_allowed(g: SpatialGraph, epoch: Optional[str]) -> bool:
+    """Whether ``measure_report`` runs its km pass in a forked child: the
+    process may use a second CPU, no other Python thread runs (a fork
+    copies only the calling one; the child runs only this module's pure
+    Python, so a native library's idle thread pool is never needed in
+    it), and nothing in the report can raise on ``g`` and ``epoch``, so a
+    failing input still fails serially, with the error it always gave."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1
+            and g.is_connected and g.n >= 3
+            and all(node.has_coordinates for node in g.nodes)
+            and (epoch is None or all(epoch in edge.time_min for edge in g.edges)))
+
+
+def _km_pass(g: SpatialGraph) -> tuple[dict[str, float], float, float]:
+    """The report's km pass, as values that ``marshal`` carries:
+    straightness per node, the km average path length and the diameter."""
+    km = _sweep(g, "straightness", "km", straight=True)
+    return km.straightness, km.path_stats.average, km.path_stats.diameter
+
+
+@contextmanager
+def _forked(task: Callable, *args) -> Iterator[Callable]:
+    """Run ``task(*args)`` in a forked child while the with-block runs, and
+    yield a function that waits for the child and returns the result.
+
+    The child writes ``(True, result)``, or ``(False, "Type: message")``
+    when the task raises an Exception, to a pipe with ``marshal``, and
+    always leaves by ``os._exit``, so none of the parent's cleanup runs in
+    it; an interrupt makes it exit with code 1 and send nothing. The parent
+    reads the pipe to EOF before it reaps the child, so a result larger
+    than the pipe buffer cannot deadlock, and raises SweepChildError when
+    the task raised or the child sent nothing whole. If the block is left
+    before the result is read, the child is killed and reaped. If the
+    fork itself fails, the task runs in this process when its result is
+    asked for.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        pid = None
+    if pid is None:
+        os.close(read_fd)
+        os.close(write_fd)
+        yield lambda: task(*args)
+        return
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = (True, task(*args))
+            except Exception as exc:
+                payload = (False, f"{type(exc).__name__}: {exc}")
+            with open(write_fd, "wb") as pipe:
+                marshal.dump(payload, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    pipe = open(read_fd, "rb")
+    reaped = False
+
+    def result():
+        nonlocal reaped
+        data = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+        if code != 0 or not data:
+            raise SweepChildError(f"the km pass's child process exited with code {code} "
+                                  "and sent no result")
+        ok, value = marshal.loads(data)
+        if not ok:
+            raise SweepChildError(f"the km pass failed in its child process: {value}")
+        return value
+
+    try:
+        yield result
+    finally:
+        pipe.close()
+        if not reaped:
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+
+
 def measure_report(g: SpatialGraph, epoch: Optional[str] = None) -> MeasureReport:
     """Assemble the full per-node and global measure table for one graph
-    snapshot. Requires a connected graph with node coordinates."""
-    clus = clustering(g)
-    # a disconnected graph is reported as failing closeness, the first
-    # measure of the report that needs connectivity
-    binary = _sweep(g, "closeness", "binary", brandes=True)
-    ds = degree_and_strength(g)
-    km = _sweep(g, "straightness", "km", straight=True)
-    nbr = _neighbor_means(g, ds)
+    snapshot. Requires a connected graph with node coordinates.
+
+    When ``_fork_allowed`` holds (a second CPU, one thread, and an input
+    on which nothing here can raise), the km pass (straightness, km path
+    length and diameter) runs in a forked child while this process runs
+    clustering and the binary and time passes, and SweepChildError
+    reports a failed child; the report is the same to the byte.
+    Otherwise every measure runs here, in the order that decides which
+    error a failing graph raises. The child's memory is not in this
+    process's peak RSS, and work counted in this process does not see
+    the child's traversals.
+    """
+    forked = _fork_allowed(g, epoch)
+    with _forked(_km_pass, g) if forked else nullcontext() as km_child:
+        clus = clustering(g)
+        # a disconnected graph is reported as failing closeness, the first
+        # measure of the report that needs connectivity
+        binary = _sweep(g, "closeness", "binary", brandes=True)
+        ds = degree_and_strength(g)
+        km = None if forked else _km_pass(g)
+        nbr = _neighbor_means(g, ds)
+        density_planar = density(g, "planar")
+        time_paths = None if epoch is None else path_length_and_diameter(g, "time", epoch)
+        if forked:
+            km = km_child()
+    straight, avg_path_length_km, diameter_km = km
 
     per_node = {
         node.id: NodeMeasures(
@@ -399,7 +543,7 @@ def measure_report(g: SpatialGraph, epoch: Optional[str] = None) -> MeasureRepor
             closeness=binary.closeness[node.id],
             betweenness=binary.betweenness[node.id],
             clustering=clus.per_node[node.id],
-            straightness=km.straightness[node.id],
+            straightness=straight[node.id],
             avg_neighbor_degree=nbr.degree[node.id],
             avg_neighbor_strength=nbr.strength[node.id],
         )
@@ -411,20 +555,19 @@ def measure_report(g: SpatialGraph, epoch: Optional[str] = None) -> MeasureRepor
         m=g.m,
         average_degree=ds.average_degree,
         average_strength=ds.average_strength,
-        density_planar=density(g, "planar"),
+        density_planar=density_planar,
         density_nonplanar=density(g, "nonplanar"),
         avg_path_length_binary=binary.path_stats.average,
-        avg_path_length_km=km.path_stats.average,
+        avg_path_length_km=avg_path_length_km,
         diameter_binary=binary.path_stats.diameter,
-        diameter_km=km.path_stats.diameter,
+        diameter_km=diameter_km,
         clustering_global=clus.global_coefficient,
         clustering_average=clus.average,
         total_edge_length_km=total_km,
         average_edge_length_km=total_km / g.m if g.m else 0.0,
     )
     time_measures = None
-    if epoch is not None:
-        time_paths = path_length_and_diameter(g, "time", epoch)
+    if time_paths is not None:
         time_measures = TimeMeasures(epoch, time_paths.average, time_paths.diameter)
     return MeasureReport(
         per_node=per_node,

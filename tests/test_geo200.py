@@ -2,10 +2,11 @@
 
 The graph is ``perfbench/gen_inputs.geo_graph(200, 1)``, the benchmark's
 own input generator, loaded read-only from its file. At this size the
-package's sweeps and its random swap chain must still agree with the
-independent oracles, and the report bodies of two commands are pinned by
-sha256 so a refactor that changes a byte fails in the test suite, not
-only in a hand comparison.
+package's sweeps, its random swap chain and its lattice descent must
+still agree with the independent oracles, the measure report must be
+the same whether or not its km pass runs in a forked child, and the
+report bodies of two commands are pinned by sha256 so a refactor that
+changes a byte fails in the test suite, not only in a hand comparison.
 """
 
 import hashlib
@@ -17,10 +18,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spatialnet import null_models
+from spatialnet import measures, null_models
 from spatialnet.cli import AnalysisConfig, run
 from spatialnet.io import ingest
-from spatialnet.measures import betweenness, closeness, path_length_and_diameter, straightness
+from spatialnet.measures import (
+    betweenness,
+    closeness,
+    measure_report,
+    path_length_and_diameter,
+    straightness,
+)
 
 import oracles
 
@@ -111,6 +118,35 @@ def test_random_replicate_matches_the_plain_chain(geo200):
     assert rng.getstate() == plain.getstate()
 
 
+def _improving_swaps(ends, n):
+    """The improving ring-cost swaps of the integer edge list ``ends``, as
+    (e1, e2, a, b, c, d) with e1 < e2, that keep the graph simple and
+    connected: scored with numpy, then checked by union-find one by one,
+    since the pure-Python ``oracles.improving_ring_swaps`` is slow here."""
+    change, simple = oracles.ring_swap_changes(ends, n)
+    for flipped, e1, e2 in np.argwhere((change < 0) & simple).tolist():
+        if e1 < e2:
+            (a, b), (c, d) = ends[e1], ends[e2]
+            if flipped:
+                c, d = d, c
+            rest = [pair for k, pair in enumerate(ends) if k not in (e1, e2)]
+            if oracles.is_connected(range(n), rest + [(a, d), (c, b)]):
+                yield e1, e2, a, b, c, d
+
+
+def test_converged_lattice_replicate_leaves_no_improving_swap(geo200):
+    _, g = geo200
+    ensemble = null_models.latticeize(g, seed=1, replicates=1)
+    assert ensemble.stats.per_replicate[0].converged
+    number = {node_id: i for i, node_id in enumerate(ensemble.node_order)}
+
+    def ends(graph):
+        return [(number[edge.u], number[edge.v]) for edge in graph.edges]
+
+    assert next(_improving_swaps(ends(g), g.n), None) is not None  # the input has some
+    assert list(_improving_swaps(ends(ensemble.replicates[0]), g.n)) == []
+
+
 @pytest.mark.parametrize("command, flags, name, pin", BYTE_PINS,
                          ids=[command for command, *_ in BYTE_PINS])
 def test_report_bytes_pinned(geo200, command, flags, name, pin):
@@ -120,3 +156,12 @@ def test_report_bytes_pinned(geo200, command, flags, name, pin):
     del report["provenance"]
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == pin
+
+
+@pytest.mark.parametrize("epoch", [None, "2010"])
+def test_forked_report_equals_serial_report(geo200, monkeypatch, epoch):
+    _, g = geo200
+    monkeypatch.setattr(measures, "_fork_allowed", lambda g, epoch: False)
+    serial = measure_report(g, epoch)
+    monkeypatch.setattr(measures, "_fork_allowed", lambda g, epoch: True)
+    assert measure_report(g, epoch) == serial

@@ -1,15 +1,24 @@
+import json
+import marshal
 import math
+import os
 import random
+import signal
+import time
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
-from spatialnet import EdgeRecord, NodeRecord, build_graph, graph, shortest_paths
-from spatialnet.exceptions import DisconnectedError
-from spatialnet.graph import TIE_RTOL, drop_dominated_arcs, traverse
+from spatialnet import EdgeRecord, NodeRecord, build_graph, cli, graph, measures, shortest_paths
+from spatialnet.exceptions import ComputeError, DisconnectedError
+from spatialnet.graph import TIE_RTOL, UnknownEpochError, drop_dominated_arcs, traverse
+from spatialnet.io import ingest
 from spatialnet.measures import (
     IsolatedNodeError,
     MissingCoordinatesError,
     PathStats,
+    SweepChildError,
     TooFewNodesError,
     avg_nearest_neighbor,
     betweenness,
@@ -25,6 +34,9 @@ from spatialnet.measures import (
 
 import fixtures
 import oracles
+
+DATA = Path(__file__).resolve().parent / "data"
+SAMPLE, _ = ingest(DATA / "nodes.csv", DATA / "edges.csv")
 
 
 def _disconnected_pair():
@@ -276,12 +288,10 @@ def test_measures_match_oracles_on_small_graphs(seed):
         assert cl[node_id] == pytest.approx(cl_oracle[node_id], abs=1e-9)
 
 
-def test_measure_report_sweeps_each_mode_once(monkeypatch):
-    # binary, km and time: one traversal from each node per mode, not one
-    # per measure; only the binary pass, which feeds betweenness, counts
-    # shortest paths
-    g = fixtures.synthetic_network()
-    traversals = []
+def _count_sweeps(monkeypatch):
+    """Record each traversal in this process as (kernel, counted) and each
+    arc table built as its cost mode."""
+    traversals, tables = [], []
 
     def counting(name, kernel):
         def wrapped(*args):
@@ -292,15 +302,44 @@ def test_measure_report_sweeps_each_mode_once(monkeypatch):
 
     for name in ("_bfs", "_dijkstra"):
         monkeypatch.setattr(graph, name, counting(name, getattr(graph, name)))
-    # and one arc table per cost mode; strength reads the edges themselves
-    tables = []
     costs = graph.SpatialGraph.costs
     monkeypatch.setattr(graph.SpatialGraph, "costs", lambda self, mode, epoch=None:
                         tables.append(mode) or costs(self, mode, epoch))
+    return traversals, tables
+
+
+def test_measure_report_sweeps_each_mode_once(monkeypatch):
+    # binary, km and time: one traversal from each node per mode, not one
+    # per measure; only the binary pass, which feeds betweenness, counts
+    # shortest paths
+    g = fixtures.synthetic_network()
+    monkeypatch.setattr(measures, "_fork_allowed", lambda g, epoch: False)
+    traversals, tables = _count_sweeps(monkeypatch)
+    # and one arc table per cost mode; strength reads the edges themselves
     measure_report(g, epoch="2010")
     assert len(traversals) == 3 * g.n
     assert [call for call in traversals if call[1]] == [("_bfs", True)] * g.n
     assert sorted(tables) == ["binary", "km", "time"]
+
+
+def test_measure_report_forks_the_km_pass(monkeypatch):
+    # the km pass runs in the child: this process makes the counted binary
+    # and the distance-only time traversals, and builds no km arc table
+    g = fixtures.synthetic_network()
+    monkeypatch.setattr(measures, "_fork_allowed", lambda g, epoch: True)
+    traversals, tables = _count_sweeps(monkeypatch)
+    measure_report(g, epoch="2010")
+    assert sorted(traversals) == [("_bfs", True)] * g.n + [("_dijkstra", False)] * g.n
+    assert sorted(tables) == ["binary", "time"]
+
+
+@pytest.mark.parametrize("epoch", [None, "2010"])
+def test_forked_report_equals_serial_report(monkeypatch, epoch):
+    monkeypatch.setattr(measures, "_fork_allowed", lambda g, epoch: False)
+    serial = measure_report(SAMPLE, epoch)
+    monkeypatch.setattr(measures, "_fork_allowed", lambda g, epoch: True)
+    with _leaves_nothing_behind():
+        assert measure_report(SAMPLE, epoch) == serial
 
 
 # --- arc pruning in distance-only weighted passes ------------------------------
@@ -436,3 +475,160 @@ def test_measure_report_includes_time_epoch():
     assert report.time_measures.epoch == "2010"
     slow = measure_report(g, epoch="1988").time_measures
     assert slow.avg_path_length_min > report.time_measures.avg_path_length_min
+
+
+# --- the km pass in a forked child ----------------------------------------------
+
+def _timed_out(signum, frame):
+    raise TimeoutError("a forked task did not finish within 60 s")
+
+
+@contextmanager
+def _leaves_nothing_behind():
+    """Fail unless the block ends within 60 s and leaves no child process
+    (reaped or not) and the same number of open descriptors."""
+    before = len(os.listdir("/proc/self/fd"))
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+def _raise_memory_error(*args):
+    raise MemoryError("no room for the km pass")
+
+
+def _exit_silently(*args):
+    os._exit(0)
+
+
+def _pid_and_divmod(a, b):
+    return os.getpid(), divmod(a, b)
+
+
+def test_forked_task_returns_its_result():
+    with _leaves_nothing_behind():
+        with measures._forked(_pid_and_divmod, 47, 5) as result:
+            pid, quotient = result()
+    assert pid != os.getpid()
+    assert quotient == (9, 2)
+
+
+def test_forked_result_larger_than_the_pipe_buffer_arrives_whole():
+    big = {f"node{i:06d}": i / 7.0 for i in range(50_000)}
+    assert len(marshal.dumps(big)) > 16 * 65536  # about 1 MB
+    with _leaves_nothing_behind():
+        with measures._forked(dict, big) as result:
+            assert result() == big
+
+
+@pytest.mark.parametrize("task, message", [
+    (_raise_memory_error, "failed in its child process: MemoryError: no room for the km pass"),
+    (_exit_silently, "exited with code 0 and sent no result"),
+], ids=["raises", "exits"])
+def test_failing_child_raises_sweep_child_error(task, message):
+    with _leaves_nothing_behind():
+        with pytest.raises(SweepChildError, match=message):
+            with measures._forked(task) as result:
+                result()
+
+
+def test_failed_fork_runs_the_task_in_this_process(monkeypatch):
+    def no_fork():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with _leaves_nothing_behind():
+        with measures._forked(os.getpid) as result:
+            assert result() == os.getpid()
+
+
+def test_parent_failure_kills_and_reaps_the_child():
+    start = time.perf_counter()
+    with _leaves_nothing_behind():
+        with pytest.raises(KeyError):
+            with measures._forked(time.sleep, 600):
+                raise KeyError("parent failed first")
+    assert time.perf_counter() - start < 30
+
+
+@pytest.mark.parametrize("task", [_raise_memory_error, _exit_silently], ids=["raises", "exits"])
+def test_cli_exits_3_when_the_km_child_fails(monkeypatch, tmp_path, capsys, task):
+    monkeypatch.setattr(measures, "_fork_allowed", lambda g, epoch: True)
+    monkeypatch.setattr(measures, "_km_pass", task)
+    out = tmp_path / "out"
+    with _leaves_nothing_behind():
+        code = cli.main(["analyze", "--nodes", str(DATA / "nodes.csv"),
+                         "--edges", str(DATA / "edges.csv"), "--out", str(out)])
+    assert code == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "SweepChildError"
+    assert not out.exists()
+
+
+def _allow_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _sample_less(drop_coords=(), drop_edges=(), keep=None):
+    """The shipped sample, less the coordinates of ``drop_coords``, less
+    the edges numbered in ``drop_edges``, and cut to the nodes in
+    ``keep`` when given."""
+    nodes = [NodeRecord(node.id, node.label) if node.id in drop_coords else node
+             for node in SAMPLE.nodes if keep is None or node.id in keep]
+    ids = {node.id for node in nodes}
+    edges = [edge for k, edge in enumerate(SAMPLE.edges)
+             if k not in drop_edges and edge.u in ids and edge.v in ids]
+    return build_graph(nodes, edges)
+
+
+# the edges at the sample's first node, whose removal isolates it
+ISOLATING = {k for k, edge in enumerate(SAMPLE.edges) if SAMPLE.nodes[0].id in (edge.u, edge.v)}
+UNPLACED = {SAMPLE.nodes[5].id}
+# case -> (graph, epoch, the error the serial report raises)
+PRECONDITION_CASES = {
+    "disconnected": (_sample_less(drop_edges=ISOLATING), "2010", DisconnectedError),
+    "missing coordinates": (_sample_less(drop_coords=UNPLACED), "2010", MissingCoordinatesError),
+    "n = 2": (_sample_less(keep={SAMPLE.edges[0].u, SAMPLE.edges[0].v}), "2010", TooFewNodesError),
+    "unknown epoch": (SAMPLE, "1999", UnknownEpochError),
+    "disconnected, missing coordinates": (
+        _sample_less(drop_edges=ISOLATING, drop_coords=UNPLACED), "2010", DisconnectedError),
+}
+
+
+@pytest.mark.parametrize("case", list(PRECONDITION_CASES))
+def test_failing_graphs_fail_alike_with_and_without_forking(monkeypatch, case):
+    # a graph that fails a precondition is never forked for, so it raises
+    # the serial error whether or not the host allows a fork
+    g, epoch, error = PRECONDITION_CASES[case]
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    raised = []
+    for cpus in (1, 2):
+        _allow_cpus(monkeypatch, cpus)
+        with pytest.raises(ComputeError) as info:
+            measure_report(g, epoch)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+    assert raised[0][0] is error
+    assert forks == []
+
+
+def test_sound_graph_forks_only_when_a_second_cpu_is_allowed(monkeypatch):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    reports = []
+    for cpus in (1, 2):
+        _allow_cpus(monkeypatch, cpus)
+        reports.append(measure_report(SAMPLE, "2010"))
+        assert len(forks) == cpus - 1
+    assert reports[0] == reports[1]
