@@ -58,14 +58,18 @@ The child sends its result through a pipe with ``marshal``, which is
 built in and already loaded, and leaves by ``os._exit``. The parent
 reads the pipe to EOF before it reaps the child, raises SweepChildError
 (a ComputeError) if the child failed, and kills and reaps the child if
-it fails first itself. It forks only when ``os.fork`` and
-``os.sched_getaffinity`` exist and the affinity holds at least 2 CPUs,
-no other thread runs, and the report cannot raise on its input: the
-graph is connected, n >= 3, every node has coordinates and every edge
-carries the epoch. Otherwise the passes run here one after another, so
-a failing input raises the same error, with the same message, as it
-always did. There is no option and no size threshold: at n = 39 the
-fork cost did not show (6.3 ms against 7.0 ms in one process).
+it fails first itself. It forks only when ``_can_fork`` holds and the
+report cannot raise on its input: the graph is connected, n >= 3, every
+node has coordinates and every edge carries the epoch. ``_can_fork`` is
+the process half of that gate, which ``null_models`` shares: ``os.fork``
+and ``os.sched_getaffinity`` exist, the affinity holds at least 2 CPUs,
+and no other Python thread runs, since a fork copies only the calling
+thread. The children run pure Python and elementwise numpy, never BLAS,
+so no native thread pool is needed in them. Otherwise the passes run
+here one after another, so a failing input raises the same error, with
+the same message, as it always did. There is no option and no size
+threshold: at n = 39 the fork cost did not show (6.3 ms against 7.0 ms
+in one process).
 
 ``multiprocessing`` and ``pickle`` are left out on purpose. A spawn
 pool gained only about 8 %: its child re-imports and recompiles the
@@ -111,8 +115,9 @@ class IsolatedNodeError(ComputeError):
 
 
 class SweepChildError(ComputeError):
-    """The child process that ran ``measure_report``'s km pass raised, or
-    exited without sending its result."""
+    """A child process made by ``_forked`` (``measure_report``'s km pass,
+    or the second half of a null-model ensemble) raised, or exited without
+    sending its result."""
 
 
 @dataclass(frozen=True)
@@ -420,16 +425,24 @@ def _neighbor_means(g: SpatialGraph, ds: DegreeStrength) -> NeighborStats:
     )
 
 
-def _fork_allowed(g: SpatialGraph, epoch: Optional[str]) -> bool:
-    """Whether ``measure_report`` runs its km pass in a forked child: the
-    process may use a second CPU, no other Python thread runs (a fork
-    copies only the calling one; the child runs only this module's pure
-    Python, so a native library's idle thread pool is never needed in
-    it), and nothing in the report can raise on ``g`` and ``epoch``, so a
-    failing input still fails serially, with the error it always gave."""
+def _can_fork() -> bool:
+    """Whether this process may run work in a forked child: ``os.fork``
+    and ``os.sched_getaffinity`` exist, the process may use a second CPU,
+    and no other Python thread runs. A fork copies only the calling
+    thread. The children that ``_forked`` makes here run pure Python and
+    elementwise numpy, never BLAS, so a native library's idle thread pool
+    is never needed in them."""
     return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2
-            and threading.active_count() == 1
+            and threading.active_count() == 1)
+
+
+def _fork_allowed(g: SpatialGraph, epoch: Optional[str]) -> bool:
+    """Whether ``measure_report`` runs its km pass in a forked child:
+    ``_can_fork`` holds, and nothing in the report can raise on ``g`` and
+    ``epoch``, so a failing input still fails serially, with the error it
+    always gave."""
+    return (_can_fork()
             and g.is_connected and g.n >= 3
             and all(node.has_coordinates for node in g.nodes)
             and (epoch is None or all(epoch in edge.time_min for edge in g.edges)))
@@ -443,7 +456,7 @@ def _km_pass(g: SpatialGraph) -> tuple[dict[str, float], float, float]:
 
 
 @contextmanager
-def _forked(task: Callable, *args) -> Iterator[Callable]:
+def _forked(task: Callable, *args, label: str = "a forked task") -> Iterator[Callable]:
     """Run ``task(*args)`` in a forked child while the with-block runs, and
     yield a function that waits for the child and returns the result.
 
@@ -452,11 +465,11 @@ def _forked(task: Callable, *args) -> Iterator[Callable]:
     always leaves by ``os._exit``, so none of the parent's cleanup runs in
     it; an interrupt makes it exit with code 1 and send nothing. The parent
     reads the pipe to EOF before it reaps the child, so a result larger
-    than the pipe buffer cannot deadlock, and raises SweepChildError when
-    the task raised or the child sent nothing whole. If the block is left
-    before the result is read, the child is killed and reaped. If the
-    fork itself fails, the task runs in this process when its result is
-    asked for.
+    than the pipe buffer cannot deadlock, and raises SweepChildError, its
+    message naming the work by ``label``, when the task raised or the
+    child sent nothing whole. If the block is left before the result is
+    read, the child is killed and reaped. If the fork itself fails, the
+    task runs in this process when its result is asked for.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -491,11 +504,11 @@ def _forked(task: Callable, *args) -> Iterator[Callable]:
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         reaped = True
         if code != 0 or not data:
-            raise SweepChildError(f"the km pass's child process exited with code {code} "
+            raise SweepChildError(f"the child process of {label} exited with code {code} "
                                   "and sent no result")
         ok, value = marshal.loads(data)
         if not ok:
-            raise SweepChildError(f"the km pass failed in its child process: {value}")
+            raise SweepChildError(f"{label} failed in its child process: {value}")
         return value
 
     try:
@@ -522,7 +535,7 @@ def measure_report(g: SpatialGraph, epoch: Optional[str] = None) -> MeasureRepor
     the child's traversals.
     """
     forked = _fork_allowed(g, epoch)
-    with _forked(_km_pass, g) if forked else nullcontext() as km_child:
+    with _forked(_km_pass, g, label="the km pass") if forked else nullcontext() as km_child:
         clus = clustering(g)
         # a disconnected graph is reported as failing closeness, the first
         # measure of the report that needs connectivity

@@ -1,13 +1,18 @@
-"""Seeded graph and table generators shared by the test modules."""
+"""Seeded graph and table generators, and a check that forked work leaves
+nothing behind, shared by the test modules."""
 
 from __future__ import annotations
 
 import math
+import os
 import random
+import signal
+from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from spatialnet import EdgeRecord, NodeRecord, build_graph
 from spatialnet.empirical import Variable, build_variable_table
@@ -363,3 +368,24 @@ def write_sample_csvs(directory, seed=2024):
             cells = [node_id] + [repr(v.values[row]) for v in table.variables]
             handle.write(",".join(cells) + "\n")
     return nodes_path, edges_path, vars_path
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("a forked task did not finish within 60 s")
+
+
+@contextmanager
+def leaves_nothing_behind():
+    """Fail unless the block ends within 60 s and leaves no child process
+    (reaped or not) and the same number of open descriptors."""
+    before = len(os.listdir("/proc/self/fd"))
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == before

@@ -4,7 +4,8 @@ The graph is ``perfbench/gen_inputs.geo_graph(200, 1)``, the benchmark's
 own input generator, loaded read-only from its file. At this size the
 package's sweeps, its random swap chain and its lattice descent must
 still agree with the independent oracles, the measure report must be
-the same whether or not its km pass runs in a forked child, and the
+the same whether or not its km pass runs in a forked child, both
+ensembles the same whether or not their upper half does, and the
 report bodies of two commands are pinned by sha256 so a refactor that
 changes a byte fails in the test suite, not only in a hand comparison.
 """
@@ -165,3 +166,12 @@ def test_forked_report_equals_serial_report(geo200, monkeypatch, epoch):
     serial = measure_report(g, epoch)
     monkeypatch.setattr(measures, "_fork_allowed", lambda g, epoch: True)
     assert measure_report(g, epoch) == serial
+
+
+def test_forked_ensembles_equal_serial_ensembles(geo200, monkeypatch):
+    _, g = geo200
+    for builder in (null_models.randomize, null_models.latticeize):
+        monkeypatch.setattr(measures, "_can_fork", lambda: False)
+        serial = builder(g, seed=1, replicates=4)
+        monkeypatch.setattr(measures, "_can_fork", lambda: True)
+        assert builder(g, seed=1, replicates=4) == serial

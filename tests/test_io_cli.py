@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixtures
+from spatialnet import measures
 from spatialnet.cli import AnalysisConfig, ConfigError, main, run
 from spatialnet.empirical import VariableScore
 from spatialnet.io import (
@@ -448,7 +449,7 @@ def test_cli_compute_error_exit_3(tmp_path, capsys):
     assert record["error"] == "DisconnectedError"
 
 
-def test_swap_budget_exhausted_exit_3(tmp_path, capsys):
+def _exit_3_on_exhausted_budget(tmp_path, capsys, *flags):
     # a dense graph where acceptable swaps are rare: the random chain runs
     # out of its 100 attempts per target swap while swaps still exist
     g = fixtures.er_gnm(9, 31, seed=1, connected=True)
@@ -457,13 +458,27 @@ def test_swap_budget_exhausted_exit_3(tmp_path, capsys):
     edges = _write(tmp_path / "edges.csv", ("source,target,distance_km\n" + "".join(
         f"{edge.u},{edge.v},1\n" for edge in g.edges)).encode())
     code = main(["omega", "--nodes", str(nodes), "--edges", str(edges), "--seed", "1",
-                 "--swaps-per-edge", "1", "--out", str(tmp_path / "out")])
+                 "--swaps-per-edge", "1", *flags, "--out", str(tmp_path / "out")])
     assert code == 3
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0]) == {"error": "SwapBudgetExhaustedError",
                                     "message": "accepted 30 of 31 swaps within 3100 attempts"}
     assert not (tmp_path / "out").exists()
+
+
+def test_swap_budget_exhausted_exit_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(measures, "_can_fork", lambda: False)
+    _exit_3_on_exhausted_budget(tmp_path, capsys)
+
+
+@pytest.mark.parametrize("flags", [(), ("--replicates", "4")],
+                         ids=["this process fails first", "the child fails first"])
+def test_swap_budget_exhausted_exit_3_forked(tmp_path, capsys, monkeypatch, flags):
+    # replicate 2 fails: among this process's 10 of the default 20, or as
+    # the child's first of 4
+    monkeypatch.setattr(measures, "_can_fork", lambda: True)
+    _exit_3_on_exhausted_budget(tmp_path, capsys, *flags)
 
 
 # --- contract fuzzing ---------------------------------------------------------

@@ -3,9 +3,7 @@ import marshal
 import math
 import os
 import random
-import signal
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -338,7 +336,7 @@ def test_forked_report_equals_serial_report(monkeypatch, epoch):
     monkeypatch.setattr(measures, "_fork_allowed", lambda g, epoch: False)
     serial = measure_report(SAMPLE, epoch)
     monkeypatch.setattr(measures, "_fork_allowed", lambda g, epoch: True)
-    with _leaves_nothing_behind():
+    with fixtures.leaves_nothing_behind():
         assert measure_report(SAMPLE, epoch) == serial
 
 
@@ -479,27 +477,6 @@ def test_measure_report_includes_time_epoch():
 
 # --- the km pass in a forked child ----------------------------------------------
 
-def _timed_out(signum, frame):
-    raise TimeoutError("a forked task did not finish within 60 s")
-
-
-@contextmanager
-def _leaves_nothing_behind():
-    """Fail unless the block ends within 60 s and leaves no child process
-    (reaped or not) and the same number of open descriptors."""
-    before = len(os.listdir("/proc/self/fd"))
-    previous = signal.signal(signal.SIGALRM, _timed_out)
-    signal.alarm(60)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert len(os.listdir("/proc/self/fd")) == before
-
-
 def _raise_memory_error(*args):
     raise MemoryError("no room for the km pass")
 
@@ -513,7 +490,7 @@ def _pid_and_divmod(a, b):
 
 
 def test_forked_task_returns_its_result():
-    with _leaves_nothing_behind():
+    with fixtures.leaves_nothing_behind():
         with measures._forked(_pid_and_divmod, 47, 5) as result:
             pid, quotient = result()
     assert pid != os.getpid()
@@ -523,7 +500,7 @@ def test_forked_task_returns_its_result():
 def test_forked_result_larger_than_the_pipe_buffer_arrives_whole():
     big = {f"node{i:06d}": i / 7.0 for i in range(50_000)}
     assert len(marshal.dumps(big)) > 16 * 65536  # about 1 MB
-    with _leaves_nothing_behind():
+    with fixtures.leaves_nothing_behind():
         with measures._forked(dict, big) as result:
             assert result() == big
 
@@ -533,7 +510,7 @@ def test_forked_result_larger_than_the_pipe_buffer_arrives_whole():
     (_exit_silently, "exited with code 0 and sent no result"),
 ], ids=["raises", "exits"])
 def test_failing_child_raises_sweep_child_error(task, message):
-    with _leaves_nothing_behind():
+    with fixtures.leaves_nothing_behind():
         with pytest.raises(SweepChildError, match=message):
             with measures._forked(task) as result:
                 result()
@@ -544,14 +521,14 @@ def test_failed_fork_runs_the_task_in_this_process(monkeypatch):
         raise BlockingIOError("fork: resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    with _leaves_nothing_behind():
+    with fixtures.leaves_nothing_behind():
         with measures._forked(os.getpid) as result:
             assert result() == os.getpid()
 
 
 def test_parent_failure_kills_and_reaps_the_child():
     start = time.perf_counter()
-    with _leaves_nothing_behind():
+    with fixtures.leaves_nothing_behind():
         with pytest.raises(KeyError):
             with measures._forked(time.sleep, 600):
                 raise KeyError("parent failed first")
@@ -563,7 +540,7 @@ def test_cli_exits_3_when_the_km_child_fails(monkeypatch, tmp_path, capsys, task
     monkeypatch.setattr(measures, "_fork_allowed", lambda g, epoch: True)
     monkeypatch.setattr(measures, "_km_pass", task)
     out = tmp_path / "out"
-    with _leaves_nothing_behind():
+    with fixtures.leaves_nothing_behind():
         code = cli.main(["analyze", "--nodes", str(DATA / "nodes.csv"),
                          "--edges", str(DATA / "edges.csv"), "--out", str(out)])
     assert code == 3

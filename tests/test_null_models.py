@@ -1,15 +1,16 @@
 import hashlib
 import json
+import os
 import random
 from pathlib import Path
 
 import pytest
 
-from spatialnet import null_models
+from spatialnet import measures, null_models
 from spatialnet.exceptions import DisconnectedError
 from spatialnet.graph import build_graph
 from spatialnet.io import ingest
-from spatialnet.measures import clustering
+from spatialnet.measures import SweepChildError, clustering
 from spatialnet.null_models import (
     SwapBudgetExhaustedError,
     latticeize,
@@ -196,3 +197,103 @@ def test_disconnected_input_rejected():
     )
     with pytest.raises(DisconnectedError):
         randomize(g, seed=1)
+
+
+# --- the upper half of an ensemble in a forked child ---------------------------
+
+def _allow_fork(monkeypatch, allowed):
+    monkeypatch.setattr(measures, "_can_fork", lambda: allowed)
+
+
+def _counting_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+@pytest.mark.parametrize("builder", [randomize, latticeize])
+def test_forked_ensembles_equal_serial_ones(monkeypatch, builder):
+    g, _ = ingest(DATA / "nodes.csv", DATA / "edges.csv")
+    forks = _counting_forks(monkeypatch)
+    for seed in (1, 3, 7):
+        for replicates in (1, 2, 3, 5, 20):
+            _allow_fork(monkeypatch, False)
+            serial = builder(g, seed=seed, replicates=replicates)
+            _allow_fork(monkeypatch, True)
+            del forks[:]
+            forked = builder(g, seed=seed, replicates=replicates)
+            assert len(forks) == (replicates > 1)
+            assert ([[(e.u, e.v) for e in r.edges] for r in forked.replicates]
+                    == [[(e.u, e.v) for e in r.edges] for r in serial.replicates])
+            assert forked.stats.per_replicate == serial.stats.per_replicate
+            assert forked.node_order == serial.node_order
+            assert forked == serial
+
+
+# er_gnm(9, 31, seed 1) at one swap per edge from seed 1: replicates 0 and
+# 1 reach their target, replicate 2 runs out of attempts
+EXHAUSTED = "accepted 30 of 31 swaps within 3100 attempts"
+
+
+@pytest.mark.parametrize("replicates", [4, 20], ids=["child fails first", "parent fails first"])
+@pytest.mark.parametrize("allowed", [False, True], ids=["serial", "forked"])
+def test_exhausted_budget_raises_the_serial_error(monkeypatch, replicates, allowed):
+    # with 4 replicates replicate 2 is the child's, with 20 this process's
+    g = fixtures.er_gnm(9, 31, seed=1, connected=True)
+    forks = _counting_forks(monkeypatch)
+    _allow_fork(monkeypatch, allowed)
+    with fixtures.leaves_nothing_behind():
+        with pytest.raises(SwapBudgetExhaustedError) as info:
+            randomize(g, seed=1, swaps_per_edge=1, replicates=replicates)
+    assert str(info.value) == EXHAUSTED
+    assert len(forks) == allowed
+
+
+def test_forked_ensemble_leaves_nothing_behind(monkeypatch):
+    g, _ = ingest(DATA / "nodes.csv", DATA / "edges.csv")
+    _allow_fork(monkeypatch, True)
+    with fixtures.leaves_nothing_behind():
+        ensemble = latticeize(g, seed=1, replicates=4)
+    assert len(ensemble.replicates) == 4
+
+
+def test_failed_fork_builds_the_upper_half_here(monkeypatch):
+    g, _ = ingest(DATA / "nodes.csv", DATA / "edges.csv")
+    _allow_fork(monkeypatch, False)
+    serial = randomize(g, seed=3, replicates=5)
+
+    def no_fork():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _allow_fork(monkeypatch, True)
+    with fixtures.leaves_nothing_behind():
+        assert randomize(g, seed=3, replicates=5) == serial
+
+
+@pytest.mark.parametrize("failing", ["child", "parent"])
+def test_failure_on_one_side_leaves_nothing_behind(monkeypatch, failing):
+    # a measure that raises in one process only: the child's failure is a
+    # SweepChildError naming the ensemble, the parent's is its own error
+    g, _ = ingest(DATA / "nodes.csv", DATA / "edges.csv")
+    parent = os.getpid()
+    measure = null_models.clustering
+
+    def failing_clustering(replicate):
+        if (os.getpid() == parent) == (failing == "parent"):
+            raise MemoryError("no room for the clustering")
+        return measure(replicate)
+
+    monkeypatch.setattr(null_models, "clustering", failing_clustering)
+    _allow_fork(monkeypatch, True)
+    error, message = {
+        "child": (SweepChildError,
+                  "the random ensemble failed in its child process: "
+                  "MemoryError: no room for the clustering"),
+        "parent": (MemoryError, "no room for the clustering"),
+    }[failing]
+    with fixtures.leaves_nothing_behind():
+        with pytest.raises(error) as info:
+            randomize(g, seed=1, replicates=4)
+    assert str(info.value) == message

@@ -104,11 +104,9 @@ def test_measure_report_holds_omega_empirical_inputs():
     assert omega(g, rand, latt, l_emp=own.l_emp, c_emp=own.c_emp) == own
 
 
-def test_all_reads_omega_path_length_off_the_measure_report(tmp_path, monkeypatch):
-    # 40 BFS: 39 for the report's Brandes pass and one for the input's
-    # component count (replicates are assembled connected, without one),
-    # and one hop-kernel call per replicate graph (2 random + 2 lattice);
-    # omega runs no pass of its own
+def _bfs_and_hop_calls(tmp_path, monkeypatch, fork):
+    """BFS and hop-kernel calls made in this process by ``all`` with 2
+    replicates per ensemble, with or without the ensembles' forked child."""
     from pathlib import Path
 
     from spatialnet import graph, measures
@@ -118,10 +116,25 @@ def test_all_reads_omega_path_length_off_the_measure_report(tmp_path, monkeypatc
     bfs_calls = []
     hop_calls = []
     bfs, hops = graph._bfs, measures.hop_distances
+    monkeypatch.setattr(measures, "_can_fork", lambda: fork)
     monkeypatch.setattr(graph, "_bfs", lambda *args: bfs_calls.append(1) or bfs(*args))
     monkeypatch.setattr(measures, "hop_distances",
                         lambda *args: hop_calls.append(1) or hops(*args))
     assert main(["all", "--nodes", str(data / "nodes.csv"), "--edges", str(data / "edges.csv"),
                  "--vars", str(data / "variables.csv"), "--epoch", "2010", "--seed", "1",
                  "--replicates", "2", "--out", str(tmp_path)]) == 0
-    assert (len(bfs_calls), len(hop_calls)) == (40, 4)
+    return len(bfs_calls), len(hop_calls)
+
+
+def test_all_reads_omega_path_length_off_the_measure_report(tmp_path, monkeypatch):
+    # 40 BFS: 39 for the report's Brandes pass and one for the input's
+    # component count (replicates are assembled connected, without one),
+    # and one hop-kernel call per replicate graph (2 random + 2 lattice);
+    # omega runs no pass of its own
+    assert _bfs_and_hop_calls(tmp_path, monkeypatch, fork=False) == (40, 4)
+
+
+def test_forked_ensembles_measure_their_half_in_the_child(tmp_path, monkeypatch):
+    # the same run with each ensemble's second replicate built and measured
+    # in a forked child: this process makes the same BFS and half the hop calls
+    assert _bfs_and_hop_calls(tmp_path, monkeypatch, fork=True) == (40, 2)
