@@ -7,10 +7,12 @@ numbers (a node's position in ``g.nodes``, which is the ingestion
 order), each node's neighbours held as one int bitset. A swap keeps a
 connected graph connected exactly when, after it, a still reaches b
 (then c reaches d through b and a). So a candidate is flipped in once,
-by four XORs, and kept at once if a and b then share a neighbour;
-otherwise one search grows from a and from b, always on the smaller
-side, by ORing the bitsets of its frontier, and stops as soon as the two
-meet; the same XORs undo the flip only if they never do.
+by four XORs, and kept at once if the ORed bitsets of a and d meet those
+of b and c, since a-d and c-b are now edges (64 % of the random chain's
+checks and 95 % of the lattice's on the sample, seed 1); otherwise one
+search grows from a and from b, always on the smaller side, by ORing the
+bitsets of its frontier, and stops as soon as the two meet; the same
+XORs undo the flip only if they never do.
 
 Randomization samples swaps at random and accepts every acceptable one
 until ``swaps_per_edge * m`` are accepted; each edge draw is
@@ -30,13 +32,16 @@ lattice over the ingestion order while keeping the degree sequence
 exact. Each replicate keeps a table of the cost change of every
 unordered edge pair in both orientations of the second edge, in which
 swaps that are not simple never read as improving; a committed swap
-re-scores only the rows of the edges that touch its four nodes. Each
-step takes the swaps of the largest decrease in the replicate's random
-order, then those of the next decrease, and commits the first one that
-keeps the graph connected. The descent stops when no such swap remains —
-then ``converged`` is True and certifies that no single swap can lower
-the cost further — or after ``swaps_per_edge * m`` steps. The ensemble
-records the ring order as ``node_order``.
+re-scores only the rows of the edges that touch its four nodes, found
+from per-node sets of incident edges. The ensemble builds the start
+state (ring costs, penalties and table of the input's edges) once, and
+each replicate descends on a copy of it. Each step takes the swaps of
+the largest decrease in the replicate's random order, then those of the
+next decrease, and commits the first one that keeps the graph connected.
+The descent stops when no such swap remains — then ``converged`` is True
+and certifies that no single swap can lower the cost further — or after
+``swaps_per_edge * m`` steps. The ensemble records the ring order as
+``node_order``.
 
 ``ReplicateStats`` counts, per replicate: ``accepted_swaps``, the swaps
 committed (descent steps for the lattice); ``attempts``, the sampled
@@ -80,10 +85,12 @@ live in ``small_world``.
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -145,14 +152,16 @@ class _Rewirer:
     def swap(self, e1: int, e2: int, a: int, b: int, c: int, d: int) -> bool:
         """Rewire edges e1 = (a, b) and e2 = (c, d) to (a, d) and (c, b)
         if the graph stays connected, and return whether it did; the caller
-        has checked ``simple_after``. The bitsets are flipped once, and back
-        only when a and b then share no neighbour and ``_joined`` fails."""
+        has checked ``simple_after``. The bitsets are flipped once. Since
+        a-d and c-b are then edges, a common bit of ``bits[a] | bits[d]``
+        and ``bits[b] | bits[c]`` is a walk from a to b; only without one
+        does ``_joined`` run, and the flip is undone only when it fails."""
         bits = self.bits
         bits[a] ^= 1 << b | 1 << d
         bits[b] ^= 1 << a | 1 << c
         bits[c] ^= 1 << d | 1 << b
         bits[d] ^= 1 << c | 1 << a
-        if not (bits[a] & bits[b] or self._joined(a, b)):
+        if not ((bits[a] | bits[d]) & (bits[b] | bits[c]) or self._joined(a, b)):
             self._flip(a, b, c, d)
             return False
         self.ends[e1], self.ends[e2] = (a, d), (c, b)
@@ -160,7 +169,11 @@ class _Rewirer:
 
     def _joined(self, a: int, b: int) -> bool:
         """Whether a reaches b: a search from both ends that always grows the
-        smaller frontier by ORing its nodes' bitsets, until the sides meet."""
+        smaller frontier by ORing its nodes' bitsets, until the sides meet.
+        ``swap`` calls it only when no node neighbours both a or d and b
+        or c: on the sample (seed 1, 20 replicates each) for 36 % of the
+        random chain's checks and 5 % of the lattice's, and all but 2 of
+        its 5 089 random-chain searches find a and b joined."""
         bits = self.bits
         near = frontier = 1 << a
         far = other = 1 << b
@@ -268,11 +281,13 @@ def _randomize_replicate(g: SpatialGraph, rng: random.Random, swaps_per_edge: in
     return rewirer, accepted, attempts, True
 
 
-def _latticeize_replicate(g: SpatialGraph, rng: random.Random, swaps_per_edge: int):
-    """Steepest descent on the ring-index cost; returns (rewirer, steps,
-    connectivity checks, converged)."""
+def _latticeize_replicate(g: SpatialGraph, rng: random.Random, swaps_per_edge: int,
+                          start: Optional[_RingDeltas] = None):
+    """Steepest descent on the ring-index cost from a copy of ``start``,
+    the ``_RingDeltas`` of g's edges (built here when not given); returns
+    (rewirer, steps, connectivity checks, converged)."""
     rewirer = _Rewirer(g)
-    deltas = _RingDeltas(rewirer.ends, g.n)
+    deltas = (start or _RingDeltas(rewirer.ends, g.n)).copy()
     steps = 0
     checks = 0
     while steps < swaps_per_edge * g.m:
@@ -302,9 +317,11 @@ class _RingDeltas:
 
     A swap of (a, b), (c, d) changes the ring cost of its two edges and
     the penalties of pairs among a, b, c, d, so ``rewired`` re-scores the
-    rows and columns of the edges that touch those four nodes, O(m) each.
-    A row of edge (x, y) is scored from the row gathers ``penalized[x]``
-    and ``penalized[y]``, read at every edge's two ends.
+    rows and columns of the edges that touch those four nodes, O(m) each,
+    named by ``incident``, the set of edges at each node. A row of edge
+    (x, y) is ``penalized[x]`` read at every edge's (v, u) ends plus
+    ``penalized[y]`` read at its (u, v) ends (``vu`` and ``uv``). An
+    ensemble builds its start state once; each replicate rewires a ``copy``.
     """
 
     def __init__(self, ends: list[tuple[int, int]], n: int):
@@ -312,45 +329,59 @@ class _RingDeltas:
         position = np.arange(n, dtype=np.int32)
         gap = np.abs(position[:, None] - position)
         ring = np.minimum(gap, n - gap)  # ring[i, j]: ring cost of an edge i-j
-        edges = np.array(ends, dtype=np.int32)
-        self.u = edges[:, 0].copy()
-        self.v = edges[:, 1].copy()
-        self.cost = ring[self.u, self.v]
+        u, v = np.array(ends, dtype=np.int32).T
+        self.uv = np.concatenate((u, v))  # every edge's u, then every edge's v
+        self.vu = np.concatenate((v, u))
+        self.cost = ring[u, v]
+        self.incident: list[set[int]] = [set() for _ in range(n)]
+        for e, (x, y) in enumerate(ends):
+            self.incident[x].add(e)
+            self.incident[y].add(e)
         self.penalized = ring
         self.penalized[position, position] += n + 1
-        self.penalized[self.u, self.v] += n + 1
-        self.penalized[self.v, self.u] += n + 1
-        self.table = self._rows(np.arange(len(ends)))
+        self.penalized[u, v] += n + 1
+        self.penalized[v, u] += n + 1
+        self.table = np.ascontiguousarray(self._rows(np.arange(len(ends))))
+
+    def copy(self) -> _RingDeltas:
+        """An independent copy, which a replicate may rewire."""
+        twin = copy.copy(self)
+        for name in ("uv", "vu", "cost", "penalized", "table"):
+            setattr(twin, name, getattr(self, name).copy())
+        twin.incident = [set(edges) for edges in self.incident]
+        return twin
 
     def _rows(self, rows: np.ndarray) -> np.ndarray:
-        """``table[:, rows, :]`` scored from the current edges, in place
-        so that at most one rows-by-m temporary is alive at a time."""
-        u, v = self.u, self.v
-        at_u, at_v = self.penalized[u[rows]], self.penalized[v[rows]]
-        scores = np.empty((2, len(rows), len(u)), dtype=np.int32)
-        scores[0] = at_u[:, v]
-        scores[0] += at_v[:, u]
-        scores[1] = at_u[:, u]
-        scores[1] += at_v[:, v]
-        scores -= self.cost[rows, None]
-        scores -= self.cost
-        return scores
+        """``table[:, rows, :]`` scored from the current edges, as a view
+        of one rows-by-2m block."""
+        penalized, uv, vu, cost = self.penalized, self.uv, self.vu, self.cost
+        # row edge (x, y) against column edge (p, q): P[x, q] + P[y, p] in
+        # the first m columns, P[x, p] + P[y, q] in the last m
+        scores = penalized.take(uv.take(rows), 0).take(vu, 1)
+        scores += penalized.take(vu.take(rows), 0).take(uv, 1)
+        scores = scores.reshape(len(rows), 2, len(cost))
+        scores -= cost
+        scores -= cost.take(rows)[:, None, None]
+        return scores.transpose(1, 0, 2)
 
     def rewired(self, ends: list[tuple[int, int]], e1: int, e2: int) -> None:
         """Re-score after edges e1 = (a, b) and e2 = (c, d) rewired to
         ``ends[e1]`` = (a, d) and ``ends[e2]`` = (c, b)."""
         (a, d), (c, b) = ends[e1], ends[e2]
-        n, u, v, penalized = self.n, self.u, self.v, self.penalized
+        n, m, uv, vu, penalized, incident = (
+            self.n, len(ends), self.uv, self.vu, self.penalized, self.incident)
         for x, y, change in ((a, b, -n - 1), (c, d, -n - 1), (a, d, n + 1), (c, b, n + 1)):
             penalized[x, y] += change
             penalized[y, x] += change
-        u[e1], v[e1], u[e2], v[e2] = a, d, c, b
+        uv[e1], uv[m + e1], uv[e2], uv[m + e2] = a, d, c, b
+        vu[e1], vu[m + e1], vu[e2], vu[m + e2] = d, a, b, c
         for e, x, y in ((e1, a, d), (e2, c, b)):
             gap = abs(x - y)
             self.cost[e] = min(gap, n - gap)
-        touched = np.zeros(n, dtype=bool)
-        touched[[a, b, c, d]] = True
-        rows = np.flatnonzero(touched[u] | touched[v])
+        incident[b] ^= {e1, e2}  # e1 moves from b to d, e2 from d to b
+        incident[d] ^= {e1, e2}
+        touching = incident[a] | incident[b] | incident[c] | incident[d]
+        rows = np.fromiter(touching, np.intp, len(touching))
         scores = self._rows(rows)
         self.table[:, rows, :] = scores
         self.table[:, :, rows] = scores.transpose(0, 2, 1)
@@ -422,7 +453,8 @@ def _build_ensemble(
         raise ComputeError(f"need at least 2 edges to rewire, got m = {g.m}")
     if replicates < 1:
         raise ValueError("replicate count must be >= 1")
-    rewire = _randomize_replicate if kind == "random" else _latticeize_replicate
+    rewire = (_randomize_replicate if kind == "random" else
+              partial(_latticeize_replicate, start=_RingDeltas(_Rewirer(g).ends, g.n)))
 
     # this process takes the lower half, so its first error is the one a
     # serial run raises; a forked child, where allowed, the upper half

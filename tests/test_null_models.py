@@ -188,6 +188,24 @@ def test_lattice_descent_counters_on_sample():
         assert ring_index_cost(replicate, ensemble.node_order) <= before - stats.accepted_swaps
 
 
+@pytest.mark.parametrize("g", [
+    ingest(DATA / "nodes.csv", DATA / "edges.csv")[0],
+    fixtures.ws_graph(160, 4, 0.2, seed=11),
+], ids=["sample", "ws160"])
+def test_lattice_replicates_start_from_the_input_alone(monkeypatch, g):
+    # the ensemble builds one start state and each replicate descends on a
+    # copy: replicate k, built after replicates 0 .. k-1 in this process,
+    # must equal replicate k built from scratch on its own
+    _allow_fork(monkeypatch, False)
+    ensemble = latticeize(g, seed=3, swaps_per_edge=2, replicates=4)
+    for k, (replicate, stats) in enumerate(zip(ensemble.replicates, ensemble.stats.per_replicate)):
+        _, alone, alone_stats = null_models._replicate(
+            g, null_models._latticeize_replicate, 3, 2, k)
+        assert [(e.u, e.v) for e in replicate.edges] == [(e.u, e.v) for e in alone.edges]
+        assert stats == alone_stats
+        assert stats.accepted_swaps > 0
+
+
 def test_disconnected_input_rejected():
     from spatialnet import EdgeRecord, NodeRecord, build_graph
 

@@ -10,7 +10,9 @@ change a node's degree, disconnect the graph, create a repeated pair, or
 (for latticeization) raise the ring-index cost. The flip-once swap must
 accept exactly the swaps that a union–find over the swapped edge set
 finds connected, and leave the edge list and adjacency as the accepted
-swaps made them. The random chain, with its edge draws inlined from
+swaps made them; three swaps on an 8-cycle pin each outcome of that
+check (kept by the four-endpoint test, kept only by the search, rejected
+across a two-edge cut). The random chain, with its edge draws inlined from
 ``getrandbits``, must make the swaps, attempts and RNG draws of a plain
 loop over ``randrange``, on edge counts at and next to powers of two,
 where the rejection draw changes width. The lattice's incremental
@@ -208,6 +210,46 @@ def test_early_exit_swap_check_matches_full_connectivity(g, picks):
             nbrs[u].add(v)
             nbrs[v].add(u)
         assert rewirer.bits == [sum(1 << v for v in vs) for vs in nbrs]
+
+
+# On the 8-cycle 0-1-...-7-0 (edge k is k-(k+1)), each outcome of the swap
+# check, with the second edge read as (c, d):
+SWAP_CHECK_OUTCOMES = [
+    # (0, 1), (4, 3) -> (0, 3), (4, 1): a and b share no neighbour, but d
+    # and b share 2, so the four-endpoint test keeps it
+    pytest.param(3, (4, 3), True, False, id="four endpoints"),
+    # (0, 1), (5, 4) -> (0, 4), (5, 1): no common bit, but the cycle
+    # 0-4-3-2-1-5-6-7-0 joins a and b, which only the search finds
+    pytest.param(4, (5, 4), True, True, id="search keeps it"),
+    # (0, 1), (4, 5) -> (0, 5), (4, 1): the two removed edges cut 1-2-3-4
+    # off 5-6-7-0, and the new edges close each side on itself
+    pytest.param(4, (4, 5), False, True, id="two-edge cut"),
+]
+
+
+@pytest.mark.parametrize("e2, cd, kept, searched", SWAP_CHECK_OUTCOMES)
+def test_swap_check_outcomes_on_a_cycle(e2, cd, kept, searched):
+    g = fixtures.cycle_graph(8)
+    rewirer = _Rewirer(g)
+    assert rewirer.ends == [(k, (k + 1) % 8) for k in range(8)]
+    (a, b), (c, d) = rewirer.ends[0], cd
+    ends = list(rewirer.ends)
+    assert {c, d} == set(ends[e2]) and rewirer.simple_after(a, b, c, d)
+    assert kept == _acceptable_by_oracle(g.node_ids, ends, a, b, c, d)
+    swapped = list(ends)
+    swapped[0], swapped[e2] = (a, d), (c, b)
+    nbrs = [{v for pair in swapped if u in pair for v in pair if v != u} for u in range(8)]
+    assert not nbrs[a] & nbrs[b]  # a shared-neighbour test alone settles none
+    joined = _Rewirer._joined
+    with mock.patch.object(_Rewirer, "_joined", autospec=True, side_effect=joined) as search:
+        assert rewirer.swap(0, e2, a, b, c, d) == kept
+    assert search.called == searched
+    if kept:
+        ends = swapped
+    else:
+        nbrs = [{v for pair in ends if u in pair for v in pair if v != u} for u in range(8)]
+    assert rewirer.ends == ends
+    assert rewirer.bits == [sum(1 << v for v in vs) for vs in nbrs]
 
 
 @SETTINGS
