@@ -154,11 +154,8 @@ class VariableTable:
     def response(self) -> Variable:
         return next(v for v in self.variables if v.is_response)
 
-    def predictors(self, klass: Optional[str] = None) -> tuple[Variable, ...]:
-        return tuple(
-            v for v in self.variables
-            if not v.is_response and (klass is None or v.klass == klass)
-        )
+    def predictors(self) -> tuple[Variable, ...]:
+        return tuple(v for v in self.variables if not v.is_response)
 
     def column(self, name: str) -> Variable:
         for v in self.variables:

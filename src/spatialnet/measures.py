@@ -58,18 +58,17 @@ The child sends its result through a pipe with ``marshal``, which is
 built in and already loaded, and leaves by ``os._exit``. The parent
 reads the pipe to EOF before it reaps the child, raises SweepChildError
 (a ComputeError) if the child failed, and kills and reaps the child if
-it fails first itself. It forks only when ``_can_fork`` holds and the
-report cannot raise on its input: the graph is connected, n >= 3, every
-node has coordinates and every edge carries the epoch. ``_can_fork`` is
-the process half of that gate, which ``null_models`` shares: ``os.fork``
-and ``os.sched_getaffinity`` exist, the affinity holds at least 2 CPUs,
-and no other Python thread runs, since a fork copies only the calling
+it fails first itself. The km pass can fail only on a disconnected graph
+or a node without coordinates, and nothing before it in the serial order
+can fail on a connected graph, so ``measure_report`` checks those two
+first and then forks whenever ``_can_fork`` holds; a failing input
+raises the same error, with the same message, as it always did.
+``_can_fork``, which ``null_models`` shares, holds when ``os.fork`` and
+``os.sched_getaffinity`` exist, the affinity holds at least 2 CPUs, and
+no other Python thread runs, since a fork copies only the calling
 thread. The children run pure Python and elementwise numpy, never BLAS,
-so no native thread pool is needed in them. Otherwise the passes run
-here one after another, so a failing input raises the same error, with
-the same message, as it always did. There is no option and no size
-threshold: at n = 39 the fork cost did not show (6.3 ms against 7.0 ms
-in one process).
+so no native thread pool is needed in them. Otherwise ``_forked`` runs
+the km pass here, last. There is no option and no size threshold.
 
 ``multiprocessing`` and ``pickle`` are left out on purpose. A spawn
 pool gained only about 8 %: its child re-imports and recompiles the
@@ -91,7 +90,7 @@ import math
 import os
 import threading
 from array import array
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import truediv
 from typing import Callable, Iterator, Mapping, Optional
@@ -252,6 +251,12 @@ def _require_connected(g: SpatialGraph, what: str) -> None:
         raise DisconnectedError(f"{what} requires a connected graph; found {g.components} components")
 
 
+def _require_coordinates(g: SpatialGraph) -> None:
+    missing = [node.id for node in g.nodes if not node.has_coordinates]
+    if missing:
+        raise MissingCoordinatesError(f"nodes without coordinates: {missing}")
+
+
 def _sweep(
     g: SpatialGraph,
     what: str,
@@ -270,9 +275,7 @@ def _sweep(
     _require_connected(g, what)
     geo = None
     if straight:
-        missing = [node.id for node in g.nodes if not node.has_coordinates]
-        if missing:
-            raise MissingCoordinatesError(f"nodes without coordinates: {missing}")
+        _require_coordinates(g)
         # haversine_km is inlined below, with each node's cos(lat) computed once
         geo = [(node.lat, node.lon, math.cos(math.radians(node.lat))) for node in g.nodes]
     arcs = g.costs(mode, epoch)
@@ -437,17 +440,6 @@ def _can_fork() -> bool:
             and threading.active_count() == 1)
 
 
-def _fork_allowed(g: SpatialGraph, epoch: Optional[str]) -> bool:
-    """Whether ``measure_report`` runs its km pass in a forked child:
-    ``_can_fork`` holds, and nothing in the report can raise on ``g`` and
-    ``epoch``, so a failing input still fails serially, with the error it
-    always gave."""
-    return (_can_fork()
-            and g.is_connected and g.n >= 3
-            and all(node.has_coordinates for node in g.nodes)
-            and (epoch is None or all(epoch in edge.time_min for edge in g.edges)))
-
-
 def _km_pass(g: SpatialGraph) -> tuple[dict[str, float], float, float]:
     """The report's km pass, as values that ``marshal`` carries:
     straightness per node, the km average path length and the diameter."""
@@ -456,7 +448,8 @@ def _km_pass(g: SpatialGraph) -> tuple[dict[str, float], float, float]:
 
 
 @contextmanager
-def _forked(task: Callable, *args, label: str = "a forked task") -> Iterator[Callable]:
+def _forked(task: Callable, *args, label: str = "a forked task",
+            fork: bool = True) -> Iterator[Callable]:
     """Run ``task(*args)`` in a forked child while the with-block runs, and
     yield a function that waits for the child and returns the result.
 
@@ -468,17 +461,19 @@ def _forked(task: Callable, *args, label: str = "a forked task") -> Iterator[Cal
     than the pipe buffer cannot deadlock, and raises SweepChildError, its
     message naming the work by ``label``, when the task raised or the
     child sent nothing whole. If the block is left before the result is
-    read, the child is killed and reaped. If the fork itself fails, the
-    task runs in this process when its result is asked for.
+    read, the child is killed and reaped. With ``fork`` False, or if the
+    fork itself fails, no child is made and the task runs in this process
+    when its result is asked for, raising what it raises.
     """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        pid = None
+    pid = None
+    if fork:
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
     if pid is None:
-        os.close(read_fd)
-        os.close(write_fd)
         yield lambda: task(*args)
         return
     if pid == 0:
@@ -524,30 +519,28 @@ def measure_report(g: SpatialGraph, epoch: Optional[str] = None) -> MeasureRepor
     """Assemble the full per-node and global measure table for one graph
     snapshot. Requires a connected graph with node coordinates.
 
-    When ``_fork_allowed`` holds (a second CPU, one thread, and an input
-    on which nothing here can raise), the km pass (straightness, km path
-    length and diameter) runs in a forked child while this process runs
-    clustering and the binary and time passes, and SweepChildError
-    reports a failed child; the report is the same to the byte.
-    Otherwise every measure runs here, in the order that decides which
-    error a failing graph raises. The child's memory is not in this
-    process's peak RSS, and work counted in this process does not see
-    the child's traversals.
+    Both are checked first, and then the km pass (straightness, km path
+    length and diameter) cannot fail. It runs in a forked child when
+    ``_can_fork`` holds, while this process runs clustering and the
+    binary and time passes, and SweepChildError reports a failed child;
+    otherwise it runs here, last. A later failure here (n < 3, an edge
+    without ``epoch``) kills and reaps the child, so a failing input
+    raises its serial error, and the report is the same to the byte.
+    The child's memory is not in this process's peak RSS, and work
+    counted in this process does not see the child's traversals.
     """
-    forked = _fork_allowed(g, epoch)
-    with _forked(_km_pass, g, label="the km pass") if forked else nullcontext() as km_child:
+    # a disconnected graph is reported as failing closeness, the first
+    # measure of the report that needs connectivity
+    _require_connected(g, "closeness")
+    _require_coordinates(g)
+    with _forked(_km_pass, g, label="the km pass", fork=_can_fork()) as km_pass:
         clus = clustering(g)
-        # a disconnected graph is reported as failing closeness, the first
-        # measure of the report that needs connectivity
         binary = _sweep(g, "closeness", "binary", brandes=True)
         ds = degree_and_strength(g)
-        km = None if forked else _km_pass(g)
         nbr = _neighbor_means(g, ds)
         density_planar = density(g, "planar")
         time_paths = None if epoch is None else path_length_and_diameter(g, "time", epoch)
-        if forked:
-            km = km_child()
-    straight, avg_path_length_km, diameter_km = km
+        straight, avg_path_length_km, diameter_km = km_pass()
 
     per_node = {
         node.id: NodeMeasures(

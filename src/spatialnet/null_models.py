@@ -70,7 +70,9 @@ child stops at its first SwapBudgetExhaustedError and sends its
 message, which is raised here, with the serial type and message, only
 once the lower half has succeeded. Any other failure of the child raises
 ``measures.SweepChildError``. With R = 1, or when ``measures._can_fork``
-does not hold, every replicate is built here in order. On a 2-vCPU
+does not hold, ``_forked`` runs the upper half here after the lower
+half, through the same code, which assembles each of its graphs once
+more (about 0.1 ms per replicate at n = 39). On a 2-vCPU
 Xeon VM this took the benchmark's ``all`` on the sample (20 + 20
 replicates) from 0.143 to 0.106 s nominal (medians of 10 alternating
 runs). The child's clustering and path-length calls, and its memory,
@@ -88,7 +90,6 @@ from __future__ import annotations
 import copy
 import math
 import random
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
@@ -211,9 +212,6 @@ class _Rewirer:
                         self.ends[e1], self.ends[e2] = (a, b), (c, d)
                         return True
         return False
-
-    def edge_records(self) -> list[EdgeRecord]:
-        return _edge_records(self.g, self.ends)
 
     def graph(self) -> SpatialGraph:
         return _assemble(self.g, self.ends)
@@ -457,25 +455,23 @@ def _build_ensemble(
               partial(_latticeize_replicate, start=_RingDeltas(_Rewirer(g).ends, g.n)))
 
     # this process takes the lower half, so its first error is the one a
-    # serial run raises; a forked child, where allowed, the upper half
-    half = (replicates + 1) // 2 if replicates > 1 and measures._can_fork() else replicates
-    forked = half < replicates
+    # serial run raises; the upper half runs in a forked child where allowed
+    half = (replicates + 1) // 2
     graphs: list[SpatialGraph] = []
     per_replicate: list[ReplicateStats] = []
-    with (measures._forked(_sent_replicates, g, rewire, seed, swaps_per_edge,
-                           range(half, replicates), label=f"the {kind} ensemble")
-          if forked else nullcontext()) as child:
+    with measures._forked(_sent_replicates, g, rewire, seed, swaps_per_edge,
+                          range(half, replicates), label=f"the {kind} ensemble",
+                          fork=half < replicates and measures._can_fork()) as upper_half:
         for index in range(half):
             _, replicate, replicate_stats = _replicate(g, rewire, seed, swaps_per_edge, index)
             graphs.append(replicate)
             per_replicate.append(replicate_stats)
-        if forked:
-            sent, exhausted = child()
-            if exhausted is not None:
-                raise SwapBudgetExhaustedError(exhausted)
-            for ends, *fields in sent:
-                graphs.append(_assemble(g, ends))
-                per_replicate.append(ReplicateStats(*fields))
+        sent, exhausted = upper_half()
+    if exhausted is not None:
+        raise SwapBudgetExhaustedError(exhausted)
+    for ends, *fields in sent:
+        graphs.append(_assemble(g, ends))
+        per_replicate.append(ReplicateStats(*fields))
     stats = EnsembleStats(
         mean_path_length=math.fsum(r.path_length for r in per_replicate) / replicates,
         mean_clustering=math.fsum(r.clustering for r in per_replicate) / replicates,

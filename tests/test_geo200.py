@@ -162,9 +162,9 @@ def test_report_bytes_pinned(geo200, command, flags, name, pin):
 @pytest.mark.parametrize("epoch", [None, "2010"])
 def test_forked_report_equals_serial_report(geo200, monkeypatch, epoch):
     _, g = geo200
-    monkeypatch.setattr(measures, "_fork_allowed", lambda g, epoch: False)
+    monkeypatch.setattr(measures, "_can_fork", lambda: False)
     serial = measure_report(g, epoch)
-    monkeypatch.setattr(measures, "_fork_allowed", lambda g, epoch: True)
+    monkeypatch.setattr(measures, "_can_fork", lambda: True)
     assert measure_report(g, epoch) == serial
 
 

@@ -311,7 +311,7 @@ def test_measure_report_sweeps_each_mode_once(monkeypatch):
     # per measure; only the binary pass, which feeds betweenness, counts
     # shortest paths
     g = fixtures.synthetic_network()
-    monkeypatch.setattr(measures, "_fork_allowed", lambda g, epoch: False)
+    monkeypatch.setattr(measures, "_can_fork", lambda: False)
     traversals, tables = _count_sweeps(monkeypatch)
     # and one arc table per cost mode; strength reads the edges themselves
     measure_report(g, epoch="2010")
@@ -324,7 +324,7 @@ def test_measure_report_forks_the_km_pass(monkeypatch):
     # the km pass runs in the child: this process makes the counted binary
     # and the distance-only time traversals, and builds no km arc table
     g = fixtures.synthetic_network()
-    monkeypatch.setattr(measures, "_fork_allowed", lambda g, epoch: True)
+    monkeypatch.setattr(measures, "_can_fork", lambda: True)
     traversals, tables = _count_sweeps(monkeypatch)
     measure_report(g, epoch="2010")
     assert sorted(traversals) == [("_bfs", True)] * g.n + [("_dijkstra", False)] * g.n
@@ -333,9 +333,9 @@ def test_measure_report_forks_the_km_pass(monkeypatch):
 
 @pytest.mark.parametrize("epoch", [None, "2010"])
 def test_forked_report_equals_serial_report(monkeypatch, epoch):
-    monkeypatch.setattr(measures, "_fork_allowed", lambda g, epoch: False)
+    monkeypatch.setattr(measures, "_can_fork", lambda: False)
     serial = measure_report(SAMPLE, epoch)
-    monkeypatch.setattr(measures, "_fork_allowed", lambda g, epoch: True)
+    monkeypatch.setattr(measures, "_can_fork", lambda: True)
     with fixtures.leaves_nothing_behind():
         assert measure_report(SAMPLE, epoch) == serial
 
@@ -526,6 +526,15 @@ def test_failed_fork_runs_the_task_in_this_process(monkeypatch):
             assert result() == os.getpid()
 
 
+def test_unforked_task_runs_in_this_process_and_opens_nothing():
+    with fixtures.leaves_nothing_behind():
+        before = len(os.listdir("/proc/self/fd"))
+        with measures._forked(_pid_and_divmod, 47, 5, fork=False) as result:
+            opened = len(os.listdir("/proc/self/fd")) - before
+            assert result() == (os.getpid(), (9, 2))
+    assert opened == 0
+
+
 def test_parent_failure_kills_and_reaps_the_child():
     start = time.perf_counter()
     with fixtures.leaves_nothing_behind():
@@ -537,7 +546,7 @@ def test_parent_failure_kills_and_reaps_the_child():
 
 @pytest.mark.parametrize("task", [_raise_memory_error, _exit_silently], ids=["raises", "exits"])
 def test_cli_exits_3_when_the_km_child_fails(monkeypatch, tmp_path, capsys, task):
-    monkeypatch.setattr(measures, "_fork_allowed", lambda g, epoch: True)
+    monkeypatch.setattr(measures, "_can_fork", lambda: True)
     monkeypatch.setattr(measures, "_km_pass", task)
     out = tmp_path / "out"
     with fixtures.leaves_nothing_behind():
@@ -577,26 +586,36 @@ PRECONDITION_CASES = {
     "unknown epoch": (SAMPLE, "1999", UnknownEpochError),
     "disconnected, missing coordinates": (
         _sample_less(drop_edges=ISOLATING, drop_coords=UNPLACED), "2010", DisconnectedError),
+    "missing coordinates, n = 2": (
+        _sample_less(drop_coords={SAMPLE.edges[0].u}, keep={SAMPLE.edges[0].u, SAMPLE.edges[0].v}),
+        "2010", MissingCoordinatesError),
+    "missing coordinates, unknown epoch": (
+        _sample_less(drop_coords=UNPLACED), "1999", MissingCoordinatesError),
+    "n = 1": (_sample_less(keep={SAMPLE.nodes[0].id}), "2010", IsolatedNodeError),
 }
+# the errors that measure_report checks for before it forks the km pass
+CHECKED_BEFORE_THE_FORK = (DisconnectedError, MissingCoordinatesError)
 
 
 @pytest.mark.parametrize("case", list(PRECONDITION_CASES))
 def test_failing_graphs_fail_alike_with_and_without_forking(monkeypatch, case):
-    # a graph that fails a precondition is never forked for, so it raises
-    # the serial error whether or not the host allows a fork
+    # a graph that fails a check made before the fork is never forked for;
+    # one that fails later kills and reaps the km child, so each raises the
+    # serial error whether or not the host allows a fork
     g, epoch, error = PRECONDITION_CASES[case]
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     raised = []
-    for cpus in (1, 2):
-        _allow_cpus(monkeypatch, cpus)
-        with pytest.raises(ComputeError) as info:
-            measure_report(g, epoch)
-        raised.append((type(info.value), str(info.value)))
+    with fixtures.leaves_nothing_behind():
+        for cpus in (1, 2):
+            _allow_cpus(monkeypatch, cpus)
+            with pytest.raises(ComputeError) as info:
+                measure_report(g, epoch)
+            raised.append((type(info.value), str(info.value)))
     assert raised[0] == raised[1]
     assert raised[0][0] is error
-    assert forks == []
+    assert forks == ([] if error in CHECKED_BEFORE_THE_FORK else [1])
 
 
 def test_sound_graph_forks_only_when_a_second_cpu_is_allowed(monkeypatch):

@@ -169,7 +169,7 @@ def test_replicates_assembled_as_build_graph_assembles_them(rewire):
         rewirer, accepted, _, _ = rewire(g, random.Random(5), 2)
         assert accepted > 0
         replicate = rewirer.graph()
-        expected = build_graph(g.nodes, rewirer.edge_records())
+        expected = build_graph(g.nodes, null_models._edge_records(g, rewirer.ends))
         assert replicate.nodes == expected.nodes
         assert replicate.edges == expected.edges
         assert replicate.index == expected.index
