@@ -26,8 +26,9 @@ and ``betweenness`` set it; the km and time passes run distance-only.
 
 Binary closeness, path length and diameter need only each node's sum of
 hop distances and the largest one. ``hop_distances`` computes those for
-all sources at once over Python-int bitsets, in integers, so they are
-exact.
+all sources at once from integer neighbour lists (a graph's
+``adj_index``, or a null-model replicate's), over Python-int bitsets, in
+integers, so they are exact.
 
 Counted Dijkstra puts the arc u-v on a shortest path when v settles
 after u and ``dist[u] + w <= dist[v] * (1 + TIE_RTOL)`` on final
@@ -365,8 +366,9 @@ def drop_dominated_arcs(arcs: list, source: int, dist, far: float) -> None:
     arcs[source] = kept
 
 
-def hop_distances(g: SpatialGraph) -> tuple[list[int], int]:
-    """Hop distances from every node at once, over bitsets.
+def hop_distances(adj) -> tuple[list[int], int]:
+    """Hop distances from every node at once of the graph with neighbour
+    lists ``adj``, over bitsets.
 
     Returns each node's sum of hop distances to all other nodes, and the
     largest hop distance (the diameter). Python ints serve as bitsets:
@@ -377,7 +379,6 @@ def hop_distances(g: SpatialGraph) -> tuple[list[int], int]:
     over h = 0, 1, ... until ``reach[i]`` holds every node. Raises
     DisconnectedError when some node cannot reach every other.
     """
-    adj = g.adj_index
     n = len(adj)
     everyone = (1 << n) - 1
     reach = [1 << i for i in range(n)]
@@ -394,7 +395,7 @@ def hop_distances(g: SpatialGraph) -> tuple[list[int], int]:
                 r |= reach[j]
             if r == reach[i]:
                 raise DisconnectedError(f"hop distances require a connected graph; "
-                                        f"node {g.nodes[i].id!r} reaches {r.bit_count()} of {n}")
+                                        f"node number {i} reaches {r.bit_count()} of {n}")
             grown[i] = r
             if r != everyone:
                 sums[i] += n - r.bit_count()

@@ -27,12 +27,11 @@ BFS counts shortest paths, which the report's binary pass needs for
 betweenness; a weighted traversal counts them only for ``betweenness``
 in km or time mode, so the report's km and time passes run
 distance-only. A binary pass that needs distances only
-(``closeness``, ``path_length_and_diameter`` and so each null-model
-replicate's path length) runs no per-source traversal at all: it reads
-the integer hop sums and the diameter off ``graph.hop_distances``, which
-gives the same floats. Weighted path costs within ``graph.TIE_RTOL`` of
-the shortest count as ties, and graphs with non-finite weights cannot be
-built.
+(``closeness``, ``path_length_and_diameter``) runs no per-source
+traversal at all: it reads the integer hop sums and the diameter off
+``graph.hop_distances``, which gives the same floats. Weighted path
+costs within ``graph.TIE_RTOL`` of the shortest count as ties, and
+graphs with non-finite weights cannot be built.
 
 The distance-only weighted passes (the report's km and time passes, and
 ``closeness`` or ``path_length_and_diameter`` in km or time) prune as
@@ -50,12 +49,10 @@ node through a per-node array that is freed once read.
 ``measure_report`` runs its km pass (straightness, km path length and
 diameter) in a child made with ``os.fork``, while this process runs
 clustering, the binary pass with Brandes and the time pass; the passes
-share nothing. On the benchmark's 400-node graph, on a 2-vCPU Xeon VM,
-the km pass took 0.30 s, the binary pass 0.15 s and the time pass
-0.20 s (best of 5) of a 0.65 s serial report; forked, the report took
-0.41 s against 0.75 s serial (best of 3).
-The child sends its result through a pipe with ``marshal``, which is
-built in and already loaded, and leaves by ``os._exit``. The parent
+share nothing. The km pass is the largest of the three, so the forked
+report takes about as long as the binary and time passes together. The
+child sends its result through a pipe with ``marshal``, which is built
+in and already loaded, and leaves by ``os._exit``. The parent
 reads the pipe to EOF before it reaps the child, raises SweepChildError
 (a ComputeError) if the child failed, and kills and reaps the child if
 it fails first itself. The km pass can fail only on a disconnected graph
@@ -288,7 +285,7 @@ def _sweep(
     if arcs is None and not (brandes or straight):
         # binary distances only: integer hop sums from all sources at once,
         # equal to the per-source float sums below, which are exact too
-        sums, hops = hop_distances(g)
+        sums, hops = hop_distances(g.adj_index)
         return _SweepResult({node_id: total / (n - 1) for node_id, total in zip(ids, sums)},
                             PathStats(sum(sums) / (n * (n - 1)), float(hops)), None, None)
     # a distance-only weighted pass drops each arc that no shortest path uses
@@ -363,26 +360,32 @@ def betweenness(g: SpatialGraph, mode: str = "binary", epoch: Optional[str] = No
     return _sweep(g, "betweenness", mode, epoch, brandes=True).betweenness
 
 
-def clustering(g: SpatialGraph) -> ClusteringResult:
-    """Local clustering per node, the transitivity-style global
-    coefficient, and the network average over all nodes."""
-    per_node: dict[str, float] = {}
-    neighbor_sets = [set(nbrs) for nbrs in g.adj_index]
+def local_clustering(adj) -> tuple[list[float], float]:
+    """Local clustering of each node of the graph with neighbour lists
+    ``adj``, in node order, and the transitivity-style global coefficient."""
+    local: list[float] = []
+    neighbor_sets = [set(nbrs) for nbrs in adj]
     triangles2 = 0.0  # ordered connected-neighbor pairs, summed over nodes
     triplets = 0.0
-    for node, nbrs in zip(g.nodes, g.adj_index):
+    for nbrs in adj:
         k = len(nbrs)
         if k < 2:
-            per_node[node.id] = 0.0
+            local.append(0.0)
             continue
         # each link between two neighbours is seen from both ends
         links = sum(len(neighbor_sets[u].intersection(nbrs)) for u in nbrs) // 2
-        per_node[node.id] = 2.0 * links / (k * (k - 1))
+        local.append(2.0 * links / (k * (k - 1)))
         triangles2 += 2.0 * links
         triplets += k * (k - 1) / 2.0
-    global_c = (triangles2 / 2.0) / triplets if triplets else 0.0
-    average = math.fsum(per_node.values()) / g.n if g.n else 0.0
-    return ClusteringResult(per_node, global_c, average)
+    return local, (triangles2 / 2.0) / triplets if triplets else 0.0
+
+
+def clustering(g: SpatialGraph) -> ClusteringResult:
+    """Local clustering per node, the transitivity-style global
+    coefficient, and the network average over all nodes."""
+    local, global_c = local_clustering(g.adj_index)
+    average = math.fsum(local) / g.n if g.n else 0.0
+    return ClusteringResult(dict(zip(g.node_ids, local)), global_c, average)
 
 
 def path_length_and_diameter(

@@ -49,34 +49,34 @@ swaps for randomization and the connectivity checks for the lattice;
 and ``converged``, True when randomization reached its target or found
 the graph rigid, and when the descent ran out of improving swaps.
 
-Swap weights travel with their source endpoint ((a, d) inherits the
-payload of (a, b)), so replicates remain valid spatial graphs; each is
-assembled on the input's nodes and id index without ``build_graph``'s
-checks or component count. Only its binary topology is meaningful.
+A replicate is measured on neighbour lists built from its rewired
+integer edge list: its binary path length comes from
+``graph.hop_distances`` and its average clustering from
+``measures.local_clustering``, the kernels under
+``path_length_and_diameter`` and ``clustering``. Swap weights travel
+with their source endpoint ((a, d) inherits the payload of (a, b)), so
+replicates remain valid spatial graphs; once both halves of an ensemble
+(below) are done, each is assembled once on the input's nodes and id
+index, without ``build_graph``'s checks or component count. Only its
+binary topology is meaningful.
 
 Each replicate draws its own RNG stream derived from (seed, replicate
 index), so ensembles are reproducible and replicates are independent.
 
 Since replicates share nothing, an ensemble of R > 1 replicates is built
-on two CPUs: this process builds replicates 0 to ceil(R/2) - 1 while a
-child made with ``measures._forked`` builds the rest. For each of its
-replicates the child sends, with ``marshal``, the rewired integer edge
-list, the accepted swaps, the attempts, ``converged``, and the binary
-path length and average clustering; this process rebuilds each graph
-from its edge list as ``_Rewirer.graph`` does, so ``replicates`` and
-``per_replicate`` keep their order. This process takes the lower
-indices so that its first error is the one a serial run raises: the
-child stops at its first SwapBudgetExhaustedError and sends its
-message, which is raised here, with the serial type and message, only
-once the lower half has succeeded. Any other failure of the child raises
-``measures.SweepChildError``. With R = 1, or when ``measures._can_fork``
-does not hold, ``_forked`` runs the upper half here after the lower
-half, through the same code, which assembles each of its graphs once
-more (about 0.1 ms per replicate at n = 39). On a 2-vCPU
-Xeon VM this took the benchmark's ``all`` on the sample (20 + 20
-replicates) from 0.143 to 0.106 s nominal (medians of 10 alternating
-runs). The child's clustering and path-length calls, and its memory,
-are not seen from this process.
+on two CPUs by one function, ``_replicates``: this process runs it on
+replicates 0 to ceil(R/2) - 1 while a child made with
+``measures._forked`` runs it on the rest. For each replicate it returns,
+as values that ``marshal`` carries, the rewired integer edge list and
+the ReplicateStats fields, and it stops at its first
+SwapBudgetExhaustedError and returns that message instead. This process
+takes the lower indices so that its first error is the one a serial run
+raises: the child's message is raised here, with the serial type and
+message, only once the lower half has succeeded. Any other failure of
+the child raises ``measures.SweepChildError``. With R = 1, or when
+``measures._can_fork`` does not hold, ``_forked`` runs the upper half
+here after the lower half. The child's memory is not seen from this
+process.
 
 This is the one module that imports numpy at module level: every command
 that builds ensembles (``omega``, ``all``) also latticeizes. ``cli``
@@ -98,8 +98,8 @@ import numpy as np
 
 from . import measures
 from .exceptions import ComputeError, DisconnectedError
-from .graph import EdgeRecord, SpatialGraph
-from .measures import clustering, path_length_and_diameter
+from .graph import EdgeRecord, SpatialGraph, hop_distances
+from .measures import local_clustering
 from .small_world import DEFAULT_REPLICATES, DEFAULT_SWAPS_PER_EDGE
 
 MAX_ATTEMPT_FACTOR = 100
@@ -140,7 +140,6 @@ class _Rewirer:
     u-v) of one replicate being rewired; edge k keeps ``g.edges[k]``'s weights."""
 
     def __init__(self, g: SpatialGraph):
-        self.g = g
         index = g.index
         self.ends: list[tuple[int, int]] = [(index[e.u], index[e.v]) for e in g.edges]
         self.bits: list[int] = [sum(1 << v for v in nbrs) for nbrs in g.adj_index]
@@ -213,9 +212,6 @@ class _Rewirer:
                         return True
         return False
 
-    def graph(self) -> SpatialGraph:
-        return _assemble(self.g, self.ends)
-
 
 def _edge_records(g: SpatialGraph, ends: Sequence[tuple[int, int]]) -> list[EdgeRecord]:
     """Edge k as ``ends[k]`` with ``g.edges[k]``'s weights."""
@@ -224,15 +220,21 @@ def _edge_records(g: SpatialGraph, ends: Sequence[tuple[int, int]]) -> list[Edge
             for (u, v), e in zip(ends, g.edges)]
 
 
-def _assemble(g: SpatialGraph, ends: Sequence[tuple[int, int]]) -> SpatialGraph:
-    """The replicate with edge list ``ends`` on ``g``'s nodes and index;
-    swaps keep it simple and connected."""
-    adj: list[list[int]] = [[] for _ in g.nodes]
+def _neighbours(n: int, ends: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """Neighbour lists of the graph on n nodes with edge list ``ends``, in
+    edge order, as ``build_graph`` orders them."""
+    adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in ends:
         adj[u].append(v)
         adj[v].append(u)
-    return SpatialGraph(nodes=g.nodes, edges=tuple(_edge_records(g, ends)),
-                        index=g.index, components=1, adj_index=tuple(map(tuple, adj)))
+    return adj
+
+
+def _assemble(g: SpatialGraph, ends: Sequence[tuple[int, int]]) -> SpatialGraph:
+    """The replicate with edge list ``ends`` on ``g``'s nodes and index;
+    swaps keep it simple and connected."""
+    return SpatialGraph(nodes=g.nodes, edges=tuple(_edge_records(g, ends)), index=g.index,
+                        components=1, adj_index=tuple(map(tuple, _neighbours(g.n, ends))))
 
 
 def _randomize_replicate(g: SpatialGraph, rng: random.Random, swaps_per_edge: int):
@@ -280,12 +282,12 @@ def _randomize_replicate(g: SpatialGraph, rng: random.Random, swaps_per_edge: in
 
 
 def _latticeize_replicate(g: SpatialGraph, rng: random.Random, swaps_per_edge: int,
-                          start: Optional[_RingDeltas] = None):
+                          start: _RingDeltas):
     """Steepest descent on the ring-index cost from a copy of ``start``,
-    the ``_RingDeltas`` of g's edges (built here when not given); returns
-    (rewirer, steps, connectivity checks, converged)."""
+    the ``_RingDeltas`` of g's edges; returns (rewirer, steps,
+    connectivity checks, converged)."""
     rewirer = _Rewirer(g)
-    deltas = (start or _RingDeltas(rewirer.ends, g.n)).copy()
+    deltas = start.copy()
     steps = 0
     checks = 0
     while steps < swaps_per_edge * g.m:
@@ -405,37 +407,27 @@ class _RingDeltas:
             level = np.min(flat, initial=0, where=flat > level)
 
 
-def _replicate(g: SpatialGraph, rewire, seed: int, swaps_per_edge: int, index: int):
-    """Replicate ``index``: its rewired edge list, its graph and its stats."""
-    # disjoint per-replicate streams; plain seed ^ index would collide
-    # across adjacent seeds
-    rng = random.Random((seed << 32) ^ index)
-    rewirer, accepted, attempts, converged = rewire(g, rng, swaps_per_edge)
-    replicate = rewirer.graph()
-    return rewirer.ends, replicate, ReplicateStats(
-        path_length=path_length_and_diameter(replicate, "binary").average,
-        clustering=clustering(replicate).average,
-        accepted_swaps=accepted,
-        attempts=attempts,
-        converged=converged,
-    )
-
-
-def _sent_replicates(g: SpatialGraph, rewire, seed: int, swaps_per_edge: int,
-                     indices: range) -> tuple[Optional[list], Optional[str]]:
-    """The forked child's half of an ensemble, as values that ``marshal``
+def _replicates(g: SpatialGraph, rewire, seed: int, swaps_per_edge: int,
+                indices: range) -> tuple[Optional[list], Optional[str]]:
+    """Replicates ``indices`` of an ensemble, as values that ``marshal``
     carries: per replicate its rewired ``ends`` and then its
     ReplicateStats fields in order, and the message of the
     SwapBudgetExhaustedError that stopped them, or None."""
-    sent = []
-    try:
-        for index in indices:
-            ends, _, stats = _replicate(g, rewire, seed, swaps_per_edge, index)
-            sent.append((ends, stats.path_length, stats.clustering,
-                         stats.accepted_swaps, stats.attempts, stats.converged))
-    except SwapBudgetExhaustedError as exc:
-        return None, str(exc)
-    return sent, None
+    n = g.n
+    built = []
+    for index in indices:
+        # disjoint per-replicate streams; plain seed ^ index would collide
+        # across adjacent seeds
+        rng = random.Random((seed << 32) ^ index)
+        try:
+            rewirer, accepted, attempts, converged = rewire(g, rng, swaps_per_edge)
+        except SwapBudgetExhaustedError as exc:
+            return None, str(exc)
+        adj = _neighbours(n, rewirer.ends)
+        sums, _ = hop_distances(adj)
+        built.append((rewirer.ends, sum(sums) / (n * (n - 1)),
+                      math.fsum(local_clustering(adj)[0]) / n, accepted, attempts, converged))
+    return built, None
 
 
 def _build_ensemble(
@@ -457,21 +449,16 @@ def _build_ensemble(
     # this process takes the lower half, so its first error is the one a
     # serial run raises; the upper half runs in a forked child where allowed
     half = (replicates + 1) // 2
-    graphs: list[SpatialGraph] = []
-    per_replicate: list[ReplicateStats] = []
-    with measures._forked(_sent_replicates, g, rewire, seed, swaps_per_edge,
+    with measures._forked(_replicates, g, rewire, seed, swaps_per_edge,
                           range(half, replicates), label=f"the {kind} ensemble",
                           fork=half < replicates and measures._can_fork()) as upper_half:
-        for index in range(half):
-            _, replicate, replicate_stats = _replicate(g, rewire, seed, swaps_per_edge, index)
-            graphs.append(replicate)
-            per_replicate.append(replicate_stats)
-        sent, exhausted = upper_half()
+        built, exhausted = _replicates(g, rewire, seed, swaps_per_edge, range(half))
+        if exhausted is None:
+            upper, exhausted = upper_half()
     if exhausted is not None:
         raise SwapBudgetExhaustedError(exhausted)
-    for ends, *fields in sent:
-        graphs.append(_assemble(g, ends))
-        per_replicate.append(ReplicateStats(*fields))
+    built += upper
+    per_replicate = [ReplicateStats(*fields) for _, *fields in built]
     stats = EnsembleStats(
         mean_path_length=math.fsum(r.path_length for r in per_replicate) / replicates,
         mean_clustering=math.fsum(r.clustering for r in per_replicate) / replicates,
@@ -479,7 +466,7 @@ def _build_ensemble(
     )
     return NullModelEnsemble(
         kind=kind,
-        replicates=tuple(graphs),
+        replicates=tuple(_assemble(g, ends) for ends, *_ in built),
         seed=seed,
         swaps_per_edge=swaps_per_edge,
         stats=stats,

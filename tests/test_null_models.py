@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,10 @@ from spatialnet.graph import build_graph
 from spatialnet.io import ingest
 from spatialnet.measures import SweepChildError, clustering
 from spatialnet.null_models import (
+    ReplicateStats,
     SwapBudgetExhaustedError,
+    _RingDeltas,
+    _Rewirer,
     latticeize,
     randomize,
     ring_index_cost,
@@ -166,9 +170,11 @@ def test_replicates_assembled_as_build_graph_assembles_them(rewire):
     # still be the graph that build_graph makes of their edge records
     sample, _ = ingest(DATA / "nodes.csv", DATA / "edges.csv")
     for g in (sample, fixtures.ws_graph(160, 4, 0.2, seed=11)):
-        rewirer, accepted, _, _ = rewire(g, random.Random(5), 2)
+        start = {} if rewire is null_models._randomize_replicate else {
+            "start": _RingDeltas(_Rewirer(g).ends, g.n)}
+        rewirer, accepted, _, _ = rewire(g, random.Random(5), 2, **start)
         assert accepted > 0
-        replicate = rewirer.graph()
+        replicate = null_models._assemble(g, rewirer.ends)
         expected = build_graph(g.nodes, null_models._edge_records(g, rewirer.ends))
         assert replicate.nodes == expected.nodes
         assert replicate.edges == expected.edges
@@ -199,10 +205,11 @@ def test_lattice_replicates_start_from_the_input_alone(monkeypatch, g):
     _allow_fork(monkeypatch, False)
     ensemble = latticeize(g, seed=3, swaps_per_edge=2, replicates=4)
     for k, (replicate, stats) in enumerate(zip(ensemble.replicates, ensemble.stats.per_replicate)):
-        _, alone, alone_stats = null_models._replicate(
-            g, null_models._latticeize_replicate, 3, 2, k)
-        assert [(e.u, e.v) for e in replicate.edges] == [(e.u, e.v) for e in alone.edges]
-        assert stats == alone_stats
+        fresh = partial(null_models._latticeize_replicate, start=_RingDeltas(_Rewirer(g).ends, g.n))
+        (ends, *fields), = null_models._replicates(g, fresh, 3, 2, range(k, k + 1))[0]
+        assert [(e.u, e.v) for e in replicate.edges] == [
+            (g.node_ids[u], g.node_ids[v]) for u, v in ends]
+        assert stats == ReplicateStats(*fields)
         assert stats.accepted_swaps > 0
 
 
@@ -276,6 +283,22 @@ def test_forked_ensemble_leaves_nothing_behind(monkeypatch):
     assert len(ensemble.replicates) == 4
 
 
+@pytest.mark.parametrize("allowed", [False, True], ids=["serial", "forked"])
+def test_each_replicate_graph_is_assembled_once(monkeypatch, allowed):
+    # both halves send integer edge lists; this process assembles every
+    # replicate graph once, after both halves, whichever built it
+    g, _ = ingest(DATA / "nodes.csv", DATA / "edges.csv")
+    assembled = []
+    assemble = null_models._assemble
+    monkeypatch.setattr(null_models, "_assemble",
+                        lambda *args: assembled.append(1) or assemble(*args))
+    _allow_fork(monkeypatch, allowed)
+    for builder in (randomize, latticeize):
+        del assembled[:]
+        assert len(builder(g, seed=1, replicates=20).replicates) == 20
+        assert len(assembled) == 20
+
+
 def test_failed_fork_builds_the_upper_half_here(monkeypatch):
     g, _ = ingest(DATA / "nodes.csv", DATA / "edges.csv")
     _allow_fork(monkeypatch, False)
@@ -296,14 +319,14 @@ def test_failure_on_one_side_leaves_nothing_behind(monkeypatch, failing):
     # SweepChildError naming the ensemble, the parent's is its own error
     g, _ = ingest(DATA / "nodes.csv", DATA / "edges.csv")
     parent = os.getpid()
-    measure = null_models.clustering
+    measure = null_models.local_clustering
 
-    def failing_clustering(replicate):
+    def failing_clustering(adj):
         if (os.getpid() == parent) == (failing == "parent"):
             raise MemoryError("no room for the clustering")
-        return measure(replicate)
+        return measure(adj)
 
-    monkeypatch.setattr(null_models, "clustering", failing_clustering)
+    monkeypatch.setattr(null_models, "local_clustering", failing_clustering)
     _allow_fork(monkeypatch, True)
     error, message = {
         "child": (SweepChildError,

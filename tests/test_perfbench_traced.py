@@ -93,3 +93,24 @@ def test_traced_omega_runs_the_hooks_in_a_worker_process(tmp_path):
     assert record["errors"] == []
     assert 0 < record["lattice_cost_ratio"] <= 1
     assert record["layers"]["null_models.randomize.attempts"] > 0
+
+
+def test_untraced_worker_probes_the_lattice_cost_ratio(tmp_path):
+    # an untraced run replaces null_models.latticeize by attribute to read
+    # the gated lattice_cost_ratio; a cli that bound latticeize by name
+    # would drop the metric from every untraced run
+    spec = {
+        "inputs": {"nodes": str(DATA / "nodes.csv"), "edges": str(DATA / "edges.csv")},
+        "argv": ["omega", "--nodes", str(DATA / "nodes.csv"), "--edges", str(DATA / "edges.csv"),
+                 "--seed", "1", "--replicates", "1", "--swaps-per-edge", "1",
+                 "--out", str(tmp_path / "out")],
+        "trace": False,
+        "run_id": "untraced-omega",
+    }
+    result = subprocess.run([sys.executable, str(TRACER.parent / "worker.py"), json.dumps(spec)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    record = json.loads(result.stdout.splitlines()[-1])
+    assert record["rc"] == 0
+    assert 0 < record["lattice_cost_ratio"] <= 1
+    assert "layers" not in record

@@ -109,7 +109,7 @@ def _bfs_and_hop_calls(tmp_path, monkeypatch, fork):
     replicates per ensemble, with or without the ensembles' forked child."""
     from pathlib import Path
 
-    from spatialnet import graph, measures
+    from spatialnet import graph, measures, null_models
     from spatialnet.cli import main
 
     data = Path(__file__).parent / "data"
@@ -118,8 +118,9 @@ def _bfs_and_hop_calls(tmp_path, monkeypatch, fork):
     bfs, hops = graph._bfs, measures.hop_distances
     monkeypatch.setattr(measures, "_can_fork", lambda: fork)
     monkeypatch.setattr(graph, "_bfs", lambda *args: bfs_calls.append(1) or bfs(*args))
-    monkeypatch.setattr(measures, "hop_distances",
-                        lambda *args: hop_calls.append(1) or hops(*args))
+    for module in (measures, null_models):
+        monkeypatch.setattr(module, "hop_distances",
+                            lambda *args: hop_calls.append(1) or hops(*args))
     assert main(["all", "--nodes", str(data / "nodes.csv"), "--edges", str(data / "edges.csv"),
                  "--vars", str(data / "variables.csv"), "--epoch", "2010", "--seed", "1",
                  "--replicates", "2", "--out", str(tmp_path)]) == 0
