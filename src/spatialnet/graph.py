@@ -19,10 +19,11 @@ traversal back onto node ids.
 Both kernels return the number of shortest paths (``sigma``) and the
 predecessors on them (``preds``), which only Brandes betweenness reads.
 BFS counts them inline, always; the component count in ``build_graph``
-reads its visit order. Dijkstra runs one heap loop for the distances and
-the settle order; with ``count`` set, one pass over that order then reads
-``sigma`` and ``preds`` off the final distances. Only ``shortest_paths``
-and ``betweenness`` set it; the km and time passes run distance-only.
+reads its visit order. Dijkstra runs one heap loop for the distances,
+which records the settle order only with ``count`` set; one pass over
+that order then reads ``sigma`` and ``preds`` off the final distances.
+Only ``shortest_paths`` and ``betweenness`` set it; the km and time
+passes run distance-only.
 
 Binary closeness, path length and diameter need only each node's sum of
 hop distances and the largest one. ``hop_distances`` computes those for
@@ -434,14 +435,15 @@ def _dijkstra(arcs, source: int, count: bool):
     dist = [math.inf] * n
     dist[source] = 0.0
     heap = [(0.0, source)]
-    order = []
+    order = [] if count else None
     # a node is pushed only when its distance strictly falls, so the
     # one entry whose key equals its distance is the live one
     while heap:
         d, u = heappop(heap)
         if d > dist[u]:
             continue
-        order.append(u)
+        if count:
+            order.append(u)
         for v, w in arcs[u]:
             nd = d + w
             if nd < dist[v]:

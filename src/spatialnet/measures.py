@@ -22,7 +22,8 @@ Every path-based measure is read off one all-sources pass per cost mode
 request Brandes betweenness accumulation and straightness in the same
 loop. ``measure_report`` runs that pass once for binary, once for km,
 and once for time when an epoch is given: 3n traversals, over one arc
-table per cost mode, with the km pass in a child process (below). Every
+table per cost mode and process, with the km pass and part of the time
+pass in a child process (below). Every
 BFS counts shortest paths, which the report's binary pass needs for
 betweenness; a weighted traversal counts them only for ``betweenness``
 in km or time mode, so the report's km and time passes run
@@ -48,33 +49,36 @@ node through a per-node array that is freed once read.
 
 ``measure_report`` runs its km pass (straightness, km path length and
 diameter) in a child made with ``os.fork``, while this process runs
-clustering, the binary pass with Brandes and the time pass; the passes
-share nothing. The km pass is the largest of the three, so the forked
-report takes about as long as the binary and time passes together. The
-child sends its result through a pipe with ``marshal``, which is built
-in and already loaded, and leaves by ``os._exit``. The parent
+clustering and the binary pass with Brandes. Then both share the time
+pass: its sources form ``min(n, 255)`` blocks, one byte each in a pipe
+that both read (``_block_queue``), and each process claims blocks until
+the pipe is empty, over its own pruned copy of the time arc table.
+Pruning holds for any order and subset of sources, so each source's
+``(fsum, max)`` is the same wherever it runs, and this process adds the
+child's to its own and sums them in node order, as the serial pass does.
+The child sends its result through a pipe with ``marshal``, which is
+built in and already loaded, and leaves by ``os._exit``. The parent
 reads the pipe to EOF before it reaps the child, raises SweepChildError
 (a ComputeError) if the child failed, and kills and reaps the child if
 it fails first itself. The km pass can fail only on a disconnected graph
 or a node without coordinates, and nothing before it in the serial order
 can fail on a connected graph, so ``measure_report`` checks those two
-first and then forks whenever ``_can_fork`` holds; a failing input
-raises the same error, with the same message, as it always did.
+first and then forks whenever ``_can_fork`` holds. This process builds
+its time arc table before its first claim, so an edge without the epoch
+fails here, and every failing input raises its serial error.
 ``_can_fork``, which ``null_models`` shares, holds when ``os.fork`` and
 ``os.sched_getaffinity`` exist, the affinity holds at least 2 CPUs, and
 no other Python thread runs, since a fork copies only the calling
 thread. The children run pure Python and elementwise numpy, never BLAS,
-so no native thread pool is needed in them. Otherwise ``_forked`` runs
-the km pass here, last. There is no option and no size threshold.
+so no native thread pool is needed in them. Otherwise this process
+claims every block and ``_forked`` runs the km pass here, last, which
+finds the queue empty. There is no option and no size threshold.
 
-``multiprocessing`` and ``pickle`` are left out on purpose. A spawn
-pool gained only about 8 %: its child re-imports and recompiles the
-package, and re-runs any unguarded ``__main__``. Importing
-``multiprocessing`` alone cost about 29 ms and 2.5 MiB of peak RSS,
-above the benchmark's 5 % bound on ``peak_rss_mb``, and ``pickle``
-about 4 ms and 0.22 MiB. The child's memory is not part of the parent's
-peak RSS, and counters kept in the parent do not see the child's
-traversals unless the child returns them with its result.
+``multiprocessing`` and ``pickle`` are left out on purpose (README,
+"Shortest paths"): a spawn pool re-imports the package, and importing
+``multiprocessing`` alone costs more peak RSS than the benchmark allows.
+The child's memory is not part of the parent's peak RSS, and counters
+kept in the parent do not see the child's traversals.
 
 All functions are pure; sums accumulate in node ingestion order via
 ``math.fsum`` so repeated runs are bit-stable.
@@ -89,8 +93,10 @@ import threading
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from operator import truediv
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .exceptions import ComputeError, DisconnectedError
 from .graph import SpatialGraph, drop_dominated_arcs, hop_distances, traverse
@@ -111,9 +117,9 @@ class IsolatedNodeError(ComputeError):
 
 
 class SweepChildError(ComputeError):
-    """A child process made by ``_forked`` (``measure_report``'s km pass,
-    or the second half of a null-model ensemble) raised, or exited without
-    sending its result."""
+    """A child process made by ``_forked`` (``measure_report``'s km pass
+    and its share of the time pass, or the second half of a null-model
+    ensemble) raised, or exited without sending its result."""
 
 
 @dataclass(frozen=True)
@@ -270,11 +276,8 @@ def _sweep(
     Brandes dependencies in reverse visit order.
     """
     _require_connected(g, what)
-    geo = None
     if straight:
         _require_coordinates(g)
-        # haversine_km is inlined below, with each node's cos(lat) computed once
-        geo = [(node.lat, node.lon, math.cos(math.radians(node.lat))) for node in g.nodes]
     arcs = g.costs(mode, epoch)
     ids = g.node_ids
     n = g.n
@@ -288,31 +291,46 @@ def _sweep(
         sums, hops = hop_distances(g.adj_index)
         return _SweepResult({node_id: total / (n - 1) for node_id, total in zip(ids, sums)},
                             PathStats(sum(sums) / (n * (n - 1)), float(hops)), None, None)
+    rows, raw, straight_by_node = _traversals(g, arcs, range(n), brandes, straight)
+    between = None
+    if brandes:
+        pairs = (n - 1) * (n - 2) / 2.0
+        between = dict.fromkeys(ids, 0.0) if pairs <= 0 else {
+            node_id: value / 2.0 / pairs for node_id, value in zip(ids, raw)
+        }
+    return _SweepResult({node_id: rows[s][0] / (n - 1) for s, node_id in enumerate(ids)},
+                        _path_stats(rows, n), between, straight_by_node if straight else None)
+
+
+def _traversals(g: SpatialGraph, arcs, sources: Iterable[int], brandes: bool = False,
+                straight: bool = False) -> tuple[dict, list[float], dict[str, float]]:
+    """``_sweep``'s per-source loop, from the node numbers in ``sources`` in
+    that order: rows ``{s: (fsum, max) of s's distances to the others}``,
+    Brandes' raw sums by node number, and straightness by node id (which
+    needs every source, in node order)."""
     # a distance-only weighted pass drops each arc that no shortest path uses
     # once a traversal from one of its ends shows it (see graph.TIE_RTOL)
     prune = arcs is not None and not brandes
     if prune:
         arcs = list(map(list, arcs))
+    n = g.n
     if straight:
+        # haversine_km is inlined below, with each node's cos(lat) computed once
+        geo = [(node.lat, node.lon, math.cos(math.radians(node.lat))) for node in g.nodes]
         # haversine is symmetric to the bit, so each pair is computed once, by
         # its earlier node: ``before[t]`` gathers t's great-circle lengths to
         # the sources before it and is freed once t reads it, which holds
         # about n * n / 4 of them at the peak
         before = [array("d") for _ in range(n)]
-    close: dict[str, float] = {}
+    rows: dict[int, tuple[float, float]] = {}
     raw = [0.0] * n
     straight_by_node: dict[str, float] = {}
     sin, radians, sqrt, atan2 = math.sin, math.radians, math.sqrt, math.atan2
-    total = 0.0
-    diameter = 0.0
-    for s, node_id in enumerate(ids):
+    for s in sources:
         dist, sigma, preds, order = traverse(g, s, arcs, brandes)
         others = dist[:s] + dist[s + 1:]
-        dist_sum = math.fsum(others)
-        close[node_id] = dist_sum / (n - 1)
-        total += dist_sum
         far = max(others)
-        diameter = max(diameter, far)
+        rows[s] = math.fsum(others), far
         if prune:
             drop_dominated_arcs(arcs, s, dist, far)
         if brandes:
@@ -334,15 +352,18 @@ def _sweep(
                 h = EARTH_RADIUS_KM * 2.0 * atan2(sqrt(a), sqrt(1.0 - a))
                 line.append(h)
                 column.append(h)
-            straight_by_node[node_id] = math.fsum(map(truediv, line, others)) / (n - 1)
-    between = None
-    if brandes:
-        pairs = (n - 1) * (n - 2) / 2.0
-        between = dict.fromkeys(ids, 0.0) if pairs <= 0 else {
-            node_id: value / 2.0 / pairs for node_id, value in zip(ids, raw)
-        }
-    return _SweepResult(close, PathStats(total / (n * (n - 1)), diameter), between,
-                        straight_by_node if straight else None)
+            straight_by_node[g.nodes[s].id] = math.fsum(map(truediv, line, others)) / (n - 1)
+    return rows, raw, straight_by_node
+
+
+def _path_stats(rows: Mapping[int, tuple[float, float]], n: int) -> PathStats:
+    """Path stats from every source's row, summed with ``+=`` in node order."""
+    total = diameter = 0.0
+    for s in range(n):
+        dist_sum, far = rows[s]
+        total += dist_sum
+        diameter = max(diameter, far)
+    return PathStats(total / (n * (n - 1)), diameter)
 
 
 def closeness(g: SpatialGraph, mode: str = "binary", epoch: Optional[str] = None) -> dict[str, float]:
@@ -443,11 +464,43 @@ def _can_fork() -> bool:
             and threading.active_count() == 1)
 
 
-def _km_pass(g: SpatialGraph) -> tuple[dict[str, float], float, float]:
-    """The report's km pass, as values that ``marshal`` carries:
-    straightness per node, the km average path length and the diameter."""
+@contextmanager
+def _block_queue(n: int) -> Iterator[int]:
+    """The read end of a pipe holding the numbers of the time pass's
+    ``min(n, 255)`` blocks of sources, one byte each, in order. They fit in
+    ``PIPE_BUF`` and the write end is closed before this yields, so no write
+    blocks, ``os.read(fd, 1)`` claims one block and an empty queue reads as
+    EOF. Closed when the with-block ends."""
+    read_fd, write_fd = os.pipe()
+    try:
+        with open(write_fd, "wb") as tokens:
+            tokens.write(bytes(range(min(n, 255))))
+        yield read_fd
+    finally:
+        os.close(read_fd)
+
+
+def _time_rows(g: SpatialGraph, epoch: str, claims: Iterable[bytes]) -> dict:
+    """The time pass's rows from the sources of the blocks in ``claims``
+    (block b of B covers ``b*n//B`` to ``(b+1)*n//B - 1``), over this
+    process's own copy of the time arc table, built before the first claim."""
+    arcs = g.costs("time", epoch)
+    n = g.n
+    blocks = min(n, 255)
+    sources = (s for token in claims for b in token
+               for s in range(b * n // blocks, (b + 1) * n // blocks))
+    return _traversals(g, arcs, sources)[0]
+
+
+def _km_pass(g: SpatialGraph, epoch: Optional[str], queue: int) -> tuple:
+    """The report's km pass, then the rows of the time blocks that it can
+    still claim from ``queue``, as values that ``marshal`` carries. It
+    builds a time arc table only once it holds a block."""
     km = _sweep(g, "straightness", "km", straight=True)
-    return km.straightness, km.path_stats.average, km.path_stats.diameter
+    claims = iter(partial(os.read, queue, 1), b"")
+    first = next(claims, None)
+    rows = {} if first is None else _time_rows(g, epoch, chain([first], claims))
+    return km.straightness, km.path_stats.average, km.path_stats.diameter, rows
 
 
 @contextmanager
@@ -520,30 +573,24 @@ def _forked(task: Callable, *args, label: str = "a forked task",
 
 def measure_report(g: SpatialGraph, epoch: Optional[str] = None) -> MeasureReport:
     """Assemble the full per-node and global measure table for one graph
-    snapshot. Requires a connected graph with node coordinates.
-
-    Both are checked first, and then the km pass (straightness, km path
-    length and diameter) cannot fail. It runs in a forked child when
-    ``_can_fork`` holds, while this process runs clustering and the
-    binary and time passes, and SweepChildError reports a failed child;
-    otherwise it runs here, last. A later failure here (n < 3, an edge
-    without ``epoch``) kills and reaps the child, so a failing input
-    raises its serial error, and the report is the same to the byte.
-    The child's memory is not in this process's peak RSS, and work
-    counted in this process does not see the child's traversals.
-    """
+    snapshot. Requires a connected graph with node coordinates, checked
+    first. The km pass runs in a forked child when ``_can_fork`` holds, and
+    both processes share the time pass's blocks (see the module
+    docstring); a failing input raises its serial error, and the report is
+    the same to the byte either way."""
     # a disconnected graph is reported as failing closeness, the first
     # measure of the report that needs connectivity
     _require_connected(g, "closeness")
     _require_coordinates(g)
-    with _forked(_km_pass, g, label="the km pass", fork=_can_fork()) as km_pass:
+    with (_block_queue(0 if epoch is None else g.n) as queue,
+          _forked(_km_pass, g, epoch, queue, label="the km pass", fork=_can_fork()) as km_pass):
         clus = clustering(g)
         binary = _sweep(g, "closeness", "binary", brandes=True)
         ds = degree_and_strength(g)
         nbr = _neighbor_means(g, ds)
         density_planar = density(g, "planar")
-        time_paths = None if epoch is None else path_length_and_diameter(g, "time", epoch)
-        straight, avg_path_length_km, diameter_km = km_pass()
+        time_rows = None if epoch is None else _time_rows(g, epoch, iter(partial(os.read, queue, 1), b""))
+        straight, avg_path_length_km, diameter_km, km_time_rows = km_pass()
 
     per_node = {
         node.id: NodeMeasures(
@@ -576,7 +623,8 @@ def measure_report(g: SpatialGraph, epoch: Optional[str] = None) -> MeasureRepor
         average_edge_length_km=total_km / g.m if g.m else 0.0,
     )
     time_measures = None
-    if time_paths is not None:
+    if time_rows is not None:
+        time_paths = _path_stats({**time_rows, **km_time_rows}, g.n)
         time_measures = TimeMeasures(epoch, time_paths.average, time_paths.diameter)
     return MeasureReport(
         per_node=per_node,

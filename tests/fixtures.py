@@ -1,8 +1,10 @@
-"""Seeded graph and table generators, and a check that forked work leaves
-nothing behind, shared by the test modules."""
+"""Seeded graph and table generators, the property tests' Hypothesis
+settings, and a check that forked work leaves nothing behind, shared by
+the test modules."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import os
 import random
@@ -13,10 +15,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from spatialnet import EdgeRecord, NodeRecord, build_graph
 from spatialnet.empirical import Variable, build_variable_table
+from spatialnet.io import ingest
 from spatialnet.measures import haversine_km
+
+GEN_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "gen_inputs.py"
+
+# no shrink phase: a failing example is reported as found, since shrinking
+# one that re-runs a whole kernel per step took minutes to report it
+SETTINGS = settings(max_examples=25, derandomize=True, deadline=None,
+                    phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 
 def graph_from_edges(edge_list, km=None, coords=None):
@@ -34,6 +45,18 @@ def graph_from_edges(edge_list, km=None, coords=None):
         for u, v in edge_list
     ]
     return build_graph(nodes, edges)
+
+
+def geo_inputs(directory, n, seed):
+    """``perfbench/gen_inputs.geo_graph(n, seed)``, the benchmark's own
+    input generator loaded read-only from its file, written to CSVs in
+    ``directory`` and ingested: (paths by file name, graph)."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen_inputs", GEN_INPUTS)
+    gen_inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_inputs)
+    paths = gen_inputs.write_inputs(directory, gen_inputs.geo_graph(n, seed))
+    graph, _ = ingest(paths["nodes.csv"], paths["edges.csv"])
+    return paths, graph
 
 
 def path_graph(labels="abc"):

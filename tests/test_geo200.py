@@ -11,17 +11,14 @@ changes a byte fails in the test suite, not only in a hand comparison.
 """
 
 import hashlib
-import importlib.util
 import json
 import random
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spatialnet import measures, null_models
 from spatialnet.cli import AnalysisConfig, run
-from spatialnet.io import ingest
 from spatialnet.measures import (
     betweenness,
     closeness,
@@ -30,9 +27,8 @@ from spatialnet.measures import (
     straightness,
 )
 
+import fixtures
 import oracles
-
-GEN_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "gen_inputs.py"
 
 # sha256 of the report that write_bundle writes, with "provenance" removed
 BYTE_PINS = [
@@ -45,12 +41,7 @@ BYTE_PINS = [
 
 @pytest.fixture(scope="module")
 def geo200(tmp_path_factory):
-    spec = importlib.util.spec_from_file_location("perfbench_gen_inputs", GEN_INPUTS)
-    gen_inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen_inputs)
-    paths = gen_inputs.write_inputs(tmp_path_factory.mktemp("geo200"), gen_inputs.geo_graph(200, 1))
-    graph, _ = ingest(paths["nodes.csv"], paths["edges.csv"])
-    return paths, graph
+    return fixtures.geo_inputs(tmp_path_factory.mktemp("geo200"), 200, 1)
 
 
 # cost mode -> (epoch, edge weight for the oracle); the time pass drops

@@ -1,12 +1,16 @@
+import functools
 import json
 import marshal
 import math
 import os
 import random
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spatialnet import EdgeRecord, NodeRecord, build_graph, cli, graph, measures, shortest_paths
 from spatialnet.exceptions import ComputeError, DisconnectedError
@@ -320,14 +324,37 @@ def test_measure_report_sweeps_each_mode_once(monkeypatch):
     assert sorted(tables) == ["binary", "km", "time"]
 
 
-def test_measure_report_forks_the_km_pass(monkeypatch):
-    # the km pass runs in the child: this process makes the counted binary
-    # and the distance-only time traversals, and builds no km arc table
+def test_measure_report_forks_the_km_pass(monkeypatch, tmp_path):
+    # the km pass runs in the child and both processes claim the time
+    # pass's blocks: this process makes the counted binary traversals and
+    # builds no km arc table, and the two processes' time traversals,
+    # logged through one O_APPEND descriptor, cover every source once
     g = fixtures.synthetic_network()
+    time_weights = {edge.time_min["2010"] for edge in g.edges}
+    assert not time_weights & {edge.distance_km for edge in g.edges}
     monkeypatch.setattr(measures, "_can_fork", lambda: True)
     traversals, tables = _count_sweeps(monkeypatch)
-    measure_report(g, epoch="2010")
-    assert sorted(traversals) == [("_bfs", True)] * g.n + [("_dijkstra", False)] * g.n
+    dijkstra = graph._dijkstra
+    log = tmp_path / "time sources"
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def logged(arcs, source, count):
+        # pruning keeps every node's arc to its nearest neighbour, so a
+        # source's list is never empty and its weights tell the mode
+        if arcs[source][0][1] in time_weights:
+            os.write(fd, b"%d %d\n" % (os.getpid(), source))
+        return dijkstra(arcs, source, count)
+
+    monkeypatch.setattr(graph, "_dijkstra", logged)
+    try:
+        with fixtures.leaves_nothing_behind():
+            measure_report(g, epoch="2010")
+    finally:
+        os.close(fd)
+    sources = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    assert sorted(source for _, source in sources) == list(range(g.n))
+    here = sum(pid == os.getpid() for pid, _ in sources)
+    assert sorted(traversals) == [("_bfs", True)] * g.n + [("_dijkstra", False)] * here
     assert sorted(tables) == ["binary", "time"]
 
 
@@ -431,6 +458,39 @@ def test_pruned_distance_passes_equal_unpruned_rows(mode, epoch):
     close, stats = _unpruned_sweep(g, mode, epoch)
     assert closeness(g, mode, epoch) == close
     assert path_length_and_diameter(g, mode, epoch) == stats
+
+
+@functools.cache
+def _split_case(name):
+    """A graph for the split time pass, and its unsplit rows."""
+    if name == "geo200":
+        with tempfile.TemporaryDirectory() as directory:
+            g = fixtures.geo_inputs(Path(directory), 200, 1)[1]
+    else:
+        g = _adversarial_graph()
+    return g, measures._traversals(g, g.costs("time", "2010"), range(g.n))[0]
+
+
+@pytest.mark.parametrize("name", ["geo200", "margins"])
+@fixtures.SETTINGS
+@given(data=st.data())
+def test_any_split_of_the_time_pass_gives_the_same_rows(name, data):
+    # the time pass's sources cut into blocks, the blocks dealt to up to
+    # three parts in shuffled order, and each part run on its own arc copy:
+    # every source's (fsum, max) equals the unsplit pass's
+    g, unsplit = _split_case(name)
+    cuts = sorted(data.draw(st.sets(st.integers(1, g.n - 1), max_size=40)))
+    blocks = [range(a, b) for a, b in zip([0] + cuts, cuts + [g.n])]
+    parts = data.draw(st.integers(1, 3))
+    owners = data.draw(st.lists(st.integers(0, parts - 1), min_size=len(blocks),
+                                max_size=len(blocks)))
+    rows = {}
+    for part in range(parts):
+        mine = data.draw(st.permutations([block for block, owner in zip(blocks, owners)
+                                          if owner == part]))
+        sources = (s for block in mine for s in block)
+        rows.update(measures._traversals(g, g.costs("time", "2010"), sources)[0])
+    assert rows == unsplit
 
 
 def test_counted_km_pass_keeps_the_arcs_that_pruning_drops():
@@ -557,6 +617,51 @@ def test_cli_exits_3_when_the_km_child_fails(monkeypatch, tmp_path, capsys, task
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "SweepChildError"
     assert not out.exists()
+
+
+# the sample with one edge that has no 2010 time
+ONE_EDGE_WITHOUT_2010 = build_graph(SAMPLE.nodes, [
+    EdgeRecord(edge.u, edge.v, edge.distance_km, {"1988": edge.time_min["1988"]}) if k == 40
+    else edge for k, edge in enumerate(SAMPLE.edges)])
+
+
+@pytest.mark.parametrize("path", ["forked", "serial", "fork fails", "km child raises",
+                                  "edge without the epoch"])
+def test_report_leaves_no_descriptor_or_child_behind(monkeypatch, path):
+    # a raw os.pipe descriptor left open raises no ResourceWarning, so the
+    # block queue and the result pipe are counted on every way through
+    monkeypatch.setattr(measures, "_can_fork", lambda: False)
+    serial = measure_report(SAMPLE, "2010")
+    g, error = SAMPLE, None
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        if path == "fork fails":
+            raise OSError("fork: resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(measures, "_can_fork", lambda: path != "serial")
+    if path == "km child raises":
+        monkeypatch.setattr(measures, "_km_pass", _raise_memory_error)
+        error = SweepChildError
+    if path == "edge without the epoch":
+        g, error = ONE_EDGE_WITHOUT_2010, UnknownEpochError
+    with fixtures.leaves_nothing_behind():
+        if error is None:
+            assert measure_report(g, "2010") == serial
+        else:
+            with pytest.raises(error) as raised:
+                measure_report(g, "2010")
+    assert len(forks) == (path != "serial")
+    if path == "edge without the epoch":
+        monkeypatch.setattr(measures, "_can_fork", lambda: False)
+        with pytest.raises(UnknownEpochError) as unforked:
+            measure_report(g, "2010")
+        assert str(raised.value) == str(unforked.value)
+        assert f"({SAMPLE.edges[40].u}, {SAMPLE.edges[40].v})" in str(raised.value)
 
 
 def _allow_cpus(monkeypatch, cpus):

@@ -41,7 +41,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spatialnet import null_models, shortest_paths
@@ -54,12 +54,7 @@ from spatialnet.null_models import _RingDeltas, _Rewirer, latticeize, randomize,
 
 import fixtures
 import oracles
-
-# no shrink phase: a failing example is reported as found, since shrinking
-# one that re-runs a whole kernel per step took minutes to report it
-SETTINGS = settings(max_examples=25, derandomize=True, deadline=None,
-                    phases=[Phase.explicit, Phase.reuse, Phase.generate])
-
+from fixtures import SETTINGS
 
 # Tie-prone km weights; times 20 they are the exact integers 2, 3, 4, 6.
 TIE_PRONE_KM = (0.1, 0.15, 0.2, 0.3)
