@@ -22,9 +22,8 @@ Every path-based measure is read off one all-sources pass per cost mode
 request Brandes betweenness accumulation and straightness in the same
 loop. ``measure_report`` runs that pass once for binary, once for km,
 and once for time when an epoch is given: 3n traversals, over one arc
-table per cost mode and process, with the km pass and part of the time
-pass in a child process (below). Every
-BFS counts shortest paths, which the report's binary pass needs for
+table per cost mode and process, shared with a child process (below).
+Every BFS counts shortest paths, which the report's binary pass needs for
 betweenness; a weighted traversal counts them only for ``betweenness``
 in km or time mode, so the report's km and time passes run
 distance-only. A binary pass that needs distances only
@@ -47,32 +46,22 @@ still count a pruned arc. Straightness computes each unordered pair's
 haversine once, which is symmetric to the bit, and hands it to the later
 node through a per-node array that is freed once read.
 
-``measure_report`` runs its km pass (straightness, km path length and
-diameter) in a child made with ``os.fork``, while this process runs
-clustering and the binary pass with Brandes. Then both share the time
-pass: its sources form ``min(n, 255)`` blocks, one byte each in a pipe
-that both read (``_block_queue``), and each process claims blocks until
-the pipe is empty, over its own pruned copy of the time arc table.
-Pruning holds for any order and subset of sources, so each source's
-``(fsum, max)`` is the same wherever it runs, and this process adds the
-child's to its own and sums them in node order, as the serial pass does.
-The child sends its result through a pipe with ``marshal``, which is
-built in and already loaded, and leaves by ``os._exit``. The parent
-reads the pipe to EOF before it reaps the child, raises SweepChildError
-(a ComputeError) if the child failed, and kills and reaps the child if
-it fails first itself. The km pass can fail only on a disconnected graph
-or a node without coordinates, and nothing before it in the serial order
-can fail on a connected graph, so ``measure_report`` checks those two
-first and then forks whenever ``_can_fork`` holds. This process builds
-its time arc table before its first claim, so an edge without the epoch
-fails here, and every failing input raises its serial error.
-``_can_fork``, which ``null_models`` shares, holds when ``os.fork`` and
-``os.sched_getaffinity`` exist, the affinity holds at least 2 CPUs, and
-no other Python thread runs, since a fork copies only the calling
-thread. The children run pure Python and elementwise numpy, never BLAS,
-so no native thread pool is needed in them. Otherwise this process
-claims every block and ``_forked`` runs the km pass here, last, which
-finds the queue empty. There is no option and no size threshold.
+``measure_report`` runs every check and cheap step first, in the serial
+order, so a failing input raises its serial error and never forks. It
+then shares its three passes with a forked child by the rule that the
+null-model ensembles follow too (``_shared``): numbered tasks that both
+processes claim in increasing order from one pipe, with the results
+merged by number. Task 0 is the binary pass with Brandes, task 1 the km
+pass with straightness, and task 2 + b block b of the time pass's
+sources (``_block``). This process reads first after the fork, so it
+normally takes the binary pass. Each process prunes its own copy of the
+time arc table, which is sound for any order and subset of sources, so
+each source's ``(fsum, max)`` is the same wherever it runs, and
+``_path_stats`` sums the merged rows in node order, as the serial pass
+does. ``_can_fork`` holds when ``os.fork`` and ``os.sched_getaffinity``
+exist, the affinity holds at least 2 CPUs, and no other Python thread
+runs, since a fork copies only the calling thread. There is no option
+and no size threshold.
 
 ``multiprocessing`` and ``pickle`` are left out on purpose (README,
 "Shortest paths"): a spawn pool re-imports the package, and importing
@@ -91,7 +80,6 @@ import math
 import os
 import threading
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -117,9 +105,9 @@ class IsolatedNodeError(ComputeError):
 
 
 class SweepChildError(ComputeError):
-    """A child process made by ``_forked`` (``measure_report``'s km pass
-    and its share of the time pass, or the second half of a null-model
-    ensemble) raised, or exited without sending its result."""
+    """The child process that shares ``measure_report``'s passes or a
+    null-model ensemble's replicates (``_shared``) raised, or exited
+    without sending its result."""
 
 
 @dataclass(frozen=True)
@@ -453,10 +441,10 @@ def _neighbor_means(g: SpatialGraph, ds: DegreeStrength) -> NeighborStats:
 
 
 def _can_fork() -> bool:
-    """Whether this process may run work in a forked child: ``os.fork``
+    """Whether this process may share work with a forked child: ``os.fork``
     and ``os.sched_getaffinity`` exist, the process may use a second CPU,
     and no other Python thread runs. A fork copies only the calling
-    thread. The children that ``_forked`` makes here run pure Python and
+    thread. The children that ``_shared`` makes run pure Python and
     elementwise numpy, never BLAS, so a native library's idle thread pool
     is never needed in them."""
     return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
@@ -464,140 +452,130 @@ def _can_fork() -> bool:
             and threading.active_count() == 1)
 
 
-@contextmanager
-def _block_queue(n: int) -> Iterator[int]:
-    """The read end of a pipe holding the numbers of the time pass's
-    ``min(n, 255)`` blocks of sources, one byte each, in order. They fit in
-    ``PIPE_BUF`` and the write end is closed before this yields, so no write
-    blocks, ``os.read(fd, 1)`` claims one block and an empty queue reads as
-    EOF. Closed when the with-block ends."""
-    read_fd, write_fd = os.pipe()
-    try:
-        with open(write_fd, "wb") as tokens:
-            tokens.write(bytes(range(min(n, 255))))
-        yield read_fd
-    finally:
-        os.close(read_fd)
+def _block(b: int, count: int, blocks: int) -> range:
+    """Block b of ``range(count)`` cut into ``blocks`` contiguous blocks."""
+    return range(b * count // blocks, (b + 1) * count // blocks)
 
 
-def _time_rows(g: SpatialGraph, epoch: str, claims: Iterable[bytes]) -> dict:
-    """The time pass's rows from the sources of the blocks in ``claims``
-    (block b of B covers ``b*n//B`` to ``(b+1)*n//B - 1``), over this
-    process's own copy of the time arc table, built before the first claim."""
-    arcs = g.costs("time", epoch)
-    n = g.n
-    blocks = min(n, 255)
-    sources = (s for token in claims for b in token
-               for s in range(b * n // blocks, (b + 1) * n // blocks))
-    return _traversals(g, arcs, sources)[0]
+def _shared(tokens: int, work: Callable, *args, label: str) -> dict:
+    """``work(claims, *args)`` run by this process and, with two tasks or
+    more where ``_can_fork`` holds, by one forked child; returns the two
+    result dicts merged.
 
+    The task numbers 0 to ``tokens`` - 1 (at most 255) go into a pipe, one
+    byte each, and its write end is closed before the fork; they fit in
+    ``PIPE_BUF``, so the write cannot block. ``claims`` yields the next
+    number that neither process has read, until the pipe is empty. Without
+    a child (one task, ``_can_fork`` false, or a failed ``os.fork``) this
+    process claims every task.
 
-def _km_pass(g: SpatialGraph, epoch: Optional[str], queue: int) -> tuple:
-    """The report's km pass, then the rows of the time blocks that it can
-    still claim from ``queue``, as values that ``marshal`` carries. It
-    builds a time arc table only once it holds a block."""
-    km = _sweep(g, "straightness", "km", straight=True)
-    claims = iter(partial(os.read, queue, 1), b"")
-    first = next(claims, None)
-    rows = {} if first is None else _time_rows(g, epoch, chain([first], claims))
-    return km.straightness, km.path_stats.average, km.path_stats.diameter, rows
-
-
-@contextmanager
-def _forked(task: Callable, *args, label: str = "a forked task",
-            fork: bool = True) -> Iterator[Callable]:
-    """Run ``task(*args)`` in a forked child while the with-block runs, and
-    yield a function that waits for the child and returns the result.
-
-    The child writes ``(True, result)``, or ``(False, "Type: message")``
-    when the task raises an Exception, to a pipe with ``marshal``, and
-    always leaves by ``os._exit``, so none of the parent's cleanup runs in
-    it; an interrupt makes it exit with code 1 and send nothing. The parent
-    reads the pipe to EOF before it reaps the child, so a result larger
-    than the pipe buffer cannot deadlock, and raises SweepChildError, its
-    message naming the work by ``label``, when the task raised or the
-    child sent nothing whole. If the block is left before the result is
-    read, the child is killed and reaped. With ``fork`` False, or if the
-    fork itself fails, no child is made and the task runs in this process
-    when its result is asked for, raising what it raises.
+    The child sends ``(True, result)``, or ``(False, "Type: message")``
+    when ``work`` raises an Exception, through a second pipe with
+    ``marshal``, and leaves by ``os._exit``, so none of the parent's
+    cleanup runs in it. This process reads that pipe to EOF before it
+    reaps the child, so a result larger than the pipe buffer cannot
+    deadlock, and raises SweepChildError, naming the work by ``label``,
+    when the child's ``work`` raised or the child sent nothing whole. If
+    this process leaves before it reaps the child, it kills and reaps it.
     """
-    pid = None
-    if fork:
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-    if pid is None:
-        yield lambda: task(*args)
-        return
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                payload = (True, task(*args))
-            except Exception as exc:
-                payload = (False, f"{type(exc).__name__}: {exc}")
-            with open(write_fd, "wb") as pipe:
-                marshal.dump(payload, pipe)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    pipe = open(read_fd, "rb")
-    reaped = False
-
-    def result():
-        nonlocal reaped
-        data = pipe.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        reaped = True
-        if code != 0 or not data:
-            raise SweepChildError(f"the child process of {label} exited with code {code} "
-                                  "and sent no result")
-        ok, value = marshal.loads(data)
-        if not ok:
-            raise SweepChildError(f"{label} failed in its child process: {value}")
-        return value
-
+    queue, write_fd = os.pipe()
     try:
-        yield result
-    finally:
-        pipe.close()
-        if not reaped:
+        with open(write_fd, "wb") as pipe:
+            pipe.write(bytes(range(tokens)))
+        claims = map(ord, iter(partial(os.read, queue, 1), b""))
+        pid = None
+        if tokens > 1 and _can_fork():
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+        if pid is None:
+            return work(claims, *args)
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                try:
+                    payload = (True, work(claims, *args))
+                except Exception as exc:
+                    payload = (False, f"{type(exc).__name__}: {exc}")
+                with open(write_fd, "wb") as pipe:
+                    marshal.dump(payload, pipe)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        try:
+            with open(read_fd, "rb") as pipe:
+                mine = work(claims, *args)
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        except BaseException:
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
+            raise
+    finally:
+        os.close(queue)
+    if code != 0 or not data:
+        raise SweepChildError(f"the child process of {label} exited with code {code} "
+                              "and sent no result")
+    ok, theirs = marshal.loads(data)
+    if not ok:
+        raise SweepChildError(f"{label} failed in its child process: {theirs}")
+    return {**mine, **theirs}
+
+
+def _report_work(claims: Iterator[int], g: SpatialGraph, time_arcs, blocks: int) -> dict:
+    """``measure_report``'s tasks in ``claims``, as values that ``marshal``
+    carries: task 0 is the binary pass with Brandes, kept under "binary",
+    task 1 the km pass with straightness, under "km", and task 2 + b block
+    b of ``blocks`` of the time pass's sources, over this process's own
+    copy of ``time_arcs``, each source's row under its node number."""
+    done = {}
+    for task in claims:
+        if task == 0:
+            binary = _sweep(g, "closeness", "binary", brandes=True)
+            done["binary"] = (binary.closeness, binary.betweenness,
+                              binary.path_stats.average, binary.path_stats.diameter)
+        elif task == 1:
+            km = _sweep(g, "straightness", "km", straight=True)
+            done["km"] = km.straightness, km.path_stats.average, km.path_stats.diameter
+        else:
+            # tasks come in order, so every later one is a time block too,
+            # and one traversal loop prunes one arc copy across them all
+            sources = (s for b in chain([task], claims) for s in _block(b - 2, g.n, blocks))
+            done.update(_traversals(g, time_arcs, sources)[0])
+    return done
 
 
 def measure_report(g: SpatialGraph, epoch: Optional[str] = None) -> MeasureReport:
     """Assemble the full per-node and global measure table for one graph
-    snapshot. Requires a connected graph with node coordinates, checked
-    first. The km pass runs in a forked child when ``_can_fork`` holds, and
-    both processes share the time pass's blocks (see the module
-    docstring); a failing input raises its serial error, and the report is
-    the same to the byte either way."""
+    snapshot. Requires a connected graph with node coordinates. Every
+    check runs before the passes are shared with a forked child (see the
+    module docstring), so a failing input raises its serial error, and the
+    report is the same to the byte either way."""
     # a disconnected graph is reported as failing closeness, the first
     # measure of the report that needs connectivity
     _require_connected(g, "closeness")
     _require_coordinates(g)
-    with (_block_queue(0 if epoch is None else g.n) as queue,
-          _forked(_km_pass, g, epoch, queue, label="the km pass", fork=_can_fork()) as km_pass):
-        clus = clustering(g)
-        binary = _sweep(g, "closeness", "binary", brandes=True)
-        ds = degree_and_strength(g)
-        nbr = _neighbor_means(g, ds)
-        density_planar = density(g, "planar")
-        time_rows = None if epoch is None else _time_rows(g, epoch, iter(partial(os.read, queue, 1), b""))
-        straight, avg_path_length_km, diameter_km, km_time_rows = km_pass()
+    clus = clustering(g)
+    ds = degree_and_strength(g)
+    nbr = _neighbor_means(g, ds)
+    density_planar = density(g, "planar")
+    time_arcs = None if epoch is None else g.costs("time", epoch)
+    blocks = 0 if epoch is None else min(g.n, 253)
+    done = _shared(2 + blocks, _report_work, g, time_arcs, blocks, label="the measure report")
+    binary_closeness, between, avg_path_length_binary, diameter_binary = done["binary"]
+    straight, avg_path_length_km, diameter_km = done["km"]
 
     per_node = {
         node.id: NodeMeasures(
             degree=ds.degree[node.id],
             strength_km=ds.strength_km[node.id],
-            closeness=binary.closeness[node.id],
-            betweenness=binary.betweenness[node.id],
+            closeness=binary_closeness[node.id],
+            betweenness=between[node.id],
             clustering=clus.per_node[node.id],
             straightness=straight[node.id],
             avg_neighbor_degree=nbr.degree[node.id],
@@ -613,9 +591,9 @@ def measure_report(g: SpatialGraph, epoch: Optional[str] = None) -> MeasureRepor
         average_strength=ds.average_strength,
         density_planar=density_planar,
         density_nonplanar=density(g, "nonplanar"),
-        avg_path_length_binary=binary.path_stats.average,
+        avg_path_length_binary=avg_path_length_binary,
         avg_path_length_km=avg_path_length_km,
-        diameter_binary=binary.path_stats.diameter,
+        diameter_binary=diameter_binary,
         diameter_km=diameter_km,
         clustering_global=clus.global_coefficient,
         clustering_average=clus.average,
@@ -623,8 +601,8 @@ def measure_report(g: SpatialGraph, epoch: Optional[str] = None) -> MeasureRepor
         average_edge_length_km=total_km / g.m if g.m else 0.0,
     )
     time_measures = None
-    if time_rows is not None:
-        time_paths = _path_stats({**time_rows, **km_time_rows}, g.n)
+    if epoch is not None:
+        time_paths = _path_stats(done, g.n)
         time_measures = TimeMeasures(epoch, time_paths.average, time_paths.diameter)
     return MeasureReport(
         per_node=per_node,

@@ -55,28 +55,25 @@ integer edge list: its binary path length comes from
 ``measures.local_clustering``, the kernels under
 ``path_length_and_diameter`` and ``clustering``. Swap weights travel
 with their source endpoint ((a, d) inherits the payload of (a, b)), so
-replicates remain valid spatial graphs; once both halves of an ensemble
-(below) are done, each is assembled once on the input's nodes and id
-index, without ``build_graph``'s checks or component count. Only its
+replicates remain valid spatial graphs; once every replicate of an
+ensemble (below) is built, each is assembled once on the input's nodes
+and id index, without ``build_graph``'s checks or component count. Only its
 binary topology is meaningful.
 
 Each replicate draws its own RNG stream derived from (seed, replicate
 index), so ensembles are reproducible and replicates are independent.
 
-Since replicates share nothing, an ensemble of R > 1 replicates is built
-on two CPUs by one function, ``_replicates``: this process runs it on
-replicates 0 to ceil(R/2) - 1 while a child made with
-``measures._forked`` runs it on the rest. For each replicate it returns,
-as values that ``marshal`` carries, the rewired integer edge list and
-the ReplicateStats fields, and it stops at its first
-SwapBudgetExhaustedError and returns that message instead. This process
-takes the lower indices so that its first error is the one a serial run
-raises: the child's message is raised here, with the serial type and
-message, only once the lower half has succeeded. Any other failure of
-the child raises ``measures.SweepChildError``. With R = 1, or when
-``measures._can_fork`` does not hold, ``_forked`` runs the upper half
-here after the lower half. The child's memory is not seen from this
-process.
+Since replicates share nothing, an ensemble of R replicates is shared
+with a forked child by the rule of ``measures._shared``: both processes
+claim its ``min(R, 255)`` blocks of replicate numbers in increasing
+order and run ``_replicates`` on them, which returns each replicate's
+rewired integer edge list and ReplicateStats fields, as values that
+``marshal`` carries. A process stops at its first
+SwapBudgetExhaustedError and records its message under the replicate's
+number; since each process finishes a block before it claims the next,
+the lowest failed number is the one a serial run fails on, and its
+message is raised here with the serial type. Any other failure of the
+child raises ``measures.SweepChildError``.
 
 This is the one module that imports numpy at module level: every command
 that builds ensembles (``omega``, ``all``) also latticeizes. ``cli``
@@ -92,7 +89,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -407,27 +404,30 @@ class _RingDeltas:
             level = np.min(flat, initial=0, where=flat > level)
 
 
-def _replicates(g: SpatialGraph, rewire, seed: int, swaps_per_edge: int,
-                indices: range) -> tuple[Optional[list], Optional[str]]:
-    """Replicates ``indices`` of an ensemble, as values that ``marshal``
-    carries: per replicate its rewired ``ends`` and then its
-    ReplicateStats fields in order, and the message of the
-    SwapBudgetExhaustedError that stopped them, or None."""
+def _replicates(claims: Iterator[int], g: SpatialGraph, rewire, seed: int,
+                swaps_per_edge: int, replicates: int) -> dict:
+    """The replicates in the blocks that ``claims`` numbers (block b of
+    ``min(replicates, 255)``, ``measures._block``), by replicate number,
+    as values that ``marshal`` carries: its rewired ``ends`` and then its
+    ReplicateStats fields in order, or the message of the
+    SwapBudgetExhaustedError that stopped them."""
     n = g.n
-    built = []
-    for index in indices:
-        # disjoint per-replicate streams; plain seed ^ index would collide
-        # across adjacent seeds
-        rng = random.Random((seed << 32) ^ index)
-        try:
-            rewirer, accepted, attempts, converged = rewire(g, rng, swaps_per_edge)
-        except SwapBudgetExhaustedError as exc:
-            return None, str(exc)
-        adj = _neighbours(n, rewirer.ends)
-        sums, _ = hop_distances(adj)
-        built.append((rewirer.ends, sum(sums) / (n * (n - 1)),
-                      math.fsum(local_clustering(adj)[0]) / n, accepted, attempts, converged))
-    return built, None
+    built = {}
+    for block in claims:
+        for index in measures._block(block, replicates, min(replicates, 255)):
+            # disjoint per-replicate streams; plain seed ^ index would collide
+            # across adjacent seeds
+            rng = random.Random((seed << 32) ^ index)
+            try:
+                rewirer, accepted, attempts, converged = rewire(g, rng, swaps_per_edge)
+            except SwapBudgetExhaustedError as exc:
+                built[index] = str(exc)
+                return built
+            adj = _neighbours(n, rewirer.ends)
+            sums, _ = hop_distances(adj)
+            built[index] = (rewirer.ends, sum(sums) / (n * (n - 1)),
+                            math.fsum(local_clustering(adj)[0]) / n, accepted, attempts, converged)
+    return built
 
 
 def _build_ensemble(
@@ -445,19 +445,13 @@ def _build_ensemble(
         raise ValueError("replicate count must be >= 1")
     rewire = (_randomize_replicate if kind == "random" else
               partial(_latticeize_replicate, start=_RingDeltas(_Rewirer(g).ends, g.n)))
-
-    # this process takes the lower half, so its first error is the one a
-    # serial run raises; the upper half runs in a forked child where allowed
-    half = (replicates + 1) // 2
-    with measures._forked(_replicates, g, rewire, seed, swaps_per_edge,
-                          range(half, replicates), label=f"the {kind} ensemble",
-                          fork=half < replicates and measures._can_fork()) as upper_half:
-        built, exhausted = _replicates(g, rewire, seed, swaps_per_edge, range(half))
-        if exhausted is None:
-            upper, exhausted = upper_half()
-    if exhausted is not None:
-        raise SwapBudgetExhaustedError(exhausted)
-    built += upper
+    done = measures._shared(min(replicates, 255), _replicates, g, rewire, seed, swaps_per_edge,
+                            replicates, label=f"the {kind} ensemble")
+    # the lowest replicate that failed is the one a serial run fails on
+    exhausted = [done[index] for index in sorted(done) if isinstance(done[index], str)]
+    if exhausted:
+        raise SwapBudgetExhaustedError(exhausted[0])
+    built = [done[index] for index in range(replicates)]
     per_replicate = [ReplicateStats(*fields) for _, *fields in built]
     stats = EnsembleStats(
         mean_path_length=math.fsum(r.path_length for r in per_replicate) / replicates,

@@ -1,6 +1,6 @@
 """Seeded graph and table generators, the property tests' Hypothesis
-settings, and a check that forked work leaves nothing behind, shared by
-the test modules."""
+settings, a log of what each of two processes did, and a check that
+forked work leaves nothing behind, shared by the test modules."""
 
 from __future__ import annotations
 
@@ -412,3 +412,39 @@ def leaves_nothing_behind():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert len(os.listdir("/proc/self/fd")) == before
+
+
+class PidLog:
+    """``pid item`` lines appended to ``path`` through one ``O_APPEND``
+    descriptor, which a forked child shares, so the lines that this process
+    and the child write never interleave; closed when the with-block ends."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self.fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        os.close(self.fd)
+
+    def write(self, item: int) -> None:
+        os.write(self.fd, b"%d %d\n" % (os.getpid(), item))
+
+    def claims(self, work):
+        """``work``, a ``measures._shared`` work function, that logs each task
+        as it claims it."""
+        return lambda claims, *args: work(map(self.logged, claims), *args)
+
+    def logged(self, item: int) -> int:
+        self.write(item)
+        return item
+
+    def read(self) -> list[tuple[int, int]]:
+        """The (pid, item) pairs written so far, in the order written."""
+        return [tuple(map(int, line.split())) for line in self.path.read_text().splitlines()]
+
+    def items(self) -> list[int]:
+        """Every item written, by either process, sorted."""
+        return sorted(item for _, item in self.read())

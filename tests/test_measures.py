@@ -324,38 +324,43 @@ def test_measure_report_sweeps_each_mode_once(monkeypatch):
     assert sorted(tables) == ["binary", "km", "time"]
 
 
-def test_measure_report_forks_the_km_pass(monkeypatch, tmp_path):
-    # the km pass runs in the child and both processes claim the time
-    # pass's blocks: this process makes the counted binary traversals and
-    # builds no km arc table, and the two processes' time traversals,
-    # logged through one O_APPEND descriptor, cover every source once
+def test_forked_report_runs_each_pass_once(monkeypatch, tmp_path):
+    # whichever process claims what: every task is claimed once, and the
+    # traversals of both processes, logged through one O_APPEND descriptor
+    # per mode, run each pass once, whole in the process that claimed it
     g = fixtures.synthetic_network()
-    time_weights = {edge.time_min["2010"] for edge in g.edges}
-    assert not time_weights & {edge.distance_km for edge in g.edges}
+    assert g.n <= 253  # so time block b is source b
+    km_weights = {edge.distance_km for edge in g.edges}
+    assert not km_weights & {edge.time_min["2010"] for edge in g.edges}
     monkeypatch.setattr(measures, "_can_fork", lambda: True)
-    traversals, tables = _count_sweeps(monkeypatch)
-    dijkstra = graph._dijkstra
-    log = tmp_path / "time sources"
-    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    traverse = measures.traverse
+    with (fixtures.PidLog(tmp_path / "tasks") as tasks,
+          fixtures.PidLog(tmp_path / "binary") as binary,
+          fixtures.PidLog(tmp_path / "km") as km,
+          fixtures.PidLog(tmp_path / "time") as time_sources):
 
-    def logged(arcs, source, count):
-        # pruning keeps every node's arc to its nearest neighbour, so a
-        # source's list is never empty and its weights tell the mode
-        if arcs[source][0][1] in time_weights:
-            os.write(fd, b"%d %d\n" % (os.getpid(), source))
-        return dijkstra(arcs, source, count)
+        def logged(g, source, arcs=None, count=False):
+            # pruning keeps every node's arc to its nearest neighbour, so a
+            # source's list is never empty and its weights tell the mode
+            (binary if arcs is None else km if arcs[source][0][1] in km_weights
+             else time_sources).write(source)
+            return traverse(g, source, arcs, count)
 
-    monkeypatch.setattr(graph, "_dijkstra", logged)
-    try:
+        monkeypatch.setattr(measures, "traverse", logged)
+        monkeypatch.setattr(measures, "_report_work", tasks.claims(measures._report_work))
         with fixtures.leaves_nothing_behind():
             measure_report(g, epoch="2010")
-    finally:
-        os.close(fd)
-    sources = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
-    assert sorted(source for _, source in sources) == list(range(g.n))
-    here = sum(pid == os.getpid() for pid, _ in sources)
-    assert sorted(traversals) == [("_bfs", True)] * g.n + [("_dijkstra", False)] * here
-    assert sorted(tables) == ["binary", "time"]
+    assert len(forks) == 1
+    assert tasks.items() == list(range(2 + g.n))
+    owner = {task: pid for pid, task in tasks.read()}
+    assert len(set(owner.values()) - {os.getpid()}) <= 1  # this process and one child
+    for task, log in ((0, binary), (1, km)):
+        assert log.items() == list(range(g.n))
+        assert {pid for pid, _ in log.read()} == {owner[task]}
+    assert sorted(time_sources.read()) == sorted((owner[2 + s], s) for s in range(g.n))
 
 
 @pytest.mark.parametrize("epoch", [None, "2010"])
@@ -365,6 +370,16 @@ def test_forked_report_equals_serial_report(monkeypatch, epoch):
     monkeypatch.setattr(measures, "_can_fork", lambda: True)
     with fixtures.leaves_nothing_behind():
         assert measure_report(SAMPLE, epoch) == serial
+
+
+def test_forked_report_equals_serial_past_one_source_per_block(monkeypatch, tmp_path):
+    # n = 300 sources in 253 time blocks, so some blocks hold two
+    g = fixtures.geo_inputs(tmp_path, 300, 1)[1]
+    monkeypatch.setattr(measures, "_can_fork", lambda: False)
+    serial = measure_report(g, "2010")
+    monkeypatch.setattr(measures, "_can_fork", lambda: True)
+    with fixtures.leaves_nothing_behind():
+        assert measure_report(g, "2010") == serial
 
 
 # --- arc pruning in distance-only weighted passes ------------------------------
@@ -535,7 +550,7 @@ def test_measure_report_includes_time_epoch():
     assert slow.avg_path_length_min > report.time_measures.avg_path_length_min
 
 
-# --- the km pass in a forked child ----------------------------------------------
+# --- work shared with a forked child --------------------------------------------
 
 def _raise_memory_error(*args):
     raise MemoryError("no room for the km pass")
@@ -545,35 +560,48 @@ def _exit_silently(*args):
     os._exit(0)
 
 
-def _pid_and_divmod(a, b):
-    return os.getpid(), divmod(a, b)
+def _in_the_child(task):
+    """A ``_shared`` work function that claims nothing here and runs
+    ``task`` on its other arguments in the forked child."""
+    parent = os.getpid()
+    return lambda claims, *args: {} if os.getpid() == parent else task(*args)
 
 
-def test_forked_task_returns_its_result():
+def _claimed_by_pid(claims, a, b):
+    return {os.getpid(): (list(claims), divmod(a, b))}
+
+
+def _allow_fork(monkeypatch, allowed=True):
+    monkeypatch.setattr(measures, "_can_fork", lambda: allowed)
+
+
+def test_forked_task_returns_its_result(monkeypatch):
+    _allow_fork(monkeypatch)
     with fixtures.leaves_nothing_behind():
-        with measures._forked(_pid_and_divmod, 47, 5) as result:
-            pid, quotient = result()
-    assert pid != os.getpid()
-    assert quotient == (9, 2)
+        result = measures._shared(5, _claimed_by_pid, 47, 5, label="a test task")
+    assert os.getpid() in result and len(result) == 2  # one result from each process
+    assert sorted(task for claimed, _ in result.values() for task in claimed) == list(range(5))
+    assert [quotient for _, quotient in result.values()] == [(9, 2), (9, 2)]
 
 
-def test_forked_result_larger_than_the_pipe_buffer_arrives_whole():
+def test_forked_result_larger_than_the_pipe_buffer_arrives_whole(monkeypatch):
     big = {f"node{i:06d}": i / 7.0 for i in range(50_000)}
     assert len(marshal.dumps(big)) > 16 * 65536  # about 1 MB
+    _allow_fork(monkeypatch)
     with fixtures.leaves_nothing_behind():
-        with measures._forked(dict, big) as result:
-            assert result() == big
+        assert measures._shared(2, _in_the_child(dict), big, label="a test task") == big
 
 
 @pytest.mark.parametrize("task, message", [
-    (_raise_memory_error, "failed in its child process: MemoryError: no room for the km pass"),
-    (_exit_silently, "exited with code 0 and sent no result"),
+    (_raise_memory_error, "a test task failed in its child process: "
+                          "MemoryError: no room for the km pass"),
+    (_exit_silently, "the child process of a test task exited with code 0 and sent no result"),
 ], ids=["raises", "exits"])
-def test_failing_child_raises_sweep_child_error(task, message):
+def test_failing_child_raises_sweep_child_error(monkeypatch, task, message):
+    _allow_fork(monkeypatch)
     with fixtures.leaves_nothing_behind():
         with pytest.raises(SweepChildError, match=message):
-            with measures._forked(task) as result:
-                result()
+            measures._shared(2, _in_the_child(task), label="a test task")
 
 
 def test_failed_fork_runs_the_task_in_this_process(monkeypatch):
@@ -581,33 +609,53 @@ def test_failed_fork_runs_the_task_in_this_process(monkeypatch):
         raise BlockingIOError("fork: resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", no_fork)
+    _allow_fork(monkeypatch)
     with fixtures.leaves_nothing_behind():
-        with measures._forked(os.getpid) as result:
-            assert result() == os.getpid()
+        result = measures._shared(5, _claimed_by_pid, 47, 5, label="a test task")
+    assert result == {os.getpid(): ([0, 1, 2, 3, 4], (9, 2))}
 
 
-def test_unforked_task_runs_in_this_process_and_opens_nothing():
-    with fixtures.leaves_nothing_behind():
-        before = len(os.listdir("/proc/self/fd"))
-        with measures._forked(_pid_and_divmod, 47, 5, fork=False) as result:
-            opened = len(os.listdir("/proc/self/fd")) - before
-            assert result() == (os.getpid(), (9, 2))
-    assert opened == 0
+def test_unforked_task_runs_in_this_process_and_opens_nothing(monkeypatch):
+    # one task, or two or more where no fork is allowed
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for tokens, allowed in ((1, True), (3, False)):
+        _allow_fork(monkeypatch, allowed)
+        with fixtures.leaves_nothing_behind():
+            result = measures._shared(tokens, _claimed_by_pid, 47, 5, label="a test task")
+        assert result == {os.getpid(): (list(range(tokens)), (9, 2))}
+    assert forks == []
 
 
-def test_parent_failure_kills_and_reaps_the_child():
+def _fail_here_and_sleep_there(claims, parent):
+    if os.getpid() == parent:
+        raise KeyError("parent failed first")
+    time.sleep(600)
+
+
+def test_parent_failure_kills_and_reaps_the_child(monkeypatch):
+    _allow_fork(monkeypatch)
     start = time.perf_counter()
     with fixtures.leaves_nothing_behind():
         with pytest.raises(KeyError):
-            with measures._forked(time.sleep, 600):
-                raise KeyError("parent failed first")
+            measures._shared(2, _fail_here_and_sleep_there, os.getpid(), label="a test task")
     assert time.perf_counter() - start < 30
+
+
+def test_blocks_partition_every_count():
+    # contiguous blocks in order, which differ in size by one at most
+    for count in range(1, 1001):
+        for blocks in (min(count, 255), 253):
+            cut = [measures._block(b, count, blocks) for b in range(blocks)]
+            assert [i for block in cut for i in block] == list(range(count))
+            assert max(map(len, cut)) - min(map(len, cut)) <= 1
 
 
 @pytest.mark.parametrize("task", [_raise_memory_error, _exit_silently], ids=["raises", "exits"])
 def test_cli_exits_3_when_the_km_child_fails(monkeypatch, tmp_path, capsys, task):
-    monkeypatch.setattr(measures, "_can_fork", lambda: True)
-    monkeypatch.setattr(measures, "_km_pass", task)
+    _allow_fork(monkeypatch)
+    monkeypatch.setattr(measures, "_report_work", _in_the_child(task))
     out = tmp_path / "out"
     with fixtures.leaves_nothing_behind():
         code = cli.main(["analyze", "--nodes", str(DATA / "nodes.csv"),
@@ -629,7 +677,8 @@ ONE_EDGE_WITHOUT_2010 = build_graph(SAMPLE.nodes, [
                                   "edge without the epoch"])
 def test_report_leaves_no_descriptor_or_child_behind(monkeypatch, path):
     # a raw os.pipe descriptor left open raises no ResourceWarning, so the
-    # block queue and the result pipe are counted on every way through
+    # task queue and the result pipe are counted on every way through; an
+    # edge without the epoch fails before the fork
     monkeypatch.setattr(measures, "_can_fork", lambda: False)
     serial = measure_report(SAMPLE, "2010")
     g, error = SAMPLE, None
@@ -645,7 +694,7 @@ def test_report_leaves_no_descriptor_or_child_behind(monkeypatch, path):
     monkeypatch.setattr(os, "fork", counted_fork)
     monkeypatch.setattr(measures, "_can_fork", lambda: path != "serial")
     if path == "km child raises":
-        monkeypatch.setattr(measures, "_km_pass", _raise_memory_error)
+        monkeypatch.setattr(measures, "_report_work", _in_the_child(_raise_memory_error))
         error = SweepChildError
     if path == "edge without the epoch":
         g, error = ONE_EDGE_WITHOUT_2010, UnknownEpochError
@@ -655,7 +704,7 @@ def test_report_leaves_no_descriptor_or_child_behind(monkeypatch, path):
         else:
             with pytest.raises(error) as raised:
                 measure_report(g, "2010")
-    assert len(forks) == (path != "serial")
+    assert len(forks) == (path not in ("serial", "edge without the epoch"))
     if path == "edge without the epoch":
         monkeypatch.setattr(measures, "_can_fork", lambda: False)
         with pytest.raises(UnknownEpochError) as unforked:
@@ -698,15 +747,12 @@ PRECONDITION_CASES = {
         _sample_less(drop_coords=UNPLACED), "1999", MissingCoordinatesError),
     "n = 1": (_sample_less(keep={SAMPLE.nodes[0].id}), "2010", IsolatedNodeError),
 }
-# the errors that measure_report checks for before it forks the km pass
-CHECKED_BEFORE_THE_FORK = (DisconnectedError, MissingCoordinatesError)
 
 
 @pytest.mark.parametrize("case", list(PRECONDITION_CASES))
 def test_failing_graphs_fail_alike_with_and_without_forking(monkeypatch, case):
-    # a graph that fails a check made before the fork is never forked for;
-    # one that fails later kills and reaps the km child, so each raises the
-    # serial error whether or not the host allows a fork
+    # every check runs before the fork, so a failing graph is never forked
+    # for and raises the serial error whether or not the host allows a fork
     g, epoch, error = PRECONDITION_CASES[case]
     forks = []
     fork = os.fork
@@ -720,7 +766,7 @@ def test_failing_graphs_fail_alike_with_and_without_forking(monkeypatch, case):
             raised.append((type(info.value), str(info.value)))
     assert raised[0] == raised[1]
     assert raised[0][0] is error
-    assert forks == ([] if error in CHECKED_BEFORE_THE_FORK else [1])
+    assert forks == []
 
 
 def test_sound_graph_forks_only_when_a_second_cpu_is_allowed(monkeypatch):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import time
 from functools import partial
 from pathlib import Path
 
@@ -206,7 +207,7 @@ def test_lattice_replicates_start_from_the_input_alone(monkeypatch, g):
     ensemble = latticeize(g, seed=3, swaps_per_edge=2, replicates=4)
     for k, (replicate, stats) in enumerate(zip(ensemble.replicates, ensemble.stats.per_replicate)):
         fresh = partial(null_models._latticeize_replicate, start=_RingDeltas(_Rewirer(g).ends, g.n))
-        (ends, *fields), = null_models._replicates(g, fresh, 3, 2, range(k, k + 1))[0]
+        ends, *fields = null_models._replicates(iter([k]), g, fresh, 3, 2, 4)[k]
         assert [(e.u, e.v) for e in replicate.edges] == [
             (g.node_ids[u], g.node_ids[v]) for u, v in ends]
         assert stats == ReplicateStats(*fields)
@@ -224,7 +225,7 @@ def test_disconnected_input_rejected():
         randomize(g, seed=1)
 
 
-# --- the upper half of an ensemble in a forked child ---------------------------
+# --- an ensemble's replicates shared with a forked child -----------------------
 
 def _allow_fork(monkeypatch, allowed):
     monkeypatch.setattr(measures, "_can_fork", lambda: allowed)
@@ -315,26 +316,68 @@ def test_failed_fork_builds_the_upper_half_here(monkeypatch):
 
 @pytest.mark.parametrize("failing", ["child", "parent"])
 def test_failure_on_one_side_leaves_nothing_behind(monkeypatch, failing):
-    # a measure that raises in one process only: the child's failure is a
-    # SweepChildError naming the ensemble, the parent's is its own error
+    # work that raises as it starts in one process only, whatever either
+    # claims: the child's failure is a SweepChildError naming the ensemble,
+    # the parent's is its own error
     g, _ = ingest(DATA / "nodes.csv", DATA / "edges.csv")
     parent = os.getpid()
-    measure = null_models.local_clustering
+    replicates = null_models._replicates
 
-    def failing_clustering(adj):
+    def failing_replicates(claims, *args):
         if (os.getpid() == parent) == (failing == "parent"):
-            raise MemoryError("no room for the clustering")
-        return measure(adj)
+            raise MemoryError("no room for the replicates")
+        return replicates(claims, *args)
 
-    monkeypatch.setattr(null_models, "local_clustering", failing_clustering)
+    monkeypatch.setattr(null_models, "_replicates", failing_replicates)
     _allow_fork(monkeypatch, True)
     error, message = {
         "child": (SweepChildError,
                   "the random ensemble failed in its child process: "
-                  "MemoryError: no room for the clustering"),
-        "parent": (MemoryError, "no room for the clustering"),
+                  "MemoryError: no room for the replicates"),
+        "parent": (MemoryError, "no room for the replicates"),
     }[failing]
     with fixtures.leaves_nothing_behind():
         with pytest.raises(error) as info:
             randomize(g, seed=1, replicates=4)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("replicates, failing", [
+    (2, {1}), (2, {0, 1}), (5, {4}), (5, {1, 3}), (5, {2, 3, 4}),
+    (20, {19}), (20, {10, 12}), (20, {3, 6, 19}), (20, {0, 19}),
+])
+@pytest.mark.parametrize("allowed", [False, True], ids=["serial", "forked"])
+def test_lowest_failed_replicate_wins(monkeypatch, replicates, failing, allowed):
+    # whichever process runs a failing replicate, the message raised is the
+    # lowest one's, as in a serial run
+    g = fixtures.ws_graph(20, 4, 0.2, seed=1)
+    number = {random.Random((5 << 32) ^ i).getstate(): i for i in range(replicates)}
+    rewire = null_models._randomize_replicate
+    parent = os.getpid()
+
+    def failing_rewire(g, rng, swaps_per_edge):
+        i = number[rng.getstate()]
+        if allowed and os.getpid() == parent:
+            # slowed here, so that the child claims the replicates after this
+            # process's first, and the two may meet different failures
+            time.sleep(0.01)
+        if i in failing:
+            raise SwapBudgetExhaustedError(f"replicate {i}")
+        return rewire(g, rng, swaps_per_edge)
+
+    monkeypatch.setattr(null_models, "_randomize_replicate", failing_rewire)
+    _allow_fork(monkeypatch, allowed)
+    with fixtures.leaves_nothing_behind():
+        with pytest.raises(SwapBudgetExhaustedError) as info:
+            randomize(g, seed=5, swaps_per_edge=1, replicates=replicates)
+    assert str(info.value) == f"replicate {min(failing)}"
+
+
+def test_forked_ensemble_equals_serial_past_one_replicate_per_block(monkeypatch):
+    # 300 replicates in 255 blocks, so some blocks hold two
+    g, _ = ingest(DATA / "nodes.csv", DATA / "edges.csv")
+    _allow_fork(monkeypatch, False)
+    serial = randomize(g, 3, swaps_per_edge=1, replicates=300)
+    _allow_fork(monkeypatch, True)
+    with fixtures.leaves_nothing_behind():
+        assert randomize(g, 3, swaps_per_edge=1, replicates=300) == serial

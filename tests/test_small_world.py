@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -105,26 +106,30 @@ def test_measure_report_holds_omega_empirical_inputs():
 
 
 def _bfs_and_hop_calls(tmp_path, monkeypatch, fork):
-    """BFS and hop-kernel calls made in this process by ``all`` with 2
-    replicates per ensemble, with or without the ensembles' forked child."""
+    """BFS and hop-kernel calls made by ``all`` with 2 replicates per
+    ensemble, by this process and its forked children together, and the
+    number of forks."""
     from pathlib import Path
 
     from spatialnet import graph, measures, null_models
     from spatialnet.cli import main
 
     data = Path(__file__).parent / "data"
-    bfs_calls = []
-    hop_calls = []
+    forks = []
+    fork_ = os.fork
     bfs, hops = graph._bfs, measures.hop_distances
     monkeypatch.setattr(measures, "_can_fork", lambda: fork)
-    monkeypatch.setattr(graph, "_bfs", lambda *args: bfs_calls.append(1) or bfs(*args))
-    for module in (measures, null_models):
-        monkeypatch.setattr(module, "hop_distances",
-                            lambda *args: hop_calls.append(1) or hops(*args))
-    assert main(["all", "--nodes", str(data / "nodes.csv"), "--edges", str(data / "edges.csv"),
-                 "--vars", str(data / "variables.csv"), "--epoch", "2010", "--seed", "1",
-                 "--replicates", "2", "--out", str(tmp_path)]) == 0
-    return len(bfs_calls), len(hop_calls)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork_())
+    with (fixtures.PidLog(tmp_path / "bfs") as bfs_calls,
+          fixtures.PidLog(tmp_path / "hops") as hop_calls):
+        monkeypatch.setattr(graph, "_bfs", lambda *args: bfs_calls.write(1) or bfs(*args))
+        for module in (measures, null_models):
+            monkeypatch.setattr(module, "hop_distances",
+                                lambda *args: hop_calls.write(1) or hops(*args))
+        assert main(["all", "--nodes", str(data / "nodes.csv"), "--edges", str(data / "edges.csv"),
+                     "--vars", str(data / "variables.csv"), "--epoch", "2010", "--seed", "1",
+                     "--replicates", "2", "--out", str(tmp_path / "out")]) == 0
+    return len(bfs_calls.read()), len(hop_calls.read()), len(forks)
 
 
 def test_all_reads_omega_path_length_off_the_measure_report(tmp_path, monkeypatch):
@@ -132,10 +137,10 @@ def test_all_reads_omega_path_length_off_the_measure_report(tmp_path, monkeypatc
     # component count (replicates are assembled connected, without one),
     # and one hop-kernel call per replicate graph (2 random + 2 lattice);
     # omega runs no pass of its own
-    assert _bfs_and_hop_calls(tmp_path, monkeypatch, fork=False) == (40, 4)
+    assert _bfs_and_hop_calls(tmp_path, monkeypatch, fork=False) == (40, 4, 0)
 
 
-def test_forked_ensembles_measure_their_half_in_the_child(tmp_path, monkeypatch):
-    # the same run with each ensemble's second replicate built and measured
-    # in a forked child: this process makes the same BFS and half the hop calls
-    assert _bfs_and_hop_calls(tmp_path, monkeypatch, fork=True) == (40, 2)
+def test_forked_ensembles_measure_each_replicate_once(tmp_path, monkeypatch):
+    # the same run with the report and each ensemble shared with a forked
+    # child: both processes together make the serial run's calls
+    assert _bfs_and_hop_calls(tmp_path, monkeypatch, fork=True) == (40, 4, 3)
