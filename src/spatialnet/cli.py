@@ -19,8 +19,12 @@ Exit codes: 0 success, 2 schema/input error, 3 compute error. Errors,
 flags that argparse cannot read among them, are reported to stderr as a
 one-line JSON record.
 
+``run`` plans each job it may share with a forked child (the report's
+passes and both ensembles' replicates) in the serial order, runs them
+under one ``measures._shared`` call, and finishes them in that order.
+
 Only ``null_models`` imports numpy at module level, and this module
-imports it only inside ``_omega_payload``; ``fitting`` and ``empirical``
+imports it only for omega and all; ``fitting`` and ``empirical``
 import numpy inside the functions that compute with it. So ``analyze``
 and ``communities`` run without loading numpy, and only omega, fit,
 regress and all pay for it.
@@ -135,17 +139,12 @@ def _ensemble_summary(ensemble: NullModelEnsemble) -> dict:
     return summary
 
 
-def _omega_payload(
-    g: SpatialGraph, report: Optional[measures.MeasureReport], config: AnalysisConfig
-) -> dict:
-    from . import null_models  # the one module that loads numpy
-
-    rand = null_models.randomize(
-        g, config.seed, config.swaps_per_edge, config.replicates
-    )
-    latt = null_models.latticeize(
-        g, config.seed, config.swaps_per_edge, config.replicates
-    )
+def _omega_payload(g: SpatialGraph, report: Optional[measures.MeasureReport],
+                   config: AnalysisConfig, done: dict[str, dict]) -> dict:
+    from . import null_models
+    ensemble = (g, config.seed, config.swaps_per_edge, config.replicates)
+    rand = null_models.randomize(*ensemble, done=done["random"])
+    latt = null_models.latticeize(*ensemble, done=done["lattice"])
     l_emp = c_emp = None
     if report is not None:  # under `all`, reuse what the measure report read
         l_emp = report.global_measures.avg_path_length_binary
@@ -242,14 +241,24 @@ def run(command: str, config: AnalysisConfig) -> ReportBundle:
         if repeated:
             raise ConfigError(f"--models names {repeated} repeat within one predictor set")
 
+    jobs = {}
+    if command in ("analyze", "all"):
+        jobs["report"], cheap = measures._plan_report(graph, config.epoch)
+    if command in ("omega", "all"):
+        from . import null_models  # the one module that loads numpy
+        for kind in ("random", "lattice"):
+            jobs[kind] = null_models._ensemble_job(
+                graph, kind, config.seed, config.swaps_per_edge, config.replicates)
+    done = dict(zip(jobs, measures._shared(list(jobs.values()))))
+
     bundle = ReportBundle()
     payloads = {}
     report = None
-    if command in ("analyze", "all"):
-        report = measures.measure_report(graph, epoch=config.epoch)
+    if "report" in done:
+        report = measures.measure_report(graph, epoch=config.epoch, ran=(cheap, done["report"]))
         payloads["measures"] = report
     if command in ("omega", "all"):
-        payloads["omega"] = _omega_payload(graph, report, config)
+        payloads["omega"] = _omega_payload(graph, report, config, done)
     if command in ("communities", "all"):
         payloads["communities"] = communities_mod.find_communities(graph, config.seed)
     if command in ("fit", "all"):

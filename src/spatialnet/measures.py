@@ -47,21 +47,19 @@ haversine once, which is symmetric to the bit, and hands it to the later
 node through a per-node array that is freed once read.
 
 ``measure_report`` runs every check and cheap step first, in the serial
-order, so a failing input raises its serial error and never forks. It
-then shares its three passes with a forked child by the rule that the
-null-model ensembles follow too (``_shared``): numbered tasks that both
-processes claim in increasing order from one pipe, with the results
-merged by number. Task 0 is the binary pass with Brandes, task 1 the km
-pass with straightness, and task 2 + b block b of the time pass's
-sources (``_block``). This process reads first after the fork, so it
-normally takes the binary pass. Each process prunes its own copy of the
-time arc table, which is sound for any order and subset of sources, so
-each source's ``(fsum, max)`` is the same wherever it runs, and
-``_path_stats`` sums the merged rows in node order, as the serial pass
-does. ``_can_fork`` holds when ``os.fork`` and ``os.sched_getaffinity``
-exist, the affinity holds at least 2 CPUs, and no other Python thread
-runs, since a fork copies only the calling thread. There is no option
-and no size threshold.
+order (``_plan_report``), so a failing input raises its serial error and
+never forks. Its passes are then one ``_shared`` job of numbered tasks,
+which this process and a forked child claim in increasing order: task 0
+is the binary pass with Brandes, task 1 the km pass with straightness,
+and task 2 + b block b of the time pass's sources (``_block``). This
+process reads first after the fork, so it normally takes the binary
+pass. Each process prunes its own copy of the time arc table, which is
+sound for any order and subset of sources, so each source's
+``(fsum, max)`` is the same wherever it runs, and ``_path_stats`` sums
+the merged rows in node order, as the serial pass does. ``cli`` runs the
+report's job and both null-model ensembles' under one ``_shared`` call,
+so a command forks once at most. There is no option and no size
+threshold.
 
 ``multiprocessing`` and ``pickle`` are left out on purpose (README,
 "Shortest paths"): a spawn pool re-imports the package, and importing
@@ -80,11 +78,12 @@ import math
 import os
 import threading
 from array import array
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from operator import truediv
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .exceptions import ComputeError, DisconnectedError
 from .graph import SpatialGraph, drop_dominated_arcs, hop_distances, traverse
@@ -457,34 +456,46 @@ def _block(b: int, count: int, blocks: int) -> range:
     return range(b * count // blocks, (b + 1) * count // blocks)
 
 
-def _shared(tokens: int, work: Callable, *args, label: str) -> dict:
-    """``work(claims, *args)`` run by this process and, with two tasks or
-    more where ``_can_fork`` holds, by one forked child; returns the two
-    result dicts merged.
+def _shared(jobs: Sequence[tuple[int, Callable, tuple, str]]) -> list[dict]:
+    """Each job ``(tasks, work, args, label)`` run as ``work(claims, *args)``
+    by this process and, with two tasks or more in all where ``_can_fork``
+    holds, by one forked child; returns each job's two result dicts merged.
 
-    The task numbers 0 to ``tokens`` - 1 (at most 255) go into a pipe, one
-    byte each, and its write end is closed before the fork; they fit in
-    ``PIPE_BUF``, so the write cannot block. ``claims`` yields the next
-    number that neither process has read, until the pipe is empty. Without
-    a child (one task, ``_can_fork`` false, or a failed ``os.fork``) this
-    process claims every task.
+    A job's task numbers 0 to ``tasks`` - 1 (at most 255, so no write can
+    block) go into its own pipe, one byte each, whose write end is closed
+    before the fork. Both processes run the jobs in order: ``claims``
+    yields the job's next number that neither has read, and once ``work``
+    returns the process reads the pipe to EOF, so no task of a job starts
+    after either process stopped it. Without a child (one task,
+    ``_can_fork`` false, or a failed ``os.fork``) this process claims every
+    task.
 
-    The child sends ``(True, result)``, or ``(False, "Type: message")``
-    when ``work`` raises an Exception, through a second pipe with
-    ``marshal``, and leaves by ``os._exit``, so none of the parent's
-    cleanup runs in it. This process reads that pipe to EOF before it
-    reaps the child, so a result larger than the pipe buffer cannot
-    deadlock, and raises SweepChildError, naming the work by ``label``,
-    when the child's ``work`` raised or the child sent nothing whole. If
-    this process leaves before it reaps the child, it kills and reaps it.
+    The child sends its results, and ``"Type: message"`` when a job's
+    ``work`` raises an Exception, through a second pipe with ``marshal``,
+    and leaves by ``os._exit``, so none of the parent's cleanup runs in
+    it. This process reads that pipe to EOF before it reaps the child, so
+    a result larger than the pipe buffer cannot deadlock, and raises
+    SweepChildError, naming the failed job by its label, when the child's
+    ``work`` raised or the child sent nothing whole. If this process
+    leaves before it reaps the child, it kills and reaps it.
     """
-    queue, write_fd = os.pipe()
+    queues, mine = [], []
+
+    def run() -> list[dict]:
+        for (_, work, args, _), queue in zip(jobs, queues):
+            claims = map(ord, iter(partial(os.read, queue, 1), b""))
+            mine.append(work(claims, *args))
+            deque(claims, 0)
+        return mine
+
     try:
-        with open(write_fd, "wb") as pipe:
-            pipe.write(bytes(range(tokens)))
-        claims = map(ord, iter(partial(os.read, queue, 1), b""))
+        for tasks, *_ in jobs:
+            queue, write_fd = os.pipe()
+            queues.append(queue)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(bytes(range(tasks)))
         pid = None
-        if tokens > 1 and _can_fork():
+        if sum(tasks for tasks, *_ in jobs) > 1 and _can_fork():
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -492,24 +503,25 @@ def _shared(tokens: int, work: Callable, *args, label: str) -> dict:
                 os.close(read_fd)
                 os.close(write_fd)
         if pid is None:
-            return work(claims, *args)
+            return run()
         if pid == 0:
             status = 1
             try:
                 os.close(read_fd)
+                error = None
                 try:
-                    payload = (True, work(claims, *args))
+                    run()
                 except Exception as exc:
-                    payload = (False, f"{type(exc).__name__}: {exc}")
+                    error = f"{type(exc).__name__}: {exc}"
                 with open(write_fd, "wb") as pipe:
-                    marshal.dump(payload, pipe)
+                    marshal.dump((mine, error), pipe)
                 status = 0
             finally:
                 os._exit(status)
         os.close(write_fd)
         try:
             with open(read_fd, "rb") as pipe:
-                mine = work(claims, *args)
+                run()
                 data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         except BaseException:
@@ -517,14 +529,15 @@ def _shared(tokens: int, work: Callable, *args, label: str) -> dict:
             os.waitpid(pid, 0)
             raise
     finally:
-        os.close(queue)
+        for queue in queues:
+            os.close(queue)
     if code != 0 or not data:
-        raise SweepChildError(f"the child process of {label} exited with code {code} "
-                              "and sent no result")
-    ok, theirs = marshal.loads(data)
-    if not ok:
-        raise SweepChildError(f"{label} failed in its child process: {theirs}")
-    return {**mine, **theirs}
+        raise SweepChildError(f"the child process of {', '.join(job[3] for job in jobs)} "
+                              f"exited with code {code} and sent no result")
+    theirs, error = marshal.loads(data)
+    if error is not None:  # the child finished the jobs before the one that raised
+        raise SweepChildError(f"{jobs[len(theirs)][3]} failed in its child process: {error}")
+    return [{**here, **there} for here, there in zip(mine, theirs)]
 
 
 def _report_work(claims: Iterator[int], g: SpatialGraph, time_arcs, blocks: int) -> dict:
@@ -550,12 +563,9 @@ def _report_work(claims: Iterator[int], g: SpatialGraph, time_arcs, blocks: int)
     return done
 
 
-def measure_report(g: SpatialGraph, epoch: Optional[str] = None) -> MeasureReport:
-    """Assemble the full per-node and global measure table for one graph
-    snapshot. Requires a connected graph with node coordinates. Every
-    check runs before the passes are shared with a forked child (see the
-    module docstring), so a failing input raises its serial error, and the
-    report is the same to the byte either way."""
+def _plan_report(g: SpatialGraph, epoch: Optional[str]) -> tuple[tuple, tuple]:
+    """``measure_report``'s checks and cheap steps, in the serial order;
+    returns its passes as a ``_shared`` job, and the cheap results."""
     # a disconnected graph is reported as failing closeness, the first
     # measure of the report that needs connectivity
     _require_connected(g, "closeness")
@@ -566,7 +576,22 @@ def measure_report(g: SpatialGraph, epoch: Optional[str] = None) -> MeasureRepor
     density_planar = density(g, "planar")
     time_arcs = None if epoch is None else g.costs("time", epoch)
     blocks = 0 if epoch is None else min(g.n, 253)
-    done = _shared(2 + blocks, _report_work, g, time_arcs, blocks, label="the measure report")
+    return ((2 + blocks, _report_work, (g, time_arcs, blocks), "the measure report"),
+            (clus, ds, nbr, density_planar))
+
+
+def measure_report(g: SpatialGraph, epoch: Optional[str] = None, *,
+                   ran: Optional[tuple[tuple, dict]] = None) -> MeasureReport:
+    """Assemble the full per-node and global measure table for one graph
+    snapshot. Requires a connected graph with node coordinates. Every
+    check runs before the fork (``_plan_report``), so a failing input
+    raises its serial error, and the report is the same to the byte either
+    way. ``ran`` holds the cheap results and job result of a plan run
+    beforehand (``cli``)."""
+    if ran is None:
+        job, cheap = _plan_report(g, epoch)
+        ran = cheap, _shared([job])[0]
+    (clus, ds, nbr, density_planar), done = ran
     binary_closeness, between, avg_path_length_binary, diameter_binary = done["binary"]
     straight, avg_path_length_km, diameter_km = done["km"]
 

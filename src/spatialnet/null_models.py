@@ -63,21 +63,21 @@ binary topology is meaningful.
 Each replicate draws its own RNG stream derived from (seed, replicate
 index), so ensembles are reproducible and replicates are independent.
 
-Since replicates share nothing, an ensemble of R replicates is shared
-with a forked child by the rule of ``measures._shared``: both processes
-claim its ``min(R, 255)`` blocks of replicate numbers in increasing
-order and run ``_replicates`` on them, which returns each replicate's
-rewired integer edge list and ReplicateStats fields, as values that
-``marshal`` carries. A process stops at its first
-SwapBudgetExhaustedError and records its message under the replicate's
-number; since each process finishes a block before it claims the next,
-the lowest failed number is the one a serial run fails on, and its
-message is raised here with the serial type. Any other failure of the
-child raises ``measures.SweepChildError``.
+Since replicates share nothing, an ensemble of R replicates is one
+``measures._shared`` job (``_ensemble_job``, after every check): both
+processes claim its ``min(R, 255)`` blocks of replicate numbers in
+increasing order and run ``_replicates`` on them, which returns each
+replicate's rewired integer edge list and ReplicateStats fields as
+``marshal`` values. A process stops at its first SwapBudgetExhaustedError,
+records its message under the replicate's number and reads the rest of
+the queue, so no later block starts; since each finishes a block before
+it claims the next, the lowest failed number is the one a serial run
+fails on, and its message is raised here with the serial type. Any other
+failure of the child raises ``measures.SweepChildError``.
 
 This is the one module that imports numpy at module level: every command
 that builds ensembles (``omega``, ``all``) also latticeizes. ``cli``
-imports it only inside ``_omega_payload``, so ``analyze``,
+imports it only for those two commands, so ``analyze``,
 ``communities``, ``fit`` and ``regress`` never load it; its defaults
 live in ``small_world``.
 """
@@ -430,13 +430,10 @@ def _replicates(claims: Iterator[int], g: SpatialGraph, rewire, seed: int,
     return built
 
 
-def _build_ensemble(
-    g: SpatialGraph,
-    kind: str,
-    seed: int,
-    swaps_per_edge: int,
-    replicates: int,
-) -> NullModelEnsemble:
+def _ensemble_job(g: SpatialGraph, kind: str, seed: int, swaps_per_edge: int,
+                  replicates: int) -> tuple:
+    """The ensemble's checks and start state; returns its replicates as a
+    ``measures._shared`` job."""
     if not g.is_connected:
         raise DisconnectedError("null models require a connected source graph")
     if g.m < 2:
@@ -445,8 +442,14 @@ def _build_ensemble(
         raise ValueError("replicate count must be >= 1")
     rewire = (_randomize_replicate if kind == "random" else
               partial(_latticeize_replicate, start=_RingDeltas(_Rewirer(g).ends, g.n)))
-    done = measures._shared(min(replicates, 255), _replicates, g, rewire, seed, swaps_per_edge,
-                            replicates, label=f"the {kind} ensemble")
+    return (min(replicates, 255), _replicates, (g, rewire, seed, swaps_per_edge, replicates),
+            f"the {kind} ensemble")
+
+
+def _build_ensemble(g: SpatialGraph, kind: str, seed: int, swaps_per_edge: int,
+                    replicates: int, done: Optional[dict]) -> NullModelEnsemble:
+    if done is None:
+        done = measures._shared([_ensemble_job(g, kind, seed, swaps_per_edge, replicates)])[0]
     # the lowest replicate that failed is the one a serial run fails on
     exhausted = [done[index] for index in sorted(done) if isinstance(done[index], str)]
     if exhausted:
@@ -473,9 +476,11 @@ def randomize(
     seed: int,
     swaps_per_edge: int = DEFAULT_SWAPS_PER_EDGE,
     replicates: int = DEFAULT_REPLICATES,
+    *, done: Optional[dict] = None,
 ) -> NullModelEnsemble:
-    """Ensemble of degree-preserving, connectivity-preserving random rewires."""
-    return _build_ensemble(g, "random", seed, swaps_per_edge, replicates)
+    """Ensemble of degree-preserving, connectivity-preserving random rewires;
+    ``done`` is its ``_ensemble_job``'s result, run beforehand (``cli``)."""
+    return _build_ensemble(g, "random", seed, swaps_per_edge, replicates, done)
 
 
 def latticeize(
@@ -483,11 +488,12 @@ def latticeize(
     seed: int,
     swaps_per_edge: int = DEFAULT_SWAPS_PER_EDGE,
     replicates: int = DEFAULT_REPLICATES,
+    *, done: Optional[dict] = None,
 ) -> NullModelEnsemble:
     """Ensemble of degree-preserving rewires descended toward a ring
     lattice whose positions follow the node ingestion order; at most
     ``swaps_per_edge * m`` descent steps per replicate."""
-    return _build_ensemble(g, "lattice", seed, swaps_per_edge, replicates)
+    return _build_ensemble(g, "lattice", seed, swaps_per_edge, replicates, done)
 
 
 def ring_index_cost(g: SpatialGraph, node_order: Sequence[str]) -> int:

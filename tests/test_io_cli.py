@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixtures
-from spatialnet import measures
+from spatialnet import EdgeRecord, build_graph, cli, measures
 from spatialnet.cli import AnalysisConfig, ConfigError, main, run
 from spatialnet.empirical import VariableScore
 from spatialnet.io import (
@@ -449,7 +449,7 @@ def test_cli_compute_error_exit_3(tmp_path, capsys):
     assert record["error"] == "DisconnectedError"
 
 
-def _exit_3_on_exhausted_budget(tmp_path, capsys, *flags):
+def _exit_3_on_exhausted_budget(tmp_path, capsys, *flags, command="omega"):
     # a dense graph where acceptable swaps are rare: the random chain runs
     # out of its 100 attempts per target swap while swaps still exist
     g = fixtures.er_gnm(9, 31, seed=1, connected=True)
@@ -457,7 +457,11 @@ def _exit_3_on_exhausted_budget(tmp_path, capsys, *flags):
         f"{node.id},{node.id},38,{20 + i}\n" for i, node in enumerate(g.nodes))).encode())
     edges = _write(tmp_path / "edges.csv", ("source,target,distance_km\n" + "".join(
         f"{edge.u},{edge.v},1\n" for edge in g.edges)).encode())
-    code = main(["omega", "--nodes", str(nodes), "--edges", str(edges), "--seed", "1",
+    if command == "all":
+        flags += ("--vars", str(_write(tmp_path / "variables.csv", (
+            "id,a:S,b:B,c:O,y:Y\n" + "".join(f"{node.id},{i},{i * i},{i % 4},{2 * i}\n"
+                                             for i, node in enumerate(g.nodes))).encode())))
+    code = main([command, "--nodes", str(nodes), "--edges", str(edges), "--seed", "1",
                  "--swaps-per-edge", "1", *flags, "--out", str(tmp_path / "out")])
     assert code == 3
     lines = capsys.readouterr().err.strip().splitlines()
@@ -479,6 +483,115 @@ def test_swap_budget_exhausted_exit_3_forked(tmp_path, capsys, monkeypatch, flag
     # the child's first of 4
     monkeypatch.setattr(measures, "_can_fork", lambda: True)
     _exit_3_on_exhausted_budget(tmp_path, capsys, *flags)
+
+
+# --- one fork per command -------------------------------------------------------
+
+def _counting_forks(monkeypatch, allowed):
+    monkeypatch.setattr(measures, "_can_fork", lambda: allowed)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+SAMPLE_FLAGS = ["--nodes", str(NODES), "--edges", str(EDGES), "--vars", str(VARIABLES),
+                "--epoch", "2010"]
+
+
+@pytest.mark.parametrize("allowed", [False, True], ids=["serial", "forked"])
+@pytest.mark.parametrize("command", ["analyze", "omega", "communities", "fit", "regress", "all"])
+def test_each_command_forks_at_most_once(tmp_path, capsys, monkeypatch, command, allowed):
+    # the report and both ensembles share one fork; the other commands have
+    # nothing to share
+    forks = _counting_forks(monkeypatch, allowed)
+    with fixtures.leaves_nothing_behind():
+        assert main([command, *SAMPLE_FLAGS, "--seed", "1", "--replicates", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+    assert len(forks) == (allowed and command in ("analyze", "omega", "all"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["all", *SAMPLE_FLAGS, "--seed", "1"],
+    ["all", *SAMPLE_FLAGS, "--seed", "7"],
+    ["omega", "--nodes", str(NODES), "--edges", str(EDGES), "--seed", "3"],
+], ids=["all seed 1", "all seed 7", "omega seed 3"])
+def test_bundle_is_the_same_forked_and_serial(tmp_path, capsys, monkeypatch, argv):
+    bundles = []
+    for allowed in (False, True):
+        forks = _counting_forks(monkeypatch, allowed)
+        out = tmp_path / str(allowed)
+        assert main([*argv, "--out", str(out)]) == 0
+        assert len(forks) == allowed
+        bundles.append(_raw_bundle_bytes(out))
+    assert bundles[0] == bundles[1]
+
+
+@pytest.mark.parametrize("allowed", [False, True], ids=["serial", "forked"])
+def test_all_exits_3_on_exhausted_budget(tmp_path, capsys, monkeypatch, allowed):
+    # the report is finished first, then the random ensemble raises its
+    # serial error; the lattice ensemble ran, but nothing is written
+    forks = _counting_forks(monkeypatch, allowed)
+    with fixtures.leaves_nothing_behind():
+        _exit_3_on_exhausted_budget(tmp_path, capsys, command="all")
+    assert len(forks) == allowed
+
+
+def _without_edge_40_in_2010(nodes, edges, variables):
+    graph, table = ingest(nodes, edges, variables)
+    return build_graph(graph.nodes, [
+        EdgeRecord(edge.u, edge.v, edge.distance_km, {"1988": edge.time_min["1988"]}) if k == 40
+        else edge for k, edge in enumerate(graph.edges)]), table
+
+
+@pytest.mark.parametrize("fault", ["disconnected", "edge without the epoch"])
+def test_all_fails_on_a_bad_input_as_serially_and_never_forks(tmp_path, capsys, monkeypatch,
+                                                               fault):
+    # every check runs before the one fork, in the serial order
+    edges = EDGES
+    if fault == "disconnected":  # no edge at the first node
+        first = NODES.read_text(encoding="utf-8").splitlines()[1].split(",")[0]
+        edges = _write(tmp_path / "edges.csv", "".join(
+            line + "\n" for line in EDGES.read_text(encoding="utf-8").splitlines()
+            if first not in line.split(",")[:2]).encode())
+    else:
+        monkeypatch.setattr(cli, "ingest", _without_edge_40_in_2010)
+    records = []
+    for allowed in (False, True):
+        forks = _counting_forks(monkeypatch, allowed)
+        with fixtures.leaves_nothing_behind():
+            assert main(["all", "--nodes", str(NODES), "--edges", str(edges),
+                         "--vars", str(VARIABLES), "--epoch", "2010", "--seed", "1",
+                         "--out", str(tmp_path / "out")]) == 3
+        assert forks == []
+        assert not (tmp_path / "out").exists()
+        records.append(json.loads(capsys.readouterr().err))
+    assert records[0] == records[1]
+    assert records[0]["error"] == {"disconnected": "DisconnectedError",
+                                   "edge without the epoch": "UnknownEpochError"}[fault]
+
+
+def test_all_names_the_lattice_ensemble_when_its_child_fails(tmp_path, capsys, monkeypatch):
+    from spatialnet import null_models
+
+    parent = os.getpid()
+    replicates = null_models._replicates
+
+    def failing_lattice(claims, g, rewire, *args):
+        if os.getpid() != parent and rewire is not null_models._randomize_replicate:
+            raise MemoryError("no room for the lattice")
+        return replicates(claims, g, rewire, *args)
+
+    monkeypatch.setattr(null_models, "_replicates", failing_lattice)
+    forks = _counting_forks(monkeypatch, True)
+    with fixtures.leaves_nothing_behind():
+        assert main(["all", *SAMPLE_FLAGS, "--seed", "1", "--out", str(tmp_path / "out")]) == 3
+    assert len(forks) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "SweepChildError",
+        "message": "the lattice ensemble failed in its child process: "
+                   "MemoryError: no room for the lattice"}
+    assert not (tmp_path / "out").exists()
 
 
 # --- contract fuzzing ---------------------------------------------------------

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import json
 import marshal
@@ -571,6 +572,10 @@ def _claimed_by_pid(claims, a, b):
     return {os.getpid(): (list(claims), divmod(a, b))}
 
 
+def _job(tasks, work, *args, label="a test task"):
+    return tasks, work, args, label
+
+
 def _allow_fork(monkeypatch, allowed=True):
     monkeypatch.setattr(measures, "_can_fork", lambda: allowed)
 
@@ -578,7 +583,7 @@ def _allow_fork(monkeypatch, allowed=True):
 def test_forked_task_returns_its_result(monkeypatch):
     _allow_fork(monkeypatch)
     with fixtures.leaves_nothing_behind():
-        result = measures._shared(5, _claimed_by_pid, 47, 5, label="a test task")
+        [result] = measures._shared([_job(5, _claimed_by_pid, 47, 5)])
     assert os.getpid() in result and len(result) == 2  # one result from each process
     assert sorted(task for claimed, _ in result.values() for task in claimed) == list(range(5))
     assert [quotient for _, quotient in result.values()] == [(9, 2), (9, 2)]
@@ -589,7 +594,7 @@ def test_forked_result_larger_than_the_pipe_buffer_arrives_whole(monkeypatch):
     assert len(marshal.dumps(big)) > 16 * 65536  # about 1 MB
     _allow_fork(monkeypatch)
     with fixtures.leaves_nothing_behind():
-        assert measures._shared(2, _in_the_child(dict), big, label="a test task") == big
+        assert measures._shared([_job(2, _in_the_child(dict), big)]) == [big]
 
 
 @pytest.mark.parametrize("task, message", [
@@ -601,7 +606,7 @@ def test_failing_child_raises_sweep_child_error(monkeypatch, task, message):
     _allow_fork(monkeypatch)
     with fixtures.leaves_nothing_behind():
         with pytest.raises(SweepChildError, match=message):
-            measures._shared(2, _in_the_child(task), label="a test task")
+            measures._shared([_job(2, _in_the_child(task))])
 
 
 def test_failed_fork_runs_the_task_in_this_process(monkeypatch):
@@ -611,8 +616,8 @@ def test_failed_fork_runs_the_task_in_this_process(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     _allow_fork(monkeypatch)
     with fixtures.leaves_nothing_behind():
-        result = measures._shared(5, _claimed_by_pid, 47, 5, label="a test task")
-    assert result == {os.getpid(): ([0, 1, 2, 3, 4], (9, 2))}
+        result = measures._shared([_job(5, _claimed_by_pid, 47, 5), _job(2, _claimed_by_pid, 8, 3)])
+    assert result == [{os.getpid(): ([0, 1, 2, 3, 4], (9, 2))}, {os.getpid(): ([0, 1], (2, 2))}]
 
 
 def test_unforked_task_runs_in_this_process_and_opens_nothing(monkeypatch):
@@ -623,8 +628,8 @@ def test_unforked_task_runs_in_this_process_and_opens_nothing(monkeypatch):
     for tokens, allowed in ((1, True), (3, False)):
         _allow_fork(monkeypatch, allowed)
         with fixtures.leaves_nothing_behind():
-            result = measures._shared(tokens, _claimed_by_pid, 47, 5, label="a test task")
-        assert result == {os.getpid(): (list(range(tokens)), (9, 2))}
+            result = measures._shared([_job(tokens, _claimed_by_pid, 47, 5)])
+        assert result == [{os.getpid(): (list(range(tokens)), (9, 2))}]
     assert forks == []
 
 
@@ -639,8 +644,48 @@ def test_parent_failure_kills_and_reaps_the_child(monkeypatch):
     start = time.perf_counter()
     with fixtures.leaves_nothing_behind():
         with pytest.raises(KeyError):
-            measures._shared(2, _fail_here_and_sleep_there, os.getpid(), label="a test task")
+            measures._shared([_job(2, _fail_here_and_sleep_there, os.getpid())])
     assert time.perf_counter() - start < 30
+
+
+def _claimed_with_pid(claims, scale):
+    return {task: (os.getpid(), task * scale) for task in claims}
+
+
+@pytest.mark.parametrize("allowed", [False, True], ids=["serial", "forked"])
+def test_every_task_of_every_job_is_claimed_once(monkeypatch, tmp_path, allowed):
+    # three jobs of 255, 1 and 7 tasks share one fork; each task is claimed
+    # by one process only, and each job's two results are merged
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    _allow_fork(monkeypatch, allowed)
+    sizes = (255, 1, 7)
+    with contextlib.ExitStack() as stack:
+        logs = [stack.enter_context(fixtures.PidLog(tmp_path / f"job{j}")) for j in range(3)]
+        jobs = [_job(tasks, log.claims(_claimed_with_pid), j + 1, label=f"job {j}")
+                for j, (tasks, log) in enumerate(zip(sizes, logs))]
+        with fixtures.leaves_nothing_behind():
+            done = measures._shared(jobs)
+    assert len(forks) == allowed
+    assert len(done) == len(sizes)
+    for j, (tasks, log, result) in enumerate(zip(sizes, logs, done)):
+        assert log.items() == list(range(tasks))
+        assert result == {task: (pid, task * (j + 1)) for pid, task in log.read()}
+    if not allowed:
+        assert {pid for result in done for pid, _ in result.values()} == {os.getpid()}
+
+
+def test_child_failure_names_the_job_it_failed_in(monkeypatch):
+    # the child finishes job 1, then raises as job 2 starts; job 3 runs here
+    _allow_fork(monkeypatch)
+    with fixtures.leaves_nothing_behind():
+        with pytest.raises(SweepChildError) as info:
+            measures._shared([_job(3, _claimed_by_pid, 1, 1, label="job 1"),
+                              _job(2, _in_the_child(_raise_memory_error), label="job 2"),
+                              _job(4, _claimed_by_pid, 1, 1, label="job 3")])
+    assert str(info.value) == ("job 2 failed in its child process: "
+                               "MemoryError: no room for the km pass")
 
 
 def test_blocks_partition_every_count():

@@ -373,6 +373,41 @@ def test_lowest_failed_replicate_wins(monkeypatch, replicates, failing, allowed)
     assert str(info.value) == f"replicate {min(failing)}"
 
 
+@pytest.mark.parametrize("allowed", [False, True], ids=["serial", "forked"])
+def test_failed_ensemble_stops_on_both_sides(monkeypatch, tmp_path, allowed):
+    # replicate 10 fails, and the process that meets it reads the rest of
+    # the queue: no replicate above 10 starts but the one block that the
+    # other process, slowed here, already held
+    g = fixtures.ws_graph(20, 4, 0.2, seed=1)
+    number = {random.Random((5 << 32) ^ i).getstate(): i for i in range(20)}
+    rewire = null_models._randomize_replicate
+    parent = os.getpid()
+    with fixtures.PidLog(tmp_path / "started") as started:
+
+        def failing_rewire(g, rng, swaps_per_edge):
+            i = number[rng.getstate()]
+            started.write(i)
+            if i == 10:
+                raise SwapBudgetExhaustedError(f"replicate {i}")
+            if os.getpid() != parent:
+                time.sleep(0.02)
+            return rewire(g, rng, swaps_per_edge)
+
+        monkeypatch.setattr(null_models, "_randomize_replicate", failing_rewire)
+        _allow_fork(monkeypatch, allowed)
+        with fixtures.leaves_nothing_behind():
+            with pytest.raises(SwapBudgetExhaustedError) as info:
+                randomize(g, seed=5, swaps_per_edge=1, replicates=20)
+    assert str(info.value) == "replicate 10"
+    log = started.read()
+    assert started.items()[:11] == list(range(11))
+    failer = {pid for pid, i in log if i == 10}
+    above = [(pid, i) for pid, i in log if i > 10]
+    assert len(above) <= 1 and not {pid for pid, _ in above} & failer
+    if not allowed:
+        assert started.items() == list(range(11))
+
+
 def test_forked_ensemble_equals_serial_past_one_replicate_per_block(monkeypatch):
     # 300 replicates in 255 blocks, so some blocks hold two
     g, _ = ingest(DATA / "nodes.csv", DATA / "edges.csv")

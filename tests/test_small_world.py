@@ -141,6 +141,6 @@ def test_all_reads_omega_path_length_off_the_measure_report(tmp_path, monkeypatc
 
 
 def test_forked_ensembles_measure_each_replicate_once(tmp_path, monkeypatch):
-    # the same run with the report and each ensemble shared with a forked
+    # the same run with the report and both ensembles shared with one forked
     # child: both processes together make the serial run's calls
-    assert _bfs_and_hop_calls(tmp_path, monkeypatch, fork=True) == (40, 4, 3)
+    assert _bfs_and_hop_calls(tmp_path, monkeypatch, fork=True) == (40, 4, 1)
