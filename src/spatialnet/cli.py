@@ -6,6 +6,8 @@ computes in memory, and only then writes its JSON reports — a failing
 command never leaves a partial bundle behind: every file is written to a
 temporary sibling first and renamed into place only once all are
 complete, and if writing fails part way, what was written is removed.
+A SIGTERM ends a command the same way, and then the process, by the
+signal's default action.
 Stochastic commands (omega, communities, all) require --seed so runs are
 reproducible. Any command given --models checks it against --vars.
 
@@ -36,11 +38,12 @@ import argparse
 import contextlib
 import json
 import os
+import signal
 import sys
-from dataclasses import asdict, dataclass, field, fields
+import threading
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import __version__
 from . import communities as communities_mod
@@ -75,8 +78,11 @@ class BundleWriteError(SchemaError):
     pass
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+class _Terminated(BaseException):
+    """A SIGTERM that arrived while ``main`` ran."""
+
+
+class _ConfigFields(NamedTuple):
     nodes: Path
     edges: Path
     variables: Optional[Path] = None
@@ -89,7 +95,14 @@ class AnalysisConfig:
     model_sets: tuple[tuple[str, ...], ...] = ()
     out_dir: Path = Path("reports")
 
-    def __post_init__(self):
+
+class AnalysisConfig(_ConfigFields):
+    """One command's inputs and flags, checked when it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # random.Random seeds from |seed|, so -7 would replay seed 7
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -101,12 +114,14 @@ class AnalysisConfig:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0 <= self.omega_threshold < 1:
             raise ConfigError(f"omega_threshold must lie in [0, 1), got {self.omega_threshold}")
+        return self
 
     def echo(self) -> dict:
         # analysis inputs only; out_dir is run bookkeeping, not input. Input
         # files are echoed by name and content hash, not by the path typed,
         # so the same inputs reached by two paths give the same bundle.
-        echoed = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"}
+        echoed = self._asdict()
+        del echoed["out_dir"]
         for name in INPUT_FILES:
             if echoed[name] is not None:
                 path = Path(echoed[name])
@@ -115,10 +130,14 @@ class AnalysisConfig:
         return echoed
 
 
-@dataclass
 class ReportBundle:
-    reports: dict[str, dict] = field(default_factory=dict)
-    plotdata: dict[str, list[list]] = field(default_factory=dict)
+    """A command's reports and plot data by file name, which ``run`` fills."""
+
+    __slots__ = ("reports", "plotdata")
+
+    def __init__(self):
+        self.reports: dict[str, dict] = {}
+        self.plotdata: dict[str, list[list]] = {}
 
 
 def _provenance(config: AnalysisConfig) -> dict:
@@ -134,7 +153,8 @@ def _provenance(config: AnalysisConfig) -> dict:
 def _ensemble_summary(ensemble: NullModelEnsemble) -> dict:
     # the ensemble's fields and its stats' fields, with the replicate graphs
     # reported as their count
-    summary = {**vars(ensemble), **vars(ensemble.stats), "replicates": len(ensemble.replicates)}
+    summary = {**ensemble._asdict(), **ensemble.stats._asdict(),
+               "replicates": len(ensemble.replicates)}
     del summary["stats"]
     return summary
 
@@ -150,7 +170,7 @@ def _omega_payload(g: SpatialGraph, report: Optional[measures.MeasureReport],
         l_emp = report.global_measures.avg_path_length_binary
         c_emp = report.global_measures.clustering_average
     result = small_world.omega(g, rand, latt, config.omega_threshold, l_emp, c_emp)
-    payload = asdict(result)
+    payload = sanitize(result)
     payload["inputs"] = {key: payload.pop(key) for key in ("l_emp", "c_emp", "l_rand", "c_latt")}
     payload["ensembles"] = {
         "random": _ensemble_summary(rand),
@@ -278,8 +298,8 @@ def write_bundle(bundle: ReportBundle, out_dir: Path) -> list[Path]:
     Each file is first written whole to a hidden temporary sibling, and
     only when every one is complete are they renamed into place, so a
     write that fails part way leaves no truncated file and no part of
-    the new bundle. On an I/O error, removes what it wrote and the
-    directories it created, and raises BundleWriteError.
+    the new bundle. On any exception, removes what it wrote and the
+    directories it created; an I/O error is raised as BundleWriteError.
     """
     out_dir = Path(out_dir)
     texts = {
@@ -310,13 +330,15 @@ def write_bundle(bundle: ReportBundle, out_dir: Path) -> list[Path]:
         for temp, path in staged:
             os.replace(temp, path)
             placed.append(path)
-    except OSError as exc:
+    except BaseException as exc:
         for path in [temp for temp, _ in staged] + placed:
             path.unlink(missing_ok=True)
         for directory in reversed(created):
             with contextlib.suppress(OSError):  # left alone if not empty
                 directory.rmdir()
-        raise BundleWriteError(f"cannot write the bundle to {out_dir}: {exc}") from None
+        if isinstance(exc, OSError):
+            raise BundleWriteError(f"cannot write the bundle to {out_dir}: {exc}") from None
+        raise
     return list(texts)
 
 
@@ -359,7 +381,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _terminated(signum, frame):
+    signal.signal(signum, signal.SIG_IGN)  # a second SIGTERM cannot cut the cleanup short
+    raise _Terminated
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # on the main thread a SIGTERM ends the command as an exception would (the
+    # child is reaped, nothing written), then the process by its default action
+    on_main_thread = threading.current_thread() is threading.main_thread()
+    if on_main_thread:
+        previous = signal.signal(signal.SIGTERM, _terminated)
     try:
         args = vars(build_parser().parse_args(argv))
         command = args.pop("command")
@@ -369,6 +401,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SpatialNetError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2 if isinstance(exc, SchemaError) else 3
+    except _Terminated:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGTERM)
+        raise
+    finally:
+        if on_main_thread:
+            signal.signal(signal.SIGTERM, previous)
     for path in written:
         print(path)
     return 0

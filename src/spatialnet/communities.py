@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .exceptions import ComputeError, DisconnectedError
 from .graph import SpatialGraph
@@ -33,8 +32,7 @@ class IncompleteAssignmentError(ComputeError):
     pass
 
 
-@dataclass(frozen=True)
-class CommunityPartition:
+class CommunityPartition(NamedTuple):
     assignment: Mapping[str, int]
     q: float
     levels: tuple[Mapping[str, int], ...]

@@ -28,8 +28,7 @@ variables file (``io`` imports this module) does not load numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .exceptions import ComputeError
 
@@ -128,8 +127,7 @@ def student_t_two_tailed(t: float, df: int) -> float:
 # Variable table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     """One named column: class "S"/"B"/"O" for predictors, "Y" response."""
 
     name: str
@@ -141,8 +139,7 @@ class Variable:
         return self.klass == RESPONSE_CLASS
 
 
-@dataclass(frozen=True)
-class VariableTable:
+class VariableTable(NamedTuple):
     ids: tuple[str, ...]
     variables: tuple[Variable, ...]
 
@@ -203,8 +200,7 @@ def build_variable_table(ids: Sequence[str], variables: Iterable[Variable]) -> V
 # Pearson correlation matrix
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PearsonMatrix:
+class PearsonMatrix(NamedTuple):
     names: tuple[str, ...]
     r: np.ndarray
     p: np.ndarray
@@ -247,8 +243,7 @@ def pearson_matrix(table: VariableTable) -> PearsonMatrix:
 # Representative selection
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VariableScore:
+class VariableScore(NamedTuple):
     name: str
     klass: str
     within_sum: float
@@ -258,8 +253,7 @@ class VariableScore:
     is_response: bool
 
 
-@dataclass(frozen=True)
-class SelectionReport:
+class SelectionReport(NamedTuple):
     alpha: float
     scores: tuple[VariableScore, ...]
     representatives: Mapping[str, str]  # class -> variable name
@@ -343,8 +337,7 @@ def select_representatives(table: VariableTable, alpha: float = DEFAULT_ALPHA) -
 CONSTANT = "(constant)"  # name of the intercept's coefficient row
 
 
-@dataclass(frozen=True)
-class Coefficient:
+class Coefficient(NamedTuple):
     """One coefficient row: estimate, its standard error, the standardized
     coefficient (None for the intercept), t statistic and two-tailed p."""
 
@@ -355,8 +348,7 @@ class Coefficient:
     p: float
 
 
-@dataclass(frozen=True)
-class RegressionModel:
+class RegressionModel(NamedTuple):
     predictors: tuple[str, ...]
     coefficients: Mapping[str, Coefficient]  # CONSTANT first, then the predictors in order
     r: float

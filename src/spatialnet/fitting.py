@@ -26,8 +26,7 @@ that compute with it import it themselves, so importing this module
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional
 
 from .exceptions import ComputeError
 from .graph import SpatialGraph
@@ -51,8 +50,7 @@ class InsufficientClassesError(ComputeError):
     pass
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     family: str
     params: Mapping[str, float]
     r_squared: float

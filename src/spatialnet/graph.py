@@ -55,9 +55,9 @@ traversals are safe. Unreachable targets are reported with an explicit
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from heapq import heappush, heappop
-from typing import Iterable, Mapping, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .exceptions import ComputeError, DisconnectedError, SchemaError
 
@@ -124,8 +124,7 @@ class UnknownEpochError(ComputeError):
     pass
 
 
-@dataclass(frozen=True)
-class NodeRecord:
+class NodeRecord(NamedTuple):
     """A place in the network: id, display label, position."""
 
     id: str
@@ -138,23 +137,23 @@ class NodeRecord:
         return self.lat is not None and self.lon is not None
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
-    """An undirected road link with kilometric and per-epoch time costs."""
+class EdgeRecord(NamedTuple):
+    """An undirected road link with kilometric and per-epoch time costs.
+    Left out, ``time_min`` is one shared empty mapping that cannot change."""
 
     u: str
     v: str
     distance_km: float
-    time_min: Mapping[str, float] = field(default_factory=dict)
+    time_min: Mapping[str, float] = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class SpatialGraph:
+class SpatialGraph(NamedTuple):
     """Validated undirected graph. Build through :func:`build_graph`.
 
     A node's number is its position in ``nodes``, and ``index`` maps its
-    id to that number. ``adj_index[i]`` lists the numbers of node i's
-    neighbours in the order of the edges that join them.
+    id to that number (the field hides ``tuple.index``). ``adj_index[i]``
+    lists the numbers of node i's neighbours in the order of the edges
+    that join them.
     """
 
     nodes: tuple[NodeRecord, ...]
@@ -221,8 +220,7 @@ class SpatialGraph:
         return tuple(sorted(labels))
 
 
-@dataclass(frozen=True)
-class PathTable:
+class PathTable(NamedTuple):
     """Single-source shortest-path result.
 
     ``dist`` maps every node to its minimal cost from the source

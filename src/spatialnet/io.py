@@ -15,11 +15,11 @@ nodes file with no rows. An edges file with no rows is valid. Edge
 weights must be finite and positive: the reader rejects nonpositive ones
 by line, and ``build_graph`` rejects nan and inf by edge.
 
-Reports are the result dataclasses (``MeasureReport``,
-``CommunityPartition``, ``RegressionModel`` and the others they hold):
-``sanitize`` turns each into a dict keyed by its field names, so the
-dataclasses are the report schema. REPORT_RENAMES lists the few fields
-whose report key differs. Non-finite numbers are emitted as null. Every
+Reports are the result records (``MeasureReport``,
+``CommunityPartition``, ``RegressionModel`` and the others they hold,
+each a ``typing.NamedTuple``): ``sanitize`` turns each into a dict keyed
+by its field names, so the records are the report schema.
+REPORT_RENAMES lists the few fields whose report key differs. Non-finite numbers are emitted as null. Every
 report carries a provenance block; the timestamp lives in the single
 field provenance.generated_at so determinism checks can mask it.
 """
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Optional
 
@@ -203,7 +202,7 @@ def ingest(
 # Report payloads
 # ---------------------------------------------------------------------------
 
-# Result dataclass fields whose report key differs from the field name.
+# Record fields whose report key differs from the field name.
 REPORT_RENAMES: Mapping[str, str] = {
     "average_strength": "average_strength_km",
     "klass": "class",
@@ -215,14 +214,23 @@ REPORT_RENAMES: Mapping[str, str] = {
 
 
 def sanitize(obj):
-    """Convert a report payload into JSON-ready values: dataclasses become
-    dicts keyed by field name (see REPORT_RENAMES), mappings and sequences
-    recurse and non-finite floats become None."""
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            REPORT_RENAMES.get(f.name, f.name): sanitize(getattr(obj, f.name))
-            for f in fields(obj)
-        }
+    """Convert a report payload into JSON-ready values: records (the
+    package's NamedTuples) become dicts keyed by field name (see
+    REPORT_RENAMES), mappings and sequences recurse and non-finite floats
+    become None. The builtin types are matched exactly first, since a
+    report holds little else."""
+    kind = type(obj)
+    if kind is float:
+        return obj if math.isfinite(obj) else None
+    if kind is str or kind is int or kind is bool or obj is None:
+        return obj
+    if kind is dict:
+        return {key: sanitize(value) for key, value in obj.items()}
+    if kind is list or kind is tuple:
+        return [sanitize(value) for value in obj]
+    if isinstance(obj, tuple) and hasattr(kind, "_fields"):
+        return {REPORT_RENAMES.get(name, name): sanitize(value)
+                for name, value in zip(kind._fields, obj)}
     if isinstance(obj, Mapping):
         return {key: sanitize(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):

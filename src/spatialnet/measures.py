@@ -76,14 +76,14 @@ from __future__ import annotations
 import marshal
 import math
 import os
+import signal
 import threading
 from array import array
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from operator import truediv
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .exceptions import ComputeError, DisconnectedError
 from .graph import SpatialGraph, drop_dominated_arcs, hop_distances, traverse
@@ -109,45 +109,39 @@ class SweepChildError(ComputeError):
     without sending its result."""
 
 
-@dataclass(frozen=True)
-class DegreeStrength:
+class DegreeStrength(NamedTuple):
     degree: Mapping[str, int]
     strength_km: Mapping[str, float]
     average_degree: float
     average_strength: float
 
 
-@dataclass(frozen=True)
-class ClusteringResult:
+class ClusteringResult(NamedTuple):
     per_node: Mapping[str, float]
     global_coefficient: float
     average: float
 
 
-@dataclass(frozen=True)
-class PathStats:
+class PathStats(NamedTuple):
     average: float
     diameter: float
 
 
-@dataclass(frozen=True)
-class _SweepResult:
+class _SweepResult(NamedTuple):
     closeness: dict[str, float]
     path_stats: PathStats
     betweenness: Optional[dict[str, float]]
     straightness: Optional[dict[str, float]]
 
 
-@dataclass(frozen=True)
-class NeighborStats:
+class NeighborStats(NamedTuple):
     degree: Mapping[str, float]
     strength: Mapping[str, float]
     average_degree: float
     average_strength: float
 
 
-@dataclass(frozen=True)
-class NodeMeasures:
+class NodeMeasures(NamedTuple):
     degree: int
     strength_km: float
     closeness: float
@@ -158,8 +152,7 @@ class NodeMeasures:
     avg_neighbor_strength: float
 
 
-@dataclass(frozen=True)
-class GlobalMeasures:
+class GlobalMeasures(NamedTuple):
     n: int
     m: int
     average_degree: float
@@ -176,21 +169,18 @@ class GlobalMeasures:
     average_edge_length_km: float
 
 
-@dataclass(frozen=True)
-class TimeMeasures:
+class TimeMeasures(NamedTuple):
     epoch: str
     avg_path_length_min: float
     diameter_min: float
 
 
-@dataclass(frozen=True)
-class NeighborAverages:
+class NeighborAverages(NamedTuple):
     average_degree: float
     average_strength: float
 
 
-@dataclass(frozen=True)
-class MeasureReport:
+class MeasureReport(NamedTuple):
     per_node: Mapping[str, NodeMeasures]
     global_measures: GlobalMeasures
     nearest_neighbor: NeighborAverages
@@ -507,6 +497,8 @@ def _shared(jobs: Sequence[tuple[int, Callable, tuple, str]]) -> list[dict]:
         if pid == 0:
             status = 1
             try:
+                # SIGTERM ends the child at once; cli.main's handler is the parent's
+                signal.signal(signal.SIGTERM, signal.SIG_DFL)
                 os.close(read_fd)
                 error = None
                 try:
@@ -629,9 +621,5 @@ def measure_report(g: SpatialGraph, epoch: Optional[str] = None, *,
     if epoch is not None:
         time_paths = _path_stats(done, g.n)
         time_measures = TimeMeasures(epoch, time_paths.average, time_paths.diameter)
-    return MeasureReport(
-        per_node=per_node,
-        global_measures=global_measures,
-        nearest_neighbor=NeighborAverages(nbr.average_degree, nbr.average_strength),
-        time_measures=time_measures,
-    )
+    return MeasureReport(per_node, global_measures,
+                         NeighborAverages(nbr.average_degree, nbr.average_strength), time_measures)

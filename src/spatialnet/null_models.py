@@ -87,9 +87,8 @@ from __future__ import annotations
 import copy
 import math
 import random
-from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -106,8 +105,7 @@ class SwapBudgetExhaustedError(ComputeError):
     pass
 
 
-@dataclass(frozen=True)
-class ReplicateStats:
+class ReplicateStats(NamedTuple):
     path_length: float
     clustering: float
     accepted_swaps: int
@@ -115,15 +113,13 @@ class ReplicateStats:
     converged: bool
 
 
-@dataclass(frozen=True)
-class EnsembleStats:
+class EnsembleStats(NamedTuple):
     mean_path_length: float
     mean_clustering: float
     per_replicate: tuple[ReplicateStats, ...]
 
 
-@dataclass(frozen=True)
-class NullModelEnsemble:
+class NullModelEnsemble(NamedTuple):
     kind: str  # "random" | "lattice"
     replicates: tuple[SpatialGraph, ...]
     seed: int

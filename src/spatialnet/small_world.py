@@ -15,8 +15,7 @@ that loads numpy; ``null_models`` imports them from here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .exceptions import ComputeError
 from .graph import SpatialGraph
@@ -34,8 +33,7 @@ class ZeroClusteringError(ComputeError):
     pass
 
 
-@dataclass(frozen=True)
-class OmegaResult:
+class OmegaResult(NamedTuple):
     l_emp: float
     c_emp: float
     l_rand: float
@@ -69,17 +67,8 @@ def omega_from_stats(
     if l_emp <= 0:
         raise ComputeError(f"empirical path length must be positive, got {l_emp}")
     value = l_rand / l_emp - c_emp / c_latt
-    return OmegaResult(
-        l_emp=l_emp,
-        c_emp=c_emp,
-        l_rand=l_rand,
-        c_latt=c_latt,
-        omega=value,
-        classification=classify(value, threshold),
-        threshold=threshold,
-        in_range=-1.0 <= value <= 1.0,
-        per_replicate_omegas=per_replicate_omegas,
-    )
+    return OmegaResult(l_emp, c_emp, l_rand, c_latt, value, classify(value, threshold),
+                       threshold, -1.0 <= value <= 1.0, per_replicate_omegas)
 
 
 def omega(
@@ -120,11 +109,5 @@ def omega(
         else:
             per_rep.append(math.nan)
 
-    return omega_from_stats(
-        l_emp=l_emp,
-        c_emp=c_emp,
-        l_rand=rand_ensemble.stats.mean_path_length,
-        c_latt=latt_ensemble.stats.mean_clustering,
-        threshold=threshold,
-        per_replicate_omegas=tuple(per_rep),
-    )
+    return omega_from_stats(l_emp, c_emp, rand_ensemble.stats.mean_path_length,
+                            latt_ensemble.stats.mean_clustering, threshold, tuple(per_rep))

@@ -7,9 +7,11 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -404,6 +406,76 @@ def test_write_failing_part_way_removes_the_out_dir_it_created(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_write_interrupted_part_way_leaves_nothing(tmp_path, monkeypatch):
+    # not only an OSError: any exception removes what was staged and placed,
+    # and is raised as it came
+    bundle = run("fit", _config(tmp_path / "unused"))
+    out = tmp_path / "out"
+    out.mkdir()
+    replace, calls = os.replace, []
+
+    def interrupted_replace(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", interrupted_replace)
+    with pytest.raises(KeyboardInterrupt):
+        cli.write_bundle(bundle, out)
+    monkeypatch.undo()
+    assert len(calls) == 2
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "regress"])
+def test_main_restores_the_sigterm_handler(tmp_path, capsys, command):
+    # main runs many times in one process (tests, the benchmark), and
+    # regress fails here for want of --vars
+    before = signal.getsignal(signal.SIGTERM)
+    main([command, "--nodes", str(NODES), "--edges", str(EDGES), "--out", str(tmp_path)])
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
+def test_sigterm_leaves_no_process_and_no_file(tmp_path):
+    # omega on geo200 runs for seconds, most of them shared with its forked
+    # child; the command runs in a session of its own, so its process group
+    # holds exactly the command and that child
+    paths, _ = fixtures.geo_inputs(tmp_path / "inputs", 200, 1)
+    out = tmp_path / "out"
+    code = "import sys\nfrom spatialnet import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+    command = subprocess.Popen(
+        [sys.executable, "-c", code, "omega", "--nodes", str(paths["nodes.csv"]),
+         "--edges", str(paths["edges.csv"]), "--seed", "1", "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    try:
+        # wait until the child has been forked, where the kernel lists
+        # children and the command can fork at all
+        children = Path(f"/proc/{command.pid}/task/{command.pid}/children")
+        watched = children.exists() and measures._can_fork()
+        time.sleep(0.5)
+        deadline = time.monotonic() + 10.0
+        while watched and not children.read_text() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        forked = watched and bool(children.read_text().strip())
+        command.send_signal(signal.SIGTERM)
+        stdout, stderr = command.communicate(timeout=30)
+        assert command.returncode == -signal.SIGTERM, stderr.decode()
+        assert (stdout, stderr) == (b"", b"")  # no path printed and no JSON line
+        time.sleep(1.0)
+        with pytest.raises(ProcessLookupError):  # neither the command nor its child
+            os.killpg(command.pid, 0)
+    finally:  # a failing run leaves nothing running either
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(command.pid, signal.SIGKILL)
+        command.wait()
+    assert not out.exists()
+    assert not [path for path in tmp_path.rglob("*") if path.name.endswith(".tmp")]
+    assert forked or not watched
+
+
 # --- start-up imports ------------------------------------------------------------
 
 _SAMPLE = ["--nodes", str(NODES), "--edges", str(EDGES)]
@@ -430,6 +502,23 @@ def test_numpy_loaded_only_by_commands_that_compute_with_it(tmp_path, code, load
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == str(loads_numpy)
+
+
+@pytest.mark.parametrize("code", [
+    "from spatialnet import cli\n",
+    f"from spatialnet import io\n"
+    f"io.ingest({str(NODES)!r}, {str(EDGES)!r}, {str(VARIABLES)!r})\n",
+], ids=["import-cli", "ingest"])
+def test_set_up_imports_neither_dataclasses_nor_inspect(tmp_path, code):
+    # the records are NamedTuples, so neither module is needed; importing
+    # them cost about a fifth of a command's set-up
+    code += "import sys\nprint('dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False False"
 
 
 def test_cli_compute_error_exit_3(tmp_path, capsys):
