@@ -393,15 +393,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if on_main_thread:
         previous = signal.signal(signal.SIGTERM, _terminated)
     try:
-        args = vars(build_parser().parse_args(argv))
-        command = args.pop("command")
-        config = AnalysisConfig(**args)
-        bundle = run(command, config)
-        written = write_bundle(bundle, config.out_dir)
-    except SpatialNetError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 2 if isinstance(exc, SchemaError) else 3
-    except _Terminated:
+        try:
+            args = vars(build_parser().parse_args(argv))
+            command = args.pop("command")
+            config = AnalysisConfig(**args)
+            bundle = run(command, config)
+            written = write_bundle(bundle, config.out_dir)
+        except SpatialNetError as exc:
+            print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+            return 2 if isinstance(exc, SchemaError) else 3
+    except _Terminated:  # also while the failure record is printed
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.raise_signal(signal.SIGTERM)
         raise

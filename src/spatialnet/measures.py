@@ -79,7 +79,6 @@ import os
 import signal
 import threading
 from array import array
-from collections import deque
 from functools import partial
 from itertools import chain
 from operator import truediv
@@ -454,11 +453,9 @@ def _shared(jobs: Sequence[tuple[int, Callable, tuple, str]]) -> list[dict]:
     A job's task numbers 0 to ``tasks`` - 1 (at most 255, so no write can
     block) go into its own pipe, one byte each, whose write end is closed
     before the fork. Both processes run the jobs in order: ``claims``
-    yields the job's next number that neither has read, and once ``work``
-    returns the process reads the pipe to EOF, so no task of a job starts
-    after either process stopped it. Without a child (one task,
-    ``_can_fork`` false, or a failed ``os.fork``) this process claims every
-    task.
+    yields the job's next number that neither has read, and ``work``
+    reads it to the end. Without a child (one task, ``_can_fork`` false,
+    or a failed ``os.fork``) this process claims every task.
 
     The child sends its results, and ``"Type: message"`` when a job's
     ``work`` raises an Exception, through a second pipe with ``marshal``,
@@ -475,7 +472,6 @@ def _shared(jobs: Sequence[tuple[int, Callable, tuple, str]]) -> list[dict]:
         for (_, work, args, _), queue in zip(jobs, queues):
             claims = map(ord, iter(partial(os.read, queue, 1), b""))
             mine.append(work(claims, *args))
-            deque(claims, 0)
         return mine
 
     try:

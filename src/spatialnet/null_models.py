@@ -17,11 +17,20 @@ XORs undo the flip only if they never do.
 Randomization samples swaps at random and accepts every acceptable one
 until ``swaps_per_edge * m`` are accepted; each edge draw is
 ``rng.randrange(m)`` written out (``getrandbits(m.bit_length())`` until
-below m, as CPython draws it). A replicate stops early, without error,
-when an exhaustive scan finds no acceptable swap at all (a rigid graph
-such as a triangle). SwapBudgetExhaustedError marks the genuine failure:
-the attempt budget, MAX_ATTEMPT_FACTOR times the target swap count, ran
-out while acceptable swaps still existed.
+below m, as CPython draws it). A proposal is an ordered pair of edges
+e1 = (a, b) and e2 ≠ e1, with e2 read as (c, d) or (d, c), as the
+sampler draws it; read backwards, (e1, e2) and (e2, e1) give the same
+edge set with the new pairs at exchanged indices, which carry the
+weights, so both count. A replicate stops early, without error, when an
+exhaustive scan finds no acceptable proposal (a rigid graph such as a
+triangle). Once the sampler has made MAX_ATTEMPT_FACTOR times the target
+count of attempts, each further swap is drawn from the list of every
+acceptable proposal, in the order of e1, then e2, then (c, d) before
+(d, c), by one ``rng.randrange`` over its length, and counts as one
+attempt. The sampler accepts each acceptable proposal with the same
+probability, so the step's distribution is the same. A list costs
+2·m·(m - 1) proposals and a connectivity check for each simple one; an
+empty list ends the replicate as a rigid graph does.
 
 Latticeization is a steepest descent on the ring-index cost
 
@@ -44,10 +53,11 @@ and certifies that no single swap can lower the cost further — or after
 ``node_order``.
 
 ``ReplicateStats`` counts, per replicate: ``accepted_swaps``, the swaps
-committed (descent steps for the lattice); ``attempts``, the sampled
-swaps for randomization and the connectivity checks for the lattice;
-and ``converged``, True when randomization reached its target or found
-the graph rigid, and when the descent ran out of improving swaps.
+committed (descent steps for the lattice); ``attempts``, the swaps
+sampled or drawn from the list for randomization and the connectivity
+checks for the lattice; and ``converged``, True when randomization
+reached its target or found the graph rigid, and when the descent ran
+out of improving swaps.
 
 A replicate is measured on neighbour lists built from its rewired
 integer edge list: its binary path length comes from
@@ -68,12 +78,8 @@ Since replicates share nothing, an ensemble of R replicates is one
 processes claim its ``min(R, 255)`` blocks of replicate numbers in
 increasing order and run ``_replicates`` on them, which returns each
 replicate's rewired integer edge list and ReplicateStats fields as
-``marshal`` values. A process stops at its first SwapBudgetExhaustedError,
-records its message under the replicate's number and reads the rest of
-the queue, so no later block starts; since each finishes a block before
-it claims the next, the lowest failed number is the one a serial run
-fails on, and its message is raised here with the serial type. Any other
-failure of the child raises ``measures.SweepChildError``.
+``marshal`` values. A failure of the child raises
+``measures.SweepChildError``.
 
 This is the one module that imports numpy at module level: every command
 that builds ensembles (``omega``, ``all``) also latticeizes. ``cli``
@@ -99,10 +105,6 @@ from .measures import local_clustering
 from .small_world import DEFAULT_REPLICATES, DEFAULT_SWAPS_PER_EDGE
 
 MAX_ATTEMPT_FACTOR = 100
-
-
-class SwapBudgetExhaustedError(ComputeError):
-    pass
 
 
 class ReplicateStats(NamedTuple):
@@ -193,17 +195,19 @@ class _Rewirer:
         bits[c] ^= 1 << d | 1 << b
         bits[d] ^= 1 << c | 1 << a
 
-    def any_acceptable(self) -> bool:
-        """Exhaustive scan over unordered edge pairs (e2, e1 rewires to a graph
-        that e1, e2 does) in both orientations; leaves the edges as they were."""
-        for e1, (a, b) in enumerate(self.ends):
-            for e2, (c, d) in enumerate(self.ends[e1 + 1:], e1 + 1):
+    def acceptable_swaps(self) -> Iterator[tuple[int, int, int, int, int, int]]:
+        """Exhaustive scan that yields (e1, e2, a, b, c, d) for every
+        acceptable ordered proposal, in the order of e1, then e2, then
+        (c, d) before (d, c); the edges are as they were at every yield.
+        ``simple_after`` rejects e1 = e2, whose four ends are two nodes."""
+        ends = self.ends
+        for e1, (a, b) in enumerate(ends):
+            for e2, (c, d) in enumerate(ends):
                 for cc, dd in ((c, d), (d, c)):
                     if self.simple_after(a, b, cc, dd) and self.swap(e1, e2, a, b, cc, dd):
                         self._flip(a, b, cc, dd)  # undo
-                        self.ends[e1], self.ends[e2] = (a, b), (c, d)
-                        return True
-        return False
+                        ends[e1], ends[e2] = (a, b), (c, d)
+                        yield e1, e2, a, b, cc, dd
 
 
 def _edge_records(g: SpatialGraph, ends: Sequence[tuple[int, int]]) -> list[EdgeRecord]:
@@ -243,14 +247,10 @@ def _randomize_replicate(g: SpatialGraph, rng: random.Random, swaps_per_edge: in
     getrandbits, uniform, width = rng.getrandbits, rng.random, m.bit_length()
 
     accepted = attempts = stall = 0
-    while accepted < target:
-        if attempts >= budget or stall >= stall_limit:
-            if not rewirer.any_acceptable():
-                break  # certified rigid: return what we have
-            if attempts >= budget:
-                raise SwapBudgetExhaustedError(
-                    f"accepted {accepted} of {target} swaps within {budget} attempts"
-                )
+    while accepted < target and attempts < budget:
+        if stall >= stall_limit:
+            if next(rewirer.acceptable_swaps(), None) is None:
+                return rewirer, accepted, attempts, True  # certified rigid
             stall = 0  # swaps exist; keep sampling
         # rng.randrange(m) twice, drawn as CPython's _randbelow draws it
         while (e1 := getrandbits(width)) >= m:
@@ -271,6 +271,11 @@ def _randomize_replicate(g: SpatialGraph, rng: random.Random, swaps_per_edge: in
             stall = 0
         else:
             stall += 1
+    # past the budget, each swap is drawn from the list of acceptable ones
+    while accepted < target and (options := list(rewirer.acceptable_swaps())):
+        swap(*options[rng.randrange(len(options))])
+        accepted += 1
+        attempts += 1
     return rewirer, accepted, attempts, True
 
 
@@ -405,8 +410,7 @@ def _replicates(claims: Iterator[int], g: SpatialGraph, rewire, seed: int,
     """The replicates in the blocks that ``claims`` numbers (block b of
     ``min(replicates, 255)``, ``measures._block``), by replicate number,
     as values that ``marshal`` carries: its rewired ``ends`` and then its
-    ReplicateStats fields in order, or the message of the
-    SwapBudgetExhaustedError that stopped them."""
+    ReplicateStats fields in order."""
     n = g.n
     built = {}
     for block in claims:
@@ -414,11 +418,7 @@ def _replicates(claims: Iterator[int], g: SpatialGraph, rewire, seed: int,
             # disjoint per-replicate streams; plain seed ^ index would collide
             # across adjacent seeds
             rng = random.Random((seed << 32) ^ index)
-            try:
-                rewirer, accepted, attempts, converged = rewire(g, rng, swaps_per_edge)
-            except SwapBudgetExhaustedError as exc:
-                built[index] = str(exc)
-                return built
+            rewirer, accepted, attempts, converged = rewire(g, rng, swaps_per_edge)
             adj = _neighbours(n, rewirer.ends)
             sums, _ = hop_distances(adj)
             built[index] = (rewirer.ends, sum(sums) / (n * (n - 1)),
@@ -446,10 +446,6 @@ def _build_ensemble(g: SpatialGraph, kind: str, seed: int, swaps_per_edge: int,
                     replicates: int, done: Optional[dict]) -> NullModelEnsemble:
     if done is None:
         done = measures._shared([_ensemble_job(g, kind, seed, swaps_per_edge, replicates)])[0]
-    # the lowest replicate that failed is the one a serial run fails on
-    exhausted = [done[index] for index in sorted(done) if isinstance(done[index], str)]
-    if exhausted:
-        raise SwapBudgetExhaustedError(exhausted[0])
     built = [done[index] for index in range(replicates)]
     per_replicate = [ReplicateStats(*fields) for _, *fields in built]
     stats = EnsembleStats(
