@@ -559,11 +559,11 @@ def test_cli_compute_error_exit_3(tmp_path, capsys):
     assert record["error"] == "DisconnectedError"
 
 
-def _past_the_swap_budget(tmp_path, capsys, monkeypatch, *flags, command="omega"):
+def _past_the_swap_budget(tmp_path, capsys, monkeypatch, allowed, *flags, command="omega"):
     # a dense graph where acceptable swaps are rare: some replicates of the
     # random chain spend their 100 attempts per target swap while swaps
     # still exist, and draw the rest from the list of acceptable ones. The
-    # command exits 0 with the same bundle whether it forks or not
+    # command exits 0; forked, its bundle equals the serial one
     g = fixtures.er_gnm(9, 31, seed=1, connected=True)
     nodes = _write(tmp_path / "nodes.csv", ("id,label,lat,lon\n" + "".join(
         f"{node.id},{node.id},38,{20 + i}\n" for i, node in enumerate(g.nodes))).encode())
@@ -574,29 +574,30 @@ def _past_the_swap_budget(tmp_path, capsys, monkeypatch, *flags, command="omega"
             "id,a:S,b:B,c:O,y:Y\n" + "".join(f"{node.id},{i},{i * i},{i % 4},{2 * i}\n"
                                              for i, node in enumerate(g.nodes))).encode())))
     bundles = []
-    for allowed in (False, True):
-        forks = _counting_forks(monkeypatch, allowed)
-        out = tmp_path / str(allowed)
+    for forked in sorted({False, allowed}):
+        forks = _counting_forks(monkeypatch, forked)
+        out = tmp_path / str(forked)
         with fixtures.leaves_nothing_behind():
             code = main([command, "--nodes", str(nodes), "--edges", str(edges), "--seed", "1",
                          "--swaps-per-edge", "1", *flags, "--out", str(out)])
         assert code == 0
         assert capsys.readouterr().err == ""
-        assert len(forks) == allowed
+        assert len(forks) == forked
         per_replicate = json.loads((out / "omega.json").read_text())["ensembles"]["random"][
             "per_replicate"]
         assert {(r["accepted_swaps"], r["converged"]) for r in per_replicate} == {(31, True)}
         assert max(r["attempts"] for r in per_replicate) > 3100
         bundles.append(_raw_bundle_bytes(out))
-    assert bundles[0] == bundles[1]
+    assert bundles[0] == bundles[-1]
 
 
 @pytest.mark.parametrize("flags", [(), ("--replicates", "4")],
                          ids=["20 replicates", "4 replicates"])
-def test_omega_completes_past_the_swap_budget(tmp_path, capsys, monkeypatch, flags):
-    # replicate 2 spends its budget: among this process's 10 of the default
-    # 20, or as the child's first of 4
-    _past_the_swap_budget(tmp_path, capsys, monkeypatch, *flags)
+@pytest.mark.parametrize("allowed", [False, True], ids=["serial", "forked"])
+def test_omega_completes_past_the_swap_budget(tmp_path, capsys, monkeypatch, allowed, flags):
+    # replicate 2 spends its budget: forked, among this process's 10 of the
+    # default 20, or as the child's first of 4
+    _past_the_swap_budget(tmp_path, capsys, monkeypatch, allowed, *flags)
 
 
 # --- one fork per command -------------------------------------------------------
@@ -641,8 +642,9 @@ def test_bundle_is_the_same_forked_and_serial(tmp_path, capsys, monkeypatch, arg
     assert bundles[0] == bundles[1]
 
 
-def test_all_completes_past_the_swap_budget(tmp_path, capsys, monkeypatch):
-    _past_the_swap_budget(tmp_path, capsys, monkeypatch, command="all")
+@pytest.mark.parametrize("allowed", [False, True], ids=["serial", "forked"])
+def test_all_completes_past_the_swap_budget(tmp_path, capsys, monkeypatch, allowed):
+    _past_the_swap_budget(tmp_path, capsys, monkeypatch, allowed, command="all")
 
 
 def _without_edge_40_in_2010(nodes, edges, variables):

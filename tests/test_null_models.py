@@ -266,22 +266,25 @@ def test_forked_ensembles_equal_serial_ones(monkeypatch, builder):
 
 
 @pytest.mark.parametrize("replicates", [4, 20])
-def test_spent_swap_budget_ensemble_equals_serial(monkeypatch, replicates):
+@pytest.mark.parametrize("allowed", [False, True], ids=["serial", "forked"])
+def test_spent_swap_budget_ensemble_completes(monkeypatch, allowed, replicates):
     # er_gnm(9, 31, seed 1) at one swap per edge from seed 1: replicates 2
     # and 3 spend their 3 100 attempts one swap short and draw the last one
-    # from the fallback, in the child with 4 replicates, here with 20
+    # from the fallback; forked, in the child with 4 replicates, here with
+    # 20, and the ensemble equals the serial one
     g = fixtures.er_gnm(9, 31, seed=1, connected=True)
     forks = _counting_forks(monkeypatch)
-    _allow_fork(monkeypatch, False)
-    serial = randomize(g, seed=1, swaps_per_edge=1, replicates=replicates)
-    _allow_fork(monkeypatch, True)
+    _allow_fork(monkeypatch, allowed)
     with fixtures.leaves_nothing_behind():
-        assert randomize(g, seed=1, swaps_per_edge=1, replicates=replicates) == serial
-    assert len(forks) == 1
-    per_replicate = serial.stats.per_replicate
+        ensemble = randomize(g, seed=1, swaps_per_edge=1, replicates=replicates)
+    assert len(forks) == allowed
+    if allowed:
+        _allow_fork(monkeypatch, False)
+        assert ensemble == randomize(g, seed=1, swaps_per_edge=1, replicates=replicates)
+    per_replicate = ensemble.stats.per_replicate
     assert {(stats.accepted_swaps, stats.converged) for stats in per_replicate} == {(31, True)}
     assert [stats.attempts for stats in per_replicate[2:4]] == [3101, 3101]
-    assert all(replicate.is_connected for replicate in serial.replicates)
+    assert all(replicate.is_connected for replicate in ensemble.replicates)
 
 
 def test_forked_ensemble_leaves_nothing_behind(monkeypatch):
