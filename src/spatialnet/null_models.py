@@ -17,20 +17,15 @@ XORs undo the flip only if they never do.
 Randomization samples swaps at random and accepts every acceptable one
 until ``swaps_per_edge * m`` are accepted; each edge draw is
 ``rng.randrange(m)`` written out (``getrandbits(m.bit_length())`` until
-below m, as CPython draws it). A proposal is an ordered pair of edges
-e1 = (a, b) and e2 ≠ e1, with e2 read as (c, d) or (d, c), as the
-sampler draws it; read backwards, (e1, e2) and (e2, e1) give the same
-edge set with the new pairs at exchanged indices, which carry the
-weights, so both count. A replicate stops early, without error, when an
-exhaustive scan finds no acceptable proposal (a rigid graph such as a
-triangle). Once the sampler has made MAX_ATTEMPT_FACTOR times the target
-count of attempts, each further swap is drawn from the list of every
-acceptable proposal, in the order of e1, then e2, then (c, d) before
-(d, c), by one ``rng.randrange`` over its length, and counts as one
-attempt. The sampler accepts each acceptable proposal with the same
-probability, so the step's distribution is the same. A list costs
-2·m·(m - 1) proposals and a connectivity check for each simple one; an
-empty list ends the replicate as a rigid graph does.
+below m, as CPython draws it). Sampling goes on until the target is
+reached, however few swaps are acceptable: a swap is undone by its
+reverse, (a, d), (c, b) -> (a, b), (c, d), which is acceptable too, so
+after one accepted swap an acceptable one always remains. Only the input
+can be rigid (a triangle, say): while no swap is accepted, an exhaustive
+scan after every max(200, 20 m) rejections in a row stops the replicate
+early, without error, when it finds no acceptable swap. With A of the
+2·m² equally likely draws acceptable, a swap takes 2·m²/A attempts on
+average.
 
 Latticeization is a steepest descent on the ring-index cost
 
@@ -53,11 +48,10 @@ and certifies that no single swap can lower the cost further — or after
 ``node_order``.
 
 ``ReplicateStats`` counts, per replicate: ``accepted_swaps``, the swaps
-committed (descent steps for the lattice); ``attempts``, the swaps
-sampled or drawn from the list for randomization and the connectivity
-checks for the lattice; and ``converged``, True when randomization
-reached its target or found the graph rigid, and when the descent ran
-out of improving swaps.
+committed (descent steps for the lattice); ``attempts``, the sampled
+swaps for randomization and the connectivity checks for the lattice;
+and ``converged``, True when randomization reached its target or found
+the graph rigid, and when the descent ran out of improving swaps.
 
 A replicate is measured on neighbour lists built from its rewired
 integer edge list: its binary path length comes from
@@ -103,8 +97,6 @@ from .exceptions import ComputeError, DisconnectedError
 from .graph import EdgeRecord, SpatialGraph, hop_distances
 from .measures import local_clustering
 from .small_world import DEFAULT_REPLICATES, DEFAULT_SWAPS_PER_EDGE
-
-MAX_ATTEMPT_FACTOR = 100
 
 
 class ReplicateStats(NamedTuple):
@@ -195,19 +187,17 @@ class _Rewirer:
         bits[c] ^= 1 << d | 1 << b
         bits[d] ^= 1 << c | 1 << a
 
-    def acceptable_swaps(self) -> Iterator[tuple[int, int, int, int, int, int]]:
-        """Exhaustive scan that yields (e1, e2, a, b, c, d) for every
-        acceptable ordered proposal, in the order of e1, then e2, then
-        (c, d) before (d, c); the edges are as they were at every yield.
-        ``simple_after`` rejects e1 = e2, whose four ends are two nodes."""
-        ends = self.ends
-        for e1, (a, b) in enumerate(ends):
-            for e2, (c, d) in enumerate(ends):
+    def any_acceptable(self) -> bool:
+        """Exhaustive scan over unordered edge pairs (e2, e1 rewires to a graph
+        that e1, e2 does) in both orientations; leaves the edges as they were."""
+        for e1, (a, b) in enumerate(self.ends):
+            for e2, (c, d) in enumerate(self.ends[e1 + 1:], e1 + 1):
                 for cc, dd in ((c, d), (d, c)):
                     if self.simple_after(a, b, cc, dd) and self.swap(e1, e2, a, b, cc, dd):
                         self._flip(a, b, cc, dd)  # undo
-                        ends[e1], ends[e2] = (a, b), (c, d)
-                        yield e1, e2, a, b, cc, dd
+                        self.ends[e1], self.ends[e2] = (a, b), (c, d)
+                        return True
+        return False
 
 
 def _edge_records(g: SpatialGraph, ends: Sequence[tuple[int, int]]) -> list[EdgeRecord]:
@@ -240,17 +230,16 @@ def _randomize_replicate(g: SpatialGraph, rng: random.Random, swaps_per_edge: in
     rewirer = _Rewirer(g)
     m = g.m
     target = swaps_per_edge * m
-    budget = MAX_ATTEMPT_FACTOR * target
     stall_limit = max(200, 20 * m)
 
     ends, bits, swap = rewirer.ends, rewirer.bits, rewirer.swap
     getrandbits, uniform, width = rng.getrandbits, rng.random, m.bit_length()
 
     accepted = attempts = stall = 0
-    while accepted < target and attempts < budget:
-        if stall >= stall_limit:
-            if next(rewirer.acceptable_swaps(), None) is None:
-                return rewirer, accepted, attempts, True  # certified rigid
+    while accepted < target:
+        if stall >= stall_limit and not accepted:  # once one is, its reverse is acceptable
+            if not rewirer.any_acceptable():
+                break  # certified rigid: return what we have
             stall = 0  # swaps exist; keep sampling
         # rng.randrange(m) twice, drawn as CPython's _randbelow draws it
         while (e1 := getrandbits(width)) >= m:
@@ -271,11 +260,6 @@ def _randomize_replicate(g: SpatialGraph, rng: random.Random, swaps_per_edge: in
             stall = 0
         else:
             stall += 1
-    # past the budget, each swap is drawn from the list of acceptable ones
-    while accepted < target and (options := list(rewirer.acceptable_swaps())):
-        swap(*options[rng.randrange(len(options))])
-        accepted += 1
-        attempts += 1
     return rewirer, accepted, attempts, True
 
 

@@ -218,25 +218,21 @@ def is_connected(ids, pairs) -> bool:
     return parts == 1
 
 
-def random_chain(g, rng, swaps_per_edge, max_attempt_factor) -> tuple[list, int, int]:
+def random_chain(g, rng, swaps_per_edge) -> tuple[list, int, int]:
     """The randomization chain as a plain loop. Each attempt draws two
     edges with ``rng.randrange(m)`` and, when they differ, one
     ``rng.random()`` that reverses the second edge above 0.5; the swap
     (a, b), (c, d) -> (a, d), (c, b) is kept when its four nodes are
     distinct, neither new pair is an edge and union–find finds the whole
-    new edge set connected. After max(200, 20 m) rejections in a row, a
-    scan of every ordered edge pair in both orientations decides whether
-    any swap is left: none ends the chain. Once ``max_attempt_factor``
-    times the target count of attempts are made, each further attempt
-    lists every acceptable proposal (by e1, then e2, then (c, d) before
-    (d, c)) and keeps the one at ``rng.randrange`` of the list's length;
-    an empty list ends the chain. Returns (ends, accepted, attempts),
-    ``ends`` the edges as pairs of positions in ``g.node_ids``, in edge
-    order."""
+    new edge set connected. After every max(200, 20 m) rejections in a
+    row, accepted swaps or not, a scan of every ordered edge pair in both
+    orientations decides whether any swap is left: none ends the chain.
+    Returns (ends, accepted, attempts), ``ends`` the edges as pairs of
+    positions in ``g.node_ids``, in edge order."""
     number = {node_id: i for i, node_id in enumerate(g.node_ids)}
     nodes = range(len(number))
     ends = [(number[edge.u], number[edge.v]) for edge in g.edges]
-    present = {frozenset(pair) for pair in ends}
+    present = {frozenset(pair) for pair in ends}  # kept up to date: dense chains are long
     m = len(ends)
 
     def acceptable(e1, e2, a, b, c, d):
@@ -245,32 +241,18 @@ def random_chain(g, rng, swaps_per_edge, max_attempt_factor) -> tuple[list, int,
         rest = [pair for k, pair in enumerate(ends) if k not in (e1, e2)]
         return is_connected(nodes, rest + [(a, d), (c, b)])
 
-    def rewire(e1, e2, a, b, c, d):
-        present.difference_update({frozenset((a, b)), frozenset((c, d))})
-        present.update({frozenset((a, d)), frozenset((c, b))})
-        ends[e1], ends[e2] = (a, d), (c, b)
-
-    def proposals():
-        return [(e1, e2, a, b, *cd)
-                for e1, (a, b) in enumerate(ends)
-                for e2, (c, d) in enumerate(ends) if e1 != e2
-                for cd in ((c, d), (d, c))]
+    def any_acceptable():
+        return any(acceptable(e1, e2, a, b, *cd)
+                   for e1, (a, b) in enumerate(ends)
+                   for e2, (c, d) in enumerate(ends) if e1 != e2
+                   for cd in ((c, d), (d, c)))
 
     target = swaps_per_edge * m
-    budget = max_attempt_factor * target
     stall_limit = max(200, 20 * m)
     accepted = attempts = stall = 0
     while accepted < target:
-        if attempts >= budget:
-            options = [swap for swap in proposals() if acceptable(*swap)]
-            if not options:
-                break
-            rewire(*options[rng.randrange(len(options))])
-            attempts += 1
-            accepted += 1
-            continue
         if stall >= stall_limit:
-            if not any(acceptable(*swap) for swap in proposals()):
+            if not any_acceptable():
                 break
             stall = 0
         e1 = rng.randrange(m)
@@ -283,7 +265,9 @@ def random_chain(g, rng, swaps_per_edge, max_attempt_factor) -> tuple[list, int,
         if rng.random() > 0.5:
             c, d = d, c
         if acceptable(e1, e2, a, b, c, d):
-            rewire(e1, e2, a, b, c, d)
+            present.difference_update({frozenset((a, b)), frozenset((c, d))})
+            present.update({frozenset((a, d)), frozenset((c, b))})
+            ends[e1], ends[e2] = (a, d), (c, b)
             accepted += 1
             stall = 0
         else:

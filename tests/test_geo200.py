@@ -105,7 +105,7 @@ def test_random_replicate_matches_the_plain_chain(geo200):
     _, g = geo200
     rng, plain = random.Random(1), random.Random(1)
     rewirer, accepted, attempts, _ = null_models._randomize_replicate(g, rng, 1)
-    expected = oracles.random_chain(g, plain, 1, null_models.MAX_ATTEMPT_FACTOR)
+    expected = oracles.random_chain(g, plain, 1)
     assert (rewirer.ends, accepted, attempts) == expected
     assert rng.getstate() == plain.getstate()
 

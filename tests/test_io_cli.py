@@ -559,11 +559,12 @@ def test_cli_compute_error_exit_3(tmp_path, capsys):
     assert record["error"] == "DisconnectedError"
 
 
-def _past_the_swap_budget(tmp_path, capsys, monkeypatch, allowed, *flags, command="omega"):
-    # a dense graph where acceptable swaps are rare: some replicates of the
-    # random chain spend their 100 attempts per target swap while swaps
-    # still exist, and draw the rest from the list of acceptable ones. The
-    # command exits 0; forked, its bundle equals the serial one
+def _completes_on_a_dense_graph(tmp_path, capsys, monkeypatch, allowed, *flags,
+                                command="omega"):
+    # a dense graph where acceptable swaps are rare (20 of the 1 922 draws
+    # at the start): the random chain still reaches its target in every
+    # replicate, the command exits 0, and forked, its bundle equals the
+    # serial one
     g = fixtures.er_gnm(9, 31, seed=1, connected=True)
     nodes = _write(tmp_path / "nodes.csv", ("id,label,lat,lon\n" + "".join(
         f"{node.id},{node.id},38,{20 + i}\n" for i, node in enumerate(g.nodes))).encode())
@@ -586,7 +587,6 @@ def _past_the_swap_budget(tmp_path, capsys, monkeypatch, allowed, *flags, comman
         per_replicate = json.loads((out / "omega.json").read_text())["ensembles"]["random"][
             "per_replicate"]
         assert {(r["accepted_swaps"], r["converged"]) for r in per_replicate} == {(31, True)}
-        assert max(r["attempts"] for r in per_replicate) > 3100
         bundles.append(_raw_bundle_bytes(out))
     assert bundles[0] == bundles[-1]
 
@@ -594,10 +594,10 @@ def _past_the_swap_budget(tmp_path, capsys, monkeypatch, allowed, *flags, comman
 @pytest.mark.parametrize("flags", [(), ("--replicates", "4")],
                          ids=["20 replicates", "4 replicates"])
 @pytest.mark.parametrize("allowed", [False, True], ids=["serial", "forked"])
-def test_omega_completes_past_the_swap_budget(tmp_path, capsys, monkeypatch, allowed, flags):
-    # replicate 2 spends its budget: forked, among this process's 10 of the
-    # default 20, or as the child's first of 4
-    _past_the_swap_budget(tmp_path, capsys, monkeypatch, allowed, *flags)
+def test_omega_completes_on_a_dense_graph(tmp_path, capsys, monkeypatch, allowed, flags):
+    # replicate 2, which takes 3 126 attempts: forked, among this process's
+    # 10 of the default 20, or as the child's first of 4
+    _completes_on_a_dense_graph(tmp_path, capsys, monkeypatch, allowed, *flags)
 
 
 # --- one fork per command -------------------------------------------------------
@@ -643,8 +643,8 @@ def test_bundle_is_the_same_forked_and_serial(tmp_path, capsys, monkeypatch, arg
 
 
 @pytest.mark.parametrize("allowed", [False, True], ids=["serial", "forked"])
-def test_all_completes_past_the_swap_budget(tmp_path, capsys, monkeypatch, allowed):
-    _past_the_swap_budget(tmp_path, capsys, monkeypatch, allowed, command="all")
+def test_all_completes_on_a_dense_graph(tmp_path, capsys, monkeypatch, allowed):
+    _completes_on_a_dense_graph(tmp_path, capsys, monkeypatch, allowed, command="all")
 
 
 def _without_edge_40_in_2010(nodes, edges, variables):
