@@ -23,7 +23,7 @@ one-line JSON record.
 
 ``run`` plans each job it may share with a forked child (the report's
 passes and both ensembles' replicates) in the serial order, runs them
-under one ``measures._shared`` call, and finishes them in that order.
+under one ``shared.run`` call, and finishes them in that order.
 
 Only ``null_models`` imports numpy at module level, and this module
 imports it only for omega and all; ``fitting`` and ``empirical``
@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import __version__
 from . import communities as communities_mod
-from . import empirical, fitting, measures, small_world
+from . import empirical, fitting, measures, shared, small_world
 from .exceptions import SchemaError, SpatialNetError
 from .graph import SpatialGraph
 from .io import ingest, sanitize
@@ -160,11 +160,11 @@ def _ensemble_summary(ensemble: NullModelEnsemble) -> dict:
 
 
 def _omega_payload(g: SpatialGraph, report: Optional[measures.MeasureReport],
-                   config: AnalysisConfig, done: dict[str, dict]) -> dict:
+                   config: AnalysisConfig, random_done: dict, lattice_done: dict) -> dict:
     from . import null_models
     ensemble = (g, config.seed, config.swaps_per_edge, config.replicates)
-    rand = null_models.randomize(*ensemble, done=done["random"])
-    latt = null_models.latticeize(*ensemble, done=done["lattice"])
+    rand = null_models.randomize(*ensemble, done=random_done)
+    latt = null_models.latticeize(*ensemble, done=lattice_done)
     l_emp = c_emp = None
     if report is not None:  # under `all`, reuse what the measure report read
         l_emp = report.global_measures.avg_path_length_binary
@@ -261,24 +261,23 @@ def run(command: str, config: AnalysisConfig) -> ReportBundle:
         if repeated:
             raise ConfigError(f"--models names {repeated} repeat within one predictor set")
 
-    jobs = {}
+    jobs = []  # the report's two jobs, then the random and the lattice ensemble's
     if command in ("analyze", "all"):
-        jobs["report"], cheap = measures._plan_report(graph, config.epoch)
+        jobs, cheap = measures.plan_report(graph, config.epoch)
     if command in ("omega", "all"):
         from . import null_models  # the one module that loads numpy
-        for kind in ("random", "lattice"):
-            jobs[kind] = null_models._ensemble_job(
-                graph, kind, config.seed, config.swaps_per_edge, config.replicates)
-    done = dict(zip(jobs, measures._shared(list(jobs.values()))))
+        jobs += [null_models.ensemble_job(graph, kind, config.seed, config.swaps_per_edge,
+                                          config.replicates) for kind in ("random", "lattice")]
+    done = shared.run(jobs)
 
     bundle = ReportBundle()
     payloads = {}
     report = None
-    if "report" in done:
-        report = measures.measure_report(graph, epoch=config.epoch, ran=(cheap, done["report"]))
+    if command in ("analyze", "all"):
+        report = measures.measure_report(graph, epoch=config.epoch, ran=(cheap, done[:2]))
         payloads["measures"] = report
     if command in ("omega", "all"):
-        payloads["omega"] = _omega_payload(graph, report, config, done)
+        payloads["omega"] = _omega_payload(graph, report, config, *done[-2:])
     if command in ("communities", "all"):
         payloads["communities"] = communities_mod.find_communities(graph, config.seed)
     if command in ("fit", "all"):

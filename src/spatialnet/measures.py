@@ -47,25 +47,14 @@ haversine once, which is symmetric to the bit, and hands it to the later
 node through a per-node array that is freed once read.
 
 ``measure_report`` runs every check and cheap step first, in the serial
-order (``_plan_report``), so a failing input raises its serial error and
-never forks. Its passes are then one ``_shared`` job of numbered tasks,
-which this process and a forked child claim in increasing order: task 0
-is the binary pass with Brandes, task 1 the km pass with straightness,
-and task 2 + b block b of the time pass's sources (``_block``). This
-process reads first after the fork, so it normally takes the binary
-pass. Each process prunes its own copy of the time arc table, which is
-sound for any order and subset of sources, so each source's
+order (``plan_report``), so a failing input raises its serial error and
+never forks. Its passes are then two jobs shared with a forked child
+(``shared.run``): items 0 and 1, the binary pass with Brandes and the km
+pass with straightness, and one item per source of the time pass, given
+an epoch. Each process prunes its own copy of the time arc table, which
+is sound for any order and subset of sources, so each source's
 ``(fsum, max)`` is the same wherever it runs, and ``_path_stats`` sums
-the merged rows in node order, as the serial pass does. ``cli`` runs the
-report's job and both null-model ensembles' under one ``_shared`` call,
-so a command forks once at most. There is no option and no size
-threshold.
-
-``multiprocessing`` and ``pickle`` are left out on purpose (README,
-"Shortest paths"): a spawn pool re-imports the package, and importing
-``multiprocessing`` alone costs more peak RSS than the benchmark allows.
-The child's memory is not part of the parent's peak RSS, and counters
-kept in the parent do not see the child's traversals.
+the merged rows in node order, as the serial pass does.
 
 All functions are pure; sums accumulate in node ingestion order via
 ``math.fsum`` so repeated runs are bit-stable.
@@ -73,17 +62,12 @@ All functions are pure; sums accumulate in node ingestion order via
 
 from __future__ import annotations
 
-import marshal
 import math
-import os
-import signal
-import threading
 from array import array
-from functools import partial
-from itertools import chain
 from operator import truediv
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
+from . import shared
 from .exceptions import ComputeError, DisconnectedError
 from .graph import SpatialGraph, drop_dominated_arcs, hop_distances, traverse
 
@@ -100,12 +84,6 @@ class MissingCoordinatesError(ComputeError):
 
 class IsolatedNodeError(ComputeError):
     pass
-
-
-class SweepChildError(ComputeError):
-    """The child process that shares ``measure_report``'s passes or a
-    null-model ensemble's replicates (``_shared``) raised, or exited
-    without sending its result."""
 
 
 class DegreeStrength(NamedTuple):
@@ -428,132 +406,30 @@ def _neighbor_means(g: SpatialGraph, ds: DegreeStrength) -> NeighborStats:
     )
 
 
-def _can_fork() -> bool:
-    """Whether this process may share work with a forked child: ``os.fork``
-    and ``os.sched_getaffinity`` exist, the process may use a second CPU,
-    and no other Python thread runs. A fork copies only the calling
-    thread. The children that ``_shared`` makes run pure Python and
-    elementwise numpy, never BLAS, so a native library's idle thread pool
-    is never needed in them."""
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2
-            and threading.active_count() == 1)
-
-
-def _block(b: int, count: int, blocks: int) -> range:
-    """Block b of ``range(count)`` cut into ``blocks`` contiguous blocks."""
-    return range(b * count // blocks, (b + 1) * count // blocks)
-
-
-def _shared(jobs: Sequence[tuple[int, Callable, tuple, str]]) -> list[dict]:
-    """Each job ``(tasks, work, args, label)`` run as ``work(claims, *args)``
-    by this process and, with two tasks or more in all where ``_can_fork``
-    holds, by one forked child; returns each job's two result dicts merged.
-
-    A job's task numbers 0 to ``tasks`` - 1 (at most 255, so no write can
-    block) go into its own pipe, one byte each, whose write end is closed
-    before the fork. Both processes run the jobs in order: ``claims``
-    yields the job's next number that neither has read, and ``work``
-    reads it to the end. Without a child (one task, ``_can_fork`` false,
-    or a failed ``os.fork``) this process claims every task.
-
-    The child sends its results, and ``"Type: message"`` when a job's
-    ``work`` raises an Exception, through a second pipe with ``marshal``,
-    and leaves by ``os._exit``, so none of the parent's cleanup runs in
-    it. This process reads that pipe to EOF before it reaps the child, so
-    a result larger than the pipe buffer cannot deadlock, and raises
-    SweepChildError, naming the failed job by its label, when the child's
-    ``work`` raised or the child sent nothing whole. If this process
-    leaves before it reaps the child, it kills and reaps it.
-    """
-    queues, mine = [], []
-
-    def run() -> list[dict]:
-        for (_, work, args, _), queue in zip(jobs, queues):
-            claims = map(ord, iter(partial(os.read, queue, 1), b""))
-            mine.append(work(claims, *args))
-        return mine
-
-    try:
-        for tasks, *_ in jobs:
-            queue, write_fd = os.pipe()
-            queues.append(queue)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(bytes(range(tasks)))
-        pid = None
-        if sum(tasks for tasks, *_ in jobs) > 1 and _can_fork():
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-        if pid is None:
-            return run()
-        if pid == 0:
-            status = 1
-            try:
-                # SIGTERM ends the child at once; cli.main's handler is the parent's
-                signal.signal(signal.SIGTERM, signal.SIG_DFL)
-                os.close(read_fd)
-                error = None
-                try:
-                    run()
-                except Exception as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                with open(write_fd, "wb") as pipe:
-                    marshal.dump((mine, error), pipe)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write_fd)
-        try:
-            with open(read_fd, "rb") as pipe:
-                run()
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        except BaseException:
-            os.kill(pid, 9)  # SIGKILL
-            os.waitpid(pid, 0)
-            raise
-    finally:
-        for queue in queues:
-            os.close(queue)
-    if code != 0 or not data:
-        raise SweepChildError(f"the child process of {', '.join(job[3] for job in jobs)} "
-                              f"exited with code {code} and sent no result")
-    theirs, error = marshal.loads(data)
-    if error is not None:  # the child finished the jobs before the one that raised
-        raise SweepChildError(f"{jobs[len(theirs)][3]} failed in its child process: {error}")
-    return [{**here, **there} for here, there in zip(mine, theirs)]
-
-
-def _report_work(claims: Iterator[int], g: SpatialGraph, time_arcs, blocks: int) -> dict:
-    """``measure_report``'s tasks in ``claims``, as values that ``marshal``
-    carries: task 0 is the binary pass with Brandes, kept under "binary",
-    task 1 the km pass with straightness, under "km", and task 2 + b block
-    b of ``blocks`` of the time pass's sources, over this process's own
-    copy of ``time_arcs``, each source's row under its node number."""
+def _report_passes(indices: Iterator[int], g: SpatialGraph) -> dict:
+    """The report's passes numbered in ``indices``, as values that
+    ``marshal`` carries: 0 is the binary pass with Brandes, kept under
+    "binary", and 1 the km pass with straightness, under "km"."""
     done = {}
-    for task in claims:
-        if task == 0:
+    for item in indices:
+        if item == 0:
             binary = _sweep(g, "closeness", "binary", brandes=True)
-            done["binary"] = (binary.closeness, binary.betweenness,
-                              binary.path_stats.average, binary.path_stats.diameter)
-        elif task == 1:
-            km = _sweep(g, "straightness", "km", straight=True)
-            done["km"] = km.straightness, km.path_stats.average, km.path_stats.diameter
+            done["binary"] = binary.closeness, binary.betweenness, *binary.path_stats
         else:
-            # tasks come in order, so every later one is a time block too,
-            # and one traversal loop prunes one arc copy across them all
-            sources = (s for b in chain([task], claims) for s in _block(b - 2, g.n, blocks))
-            done.update(_traversals(g, time_arcs, sources)[0])
+            km = _sweep(g, "straightness", "km", straight=True)
+            done["km"] = km.straightness, *km.path_stats
     return done
 
 
-def _plan_report(g: SpatialGraph, epoch: Optional[str]) -> tuple[tuple, tuple]:
+def _time_rows(indices: Iterator[int], g: SpatialGraph, time_arcs) -> dict:
+    """The time pass's row of each source in ``indices``, under its node
+    number, from one traversal loop that prunes one copy of ``time_arcs``."""
+    return _traversals(g, time_arcs, indices)[0]
+
+
+def plan_report(g: SpatialGraph, epoch: Optional[str]) -> tuple[list, tuple]:
     """``measure_report``'s checks and cheap steps, in the serial order;
-    returns its passes as a ``_shared`` job, and the cheap results."""
+    returns its passes as two ``shared.run`` jobs, and the cheap results."""
     # a disconnected graph is reported as failing closeness, the first
     # measure of the report that needs connectivity
     _require_connected(g, "closeness")
@@ -563,25 +439,26 @@ def _plan_report(g: SpatialGraph, epoch: Optional[str]) -> tuple[tuple, tuple]:
     nbr = _neighbor_means(g, ds)
     density_planar = density(g, "planar")
     time_arcs = None if epoch is None else g.costs("time", epoch)
-    blocks = 0 if epoch is None else min(g.n, 253)
-    return ((2 + blocks, _report_work, (g, time_arcs, blocks), "the measure report"),
+    label = "the measure report"
+    return ([(2, _report_passes, (g,), label),
+             (0 if epoch is None else g.n, _time_rows, (g, time_arcs), label)],
             (clus, ds, nbr, density_planar))
 
 
 def measure_report(g: SpatialGraph, epoch: Optional[str] = None, *,
-                   ran: Optional[tuple[tuple, dict]] = None) -> MeasureReport:
+                   ran: Optional[tuple[tuple, Sequence[dict]]] = None) -> MeasureReport:
     """Assemble the full per-node and global measure table for one graph
     snapshot. Requires a connected graph with node coordinates. Every
-    check runs before the fork (``_plan_report``), so a failing input
+    check runs before the fork (``plan_report``), so a failing input
     raises its serial error, and the report is the same to the byte either
-    way. ``ran`` holds the cheap results and job result of a plan run
+    way. ``ran`` holds the cheap results and job results of a plan run
     beforehand (``cli``)."""
     if ran is None:
-        job, cheap = _plan_report(g, epoch)
-        ran = cheap, _shared([job])[0]
-    (clus, ds, nbr, density_planar), done = ran
-    binary_closeness, between, avg_path_length_binary, diameter_binary = done["binary"]
-    straight, avg_path_length_km, diameter_km = done["km"]
+        jobs, cheap = plan_report(g, epoch)
+        ran = cheap, shared.run(jobs)
+    (clus, ds, nbr, density_planar), (passes, time_rows) = ran
+    binary_closeness, between, avg_path_length_binary, diameter_binary = passes["binary"]
+    straight, avg_path_length_km, diameter_km = passes["km"]
 
     per_node = {
         node.id: NodeMeasures(
@@ -615,7 +492,7 @@ def measure_report(g: SpatialGraph, epoch: Optional[str] = None, *,
     )
     time_measures = None
     if epoch is not None:
-        time_paths = _path_stats(done, g.n)
+        time_paths = _path_stats(time_rows, g.n)
         time_measures = TimeMeasures(epoch, time_paths.average, time_paths.diameter)
     return MeasureReport(per_node, global_measures,
                          NeighborAverages(nbr.average_degree, nbr.average_strength), time_measures)

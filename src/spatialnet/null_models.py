@@ -67,13 +67,13 @@ binary topology is meaningful.
 Each replicate draws its own RNG stream derived from (seed, replicate
 index), so ensembles are reproducible and replicates are independent.
 
-Since replicates share nothing, an ensemble of R replicates is one
-``measures._shared`` job (``_ensemble_job``, after every check): both
-processes claim its ``min(R, 255)`` blocks of replicate numbers in
-increasing order and run ``_replicates`` on them, which returns each
+Since replicates share nothing, an ensemble of R replicates is one job of
+R items that this process shares with a forked child (``ensemble_job``,
+after every check; ``shared.run`` states the protocol). Each process runs
+``_replicates`` on the replicate numbers it claims, which returns each
 replicate's rewired integer edge list and ReplicateStats fields as
 ``marshal`` values. A failure of the child raises
-``measures.SweepChildError``.
+``shared.SweepChildError``.
 
 This is the one module that imports numpy at module level: every command
 that builds ensembles (``omega``, ``all``) also latticeizes. ``cli``
@@ -92,7 +92,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import measures
+from . import shared
 from .exceptions import ComputeError, DisconnectedError
 from .graph import EdgeRecord, SpatialGraph, hop_distances
 from .measures import local_clustering
@@ -389,31 +389,29 @@ class _RingDeltas:
             level = np.min(flat, initial=0, where=flat > level)
 
 
-def _replicates(claims: Iterator[int], g: SpatialGraph, rewire, seed: int,
-                swaps_per_edge: int, replicates: int) -> dict:
-    """The replicates in the blocks that ``claims`` numbers (block b of
-    ``min(replicates, 255)``, ``measures._block``), by replicate number,
-    as values that ``marshal`` carries: its rewired ``ends`` and then its
+def _replicates(indices: Iterator[int], g: SpatialGraph, rewire, seed: int,
+                swaps_per_edge: int) -> dict:
+    """The replicates numbered in ``indices``, by replicate number, as
+    values that ``marshal`` carries: its rewired ``ends`` and then its
     ReplicateStats fields in order."""
     n = g.n
     built = {}
-    for block in claims:
-        for index in measures._block(block, replicates, min(replicates, 255)):
-            # disjoint per-replicate streams; plain seed ^ index would collide
-            # across adjacent seeds
-            rng = random.Random((seed << 32) ^ index)
-            rewirer, accepted, attempts, converged = rewire(g, rng, swaps_per_edge)
-            adj = _neighbours(n, rewirer.ends)
-            sums, _ = hop_distances(adj)
-            built[index] = (rewirer.ends, sum(sums) / (n * (n - 1)),
-                            math.fsum(local_clustering(adj)[0]) / n, accepted, attempts, converged)
+    for index in indices:
+        # disjoint per-replicate streams; plain seed ^ index would collide
+        # across adjacent seeds
+        rng = random.Random((seed << 32) ^ index)
+        rewirer, accepted, attempts, converged = rewire(g, rng, swaps_per_edge)
+        adj = _neighbours(n, rewirer.ends)
+        sums, _ = hop_distances(adj)
+        built[index] = (rewirer.ends, sum(sums) / (n * (n - 1)),
+                        math.fsum(local_clustering(adj)[0]) / n, accepted, attempts, converged)
     return built
 
 
-def _ensemble_job(g: SpatialGraph, kind: str, seed: int, swaps_per_edge: int,
-                  replicates: int) -> tuple:
+def ensemble_job(g: SpatialGraph, kind: str, seed: int, swaps_per_edge: int,
+                 replicates: int) -> tuple:
     """The ensemble's checks and start state; returns its replicates as a
-    ``measures._shared`` job."""
+    ``shared.run`` job."""
     if not g.is_connected:
         raise DisconnectedError("null models require a connected source graph")
     if g.m < 2:
@@ -422,14 +420,13 @@ def _ensemble_job(g: SpatialGraph, kind: str, seed: int, swaps_per_edge: int,
         raise ValueError("replicate count must be >= 1")
     rewire = (_randomize_replicate if kind == "random" else
               partial(_latticeize_replicate, start=_RingDeltas(_Rewirer(g).ends, g.n)))
-    return (min(replicates, 255), _replicates, (g, rewire, seed, swaps_per_edge, replicates),
-            f"the {kind} ensemble")
+    return replicates, _replicates, (g, rewire, seed, swaps_per_edge), f"the {kind} ensemble"
 
 
 def _build_ensemble(g: SpatialGraph, kind: str, seed: int, swaps_per_edge: int,
                     replicates: int, done: Optional[dict]) -> NullModelEnsemble:
     if done is None:
-        done = measures._shared([_ensemble_job(g, kind, seed, swaps_per_edge, replicates)])[0]
+        done = shared.run([ensemble_job(g, kind, seed, swaps_per_edge, replicates)])[0]
     built = [done[index] for index in range(replicates)]
     per_replicate = [ReplicateStats(*fields) for _, *fields in built]
     stats = EnsembleStats(
@@ -455,7 +452,7 @@ def randomize(
     *, done: Optional[dict] = None,
 ) -> NullModelEnsemble:
     """Ensemble of degree-preserving, connectivity-preserving random rewires;
-    ``done`` is its ``_ensemble_job``'s result, run beforehand (``cli``)."""
+    ``done`` is its ``ensemble_job``'s result, run beforehand (``cli``)."""
     return _build_ensemble(g, "random", seed, swaps_per_edge, replicates, done)
 
 

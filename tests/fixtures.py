@@ -414,6 +414,21 @@ def leaves_nothing_behind():
     assert len(os.listdir("/proc/self/fd")) == before
 
 
+def raise_memory_error(*args):
+    raise MemoryError("no room for the km pass")
+
+
+def exit_silently(*args):
+    os._exit(0)
+
+
+def in_the_child(task):
+    """A ``shared.run`` work function that claims nothing here and runs
+    ``task`` on its other arguments in the forked child."""
+    parent = os.getpid()
+    return lambda indices, *args: {} if os.getpid() == parent else task(*args)
+
+
 class PidLog:
     """``pid item`` lines appended to ``path`` through one ``O_APPEND``
     descriptor, which a forked child shares, so the lines that this process
@@ -433,9 +448,9 @@ class PidLog:
         os.write(self.fd, b"%d %d\n" % (os.getpid(), item))
 
     def claims(self, work):
-        """``work``, a ``measures._shared`` work function, that logs each task
-        as it claims it."""
-        return lambda claims, *args: work(map(self.logged, claims), *args)
+        """``work``, a ``shared.run`` work function, that logs each item as
+        it claims it."""
+        return lambda indices, *args: work(map(self.logged, indices), *args)
 
     def logged(self, item: int) -> int:
         self.write(item)

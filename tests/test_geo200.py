@@ -17,7 +17,7 @@ import random
 import numpy as np
 import pytest
 
-from spatialnet import measures, null_models
+from spatialnet import null_models, shared
 from spatialnet.cli import AnalysisConfig, run
 from spatialnet.measures import (
     betweenness,
@@ -153,16 +153,16 @@ def test_report_bytes_pinned(geo200, command, flags, name, pin):
 @pytest.mark.parametrize("epoch", [None, "2010"])
 def test_forked_report_equals_serial_report(geo200, monkeypatch, epoch):
     _, g = geo200
-    monkeypatch.setattr(measures, "_can_fork", lambda: False)
+    monkeypatch.setattr(shared, "can_fork", lambda: False)
     serial = measure_report(g, epoch)
-    monkeypatch.setattr(measures, "_can_fork", lambda: True)
+    monkeypatch.setattr(shared, "can_fork", lambda: True)
     assert measure_report(g, epoch) == serial
 
 
 def test_forked_ensembles_equal_serial_ensembles(geo200, monkeypatch):
     _, g = geo200
     for builder in (null_models.randomize, null_models.latticeize):
-        monkeypatch.setattr(measures, "_can_fork", lambda: False)
+        monkeypatch.setattr(shared, "can_fork", lambda: False)
         serial = builder(g, seed=1, replicates=4)
-        monkeypatch.setattr(measures, "_can_fork", lambda: True)
+        monkeypatch.setattr(shared, "can_fork", lambda: True)
         assert builder(g, seed=1, replicates=4) == serial

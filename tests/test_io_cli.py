@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixtures
-from spatialnet import EdgeRecord, build_graph, cli, measures
+from spatialnet import EdgeRecord, build_graph, cli, shared
 from spatialnet.cli import AnalysisConfig, ConfigError, main, run
 from spatialnet.empirical import VariableScore
 from spatialnet.io import (
@@ -454,7 +454,7 @@ def test_sigterm_leaves_no_process_and_no_file(tmp_path):
         # wait until the child has been forked, where the kernel lists
         # children and the command can fork at all
         children = Path(f"/proc/{command.pid}/task/{command.pid}/children")
-        watched = children.exists() and measures._can_fork()
+        watched = children.exists() and shared.can_fork()
         time.sleep(0.5)
         deadline = time.monotonic() + 10.0
         while watched and not children.read_text() and time.monotonic() < deadline:
@@ -603,7 +603,7 @@ def test_omega_completes_on_a_dense_graph(tmp_path, capsys, monkeypatch, allowed
 # --- one fork per command -------------------------------------------------------
 
 def _counting_forks(monkeypatch, allowed):
-    monkeypatch.setattr(measures, "_can_fork", lambda: allowed)
+    monkeypatch.setattr(shared, "can_fork", lambda: allowed)
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())

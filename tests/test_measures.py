@@ -1,19 +1,17 @@
-import contextlib
 import functools
 import json
-import marshal
 import math
 import os
 import random
 import tempfile
-import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spatialnet import EdgeRecord, NodeRecord, build_graph, cli, graph, measures, shortest_paths
+from spatialnet import (EdgeRecord, NodeRecord, build_graph, cli, graph, measures, shared,
+                        shortest_paths)
 from spatialnet.exceptions import ComputeError, DisconnectedError
 from spatialnet.graph import TIE_RTOL, UnknownEpochError, drop_dominated_arcs, traverse
 from spatialnet.io import ingest
@@ -21,7 +19,6 @@ from spatialnet.measures import (
     IsolatedNodeError,
     MissingCoordinatesError,
     PathStats,
-    SweepChildError,
     TooFewNodesError,
     avg_nearest_neighbor,
     betweenness,
@@ -34,6 +31,7 @@ from spatialnet.measures import (
     path_length_and_diameter,
     straightness,
 )
+from spatialnet.shared import SweepChildError
 
 import fixtures
 import oracles
@@ -316,7 +314,7 @@ def test_measure_report_sweeps_each_mode_once(monkeypatch):
     # per measure; only the binary pass, which feeds betweenness, counts
     # shortest paths
     g = fixtures.synthetic_network()
-    monkeypatch.setattr(measures, "_can_fork", lambda: False)
+    monkeypatch.setattr(shared, "can_fork", lambda: False)
     traversals, tables = _count_sweeps(monkeypatch)
     # and one arc table per cost mode; strength reads the edges themselves
     measure_report(g, epoch="2010")
@@ -326,19 +324,19 @@ def test_measure_report_sweeps_each_mode_once(monkeypatch):
 
 
 def test_forked_report_runs_each_pass_once(monkeypatch, tmp_path):
-    # whichever process claims what: every task is claimed once, and the
+    # whichever process claims what: every item is claimed once, and the
     # traversals of both processes, logged through one O_APPEND descriptor
     # per mode, run each pass once, whole in the process that claimed it
     g = fixtures.synthetic_network()
-    assert g.n <= 253  # so time block b is source b
     km_weights = {edge.distance_km for edge in g.edges}
     assert not km_weights & {edge.time_min["2010"] for edge in g.edges}
-    monkeypatch.setattr(measures, "_can_fork", lambda: True)
+    monkeypatch.setattr(shared, "can_fork", lambda: True)
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     traverse = measures.traverse
-    with (fixtures.PidLog(tmp_path / "tasks") as tasks,
+    with (fixtures.PidLog(tmp_path / "passes") as passes,
+          fixtures.PidLog(tmp_path / "sources") as sources,
           fixtures.PidLog(tmp_path / "binary") as binary,
           fixtures.PidLog(tmp_path / "km") as km,
           fixtures.PidLog(tmp_path / "time") as time_sources):
@@ -351,34 +349,37 @@ def test_forked_report_runs_each_pass_once(monkeypatch, tmp_path):
             return traverse(g, source, arcs, count)
 
         monkeypatch.setattr(measures, "traverse", logged)
-        monkeypatch.setattr(measures, "_report_work", tasks.claims(measures._report_work))
+        monkeypatch.setattr(measures, "_report_passes", passes.claims(measures._report_passes))
+        monkeypatch.setattr(measures, "_time_rows", sources.claims(measures._time_rows))
         with fixtures.leaves_nothing_behind():
             measure_report(g, epoch="2010")
     assert len(forks) == 1
-    assert tasks.items() == list(range(2 + g.n))
-    owner = {task: pid for pid, task in tasks.read()}
-    assert len(set(owner.values()) - {os.getpid()}) <= 1  # this process and one child
-    for task, log in ((0, binary), (1, km)):
+    assert passes.items() == [0, 1]
+    assert sources.items() == list(range(g.n))
+    owner = {item: pid for pid, item in passes.read()}
+    pids = set(owner.values()) | {pid for pid, _ in sources.read()}
+    assert len(pids - {os.getpid()}) <= 1  # this process and one child
+    for item, log in ((0, binary), (1, km)):
         assert log.items() == list(range(g.n))
-        assert {pid for pid, _ in log.read()} == {owner[task]}
-    assert sorted(time_sources.read()) == sorted((owner[2 + s], s) for s in range(g.n))
+        assert {pid for pid, _ in log.read()} == {owner[item]}
+    assert sorted(time_sources.read()) == sorted(sources.read())
 
 
 @pytest.mark.parametrize("epoch", [None, "2010"])
 def test_forked_report_equals_serial_report(monkeypatch, epoch):
-    monkeypatch.setattr(measures, "_can_fork", lambda: False)
+    monkeypatch.setattr(shared, "can_fork", lambda: False)
     serial = measure_report(SAMPLE, epoch)
-    monkeypatch.setattr(measures, "_can_fork", lambda: True)
+    monkeypatch.setattr(shared, "can_fork", lambda: True)
     with fixtures.leaves_nothing_behind():
         assert measure_report(SAMPLE, epoch) == serial
 
 
 def test_forked_report_equals_serial_past_one_source_per_block(monkeypatch, tmp_path):
-    # n = 300 sources in 253 time blocks, so some blocks hold two
+    # n = 300 sources in 255 time blocks, so some blocks hold two
     g = fixtures.geo_inputs(tmp_path, 300, 1)[1]
-    monkeypatch.setattr(measures, "_can_fork", lambda: False)
+    monkeypatch.setattr(shared, "can_fork", lambda: False)
     serial = measure_report(g, "2010")
-    monkeypatch.setattr(measures, "_can_fork", lambda: True)
+    monkeypatch.setattr(shared, "can_fork", lambda: True)
     with fixtures.leaves_nothing_behind():
         assert measure_report(g, "2010") == serial
 
@@ -551,156 +552,17 @@ def test_measure_report_includes_time_epoch():
     assert slow.avg_path_length_min > report.time_measures.avg_path_length_min
 
 
-# --- work shared with a forked child --------------------------------------------
-
-def _raise_memory_error(*args):
-    raise MemoryError("no room for the km pass")
-
-
-def _exit_silently(*args):
-    os._exit(0)
-
-
-def _in_the_child(task):
-    """A ``_shared`` work function that claims nothing here and runs
-    ``task`` on its other arguments in the forked child."""
-    parent = os.getpid()
-    return lambda claims, *args: {} if os.getpid() == parent else task(*args)
-
-
-def _claimed_by_pid(claims, a, b):
-    return {os.getpid(): (list(claims), divmod(a, b))}
-
-
-def _job(tasks, work, *args, label="a test task"):
-    return tasks, work, args, label
-
+# --- the report's passes shared with a forked child (tests/test_shared.py) -----
 
 def _allow_fork(monkeypatch, allowed=True):
-    monkeypatch.setattr(measures, "_can_fork", lambda: allowed)
+    monkeypatch.setattr(shared, "can_fork", lambda: allowed)
 
 
-def test_forked_task_returns_its_result(monkeypatch):
-    _allow_fork(monkeypatch)
-    with fixtures.leaves_nothing_behind():
-        [result] = measures._shared([_job(5, _claimed_by_pid, 47, 5)])
-    assert os.getpid() in result and len(result) == 2  # one result from each process
-    assert sorted(task for claimed, _ in result.values() for task in claimed) == list(range(5))
-    assert [quotient for _, quotient in result.values()] == [(9, 2), (9, 2)]
-
-
-def test_forked_result_larger_than_the_pipe_buffer_arrives_whole(monkeypatch):
-    big = {f"node{i:06d}": i / 7.0 for i in range(50_000)}
-    assert len(marshal.dumps(big)) > 16 * 65536  # about 1 MB
-    _allow_fork(monkeypatch)
-    with fixtures.leaves_nothing_behind():
-        assert measures._shared([_job(2, _in_the_child(dict), big)]) == [big]
-
-
-@pytest.mark.parametrize("task, message", [
-    (_raise_memory_error, "a test task failed in its child process: "
-                          "MemoryError: no room for the km pass"),
-    (_exit_silently, "the child process of a test task exited with code 0 and sent no result"),
-], ids=["raises", "exits"])
-def test_failing_child_raises_sweep_child_error(monkeypatch, task, message):
-    _allow_fork(monkeypatch)
-    with fixtures.leaves_nothing_behind():
-        with pytest.raises(SweepChildError, match=message):
-            measures._shared([_job(2, _in_the_child(task))])
-
-
-def test_failed_fork_runs_the_task_in_this_process(monkeypatch):
-    def no_fork():
-        raise BlockingIOError("fork: resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    _allow_fork(monkeypatch)
-    with fixtures.leaves_nothing_behind():
-        result = measures._shared([_job(5, _claimed_by_pid, 47, 5), _job(2, _claimed_by_pid, 8, 3)])
-    assert result == [{os.getpid(): ([0, 1, 2, 3, 4], (9, 2))}, {os.getpid(): ([0, 1], (2, 2))}]
-
-
-def test_unforked_task_runs_in_this_process_and_opens_nothing(monkeypatch):
-    # one task, or two or more where no fork is allowed
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    for tokens, allowed in ((1, True), (3, False)):
-        _allow_fork(monkeypatch, allowed)
-        with fixtures.leaves_nothing_behind():
-            result = measures._shared([_job(tokens, _claimed_by_pid, 47, 5)])
-        assert result == [{os.getpid(): (list(range(tokens)), (9, 2))}]
-    assert forks == []
-
-
-def _fail_here_and_sleep_there(claims, parent):
-    if os.getpid() == parent:
-        raise KeyError("parent failed first")
-    time.sleep(600)
-
-
-def test_parent_failure_kills_and_reaps_the_child(monkeypatch):
-    _allow_fork(monkeypatch)
-    start = time.perf_counter()
-    with fixtures.leaves_nothing_behind():
-        with pytest.raises(KeyError):
-            measures._shared([_job(2, _fail_here_and_sleep_there, os.getpid())])
-    assert time.perf_counter() - start < 30
-
-
-def _claimed_with_pid(claims, scale):
-    return {task: (os.getpid(), task * scale) for task in claims}
-
-
-@pytest.mark.parametrize("allowed", [False, True], ids=["serial", "forked"])
-def test_every_task_of_every_job_is_claimed_once(monkeypatch, tmp_path, allowed):
-    # three jobs of 255, 1 and 7 tasks share one fork; each task is claimed
-    # by one process only, and each job's two results are merged
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    _allow_fork(monkeypatch, allowed)
-    sizes = (255, 1, 7)
-    with contextlib.ExitStack() as stack:
-        logs = [stack.enter_context(fixtures.PidLog(tmp_path / f"job{j}")) for j in range(3)]
-        jobs = [_job(tasks, log.claims(_claimed_with_pid), j + 1, label=f"job {j}")
-                for j, (tasks, log) in enumerate(zip(sizes, logs))]
-        with fixtures.leaves_nothing_behind():
-            done = measures._shared(jobs)
-    assert len(forks) == allowed
-    assert len(done) == len(sizes)
-    for j, (tasks, log, result) in enumerate(zip(sizes, logs, done)):
-        assert log.items() == list(range(tasks))
-        assert result == {task: (pid, task * (j + 1)) for pid, task in log.read()}
-    if not allowed:
-        assert {pid for result in done for pid, _ in result.values()} == {os.getpid()}
-
-
-def test_child_failure_names_the_job_it_failed_in(monkeypatch):
-    # the child finishes job 1, then raises as job 2 starts; job 3 runs here
-    _allow_fork(monkeypatch)
-    with fixtures.leaves_nothing_behind():
-        with pytest.raises(SweepChildError) as info:
-            measures._shared([_job(3, _claimed_by_pid, 1, 1, label="job 1"),
-                              _job(2, _in_the_child(_raise_memory_error), label="job 2"),
-                              _job(4, _claimed_by_pid, 1, 1, label="job 3")])
-    assert str(info.value) == ("job 2 failed in its child process: "
-                               "MemoryError: no room for the km pass")
-
-
-def test_blocks_partition_every_count():
-    # contiguous blocks in order, which differ in size by one at most
-    for count in range(1, 1001):
-        for blocks in (min(count, 255), 253):
-            cut = [measures._block(b, count, blocks) for b in range(blocks)]
-            assert [i for block in cut for i in block] == list(range(count))
-            assert max(map(len, cut)) - min(map(len, cut)) <= 1
-
-
-@pytest.mark.parametrize("task", [_raise_memory_error, _exit_silently], ids=["raises", "exits"])
+@pytest.mark.parametrize("task", [fixtures.raise_memory_error, fixtures.exit_silently],
+                         ids=["raises", "exits"])
 def test_cli_exits_3_when_the_km_child_fails(monkeypatch, tmp_path, capsys, task):
     _allow_fork(monkeypatch)
-    monkeypatch.setattr(measures, "_report_work", _in_the_child(task))
+    monkeypatch.setattr(measures, "_report_passes", fixtures.in_the_child(task))
     out = tmp_path / "out"
     with fixtures.leaves_nothing_behind():
         code = cli.main(["analyze", "--nodes", str(DATA / "nodes.csv"),
@@ -724,7 +586,7 @@ def test_report_leaves_no_descriptor_or_child_behind(monkeypatch, path):
     # a raw os.pipe descriptor left open raises no ResourceWarning, so the
     # task queue and the result pipe are counted on every way through; an
     # edge without the epoch fails before the fork
-    monkeypatch.setattr(measures, "_can_fork", lambda: False)
+    monkeypatch.setattr(shared, "can_fork", lambda: False)
     serial = measure_report(SAMPLE, "2010")
     g, error = SAMPLE, None
     forks = []
@@ -737,9 +599,10 @@ def test_report_leaves_no_descriptor_or_child_behind(monkeypatch, path):
         return fork()
 
     monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(measures, "_can_fork", lambda: path != "serial")
+    monkeypatch.setattr(shared, "can_fork", lambda: path != "serial")
     if path == "km child raises":
-        monkeypatch.setattr(measures, "_report_work", _in_the_child(_raise_memory_error))
+        monkeypatch.setattr(measures, "_report_passes",
+                            fixtures.in_the_child(fixtures.raise_memory_error))
         error = SweepChildError
     if path == "edge without the epoch":
         g, error = ONE_EDGE_WITHOUT_2010, UnknownEpochError
@@ -751,7 +614,7 @@ def test_report_leaves_no_descriptor_or_child_behind(monkeypatch, path):
                 measure_report(g, "2010")
     assert len(forks) == (path not in ("serial", "edge without the epoch"))
     if path == "edge without the epoch":
-        monkeypatch.setattr(measures, "_can_fork", lambda: False)
+        monkeypatch.setattr(shared, "can_fork", lambda: False)
         with pytest.raises(UnknownEpochError) as unforked:
             measure_report(g, "2010")
         assert str(raised.value) == str(unforked.value)

@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from spatialnet import measures, null_models
+from spatialnet import null_models, shared
 from spatialnet.exceptions import DisconnectedError
 from spatialnet.graph import build_graph
 from spatialnet.io import ingest
-from spatialnet.measures import SweepChildError, clustering
+from spatialnet.measures import clustering
 from spatialnet.null_models import (
     ReplicateStats,
     _RingDeltas,
@@ -20,6 +20,7 @@ from spatialnet.null_models import (
     randomize,
     ring_index_cost,
 )
+from spatialnet.shared import SweepChildError
 
 import fixtures
 
@@ -197,7 +198,7 @@ def test_lattice_replicates_start_from_the_input_alone(monkeypatch, g):
     ensemble = latticeize(g, seed=3, swaps_per_edge=2, replicates=4)
     for k, (replicate, stats) in enumerate(zip(ensemble.replicates, ensemble.stats.per_replicate)):
         fresh = partial(null_models._latticeize_replicate, start=_RingDeltas(_Rewirer(g).ends, g.n))
-        ends, *fields = null_models._replicates(iter([k]), g, fresh, 3, 2, 4)[k]
+        ends, *fields = null_models._replicates(iter([k]), g, fresh, 3, 2)[k]
         assert [(e.u, e.v) for e in replicate.edges] == [
             (g.node_ids[u], g.node_ids[v]) for u, v in ends]
         assert stats == ReplicateStats(*fields)
@@ -218,7 +219,7 @@ def test_disconnected_input_rejected():
 # --- an ensemble's replicates shared with a forked child -----------------------
 
 def _allow_fork(monkeypatch, allowed):
-    monkeypatch.setattr(measures, "_can_fork", lambda: allowed)
+    monkeypatch.setattr(shared, "can_fork", lambda: allowed)
 
 
 def _counting_forks(monkeypatch):

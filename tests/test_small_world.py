@@ -111,14 +111,14 @@ def _bfs_and_hop_calls(tmp_path, monkeypatch, fork):
     number of forks."""
     from pathlib import Path
 
-    from spatialnet import graph, measures, null_models
+    from spatialnet import graph, measures, null_models, shared
     from spatialnet.cli import main
 
     data = Path(__file__).parent / "data"
     forks = []
     fork_ = os.fork
     bfs, hops = graph._bfs, measures.hop_distances
-    monkeypatch.setattr(measures, "_can_fork", lambda: fork)
+    monkeypatch.setattr(shared, "can_fork", lambda: fork)
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork_())
     with (fixtures.PidLog(tmp_path / "bfs") as bfs_calls,
           fixtures.PidLog(tmp_path / "hops") as hop_calls):
