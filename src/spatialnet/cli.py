@@ -170,7 +170,7 @@ def _omega_payload(g: SpatialGraph, report: Optional[measures.MeasureReport],
         l_emp = report.global_measures.avg_path_length_binary
         c_emp = report.global_measures.clustering_average
     result = small_world.omega(g, rand, latt, config.omega_threshold, l_emp, c_emp)
-    payload = sanitize(result)
+    payload = result._asdict()  # run sanitizes the whole payload
     payload["inputs"] = {key: payload.pop(key) for key in ("l_emp", "c_emp", "l_rand", "c_latt")}
     payload["ensembles"] = {
         "random": _ensemble_summary(rand),

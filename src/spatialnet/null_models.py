@@ -17,15 +17,14 @@ XORs undo the flip only if they never do.
 Randomization samples swaps at random and accepts every acceptable one
 until ``swaps_per_edge * m`` are accepted; each edge draw is
 ``rng.randrange(m)`` written out (``getrandbits(m.bit_length())`` until
-below m, as CPython draws it). Sampling goes on until the target is
-reached, however few swaps are acceptable: a swap is undone by its
-reverse, (a, d), (c, b) -> (a, b), (c, d), which is acceptable too, so
-after one accepted swap an acceptable one always remains. Only the input
-can be rigid (a triangle, say): while no swap is accepted, an exhaustive
-scan after every max(200, 20 m) rejections in a row stops the replicate
-early, without error, when it finds no acceptable swap. With A of the
-2·m² equally likely draws acceptable, a swap takes 2·m²/A attempts on
-average.
+below m, as CPython draws it). A swap is undone by its reverse,
+(a, d), (c, b) -> (a, b), (c, d), which is acceptable too, so after one
+accepted swap an acceptable one always remains and only the input can be
+rigid (a triangle, a star, K4). One exhaustive scan before the first
+draw, which draws no random number, settles that: a rigid input is
+returned unchanged, with no attempt and without error, and any other
+input is sampled until the target is reached. With A of the 2·m² equally
+likely draws acceptable, a swap takes 2·m²/A attempts on average.
 
 Latticeization is a steepest descent on the ring-index cost
 
@@ -225,22 +224,17 @@ def _assemble(g: SpatialGraph, ends: Sequence[tuple[int, int]]) -> SpatialGraph:
 
 
 def _randomize_replicate(g: SpatialGraph, rng: random.Random, swaps_per_edge: int):
-    """Random swaps until the target count; returns (rewirer, accepted,
-    attempts, converged)."""
+    """Random swaps until the target count, none on a rigid input; returns
+    (rewirer, accepted, attempts, converged)."""
     rewirer = _Rewirer(g)
     m = g.m
-    target = swaps_per_edge * m
-    stall_limit = max(200, 20 * m)
+    target = swaps_per_edge * m if rewirer.any_acceptable() else 0
 
     ends, bits, swap = rewirer.ends, rewirer.bits, rewirer.swap
     getrandbits, uniform, width = rng.getrandbits, rng.random, m.bit_length()
 
-    accepted = attempts = stall = 0
+    accepted = attempts = 0
     while accepted < target:
-        if stall >= stall_limit and not accepted:  # once one is, its reverse is acceptable
-            if not rewirer.any_acceptable():
-                break  # certified rigid: return what we have
-            stall = 0  # swaps exist; keep sampling
         # rng.randrange(m) twice, drawn as CPython's _randbelow draws it
         while (e1 := getrandbits(width)) >= m:
             pass
@@ -248,7 +242,6 @@ def _randomize_replicate(g: SpatialGraph, rng: random.Random, swaps_per_edge: in
             pass
         attempts += 1
         if e1 == e2:
-            stall += 1
             continue
         (a, b), (c, d) = ends[e1], ends[e2]
         if uniform() > 0.5:
@@ -257,9 +250,6 @@ def _randomize_replicate(g: SpatialGraph, rng: random.Random, swaps_per_edge: in
         if (a != d and b != c and not (bits[a] >> d & 1 or bits[c] >> b & 1)
                 and swap(e1, e2, a, b, c, d)):
             accepted += 1
-            stall = 0
-        else:
-            stall += 1
     return rewirer, accepted, attempts, True
 
 

@@ -224,11 +224,13 @@ def random_chain(g, rng, swaps_per_edge) -> tuple[list, int, int]:
     ``rng.random()`` that reverses the second edge above 0.5; the swap
     (a, b), (c, d) -> (a, d), (c, b) is kept when its four nodes are
     distinct, neither new pair is an edge and union–find finds the whole
-    new edge set connected. After every max(200, 20 m) rejections in a
-    row, accepted swaps or not, a scan of every ordered edge pair in both
-    orientations decides whether any swap is left: none ends the chain.
-    Returns (ends, accepted, attempts), ``ends`` the edges as pairs of
-    positions in ``g.node_ids``, in edge order."""
+    new edge set connected. A scan of every ordered edge pair in both
+    orientations decides whether any swap is acceptable: none before the
+    first draw sets the target to 0, and none after any max(200, 20 m)
+    rejections in a row, accepted swaps or not, ends the chain, so a
+    chain stuck after an acceptance would show. Returns (ends, accepted,
+    attempts), ``ends`` the edges as pairs of positions in
+    ``g.node_ids``, in edge order."""
     number = {node_id: i for i, node_id in enumerate(g.node_ids)}
     nodes = range(len(number))
     ends = [(number[edge.u], number[edge.v]) for edge in g.edges]
@@ -247,7 +249,7 @@ def random_chain(g, rng, swaps_per_edge) -> tuple[list, int, int]:
                    for e2, (c, d) in enumerate(ends) if e1 != e2
                    for cd in ((c, d), (d, c)))
 
-    target = swaps_per_edge * m
+    target = swaps_per_edge * m if any_acceptable() else 0
     stall_limit = max(200, 20 * m)
     accepted = attempts = stall = 0
     while accepted < target:

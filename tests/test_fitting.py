@@ -53,6 +53,19 @@ def test_normal_exact_recovery():
     assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
 
 
+def test_normal_without_a_peak_in_log_space_uses_weighted_moments():
+    # ln y is convex on these points, so the quadratic in log space has no peak
+    points = [(1, 40), (2, 10), (3, 5), (4, 4)]
+    fit = fit_normal(points)
+    total = math.fsum(y for _, y in points)
+    mu = math.fsum(k * y for k, y in points) / total
+    sigma = math.sqrt(math.fsum(y * (k - mu) ** 2 for k, y in points) / total)
+    shape = [math.exp(-((k - mu) ** 2) / (2 * sigma ** 2)) for k, _ in points]
+    a = math.fsum(y * s for (_, y), s in zip(points, shape)) / math.fsum(s * s for s in shape)
+    assert mu == 91 / 59
+    assert fit.params == pytest.approx({"a": a, "mu": mu, "sigma": sigma}, rel=1e-12)
+
+
 def test_log_decay_exact_recovery():
     points = [(k, 0.9 - 0.2 * math.log(k)) for k in range(1, 8)]
     fit = fit_log_decay(points)

@@ -300,6 +300,13 @@ def _repeat_column(source: Path, column: int, path: Path) -> Path:
                                 for row in rows).encode())
 
 
+def _shorten_row(source: Path, line: int, path: Path) -> Path:
+    """A copy of ``source`` whose given line lacks its last cell."""
+    lines = source.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1].rpartition(b",")[0] + b"\n"
+    return _write(path, b"".join(lines))
+
+
 @pytest.mark.parametrize("command, flag, make, message", [
     ("analyze", "--edges", lambda tmp: tmp / "nonexistent.csv", "cannot read file"),
     ("analyze", "--nodes", lambda tmp: DATA, "cannot read file"),
@@ -335,10 +342,24 @@ def _repeat_column(source: Path, column: int, path: Path) -> Path:
      lambda tmp: _write(tmp / "variables.csv", VARIABLES.read_bytes()
                         .replace(b"S1_road_degree:S", b":S", 1)),
      "variables.csv:1: column ':S': a variable may not be named ''"),
+    ("analyze", "--nodes", lambda tmp: _shorten_row(NODES, 3, tmp / "nodes.csv"),
+     "nodes.csv:3: expected 5 cells, got 4"),
+    ("analyze", "--nodes", lambda tmp: _write(tmp / "nodes.csv", b""), "nodes.csv:1: empty file"),
+    ("analyze", "--edges",
+     lambda tmp: _write(tmp / "edges.csv", EDGES.read_bytes().replace(b"time_2010_min", b"time_2010")),
+     "time column 'time_2010' must match time_<epoch>_min"),
+    ("regress", "--vars",
+     lambda tmp: _write(tmp / "variables.csv", VARIABLES.read_bytes()
+                        .replace(b"S1_road_degree:S", b"S1_road_degree", 1)),
+     "column 'S1_road_degree' is missing its ':<class>' tag"),
+    ("regress", "--vars",
+     lambda tmp: _write(tmp / "variables.csv", VARIABLES.read_bytes().replace(b"O3_gdp:O", b"O3_gdp:Y", 1)),
+     "more than one column tagged ':Y'"),
 ], ids=["missing-file", "directory", "not-utf8", "oversized-cell", "no-node-rows",
         "out-is-file", "plotdata-is-file", "nan-variable-cell", "repeated-edges-column",
         "repeated-nodes-column", "repeated-variables-column", "repeated-variables-id",
-        "constant-variable-name", "empty-variable-name"])
+        "constant-variable-name", "empty-variable-name", "short-nodes-row", "empty-nodes-file",
+        "untagged-time-column", "untagged-variable", "two-responses"])
 def test_unusable_input_or_output_exit_2(tmp_path, capsys, command, flag, make, message):
     flags = {"--nodes": NODES, "--edges": EDGES, "--out": tmp_path / "out"}
     flags[flag] = make(tmp_path)
@@ -350,6 +371,19 @@ def test_unusable_input_or_output_exit_2(tmp_path, capsys, command, flag, make, 
     assert len(lines) == 1
     assert message in json.loads(lines[0])["message"]
     assert not (tmp_path / "out" / "fits.json").exists()  # no partial bundle
+
+
+def test_blank_line_in_nodes_is_skipped(tmp_path):
+    lines = NODES.read_bytes().splitlines(keepends=True)
+    blank = _write(tmp_path / "nodes.csv", b"".join([*lines[:5], b"\n", *lines[5:]]))
+    for nodes, out in ((NODES, "sample"), (blank, "blank")):
+        assert main(["analyze", "--nodes", str(nodes), "--edges", str(EDGES),
+                     "--out", str(tmp_path / out)]) == 0
+    # the bundle differs from the sample's only in the input's own sha256
+    sha = {path: hashlib.sha256(path.read_bytes()).hexdigest().encode() for path in (NODES, blank)}
+    assert {name: data.replace(sha[blank], sha[NODES])
+            for name, data in _raw_bundle_bytes(tmp_path / "blank").items()} == _raw_bundle_bytes(
+        tmp_path / "sample")
 
 
 def test_byte_order_mark_is_accepted(tmp_path):
@@ -559,6 +593,60 @@ def test_cli_compute_error_exit_3(tmp_path, capsys):
     assert record["error"] == "DisconnectedError"
 
 
+def _graph_csvs(tmp_path, g) -> list[str]:
+    """``--nodes`` and ``--edges`` flags for g written to CSVs, its nodes
+    on one parallel and its edges 1 km long."""
+    nodes = _write(tmp_path / "nodes.csv", ("id,label,lat,lon\n" + "".join(
+        f"{node.id},{node.id},38,{20 + i}\n" for i, node in enumerate(g.nodes))).encode())
+    edges = _write(tmp_path / "edges.csv", ("source,target,distance_km\n" + "".join(
+        f"{edge.u},{edge.v},1\n" for edge in g.edges)).encode())
+    return ["--nodes", str(nodes), "--edges", str(edges)]
+
+
+def _one_error_line(capsys) -> dict:
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def test_omega_on_one_edge_exits_3_before_any_fork(tmp_path, capsys, monkeypatch):
+    forks = _counting_forks(monkeypatch, True)
+    code = main(["omega", *_graph_csvs(tmp_path, fixtures.path_graph("ab")), "--seed", "1",
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert _one_error_line(capsys) == {
+        "error": "ComputeError", "message": "need at least 2 edges to rewire, got m = 1"}
+    assert not forks
+    assert not (tmp_path / "out").exists()
+
+
+def test_regress_on_two_rows_exits_3(tmp_path, capsys):
+    variables = _write(tmp_path / "variables.csv", b"id,x:S,y:B,z:O,w:Y\na,1,2,3,4\nb,2,3,5,7\n")
+    code = main(["regress", *_graph_csvs(tmp_path, fixtures.path_graph("ab")),
+                 "--vars", str(variables), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert _one_error_line(capsys) == {
+        "error": "TooFewRowsError", "message": "need at least 3 rows for correlation tests, got 2"}
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_an_unknown_command(tmp_path):
+    with pytest.raises(ConfigError, match="unknown command 'nosuch'"):
+        run("nosuch", _config(tmp_path))
+
+
+def test_omega_on_a_rigid_graph_draws_nothing(tmp_path, capsys):
+    # no swap of K4 keeps it simple, so each random replicate is K4 itself
+    assert main(["omega", *_graph_csvs(tmp_path, fixtures.complete_graph(4)), "--seed", "1",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    per_replicate = json.loads((tmp_path / "out" / "omega.json").read_text())["ensembles"][
+        "random"]["per_replicate"]
+    assert len(per_replicate) == 20
+    assert {(r["accepted_swaps"], r["attempts"], r["converged"]) for r in per_replicate} == {
+        (0, 0, True)}
+
+
 def _completes_on_a_dense_graph(tmp_path, capsys, monkeypatch, allowed, *flags,
                                 command="omega"):
     # a dense graph where acceptable swaps are rare (20 of the 1 922 draws
@@ -566,10 +654,7 @@ def _completes_on_a_dense_graph(tmp_path, capsys, monkeypatch, allowed, *flags,
     # replicate, the command exits 0, and forked, its bundle equals the
     # serial one
     g = fixtures.er_gnm(9, 31, seed=1, connected=True)
-    nodes = _write(tmp_path / "nodes.csv", ("id,label,lat,lon\n" + "".join(
-        f"{node.id},{node.id},38,{20 + i}\n" for i, node in enumerate(g.nodes))).encode())
-    edges = _write(tmp_path / "edges.csv", ("source,target,distance_km\n" + "".join(
-        f"{edge.u},{edge.v},1\n" for edge in g.edges)).encode())
+    inputs = _graph_csvs(tmp_path, g)
     if command == "all":
         flags += ("--vars", str(_write(tmp_path / "variables.csv", (
             "id,a:S,b:B,c:O,y:Y\n" + "".join(f"{node.id},{i},{i * i},{i % 4},{2 * i}\n"
@@ -579,8 +664,8 @@ def _completes_on_a_dense_graph(tmp_path, capsys, monkeypatch, allowed, *flags,
         forks = _counting_forks(monkeypatch, forked)
         out = tmp_path / str(forked)
         with fixtures.leaves_nothing_behind():
-            code = main([command, "--nodes", str(nodes), "--edges", str(edges), "--seed", "1",
-                         "--swaps-per-edge", "1", *flags, "--out", str(out)])
+            code = main([command, *inputs, "--seed", "1", "--swaps-per-edge", "1", *flags,
+                         "--out", str(out)])
         assert code == 0
         assert capsys.readouterr().err == ""
         assert len(forks) == forked

@@ -91,6 +91,14 @@ def test_density_planar_needs_three_nodes():
         density(g, "planar")
 
 
+def test_one_node_graph_measures():
+    # _sweep's n < 2 branch: binary closeness would otherwise divide by n - 1
+    g = build_graph([NodeRecord("a", "A", 38.0, 22.0)], [])
+    assert (closeness(g), betweenness(g), straightness(g)) == ({"a": 0.0}, {"a": 0.0}, {"a": 1.0})
+    assert tuple(path_length_and_diameter(g)) == (0.0, 0.0)
+    assert density(g) == 0.0
+
+
 # --- closeness --------------------------------------------------------------
 
 def test_closeness_path():

@@ -42,6 +42,17 @@ def test_triangle_is_rigid_under_randomization():
         assert _edge_pairs(replicate) == _edge_pairs(tri)
 
 
+@pytest.mark.parametrize("g", [fixtures.complete_graph(3), fixtures.star_graph(4),
+                               fixtures.complete_graph(4)], ids=["triangle", "star", "K4"])
+def test_rigid_input_comes_back_without_a_draw(g):
+    # no swap keeps these simple and connected: the scan before the first
+    # draw finds none, so every replicate is the input with no attempt
+    ensemble = randomize(g, seed=3, swaps_per_edge=10, replicates=4)
+    for replicate, stats in zip(ensemble.replicates, ensemble.stats.per_replicate, strict=True):
+        assert replicate.edges == g.edges
+        assert (stats.accepted_swaps, stats.attempts, stats.converged) == (0, 0, True)
+
+
 def test_degree_multiset_preserved():
     g = fixtures.clustered_fixture(seed=1)
     for ensemble in (

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from spatialnet.io import sanitize
 from spatialnet.null_models import latticeize, randomize
 from spatialnet.small_world import (
     ZeroClusteringError,
@@ -77,6 +78,19 @@ def test_omega_on_near_lattice_graph_is_negative():
     assert result.omega < 0
     assert len(result.per_replicate_omegas) == 6
     assert all(math.isfinite(v) for v in result.per_replicate_omegas)
+
+
+def test_lattice_replicate_without_clustering_gives_a_null_omega():
+    g = fixtures.ws_graph(20, 4, 0.1, seed=3)
+    rand = randomize(g, seed=5, swaps_per_edge=3, replicates=2)
+    latt = latticeize(g, seed=5, swaps_per_edge=3, replicates=2)
+    first, second = latt.stats.per_replicate
+    flat = latt._replace(stats=latt.stats._replace(
+        per_replicate=(first._replace(clustering=0.0), second)))
+    result = omega(g, rand, flat)
+    assert math.isnan(result.per_replicate_omegas[0])
+    assert result.per_replicate_omegas[1] == omega(g, rand, latt).per_replicate_omegas[1]
+    assert sanitize(result)["per_replicate_omegas"][0] is None
 
 
 def test_omega_rejects_mismatched_ensembles():
