@@ -8,22 +8,38 @@ routing come in three modes: "binary" (1 per edge), "km", and "time"
 (which additionally needs an epoch). Every weight must be finite and
 positive; ``build_graph`` rejects the rest.
 
-``build_graph`` numbers the nodes once, in ingestion order, and keeps
+``build_graph`` numbers the nodes once, in sorted node-id order, and keeps
 integer neighbour lists in edge order; node numbers are the graph's only
-topology, and ``index`` maps a node id to its number. All traversals run
-on those lists: one BFS kernel for binary mode and one Dijkstra kernel
-for km/time, both returning per-source lists indexed by node number.
-``traverse`` is the one entry point to them; ``shortest_paths`` maps a
-traversal back onto node ids.
+topology, and ``index`` maps a node id to its number. So two files that
+list the same nodes in different orders give the same graph. All
+traversals run on those lists: one BFS kernel for binary mode, and for
+km/time one counted Dijkstra kernel and one distance-only kernel, all
+returning per-source lists indexed by node number. ``traverse`` is the
+one entry point to them; ``shortest_paths`` maps a traversal back onto
+node ids.
 
-Both kernels return the number of shortest paths (``sigma``) and the
-predecessors on them (``preds``), which only Brandes betweenness reads.
-BFS counts them inline, always; the component count in ``build_graph``
-reads its visit order. Dijkstra runs one heap loop for the distances,
-which records the settle order only with ``count`` set; one pass over
-that order then reads ``sigma`` and ``preds`` off the final distances.
-Only ``shortest_paths`` and ``betweenness`` set it; the km and time
-passes run distance-only.
+BFS and counted Dijkstra return the number of shortest paths
+(``sigma``) and the predecessors on them (``preds``), which only Brandes
+betweenness reads. BFS counts them inline, always; the component count
+in ``build_graph`` reads its visit order. Counted Dijkstra runs one heap
+loop for the distances and the settle order; one pass over that order
+then reads ``sigma`` and ``preds`` off the final distances. Only
+``shortest_paths`` and ``betweenness`` in km or time ask for counts.
+
+The distance-only kernel takes nodes from a bucket queue, not a heap
+(Dial, CACM 1969; the bucket relaxation of delta-stepping, Meyer &
+Sanders, J. Algorithms 2003): a reached node is keyed by ``label //
+width`` in a dict of lists, a small heap of live keys visits the buckets
+in increasing order, each bucket's list is scanned while it grows, and a
+node is scanned again whenever its label falls. It returns the same
+floats as the heap loop (see ``TIE_RTOL``). ``bucket_width`` is half the
+median arc cost of the arc table, taken once per all-sources pass: a
+median, unlike a mean, does not follow a heavy tail of long arcs, and
+unlike a width from a source's own arcs, it puts no long route from a
+source with short arcs at a huge bucket number. The one case
+measured slower than the heap is a long path with weights log-uniform
+over six decades, where most buckets hold one node: about 2x the heap's
+time over all sources of a 400-node path.
 
 Binary closeness, path length and diameter need only each node's sum of
 hop distances and the largest one. ``hop_distances`` computes those for
@@ -70,17 +86,26 @@ MODES = ("binary", "km", "time")
 # ``drop_dominated_arcs`` uses TIE_RTOL as an absolute margin too: after the
 # Dijkstra from s, an arc s-v with w > dist[v] + TIE_RTOL * ecc_s (ecc_s the
 # largest distance from s) goes from both ends' lists, and no later
-# distance-only Dijkstra changes. Its float result is the fixed point
-# dist[v] = min_u fl(dist[u] + w_uv), and it settles nodes by distance, so
-# the dropped arc matters to a later source t only if fl(dist_t[s] + w) <=
-# dist_t[v]. A float distance is a float sum of at most n - 1 edges, so it
+# distance-only traversal changes.
+#
+# Both weighted kernels return the least fixed point of dist[v] = min_u
+# fl(dist[u] + w_uv) with dist[source] = 0. fl(d + w) is monotone in d and
+# never below d, so by induction along a path any such fixed point is at
+# most every left-to-right float path sum. The heap loop and the bucket
+# scan each stop only when no label can fall, so each returns a fixed point
+# whose labels are float path sums: the least one, whatever the order of
+# processing. And since fl(d + w) >= d, a bucket key never goes below the
+# bucket being scanned.
+#
+# So the dropped arc matters to a later source t only if fl(dist_t[s] + w)
+# <= dist_t[v]. A float distance is a float sum of at most n - 1 edges, so it
 # lies within about n * 2**-53 relative of the exact least cost; the exact
 # costs obey d_t(v) <= d_t(s) + d_s(v); and every distance is at most the
 # diameter, which is at most 2 * ecc_s. Together, fl(dist_t[s] + w) -
 # dist_t[v] > margin - 2 * (2n+1) * 2**-53 * diameter >= (TIE_RTOL -
 # 4 * (2n+1) * 2**-53) * ecc_s, which is positive for n below about a
-# million: the arc only ever offers a longer route, so no distance and no
-# settle order can change.
+# million: the arc only ever offers a longer route, so no distance can
+# change.
 # The margin is absolute on purpose: a margin relative to dist[v] falls
 # below the rounding of a long route's sum when a 0.001 km edge sits beside
 # 1000 km routes. Counted passes are never pruned, because their tie rule
@@ -244,20 +269,23 @@ def build_graph(nodes: Iterable[NodeRecord], edges: Iterable[EdgeRecord]) -> Spa
 
     Rejects duplicate node ids, dangling edge endpoints, self-loops,
     repeated unordered node pairs, and nonpositive or non-finite weights.
-    The error message always names the offending record.
+    The error message always names the offending record. Nodes are checked
+    in the order given, then numbered in sorted node-id order.
     """
     node_list = tuple(nodes)
     edge_list = tuple(edges)
 
-    index: dict[str, int] = {}
-    for i, node in enumerate(node_list):
-        if node.id in index:
+    seen: set[str] = set()
+    for node in node_list:
+        if node.id in seen:
             raise DuplicateNodeError(f"duplicate node id {node.id!r}")
-        index[node.id] = i
+        seen.add(node.id)
         if node.lat is not None and not -90.0 <= node.lat <= 90.0:
             raise InvalidCoordinateError(f"node {node.id!r}: lat {node.lat} outside [-90, 90]")
         if node.lon is not None and not -180.0 <= node.lon <= 180.0:
             raise InvalidCoordinateError(f"node {node.id!r}: lon {node.lon} outside [-180, 180]")
+    node_list = tuple(sorted(node_list, key=lambda node: node.id))
+    index = {node.id: i for i, node in enumerate(node_list)}
 
     # per node, its neighbours' numbers as an ordered set, in edge order
     neighbours: list[dict[int, None]] = [{} for _ in node_list]
@@ -327,23 +355,38 @@ def shortest_paths(
     )
 
 
-def traverse(g: SpatialGraph, source: int, arcs=None, count: bool = False):
+def traverse(g: SpatialGraph, source: int, arcs=None, count: bool = False,
+             width: Optional[float] = None):
     """One single-source traversal from node number ``source``: BFS when
-    ``arcs`` is None, Dijkstra over ``arcs`` (see ``SpatialGraph.costs``)
-    otherwise.
+    ``arcs`` is None, otherwise over ``arcs`` (see ``SpatialGraph.costs``)
+    counted Dijkstra with ``count`` and the bucket queue without it, keyed
+    by ``width`` (``bucket_width(arcs)`` when None; an all-sources pass
+    computes it once).
 
     Returns ``(dist, sigma, preds, order)``: lists indexed by node number
     holding the distance (``math.inf`` when unreachable), the number of
     shortest paths, and the predecessors on them in arrival order (None
     when unreachable), plus the reached nodes in nondecreasing distance.
-    BFS always counts paths and ignores ``count``. A Dijkstra without
-    ``count`` returns only ``dist``, with None for the other three; with
-    it, the counts are read off the final distances in settle order.
+    BFS always counts paths and ignores ``count``. The bucket queue
+    returns only ``dist``, with None for the other three; counted Dijkstra
+    reads the counts off the final distances in settle order.
     """
     # positional calls: tests count kernel calls through ``*args`` wrappers
     if arcs is None:
         return _bfs(g.adj_index, source)
-    return _dijkstra(arcs, source, count)
+    if count:
+        return _dijkstra(arcs, source)
+    return _bucket_distances(arcs, source, bucket_width(arcs) if width is None else width)
+
+
+def bucket_width(arcs) -> float:
+    """The distance-only kernel's bucket width for the arc table ``arcs``:
+    half its median arc cost (1.0 for a table with no arcs)."""
+    costs = sorted(w for row in arcs for _, w in row)
+    if not costs:
+        return 1.0
+    median = costs[len(costs) // 2]
+    return median / 2.0 or median  # half the least subnormal rounds to 0
 
 
 def drop_dominated_arcs(arcs: list, source: int, dist, far: float) -> None:
@@ -428,27 +471,53 @@ def _bfs(adj, source: int):
     return dist, sigma, preds, order
 
 
-def _dijkstra(arcs, source: int, count: bool):
+def _bucket_distances(arcs, source: int, width: float):
+    n = len(arcs)
+    dist = [math.inf] * n
+    dist[source] = 0.0
+    scanned = [None] * n  # the label each node was last scanned at
+    buckets = {0.0: [source]}
+    keys = [0.0]
+    while keys:
+        key = heappop(keys)
+        for u in buckets[key]:  # grows while scanned
+            d = dist[u]
+            if d == scanned[u]:  # a stale entry, or its label is done
+                continue
+            scanned[u] = d
+            for v, w in arcs[u]:
+                nd = d + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    k = nd // width  # a float key: inf, not an OverflowError, past 1e308
+                    bucket = buckets.get(k)
+                    if bucket is None:
+                        buckets[k] = [v]
+                        heappush(keys, k)
+                    else:
+                        bucket.append(v)
+        del buckets[key]
+    return dist, None, None, None
+
+
+def _dijkstra(arcs, source: int):
     n = len(arcs)
     dist = [math.inf] * n
     dist[source] = 0.0
     heap = [(0.0, source)]
-    order = [] if count else None
+    order = []
     # a node is pushed only when its distance strictly falls, so the
     # one entry whose key equals its distance is the live one
     while heap:
         d, u = heappop(heap)
         if d > dist[u]:
             continue
-        if count:
-            order.append(u)
+        order.append(u)
         for v, w in arcs[u]:
             nd = d + w
             if nd < dist[v]:
                 dist[v] = nd
                 heappush(heap, (nd, v))
-    if not count:
-        return dist, None, None, None
     # u-v is on a shortest path when v settles after u and the route
     # through u ties v's final distance; the settle order, not the
     # distances, orders the DAG, since w may vanish in d + w

@@ -26,9 +26,10 @@ table per cost mode and process, shared with a child process (below).
 Every BFS counts shortest paths, which the report's binary pass needs for
 betweenness; a weighted traversal counts them only for ``betweenness``
 in km or time mode, so the report's km and time passes run
-distance-only. A binary pass that needs distances only
-(``closeness``, ``path_length_and_diameter``) runs no per-source
-traversal at all: it reads the integer hop sums and the diameter off
+distance-only traversals: ``graph``'s bucket queue, with one bucket
+width per pass (``graph.bucket_width``). A binary pass that needs
+distances only (``closeness``, ``path_length_and_diameter``) runs no
+per-source traversal at all: it reads the integer hop sums and the diameter off
 ``graph.hop_distances``, which gives the same floats. Weighted path
 costs within ``graph.TIE_RTOL`` of the shortest count as ties, and
 graphs with non-finite weights cannot be built.
@@ -56,7 +57,7 @@ is sound for any order and subset of sources, so each source's
 ``(fsum, max)`` is the same wherever it runs, and ``_path_stats`` sums
 the merged rows in node order, as the serial pass does.
 
-All functions are pure; sums accumulate in node ingestion order via
+All functions are pure; sums accumulate in node order (sorted node ids) via
 ``math.fsum`` so repeated runs are bit-stable.
 """
 
@@ -69,7 +70,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import shared
 from .exceptions import ComputeError, DisconnectedError
-from .graph import SpatialGraph, drop_dominated_arcs, hop_distances, traverse
+from .graph import SpatialGraph, bucket_width, drop_dominated_arcs, hop_distances, traverse
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -265,6 +266,7 @@ def _traversals(g: SpatialGraph, arcs, sources: Iterable[int], brandes: bool = F
     # a distance-only weighted pass drops each arc that no shortest path uses
     # once a traversal from one of its ends shows it (see graph.TIE_RTOL)
     prune = arcs is not None and not brandes
+    width = bucket_width(arcs) if prune else None
     if prune:
         arcs = list(map(list, arcs))
     n = g.n
@@ -281,7 +283,7 @@ def _traversals(g: SpatialGraph, arcs, sources: Iterable[int], brandes: bool = F
     straight_by_node: dict[str, float] = {}
     sin, radians, sqrt, atan2 = math.sin, math.radians, math.sqrt, math.atan2
     for s in sources:
-        dist, sigma, preds, order = traverse(g, s, arcs, brandes)
+        dist, sigma, preds, order = traverse(g, s, arcs, brandes, width)
         others = dist[:s] + dist[s + 1:]
         far = max(others)
         rows[s] = math.fsum(others), far

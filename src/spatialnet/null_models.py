@@ -3,7 +3,7 @@
 Both builders run double-edge swaps — take edges (a, b) and (c, d),
 rewire them to (a, d) and (c, b) — and reject any swap that would create
 a self-loop, a multi-edge, or disconnect the graph. Swaps work on node
-numbers (a node's position in ``g.nodes``, which is the ingestion
+numbers (a node's position in ``g.nodes``, which is the sorted node-id
 order), each node's neighbours held as one int bitset. A swap keeps a
 connected graph connected exactly when, after it, a still reaches b
 (then c reaches d through b and a). So a candidate is flipped in once,
@@ -31,7 +31,7 @@ Latticeization is a steepest descent on the ring-index cost
     sum over edges (i, j) of min(|i - j|, n - |i - j|)
 
 with i and j node numbers, which drives the topology toward the ring
-lattice over the ingestion order while keeping the degree sequence
+lattice over the sorted node-id order while keeping the degree sequence
 exact. Each replicate keeps a table of the cost change of every
 unordered edge pair in both orientations of the second edge, in which
 swaps that are not simple never read as improving; a committed swap
@@ -454,7 +454,7 @@ def latticeize(
     *, done: Optional[dict] = None,
 ) -> NullModelEnsemble:
     """Ensemble of degree-preserving rewires descended toward a ring
-    lattice whose positions follow the node ingestion order; at most
+    lattice whose positions follow the sorted node-id order; at most
     ``swaps_per_edge * m`` descent steps per replicate."""
     return _build_ensemble(g, "lattice", seed, swaps_per_edge, replicates, done)
 

@@ -33,6 +33,10 @@ class ZeroClusteringError(ComputeError):
     pass
 
 
+class UnmovedNullModelError(ComputeError):
+    pass
+
+
 class OmegaResult(NamedTuple):
     l_emp: float
     c_emp: float
@@ -85,7 +89,9 @@ def omega(
     i-th random with the i-th lattice replicate) are attached for
     variance inspection. ``l_emp`` (binary average path length) and
     ``c_emp`` (average clustering) of ``g`` are computed unless the
-    caller already has them.
+    caller already has them. Raises UnmovedNullModelError when no random
+    replicate accepted a swap: the random reference is then the input
+    itself, and omega compares the graph with nothing.
     """
     if rand_ensemble.kind != "random" or latt_ensemble.kind != "lattice":
         raise ValueError(
@@ -96,6 +102,10 @@ def omega(
         replicate = ensemble.replicates[0]
         if replicate.n != g.n or replicate.m != g.m:
             raise ValueError("ensemble does not match the graph (n or m differ)")
+    if not any(stats.accepted_swaps for stats in rand_ensemble.stats.per_replicate):
+        raise UnmovedNullModelError(
+            "no random replicate accepted a swap (a rigid input, or zero swaps per edge), "
+            "so the random reference is the input itself; omega is undefined")
     if l_emp is None:
         l_emp = path_length_and_diameter(g, "binary").average
     if c_emp is None:

@@ -1,7 +1,10 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spatialnet import EdgeRecord, NodeRecord, build_graph, shortest_paths
 from spatialnet.measures import betweenness
@@ -15,6 +18,7 @@ from spatialnet.graph import (
     SelfLoopError,
     UnknownEpochError,
     UnknownNodeError,
+    bucket_width,
     drop_dominated_arcs,
     traverse,
 )
@@ -33,6 +37,15 @@ def test_build_synthetic_shape():
 def test_single_node_graph():
     g = build_graph([NodeRecord("solo")], [])
     assert (g.n, g.m, g.components) == (1, 0, 1)
+
+
+def test_nodes_are_checked_in_the_order_given_then_numbered_by_id():
+    with pytest.raises(InvalidCoordinateError, match="'b'"):
+        build_graph([NodeRecord("b", lat=91.0), NodeRecord("a", lat=-91.0)], [])
+    g = build_graph([NodeRecord("b"), NodeRecord("c"), NodeRecord("a")],
+                    [EdgeRecord("c", "a", 1.0), EdgeRecord("b", "c", 2.0)])
+    assert g.node_ids == ("a", "b", "c")
+    assert g.adj_index == ((2,), (2,), (0, 1))
 
 
 def test_duplicate_node_rejected():
@@ -127,14 +140,15 @@ def test_km_near_ties_do_not_chain():
 
 
 def test_km_counts_follow_settle_order_when_a_weight_vanishes():
-    # 10.0 + 1e-300 == 10.0, so x ties v although it lies one edge beyond
-    # it; x has a node number below v's, and still gets v as predecessor
-    g = build_graph([NodeRecord("s"), NodeRecord("x"), NodeRecord("v")],
-                    [EdgeRecord("s", "v", 10.0), EdgeRecord("v", "x", 1e-300)])
+    # 10.0 + 1e-300 == 10.0, so u ties v although it lies one edge beyond
+    # it; u has a node number below v's, and still gets v as predecessor
+    g = build_graph([NodeRecord("s"), NodeRecord("u"), NodeRecord("v")],
+                    [EdgeRecord("s", "v", 10.0), EdgeRecord("v", "u", 1e-300)])
+    assert g.index["u"] < g.index["v"]
     for source in g.node_ids:
         table = shortest_paths(g, source, "km")
         assert all(table.sigma[t] >= 1 for t in g.node_ids)
-    assert shortest_paths(g, "s", "km").preds["x"] == ("v",)
+    assert shortest_paths(g, "s", "km").preds["u"] == ("v",)
     betweenness(g, "km")
 
 
@@ -144,6 +158,26 @@ def test_km_betweenness_splits_float_ties():
     assert cb["b"] == pytest.approx(1 / 6, rel=1e-12)
 
 
+def _extreme_weights():
+    # most arcs cost 1e-300, so the bucket width is 5e-301, and a route
+    # over a 1e300 arc has a bucket key past the float range
+    return fixtures.graph_from_edges(
+        [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "e")],
+        km={("a", "b"): 1e-300, ("b", "c"): 1e-300, ("c", "d"): 1e-300,
+            ("d", "e"): 1e300, ("a", "e"): 1e300})
+
+
+def _short_arcs():
+    # the long chain makes the median 10 and the width 5, so from s every
+    # node up to c lies in bucket 0: a is first scanned at 1.0 (by the s-a
+    # arc, listed first) and again at 0.2, after b, and only the second
+    # scan gives c and the chain their distances
+    chain = [("c", "d"), ("d", "e"), ("e", "f"), ("f", "g"), ("g", "h")]
+    short = {("s", "a"): 1.0, ("s", "b"): 0.1, ("a", "b"): 0.1, ("a", "c"): 0.1}
+    return fixtures.graph_from_edges(list(short) + chain,
+                                     km={**short, **dict.fromkeys(chain, 10.0)})
+
+
 # BFS always counts, so only the weighted modes have a distance-only
 # kernel; the ids are those the cases had beside the binary ones
 @pytest.mark.parametrize("g, mode, epoch", [
@@ -151,6 +185,8 @@ def test_km_betweenness_splits_float_ties():
     pytest.param(fixtures.synthetic_network(), "time", "1988", id="g2-time-1988"),
     pytest.param(fixtures.synthetic_network(), "time", "2010", id="g3-time-2010"),
     pytest.param(_float_tie_square(), "km", None, id="g5-km-None"),
+    pytest.param(_extreme_weights(), "km", None, id="extreme-km-None"),
+    pytest.param(_short_arcs(), "km", None, id="short-arcs-km-None"),
 ])
 def test_distance_only_kernels_match_counted_kernels(g, mode, epoch):
     arcs = g.costs(mode, epoch)
@@ -160,6 +196,84 @@ def test_distance_only_kernels_match_counted_kernels(g, mode, epoch):
         counted = traverse(g, source, arcs, True)
         assert (sigma, preds, order) == (None, None, None)
         assert dist == counted[0]
+
+
+def test_bucket_width_is_half_the_median_arc_cost():
+    assert bucket_width(_short_arcs().costs("km")) == 5.0
+    assert bucket_width(_extreme_weights().costs("km")) == 5e-301
+    assert bucket_width(build_graph([NodeRecord("a"), NodeRecord("b")],
+                                    [EdgeRecord("a", "b", 5e-324)]).costs("km")) == 5e-324
+    assert bucket_width(((), ())) == 1.0
+
+
+@st.composite
+def _log_uniform_graphs(draw):
+    """A random spanning tree plus up to n extra pairs, with km and time
+    weights log-uniform in [1e-3, 1e3], and the float near-tie square
+    (0.1 + 0.2 against 0.15 + 0.15 and a direct 0.30000000000000004) hung
+    off node v00."""
+    n = draw(st.integers(2, 30))
+    ids = [f"v{i:02d}" for i in range(n)]
+    pairs = {(ids[draw(st.integers(0, i - 1))], ids[i]) for i in range(1, n)}
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=n)):
+        if i != j and (ids[j], ids[i]) not in pairs:
+            pairs.add((ids[i], ids[j]))
+    weight = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+    edges = [EdgeRecord(u, v, draw(weight), {"2010": draw(weight)}) for u, v in sorted(pairs)]
+    square = [("qs", "qa", 0.1), ("qa", "qt", 0.2), ("qs", "qb", 0.15), ("qb", "qt", 0.15),
+              ("qs", "qt", 0.1 + 0.2), ("v00", "qs", draw(weight))]
+    edges += [EdgeRecord(u, v, w, {"2010": w}) for u, v, w in square]
+    return build_graph([NodeRecord(node_id) for node_id in ids + ["qa", "qb", "qs", "qt"]],
+                       edges)
+
+
+@fixtures.SETTINGS
+@given(g=_log_uniform_graphs())
+def test_bucket_queue_equals_the_heap_on_log_uniform_weights(g):
+    for mode, epoch in (("km", None), ("time", "2010")):
+        arcs = g.costs(mode, epoch)
+        for source in range(g.n):
+            assert traverse(g, source, arcs)[0] == traverse(g, source, arcs, True)[0]
+
+
+class _CountedReads(list):
+    """Arc lists that count how often each node's list is read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = [0] * len(rows)
+
+    def __getitem__(self, i):
+        self.reads[i] += 1
+        return super().__getitem__(i)
+
+
+def test_bucket_queue_rescans_only_the_nodes_whose_label_fell():
+    # from s, a and c are scanned at 1.0 and 1.1 and again at 0.2 and 0.3;
+    # d is keyed by its own label, past bucket 0, so it waits there and is
+    # scanned once, at its final distance, as is the rest of the chain
+    g = _short_arcs()
+    arcs = _CountedReads(g.costs("km"))
+    traverse(g, g.index["s"], arcs)
+    assert dict(zip(g.node_ids, arcs.reads)) == {**dict.fromkeys(g.node_ids, 1), "a": 2, "c": 2}
+
+
+def test_bucket_queue_scans_each_node_once_when_no_arc_is_below_the_width():
+    # with every arc between 1 and 2 km the width is below 1, so a scan
+    # keys each node it reaches past the bucket being scanned: buckets
+    # then settle nodes in order, as the heap does, and each node's list is
+    # read once from every source
+    rng = random.Random(1)
+    g = fixtures.er_gnm(30, 70, seed=2, connected=True)
+    g = fixtures.graph_from_edges([(e.u, e.v) for e in g.edges],
+                                  km={(e.u, e.v): rng.uniform(1.0, 2.0) for e in g.edges})
+    arcs = g.costs("km")
+    assert bucket_width(arcs) < 1.0
+    for source in range(g.n):
+        counted = _CountedReads(arcs)
+        assert traverse(g, source, counted)[0] == traverse(g, source, arcs, True)[0]
+        assert counted.reads == [1] * g.n
 
 
 def test_distance_only_dijkstra_keeps_smaller_float_tie():

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import signal
 import subprocess
@@ -635,16 +636,34 @@ def test_run_rejects_an_unknown_command(tmp_path):
         run("nosuch", _config(tmp_path))
 
 
-def test_omega_on_a_rigid_graph_draws_nothing(tmp_path, capsys):
+UNMOVED = {"error": "UnmovedNullModelError",
+           "message": "no random replicate accepted a swap (a rigid input, or zero swaps "
+                      "per edge), so the random reference is the input itself; omega is "
+                      "undefined"}
+
+
+def test_omega_on_a_rigid_graph_draws_nothing(tmp_path, capsys, monkeypatch):
     # no swap of K4 keeps it simple, so each random replicate is K4 itself
-    assert main(["omega", *_graph_csvs(tmp_path, fixtures.complete_graph(4)), "--seed", "1",
-                 "--out", str(tmp_path / "out")]) == 0
-    assert capsys.readouterr().err == ""
-    per_replicate = json.loads((tmp_path / "out" / "omega.json").read_text())["ensembles"][
-        "random"]["per_replicate"]
-    assert len(per_replicate) == 20
-    assert {(r["accepted_swaps"], r["attempts"], r["converged"]) for r in per_replicate} == {
-        (0, 0, True)}
+    # and omega would compare the graph with itself, serially or forked
+    inputs = _graph_csvs(tmp_path, fixtures.complete_graph(4))
+    for allowed in (False, True):
+        _counting_forks(monkeypatch, allowed)
+        with fixtures.leaves_nothing_behind():
+            assert main(["omega", *inputs, "--seed", "1", "--out", str(tmp_path / "out")]) == 3
+        assert _one_error_line(capsys) == UNMOVED
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("allowed", [False, True], ids=["serial", "forked"])
+@pytest.mark.parametrize("command", ["omega", "all"])
+def test_zero_swaps_per_edge_leaves_omega_undefined(tmp_path, capsys, monkeypatch, command,
+                                                    allowed):
+    _counting_forks(monkeypatch, allowed)
+    with fixtures.leaves_nothing_behind():
+        assert main([command, *SAMPLE_FLAGS, "--seed", "1", "--replicates", "2",
+                     "--swaps-per-edge", "0", "--out", str(tmp_path / "out")]) == 3
+    assert _one_error_line(capsys) == UNMOVED
+    assert not (tmp_path / "out").exists()
 
 
 def _completes_on_a_dense_graph(tmp_path, capsys, monkeypatch, allowed, *flags,
@@ -951,6 +970,27 @@ def test_bundle_independent_of_input_paths(tmp_path, monkeypatch):
     config = json.loads((tmp_path / "one" / "measures.json").read_text())["provenance"]["config"]
     assert config["nodes"] == {"name": "nodes.csv",
                                "sha256": hashlib.sha256(NODES.read_bytes()).hexdigest()}
+
+
+@pytest.mark.parametrize("allowed", [False, True], ids=["serial", "forked"])
+def test_bundle_independent_of_node_row_order(tmp_path, capsys, monkeypatch, allowed):
+    # nodes are numbered in sorted-id order, so the sample's nodes.csv with
+    # its rows shuffled gives every report byte for byte, but for the
+    # input's own hash
+    header, *rows = NODES.read_text(encoding="utf-8").splitlines(keepends=True)
+    random.Random(3).shuffle(rows)
+    shuffled = _write(tmp_path / "nodes.csv", "".join([header, *rows]).encode())
+    hashes = [hashlib.sha256(path.read_bytes()).hexdigest().encode() for path in (NODES, shuffled)]
+    assert hashes[0] != hashes[1]
+    _counting_forks(monkeypatch, allowed)
+    bundles = []
+    for name, nodes in (("given", NODES), ("shuffled", shuffled)):
+        out = tmp_path / name
+        assert main(["all", *SAMPLE_FLAGS, "--nodes", str(nodes), "--seed", "1",
+                     "--out", str(out)]) == 0
+        bundles.append(_raw_bundle_bytes(out))
+    assert bundles[1] == {name: data.replace(hashes[0], hashes[1])
+                          for name, data in bundles[0].items()}
 
 
 def test_different_seed_changes_omega(tmp_path):

@@ -309,7 +309,7 @@ def _count_sweeps(monkeypatch):
             return result
         return wrapped
 
-    for name in ("_bfs", "_dijkstra"):
+    for name in ("_bfs", "_dijkstra", "_bucket_distances"):
         monkeypatch.setattr(graph, name, counting(name, getattr(graph, name)))
     costs = graph.SpatialGraph.costs
     monkeypatch.setattr(graph.SpatialGraph, "costs", lambda self, mode, epoch=None:
@@ -349,12 +349,12 @@ def test_forked_report_runs_each_pass_once(monkeypatch, tmp_path):
           fixtures.PidLog(tmp_path / "km") as km,
           fixtures.PidLog(tmp_path / "time") as time_sources):
 
-        def logged(g, source, arcs=None, count=False):
+        def logged(g, source, arcs=None, count=False, width=None):
             # pruning keeps every node's arc to its nearest neighbour, so a
             # source's list is never empty and its weights tell the mode
             (binary if arcs is None else km if arcs[source][0][1] in km_weights
              else time_sources).write(source)
-            return traverse(g, source, arcs, count)
+            return traverse(g, source, arcs, count, width)
 
         monkeypatch.setattr(measures, "traverse", logged)
         monkeypatch.setattr(measures, "_report_passes", passes.claims(measures._report_passes))
@@ -521,9 +521,10 @@ def test_any_split_of_the_time_pass_gives_the_same_rows(name, data):
 def test_counted_km_pass_keeps_the_arcs_that_pruning_drops():
     g = _adversarial_graph()
     # from c00's farthest node the direct c00-q_above arc is a float tie, so
-    # a counted pass must still see it
-    dist = traverse(g, 0, g.costs("km"))[0]
-    far = g.node_ids[max(range(g.n), key=dist.__getitem__)]
+    # a counted pass must still see it; the detour ends tie that distance
+    dist = traverse(g, g.index["c00"], g.costs("km"))[0]
+    hung = {f"{end}_{name}" for end in "xq" for name in MARGIN_FACTORS}
+    far = max((v for v in g.node_ids if v not in hung), key=lambda v: dist[g.index[v]])
     assert sorted(shortest_paths(g, far, "km").preds["q_above"]) == ["c00", "x_above"]
     assert betweenness(g, "km") == _unpruned_betweenness(g, "km")
 

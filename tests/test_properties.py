@@ -1,9 +1,10 @@
 """Property tests over random connected graphs.
 
-The graph core's node numbers must agree with its records: ``index``
-maps each id to its position in ``nodes``, ``adj_index`` and ``costs``
-list a node's far endpoints in edge order, and ``degree`` reads them,
-for any node order, edge order and edge orientation.
+The graph core's node numbers must agree with its records: ``nodes``
+come in sorted id order, ``index`` maps each id to its position in
+``nodes``, ``adj_index`` and ``costs`` list a node's far endpoints in
+edge order, and ``degree`` reads them, for any node order, edge order
+and edge orientation.
 
 The null-model properties (n <= 60) pin down what a swap may never do:
 change a node's degree, disconnect the graph, create a repeated pair, or
@@ -113,6 +114,7 @@ def shuffled_graphs(draw, n_max=60):
 @SETTINGS
 @given(g=shuffled_graphs())
 def test_integer_core_follows_node_and_edge_order(g):
+    assert list(g.node_ids) == sorted(g.node_ids)
     assert len(g.index) == g.n
     for i, node in enumerate(g.nodes):
         assert g.index[node.id] == i
