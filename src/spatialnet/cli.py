@@ -130,14 +130,11 @@ class AnalysisConfig(_ConfigFields):
         return echoed
 
 
-class ReportBundle:
-    """A command's reports and plot data by file name, which ``run`` fills."""
+class ReportBundle(NamedTuple):
+    """A command's reports and plot data by file name."""
 
-    __slots__ = ("reports", "plotdata")
-
-    def __init__(self):
-        self.reports: dict[str, dict] = {}
-        self.plotdata: dict[str, list[list]] = {}
+    reports: dict[str, dict]
+    plotdata: dict[str, list[list]]
 
 
 def _provenance(config: AnalysisConfig) -> dict:
@@ -154,7 +151,7 @@ def _ensemble_summary(ensemble: NullModelEnsemble) -> dict:
     # the ensemble's fields and its stats' fields, with the replicate graphs
     # reported as their count
     summary = {**ensemble._asdict(), **ensemble.stats._asdict(),
-               "replicates": len(ensemble.replicates)}
+               "replicates": len(ensemble.stats.per_replicate)}
     del summary["stats"]
     return summary
 
@@ -183,20 +180,20 @@ def _omega_payload(g: SpatialGraph, report: Optional[measures.MeasureReport],
 SCALING_FIELDS = {"betweenness": "betweenness", "strength": "strength_km", "clustering": "clustering"}
 
 
-def _fits_payload(
-    g: SpatialGraph, report: Optional[measures.MeasureReport], bundle: ReportBundle
-) -> dict:
+def _fits_payload(g: SpatialGraph, report: Optional[measures.MeasureReport]
+                  ) -> tuple[dict, dict[str, list[list]]]:
+    """fits.json's payload, and its plot tables by file name."""
     histogram = fitting.degree_histogram(g)
     points = [(float(k), float(count)) for k, count in histogram]
     normal = fitting.fit_normal(points)
     powerlaw = fitting.fit_powerlaw(points)
-    bundle.plotdata["degree_distribution.csv"] = [
+    plotdata = {"degree_distribution.csv": [
         ["k", "count", "fitted_normal", "fitted_powerlaw"],
         *[
             [k, count, fitting.predict(normal, k), fitting.predict(powerlaw, k)]
             for k, count in points
         ],
-    ]
+    ]}
     scaling: dict[str, fitting.FitResult] = {}
     for measure_name in fitting.SCALING_MEASURES:
         if report is None:
@@ -207,7 +204,7 @@ def _fits_payload(
         class_means = fitting.degree_class_means(g, measure_name, values=values)
         fit = fitting.scaling_by_degree_class(g, measure_name, values=values)
         scaling[measure_name] = fit
-        bundle.plotdata[f"scaling_{measure_name}.csv"] = [
+        plotdata[f"scaling_{measure_name}.csv"] = [
             ["k", "class_mean", "class_size", "fitted"],
             *[
                 [k, mean, size, fitting.predict(fit, k) if k > 0 else None]
@@ -218,7 +215,7 @@ def _fits_payload(
         "degree_histogram": histogram,
         "distribution_fits": {"normal": normal, "powerlaw": powerlaw},
         "scaling_fits": scaling,
-    }
+    }, plotdata
 
 
 def _regression_payload(table: empirical.VariableTable, config: AnalysisConfig) -> dict:
@@ -263,32 +260,30 @@ def run(command: str, config: AnalysisConfig) -> ReportBundle:
 
     jobs = []  # the report's two jobs, then the random and the lattice ensemble's
     if command in ("analyze", "all"):
-        jobs, cheap = measures.plan_report(graph, config.epoch)
+        jobs, finish_report = measures.plan_report(graph, config.epoch)
     if command in ("omega", "all"):
         from . import null_models  # the one module that loads numpy
         jobs += [null_models.ensemble_job(graph, kind, config.seed, config.swaps_per_edge,
                                           config.replicates) for kind in ("random", "lattice")]
     done = shared.run(jobs)
 
-    bundle = ReportBundle()
     payloads = {}
+    plotdata = {}
     report = None
     if command in ("analyze", "all"):
-        report = measures.measure_report(graph, epoch=config.epoch, ran=(cheap, done[:2]))
-        payloads["measures"] = report
+        report = payloads["measures"] = finish_report(done[:2])
     if command in ("omega", "all"):
         payloads["omega"] = _omega_payload(graph, report, config, *done[-2:])
     if command in ("communities", "all"):
         payloads["communities"] = communities_mod.find_communities(graph, config.seed)
     if command in ("fit", "all"):
-        payloads["fits"] = _fits_payload(graph, report, bundle)
+        payloads["fits"], plotdata = _fits_payload(graph, report)
     if needs_table:
         payloads["regression"] = _regression_payload(table, config)
 
     provenance = sanitize(_provenance(config))
-    for name, payload in payloads.items():
-        bundle.reports[name] = {"provenance": provenance, **sanitize(payload)}
-    return bundle
+    return ReportBundle({name: {"provenance": provenance, **sanitize(payload)}
+                         for name, payload in payloads.items()}, plotdata)
 
 
 def write_bundle(bundle: ReportBundle, out_dir: Path) -> list[Path]:

@@ -47,13 +47,16 @@ still count a pruned arc. Straightness computes each unordered pair's
 haversine once, which is symmetric to the bit, and hands it to the later
 node through a per-node array that is freed once read.
 
-``measure_report`` runs every check and cheap step first, in the serial
-order (``plan_report``), so a failing input raises its serial error and
-never forks. Its passes are then two jobs shared with a forked child
-(``shared.run``): items 0 and 1, the binary pass with Brandes and the km
+``plan_report`` runs every check and cheap step of the report first, in
+the serial order, so a failing input raises its serial error and never
+forks. It returns the passes as two jobs shared with a forked child
+(``shared.run``), items 0 and 1, the binary pass with Brandes and the km
 pass with straightness, and one item per source of the time pass, given
-an epoch. Each process prunes its own copy of the time arc table, which
-is sound for any order and subset of sources, so each source's
+an epoch, and the step that finishes the report from their results, with
+the cheap results bound in it. ``measure_report`` runs the two jobs on
+their own; ``cli`` runs them in one ``shared.run`` with the null-model
+ensembles' jobs. Each process prunes its own copy of the time arc table,
+which is sound for any order and subset of sources, so each source's
 ``(fsum, max)`` is the same wherever it runs, and ``_path_stats`` sums
 the merged rows in node order, as the serial pass does.
 
@@ -66,7 +69,7 @@ from __future__ import annotations
 import math
 from array import array
 from operator import truediv
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import shared
 from .exceptions import ComputeError, DisconnectedError
@@ -429,9 +432,11 @@ def _time_rows(indices: Iterator[int], g: SpatialGraph, time_arcs) -> dict:
     return _traversals(g, time_arcs, indices)[0]
 
 
-def plan_report(g: SpatialGraph, epoch: Optional[str]) -> tuple[list, tuple]:
+def plan_report(g: SpatialGraph, epoch: Optional[str]
+                ) -> tuple[list, Callable[[Sequence[dict]], MeasureReport]]:
     """``measure_report``'s checks and cheap steps, in the serial order;
-    returns its passes as two ``shared.run`` jobs, and the cheap results."""
+    returns its passes as two ``shared.run`` jobs, and the step that
+    finishes the report from their results, with the cheap results bound."""
     # a disconnected graph is reported as failing closeness, the first
     # measure of the report that needs connectivity
     _require_connected(g, "closeness")
@@ -441,60 +446,58 @@ def plan_report(g: SpatialGraph, epoch: Optional[str]) -> tuple[list, tuple]:
     nbr = _neighbor_means(g, ds)
     density_planar = density(g, "planar")
     time_arcs = None if epoch is None else g.costs("time", epoch)
+
+    def finish(done: Sequence[dict]) -> MeasureReport:
+        passes, time_rows = done
+        binary_closeness, between, avg_path_length_binary, diameter_binary = passes["binary"]
+        straight, avg_path_length_km, diameter_km = passes["km"]
+
+        per_node = {
+            node.id: NodeMeasures(
+                degree=ds.degree[node.id],
+                strength_km=ds.strength_km[node.id],
+                closeness=binary_closeness[node.id],
+                betweenness=between[node.id],
+                clustering=clus.per_node[node.id],
+                straightness=straight[node.id],
+                avg_neighbor_degree=nbr.degree[node.id],
+                avg_neighbor_strength=nbr.strength[node.id],
+            )
+            for node in g.nodes
+        }
+        total_km = math.fsum(edge.distance_km for edge in g.edges)
+        global_measures = GlobalMeasures(
+            n=g.n,
+            m=g.m,
+            average_degree=ds.average_degree,
+            average_strength=ds.average_strength,
+            density_planar=density_planar,
+            density_nonplanar=density(g, "nonplanar"),
+            avg_path_length_binary=avg_path_length_binary,
+            avg_path_length_km=avg_path_length_km,
+            diameter_binary=diameter_binary,
+            diameter_km=diameter_km,
+            clustering_global=clus.global_coefficient,
+            clustering_average=clus.average,
+            total_edge_length_km=total_km,
+            average_edge_length_km=total_km / g.m if g.m else 0.0,
+        )
+        time_measures = None
+        if epoch is not None:
+            time_paths = _path_stats(time_rows, g.n)
+            time_measures = TimeMeasures(epoch, time_paths.average, time_paths.diameter)
+        nearest = NeighborAverages(nbr.average_degree, nbr.average_strength)
+        return MeasureReport(per_node, global_measures, nearest, time_measures)
+
     label = "the measure report"
     return ([(2, _report_passes, (g,), label),
-             (0 if epoch is None else g.n, _time_rows, (g, time_arcs), label)],
-            (clus, ds, nbr, density_planar))
+             (0 if epoch is None else g.n, _time_rows, (g, time_arcs), label)], finish)
 
 
-def measure_report(g: SpatialGraph, epoch: Optional[str] = None, *,
-                   ran: Optional[tuple[tuple, Sequence[dict]]] = None) -> MeasureReport:
+def measure_report(g: SpatialGraph, epoch: Optional[str] = None) -> MeasureReport:
     """Assemble the full per-node and global measure table for one graph
     snapshot. Requires a connected graph with node coordinates. Every
-    check runs before the fork (``plan_report``), so a failing input
-    raises its serial error, and the report is the same to the byte either
-    way. ``ran`` holds the cheap results and job results of a plan run
-    beforehand (``cli``)."""
-    if ran is None:
-        jobs, cheap = plan_report(g, epoch)
-        ran = cheap, shared.run(jobs)
-    (clus, ds, nbr, density_planar), (passes, time_rows) = ran
-    binary_closeness, between, avg_path_length_binary, diameter_binary = passes["binary"]
-    straight, avg_path_length_km, diameter_km = passes["km"]
-
-    per_node = {
-        node.id: NodeMeasures(
-            degree=ds.degree[node.id],
-            strength_km=ds.strength_km[node.id],
-            closeness=binary_closeness[node.id],
-            betweenness=between[node.id],
-            clustering=clus.per_node[node.id],
-            straightness=straight[node.id],
-            avg_neighbor_degree=nbr.degree[node.id],
-            avg_neighbor_strength=nbr.strength[node.id],
-        )
-        for node in g.nodes
-    }
-    total_km = math.fsum(edge.distance_km for edge in g.edges)
-    global_measures = GlobalMeasures(
-        n=g.n,
-        m=g.m,
-        average_degree=ds.average_degree,
-        average_strength=ds.average_strength,
-        density_planar=density_planar,
-        density_nonplanar=density(g, "nonplanar"),
-        avg_path_length_binary=avg_path_length_binary,
-        avg_path_length_km=avg_path_length_km,
-        diameter_binary=diameter_binary,
-        diameter_km=diameter_km,
-        clustering_global=clus.global_coefficient,
-        clustering_average=clus.average,
-        total_edge_length_km=total_km,
-        average_edge_length_km=total_km / g.m if g.m else 0.0,
-    )
-    time_measures = None
-    if epoch is not None:
-        time_paths = _path_stats(time_rows, g.n)
-        time_measures = TimeMeasures(epoch, time_paths.average, time_paths.diameter)
-    return MeasureReport(per_node, global_measures,
-                         NeighborAverages(nbr.average_degree, nbr.average_strength), time_measures)
+    check runs before the fork (``plan_report``), so a failing input raises
+    its serial error, and the report is the same to the byte either way."""
+    jobs, finish = plan_report(g, epoch)
+    return finish(shared.run(jobs))

@@ -747,6 +747,25 @@ def test_bundle_is_the_same_forked_and_serial(tmp_path, capsys, monkeypatch, arg
 
 
 @pytest.mark.parametrize("allowed", [False, True], ids=["serial", "forked"])
+@pytest.mark.parametrize("seed", ["1", "7"])
+def test_omega_alone_and_under_all_write_the_same_omega_json(tmp_path, capsys, monkeypatch,
+                                                             seed, allowed):
+    # on its own, omega computes l_emp and c_emp; under all it takes the
+    # measure report's values, which must be the same floats
+    forks = _counting_forks(monkeypatch, allowed)
+    reports = []
+    for argv in (["omega"], ["all", "--vars", str(VARIABLES)]):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--nodes", str(NODES), "--edges", str(EDGES), "--seed", seed,
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "omega.json").read_text(encoding="utf-8"))
+        del report["provenance"]
+        reports.append(report)
+    assert len(forks) == 2 * allowed
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("allowed", [False, True], ids=["serial", "forked"])
 def test_all_completes_on_a_dense_graph(tmp_path, capsys, monkeypatch, allowed):
     _completes_on_a_dense_graph(tmp_path, capsys, monkeypatch, allowed, command="all")
 

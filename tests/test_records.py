@@ -11,7 +11,7 @@ import pytest
 
 from spatialnet import (cli, communities, empirical, fitting, graph, measures, null_models,
                         small_world)
-from spatialnet.cli import AnalysisConfig, ReportBundle, run
+from spatialnet.cli import AnalysisConfig, run
 from spatialnet.graph import EdgeRecord, NodeRecord, build_graph
 from spatialnet.io import REPORT_RENAMES, sanitize
 
@@ -33,7 +33,7 @@ def test_every_record_module_defines_its_records():
         "DegreeStrength", "EdgeRecord", "EnsembleStats", "FitResult", "GlobalMeasures",
         "MeasureReport", "NeighborAverages", "NeighborStats", "NodeMeasures", "NodeRecord",
         "NullModelEnsemble", "OmegaResult", "PathStats", "PathTable", "PearsonMatrix",
-        "RegressionModel", "ReplicateStats", "SelectionReport", "SpatialGraph",
+        "RegressionModel", "ReplicateStats", "ReportBundle", "SelectionReport", "SpatialGraph",
         "TimeMeasures", "Variable", "VariableScore", "VariableTable",
     ]
 
@@ -46,14 +46,6 @@ def test_every_record_refuses_attribute_assignment(cls):
     with pytest.raises(AttributeError):
         record.extra = "added"
     assert getattr(record, cls._fields[0]) == 0
-
-
-def test_report_bundle_takes_no_new_attribute_and_owns_its_dicts():
-    first, second = ReportBundle(), ReportBundle()
-    first.reports["measures"] = {}
-    assert second.reports == {} and second.plotdata == {}
-    with pytest.raises(AttributeError):
-        first.extra = "added"
 
 
 def test_edge_records_without_times_share_no_mutable_mapping():

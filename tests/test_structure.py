@@ -48,3 +48,23 @@ def test_fork_protocol_and_private_names_stay_in_their_modules():
                 foreign.append(f"{here}: {node.value.id}.{node.attr}")
     assert [hit for hit in protocol if not hit.startswith("shared:")] == []
     assert foreign == []
+
+
+def test_no_module_imports_the_heavy_standard_modules():
+    # shared forks by hand rather than through multiprocessing, marshal
+    # stands in for pickle, and cli reads CPython's own sha256 before it
+    # falls back to hashlib: multiprocessing costs about 2.5 MiB of peak
+    # RSS and hashlib about 3.5 MiB
+    heavy = {"multiprocessing", "pickle", "concurrent", "hashlib"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.stem}: {name}" for name in names
+                      if name.split(".")[0] in heavy]
+    assert found == ["cli: hashlib"]
