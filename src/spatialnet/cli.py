@@ -176,10 +176,6 @@ def _omega_payload(g: SpatialGraph, report: Optional[measures.MeasureReport],
     return payload
 
 
-# NodeMeasures field that carries each scaling measure
-SCALING_FIELDS = {"betweenness": "betweenness", "strength": "strength_km", "clustering": "clustering"}
-
-
 def _fits_payload(g: SpatialGraph, report: Optional[measures.MeasureReport]
                   ) -> tuple[dict, dict[str, list[list]]]:
     """fits.json's payload, and its plot tables by file name."""
@@ -196,19 +192,14 @@ def _fits_payload(g: SpatialGraph, report: Optional[measures.MeasureReport]
     ]}
     scaling: dict[str, fitting.FitResult] = {}
     for measure_name in fitting.SCALING_MEASURES:
-        if report is None:
-            values = fitting.measure_values(g, measure_name)
-        else:
-            field_name = SCALING_FIELDS[measure_name]
-            values = {node_id: getattr(nm, field_name) for node_id, nm in report.per_node.items()}
-        class_means = fitting.degree_class_means(g, measure_name, values=values)
-        fit = fitting.scaling_by_degree_class(g, measure_name, values=values)
-        scaling[measure_name] = fit
+        classes = fitting.degree_class_means(
+            g, measure_name, fitting.measure_values(g, measure_name, report))
+        fit = scaling[measure_name] = fitting.scaling_by_degree_class(g, measure_name, classes)
         plotdata[f"scaling_{measure_name}.csv"] = [
             ["k", "class_mean", "class_size", "fitted"],
             *[
                 [k, mean, size, fitting.predict(fit, k) if k > 0 else None]
-                for k, mean, size in class_means
+                for k, mean, size in classes
             ],
         ]
     return {

@@ -18,6 +18,10 @@ Every FitResult reports R-squared on the original (k, y) scale:
 which is exactly what makes the normal-vs-powerlaw comparison on peaked
 data meaningful.
 
+Under ``all``, ``measure_values`` reads a scaling measure's per-node values
+off the command's ``MeasureReport`` (the ``SCALING_FIELDS`` field), and under
+``fit`` computes them from the graph. Each measure's class table is built once.
+
 Only ``null_models`` imports numpy at module level. Here the functions
 that compute with it import it themselves, so importing this module
 (as ``cli`` does for every command) does not load numpy.
@@ -35,7 +39,8 @@ from . import measures as _measures
 if TYPE_CHECKING:
     import numpy as np
 
-SCALING_MEASURES = ("betweenness", "strength", "clustering")
+SCALING_FIELDS = {"betweenness": "betweenness", "strength": "strength_km", "clustering": "clustering"}
+SCALING_MEASURES = tuple(SCALING_FIELDS)
 
 
 class InsufficientPointsError(ComputeError):
@@ -152,15 +157,19 @@ def fit_log_decay(points: Iterable[tuple[float, float]]) -> FitResult:
     return FitResult("log_decay", {"a": a, "b": -slope}, _r_squared(y, fitted), len(x))
 
 
-def measure_values(g: SpatialGraph, measure: str) -> Mapping[str, float]:
-    """Per-node values of one scaling measure, computed from the graph."""
+def measure_values(g: SpatialGraph, measure: str,
+                   report: Optional[_measures.MeasureReport] = None) -> Mapping[str, float]:
+    """Per-node values of one scaling measure: read off ``report`` when
+    there is one (under ``all``), else computed from the graph (``fit``)."""
+    if measure not in SCALING_FIELDS:
+        raise ValueError(f"unknown measure {measure!r}; expected one of {SCALING_MEASURES}")
+    if report is not None:
+        return {node: getattr(nm, SCALING_FIELDS[measure]) for node, nm in report.per_node.items()}
     if measure == "betweenness":
         return _measures.betweenness(g)
     if measure == "strength":
         return _measures.degree_and_strength(g).strength_km
-    if measure == "clustering":
-        return _measures.clustering(g).per_node
-    raise ValueError(f"unknown measure {measure!r}; expected one of {SCALING_MEASURES}")
+    return _measures.clustering(g).per_node
 
 
 def degree_class_means(
@@ -191,16 +200,16 @@ def degree_class_means(
 def scaling_by_degree_class(
     g: SpatialGraph,
     measure: str,
-    values: Optional[Mapping[str, float]] = None,
+    classes: Optional[list[tuple[int, float, int]]] = None,
 ) -> FitResult:
-    """Fit the degree-class averages of a measure.
-
-    Betweenness and strength get a power-law fit; classes whose mean is
-    not positive (or with k = 0) are excluded since they cannot enter the
-    log transform. Clustering gets the log-decay fit with zero means
-    retained.
+    """Fit a measure's degree-class table (``degree_class_means``, built
+    from the graph when ``classes`` is omitted). Betweenness and strength
+    get a power-law fit; classes whose mean is not positive (or with k = 0)
+    are excluded since they cannot enter the log transform. Clustering gets
+    the log-decay fit with zero means retained.
     """
-    classes = degree_class_means(g, measure, values)
+    if classes is None:
+        classes = degree_class_means(g, measure)
     if measure == "clustering":
         usable = [(k, mean) for k, mean, _count in classes if k > 0]
         fitter = fit_log_decay
@@ -212,4 +221,3 @@ def scaling_by_degree_class(
             f"{measure}: only {len(usable)} usable degree classes, need >= 3"
         )
     return fitter(usable)
-

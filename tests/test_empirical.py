@@ -45,6 +45,25 @@ def test_t_edge_cases():
     assert student_t_two_tailed(-2.0, 10) == student_t_two_tailed(2.0, 10)
 
 
+def test_t_two_tailed_matches_closed_forms_for_small_t():
+    # df 1 and 2 have closed forms; x = df / (df + t^2) rounds towards 1
+    # for small |t|, so the tail must come from y = t^2 / (df + t^2)
+    for k in range(-120, 31):
+        t = 10.0 ** (k / 10)
+        assert student_t_two_tailed(t, 1) == pytest.approx(
+            1.0 - 2.0 / math.pi * math.atan(t), abs=1e-12)
+        assert student_t_two_tailed(t, 2) == pytest.approx(
+            1.0 - t / math.sqrt(2.0 + t * t), abs=1e-12)
+
+
+@pytest.mark.parametrize("df, t", [(100, 8.0), (1000, 10.0), (1000, 30.0)])
+def test_t_two_tailed_keeps_small_p_values_relatively_exact(df, t):
+    # t^2 < df here, yet p is tiny: taken as 1 - I_y(1/2, df/2) it would
+    # lose every digit below 1e-16
+    assert student_t_two_tailed(t, df) == pytest.approx(
+        oracles.t_two_tailed_by_integration(t, df), rel=1e-9, abs=0.0)
+
+
 def test_incomplete_beta_basics():
     assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
     assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0

@@ -8,13 +8,16 @@ from spatialnet.fitting import (
     InsufficientClassesError,
     InsufficientPointsError,
     NonPositiveValuesError,
+    SCALING_MEASURES,
     degree_class_means,
     degree_histogram,
     fit_log_decay,
     fit_normal,
     fit_powerlaw,
+    measure_values,
     scaling_by_degree_class,
 )
+from spatialnet.measures import measure_report
 
 import fixtures
 
@@ -139,7 +142,7 @@ def test_scaling_betweenness_constructed_square_law():
     g = _varied_degree_graph()
     degrees = {node_id: g.degree(node_id) for node_id in g.node_ids}
     values = {node_id: float(k * k) for node_id, k in degrees.items()}
-    fit = scaling_by_degree_class(g, "betweenness", values=values)
+    fit = scaling_by_degree_class(g, "betweenness", degree_class_means(g, "betweenness", values))
     assert fit.family == "powerlaw"
     assert fit.params["beta"] == pytest.approx(2.0, abs=1e-9)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
@@ -149,7 +152,7 @@ def test_scaling_strength_constructed_linear_law():
     g = _varied_degree_graph()
     degrees = {node_id: g.degree(node_id) for node_id in g.node_ids}
     values = {node_id: 100.0 * k for node_id, k in degrees.items()}
-    fit = scaling_by_degree_class(g, "strength", values=values)
+    fit = scaling_by_degree_class(g, "strength", degree_class_means(g, "strength", values))
     assert fit.params["beta"] == pytest.approx(1.0, abs=1e-9)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
 
@@ -158,7 +161,7 @@ def test_scaling_clustering_constructed_log_decay():
     g = _varied_degree_graph()
     degrees = {node_id: g.degree(node_id) for node_id in g.node_ids}
     values = {node_id: 0.9 - 0.2 * math.log(k) for node_id, k in degrees.items()}
-    fit = scaling_by_degree_class(g, "clustering", values=values)
+    fit = scaling_by_degree_class(g, "clustering", degree_class_means(g, "clustering", values))
     assert fit.family == "log_decay"
     assert fit.params["a"] == pytest.approx(0.9, abs=1e-6)
     assert fit.params["b"] == pytest.approx(0.2, abs=1e-6)
@@ -168,6 +171,15 @@ def test_class_sizes_account_for_all_nodes():
     g = fixtures.synthetic_network()
     classes = degree_class_means(g, "strength")
     assert sum(size for _k, _mean, size in classes) == g.n
+
+
+def test_measure_values_read_off_the_report_equal_those_computed():
+    # all reads the values off its measure report, fit computes them; the
+    # two must be the same floats for fits.json to be the same
+    g = fixtures.synthetic_network()
+    report = measure_report(g)
+    for measure in SCALING_MEASURES:
+        assert measure_values(g, measure, report) == dict(measure_values(g, measure))
 
 
 def test_scaling_requires_three_usable_classes():

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixtures
-from spatialnet import EdgeRecord, build_graph, cli, shared
+from spatialnet import EdgeRecord, build_graph, cli, fitting, shared
 from spatialnet.cli import AnalysisConfig, ConfigError, main, run
 from spatialnet.empirical import VariableScore
 from spatialnet.io import (
@@ -763,6 +763,45 @@ def test_omega_alone_and_under_all_write_the_same_omega_json(tmp_path, capsys, m
         reports.append(report)
     assert len(forks) == 2 * allowed
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("allowed", [False, True], ids=["serial", "forked"])
+@pytest.mark.parametrize("seed", ["1", "7"])
+def test_fit_alone_and_under_all_write_the_same_fits(tmp_path, capsys, monkeypatch, seed,
+                                                     allowed):
+    # on its own, fit computes the scaling measures from the graph; under all
+    # it reads them off the measure report, which must hold the same floats
+    forks = _counting_forks(monkeypatch, allowed)
+    written = []
+    for argv in (["fit"], ["all", "--epoch", "2010", "--vars", str(VARIABLES)]):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--nodes", str(NODES), "--edges", str(EDGES), "--seed", seed,
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "fits.json").read_text(encoding="utf-8"))
+        del report["provenance"]
+        written.append((report, {path.name: path.read_bytes()
+                                 for path in (out / "plotdata").iterdir()}))
+    assert len(forks) == allowed
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--nodes", str(NODES), "--edges", str(EDGES)],
+    ["all", *SAMPLE_FLAGS, "--seed", "1", "--replicates", "2"],
+], ids=["fit", "all"])
+def test_fits_build_each_class_table_once(tmp_path, capsys, monkeypatch, argv):
+    # the plot table and the scaling fit share one table per measure
+    _counting_forks(monkeypatch, False)
+    built = []
+    class_means = fitting.degree_class_means
+
+    def counted(g, measure, *args, **kwargs):
+        built.append(measure)
+        return class_means(g, measure, *args, **kwargs)
+
+    monkeypatch.setattr(fitting, "degree_class_means", counted)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert built == list(fitting.SCALING_MEASURES)
 
 
 @pytest.mark.parametrize("allowed", [False, True], ids=["serial", "forked"])

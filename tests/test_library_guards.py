@@ -38,6 +38,9 @@ GUARDS = {
     "incomplete beta, x < 0": (
         lambda: empirical.regularized_incomplete_beta(1.0, 1.0, -0.25), ValueError,
         "x must be in [0, 1], got -0.25"),
+    "incomplete beta, no convergence": (
+        lambda: empirical.regularized_incomplete_beta(1e6, 1e6, 0.5), ComputeError,
+        "incomplete beta did not converge for a=1000000.0, b=1000000.0, x=0.5"),
     "student t, df = 0": (
         lambda: empirical.student_t_two_tailed(1.0, 0), ValueError,
         "degrees of freedom must be >= 1, got 0"),
