@@ -8,15 +8,16 @@ routing come in three modes: "binary" (1 per edge), "km", and "time"
 (which additionally needs an epoch). Every weight must be finite and
 positive; ``build_graph`` rejects the rest.
 
-``build_graph`` numbers the nodes once, in sorted node-id order, and keeps
-integer neighbour lists in edge order; node numbers are the graph's only
-topology, and ``index`` maps a node id to its number. So two files that
-list the same nodes in different orders give the same graph. All
-traversals run on those lists: one BFS kernel for binary mode, and for
-km/time one counted Dijkstra kernel and one distance-only kernel, all
-returning per-source lists indexed by node number. ``traverse`` is the
-one entry point to them; ``shortest_paths`` maps a traversal back onto
-node ids.
+``build_graph`` numbers the nodes once, in sorted node-id order, stores
+each edge by its ends' numbers with its costs in columns, and keeps
+integer neighbour lists in edge order (``neighbour_lists``); node numbers
+are the graph's only topology, and ``index`` maps a node id to its
+number. So two files that list the same nodes in different orders give
+the same graph. All traversals run on those lists: one BFS kernel for
+binary mode, and for km/time one counted Dijkstra kernel and one
+distance-only kernel, all returning per-source lists indexed by node
+number. ``traverse`` is the one entry point to them; ``shortest_paths``
+maps a traversal back onto node ids.
 
 BFS and counted Dijkstra return the number of shortest paths
 (``sigma``) and the predecessors on them (``preds``), which only Brandes
@@ -176,16 +177,27 @@ class SpatialGraph(NamedTuple):
     """Validated undirected graph. Build through :func:`build_graph`.
 
     A node's number is its position in ``nodes``, and ``index`` maps its
-    id to that number (the field hides ``tuple.index``). ``adj_index[i]``
-    lists the numbers of node i's neighbours in the order of the edges
-    that join them.
+    id to that number (the field hides ``tuple.index``). Edge k joins the
+    node numbers ``ends[k]`` and costs ``km[k]`` kilometres and
+    ``minutes[k][epoch]`` minutes per epoch, a read-only copy of its
+    record's ``time_min``. ``adj_index[i]`` lists the numbers of node i's
+    neighbours in the order of the edges that join them.
     """
 
     nodes: tuple[NodeRecord, ...]
-    edges: tuple[EdgeRecord, ...]
+    ends: tuple[tuple[int, int], ...]
+    km: tuple[float, ...]
+    minutes: tuple[Mapping[str, float], ...]
     index: Mapping[str, int]
     components: int
     adj_index: tuple[tuple[int, ...], ...]
+
+    @property
+    def edges(self) -> tuple[EdgeRecord, ...]:
+        """The edges as records, built per call from the columns."""
+        ids = self.node_ids
+        return tuple(EdgeRecord(ids[u], ids[v], km, times)
+                     for (u, v), km, times in zip(self.ends, self.km, self.minutes))
 
     @property
     def n(self) -> int:
@@ -193,7 +205,7 @@ class SpatialGraph(NamedTuple):
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.ends)
 
     @property
     def is_connected(self) -> bool:
@@ -213,36 +225,30 @@ class SpatialGraph(NamedTuple):
     ) -> Optional[tuple[tuple[tuple[int, float], ...], ...]]:
         """Per-node arc lists ``((neighbour, cost), ...)`` in ``adj_index``
         order, or None in binary mode (the BFS kernel needs none). Built
-        per call in one pass over ``edges``, so the graph itself stores no
-        cost tables."""
+        per call in one pass over ``ends`` and the mode's cost column."""
         if mode == "binary":
             return None
         if mode == "km":
-            weights = [edge.distance_km for edge in self.edges]
+            weights = self.km
         elif mode == "time":
             weights = []
-            for edge in self.edges:
-                if epoch not in edge.time_min:
+            for (u, v), times in zip(self.ends, self.minutes):
+                if epoch not in times:
                     raise UnknownEpochError(
-                        f"edge ({edge.u}, {edge.v}) has no time for epoch {epoch!r}; "
-                        f"declared epochs: {sorted(edge.time_min)}"
+                        f"edge ({self.nodes[u].id}, {self.nodes[v].id}) has no time for "
+                        f"epoch {epoch!r}; declared epochs: {sorted(times)}"
                     )
-                weights.append(edge.time_min[epoch])
+                weights.append(times[epoch])
         else:
             raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-        index = self.index
         arcs: list[list[tuple[int, float]]] = [[] for _ in self.nodes]
-        for edge, w in zip(self.edges, weights):
-            u, v = index[edge.u], index[edge.v]
+        for (u, v), w in zip(self.ends, weights):
             arcs[u].append((v, w))
             arcs[v].append((u, w))
         return tuple(map(tuple, arcs))
 
     def epochs(self) -> tuple[str, ...]:
-        labels: set[str] = set()
-        for edge in self.edges:
-            labels.update(edge.time_min)
-        return tuple(sorted(labels))
+        return tuple(sorted(set().union(*self.minutes)))
 
 
 class PathTable(NamedTuple):
@@ -287,25 +293,38 @@ def build_graph(nodes: Iterable[NodeRecord], edges: Iterable[EdgeRecord]) -> Spa
     node_list = tuple(sorted(node_list, key=lambda node: node.id))
     index = {node.id: i for i, node in enumerate(node_list)}
 
-    # per node, its neighbours' numbers as an ordered set, in edge order
-    neighbours: list[dict[int, None]] = [{} for _ in node_list]
+    ends: list[tuple[int, int]] = []
+    pairs: set[tuple[int, int]] = set()
     for edge in edge_list:
         u, v = index.get(edge.u), index.get(edge.v)
         if u is None or v is None:
             raise DanglingEdgeError(f"edge ({edge.u}, {edge.v}) references a missing node")
         if u == v:
             raise SelfLoopError(f"edge ({edge.u}, {edge.v}) is a self-loop")
-        if v in neighbours[u]:
+        pair = (u, v) if u < v else (v, u)
+        if pair in pairs:
             raise DuplicateEdgeError(f"edge ({edge.u}, {edge.v}) repeats an existing pair")
+        pairs.add(pair)
         _check_weight(edge, "distance_km", edge.distance_km)
-        for epoch, minutes in edge.time_min.items():
-            _check_weight(edge, "time", minutes, f" for epoch {epoch!r}")
-        neighbours[u][v] = None
-        neighbours[v][u] = None
+        for epoch, time in edge.time_min.items():
+            _check_weight(edge, "time", time, f" for epoch {epoch!r}")
+        ends.append((u, v))
 
-    adj_index = tuple(map(tuple, neighbours))
-    return SpatialGraph(nodes=node_list, edges=edge_list, index=index,
-                        components=_count_components(adj_index), adj_index=adj_index)
+    adj_index = neighbour_lists(len(node_list), ends)
+    return SpatialGraph(nodes=node_list, ends=tuple(ends),
+                        km=tuple(edge.distance_km for edge in edge_list),
+                        minutes=tuple(MappingProxyType(dict(edge.time_min)) for edge in edge_list),
+                        index=index, components=_count_components(adj_index), adj_index=adj_index)
+
+
+def neighbour_lists(n: int, ends: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Per node of the n numbered, its neighbours' numbers in the order of
+    the edges in ``ends`` that join them."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in ends:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(map(tuple, adj))
 
 
 def _check_weight(edge: EdgeRecord, what: str, value: float, where: str = "") -> None:

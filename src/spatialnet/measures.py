@@ -181,12 +181,13 @@ def degree_and_strength(g: SpatialGraph) -> DegreeStrength:
     """Node degree and kilometric strength, with their network means.
     A node's strength is the ``fsum`` of its edges' lengths, which is
     exact and so does not depend on the order of the edges."""
-    lengths: dict[str, list[float]] = {node.id: [] for node in g.nodes}
-    for edge in g.edges:
-        lengths[edge.u].append(edge.distance_km)
-        lengths[edge.v].append(edge.distance_km)
-    degree = {node_id: len(km) for node_id, km in lengths.items()}
-    strength = {node_id: math.fsum(km) for node_id, km in lengths.items()}
+    lengths: list[list[float]] = [[] for _ in g.nodes]
+    for (u, v), km in zip(g.ends, g.km):
+        lengths[u].append(km)
+        lengths[v].append(km)
+    ids = g.node_ids
+    degree = {node_id: len(km) for node_id, km in zip(ids, lengths)}
+    strength = {node_id: math.fsum(km) for node_id, km in zip(ids, lengths)}
     n = g.n
     avg_k = 2.0 * g.m / n if n else 0.0
     avg_s = math.fsum(strength[node.id] for node in g.nodes) / n if n else 0.0
@@ -465,7 +466,7 @@ def plan_report(g: SpatialGraph, epoch: Optional[str]
             )
             for node in g.nodes
         }
-        total_km = math.fsum(edge.distance_km for edge in g.edges)
+        total_km = math.fsum(g.km)
         global_measures = GlobalMeasures(
             n=g.n,
             m=g.m,

@@ -52,16 +52,14 @@ swaps for randomization and the connectivity checks for the lattice;
 and ``converged``, True when randomization reached its target or found
 the graph rigid, and when the descent ran out of improving swaps.
 
-A replicate is measured on neighbour lists built from its rewired
-integer edge list: its binary path length comes from
-``graph.hop_distances`` and its average clustering from
-``measures.local_clustering``, the kernels under
-``path_length_and_diameter`` and ``clustering``. Swap weights travel
-with their source endpoint ((a, d) inherits the payload of (a, b)), so
-replicates remain valid spatial graphs; once every replicate of an
-ensemble (below) is built, each is assembled once on the input's nodes
-and id index, without ``build_graph``'s checks or component count. Only its
-binary topology is meaningful.
+A replicate is the input graph with its rewired edge ends and the
+``graph.neighbour_lists`` of them, which also give its binary path
+length through ``graph.hop_distances`` and its average clustering
+through ``measures.local_clustering``, the kernels under
+``path_length_and_diameter`` and ``clustering``. Edge costs travel with
+their source endpoint ((a, d) keeps the costs of (a, b)), so a replicate
+shares the input's nodes, id index and cost columns and remains a valid
+spatial graph; only its binary topology is meaningful.
 
 Each replicate draws its own RNG stream derived from (seed, replicate
 index), so ensembles are reproducible and replicates are independent.
@@ -70,7 +68,7 @@ Since replicates share nothing, an ensemble of R replicates is one job of
 R items that this process shares with a forked child (``ensemble_job``,
 after every check; ``shared.run`` states the protocol). Each process runs
 ``_replicates`` on the replicate numbers it claims, which returns each
-replicate's rewired integer edge list and ReplicateStats fields as
+replicate's edge ends, neighbour lists and ReplicateStats fields as
 ``marshal`` values. A failure of the child raises
 ``shared.SweepChildError``.
 
@@ -93,7 +91,7 @@ import numpy as np
 
 from . import shared
 from .exceptions import ComputeError, DisconnectedError
-from .graph import EdgeRecord, SpatialGraph, hop_distances
+from .graph import SpatialGraph, hop_distances, neighbour_lists
 from .measures import local_clustering
 from .small_world import DEFAULT_REPLICATES, DEFAULT_SWAPS_PER_EDGE
 
@@ -122,12 +120,12 @@ class NullModelEnsemble(NamedTuple):
 
 
 class _Rewirer:
-    """Edge list and neighbour bitsets (bit v of ``bits[u]`` marks edge
-    u-v) of one replicate being rewired; edge k keeps ``g.edges[k]``'s weights."""
+    """Edge ends and neighbour bitsets (bit v of ``bits[u]`` marks edge
+    u-v) of one replicate being rewired from ``g``; edge k keeps the
+    costs of ``g``'s edge k."""
 
     def __init__(self, g: SpatialGraph):
-        index = g.index
-        self.ends: list[tuple[int, int]] = [(index[e.u], index[e.v]) for e in g.edges]
+        self.ends: list[tuple[int, int]] = list(g.ends)
         self.bits: list[int] = [sum(1 << v for v in nbrs) for nbrs in g.adj_index]
 
     def simple_after(self, a: int, b: int, c: int, d: int) -> bool:
@@ -197,30 +195,6 @@ class _Rewirer:
                         self.ends[e1], self.ends[e2] = (a, b), (c, d)
                         return True
         return False
-
-
-def _edge_records(g: SpatialGraph, ends: Sequence[tuple[int, int]]) -> list[EdgeRecord]:
-    """Edge k as ``ends[k]`` with ``g.edges[k]``'s weights."""
-    ids = g.node_ids
-    return [EdgeRecord(ids[u], ids[v], e.distance_km, e.time_min)
-            for (u, v), e in zip(ends, g.edges)]
-
-
-def _neighbours(n: int, ends: Sequence[tuple[int, int]]) -> list[list[int]]:
-    """Neighbour lists of the graph on n nodes with edge list ``ends``, in
-    edge order, as ``build_graph`` orders them."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in ends:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
-def _assemble(g: SpatialGraph, ends: Sequence[tuple[int, int]]) -> SpatialGraph:
-    """The replicate with edge list ``ends`` on ``g``'s nodes and index;
-    swaps keep it simple and connected."""
-    return SpatialGraph(nodes=g.nodes, edges=tuple(_edge_records(g, ends)), index=g.index,
-                        components=1, adj_index=tuple(map(tuple, _neighbours(g.n, ends))))
 
 
 def _randomize_replicate(g: SpatialGraph, rng: random.Random, swaps_per_edge: int):
@@ -296,7 +270,7 @@ class _RingDeltas:
     ensemble builds its start state once; each replicate rewires a ``copy``.
     """
 
-    def __init__(self, ends: list[tuple[int, int]], n: int):
+    def __init__(self, ends: Sequence[tuple[int, int]], n: int):
         self.n = n
         position = np.arange(n, dtype=np.int32)
         gap = np.abs(position[:, None] - position)
@@ -382,8 +356,8 @@ class _RingDeltas:
 def _replicates(indices: Iterator[int], g: SpatialGraph, rewire, seed: int,
                 swaps_per_edge: int) -> dict:
     """The replicates numbered in ``indices``, by replicate number, as
-    values that ``marshal`` carries: its rewired ``ends`` and then its
-    ReplicateStats fields in order."""
+    values that ``marshal`` carries: its rewired ``ends`` and their
+    ``neighbour_lists``, then its ReplicateStats fields in order."""
     n = g.n
     built = {}
     for index in indices:
@@ -391,9 +365,9 @@ def _replicates(indices: Iterator[int], g: SpatialGraph, rewire, seed: int,
         # across adjacent seeds
         rng = random.Random((seed << 32) ^ index)
         rewirer, accepted, attempts, converged = rewire(g, rng, swaps_per_edge)
-        adj = _neighbours(n, rewirer.ends)
+        adj = neighbour_lists(n, rewirer.ends)
         sums, _ = hop_distances(adj)
-        built[index] = (rewirer.ends, sum(sums) / (n * (n - 1)),
+        built[index] = (tuple(rewirer.ends), adj, sum(sums) / (n * (n - 1)),
                         math.fsum(local_clustering(adj)[0]) / n, accepted, attempts, converged)
     return built
 
@@ -409,7 +383,7 @@ def ensemble_job(g: SpatialGraph, kind: str, seed: int, swaps_per_edge: int,
     if replicates < 1:
         raise ValueError("replicate count must be >= 1")
     rewire = (_randomize_replicate if kind == "random" else
-              partial(_latticeize_replicate, start=_RingDeltas(_Rewirer(g).ends, g.n)))
+              partial(_latticeize_replicate, start=_RingDeltas(g.ends, g.n)))
     return replicates, _replicates, (g, rewire, seed, swaps_per_edge), f"the {kind} ensemble"
 
 
@@ -418,7 +392,7 @@ def _build_ensemble(g: SpatialGraph, kind: str, seed: int, swaps_per_edge: int,
     if done is None:
         done = shared.run([ensemble_job(g, kind, seed, swaps_per_edge, replicates)])[0]
     built = [done[index] for index in range(replicates)]
-    per_replicate = [ReplicateStats(*fields) for _, *fields in built]
+    per_replicate = [ReplicateStats(*fields) for _, _, *fields in built]
     stats = EnsembleStats(
         mean_path_length=math.fsum(r.path_length for r in per_replicate) / replicates,
         mean_clustering=math.fsum(r.clustering for r in per_replicate) / replicates,
@@ -426,7 +400,7 @@ def _build_ensemble(g: SpatialGraph, kind: str, seed: int, swaps_per_edge: int,
     )
     return NullModelEnsemble(
         kind=kind,
-        replicates=tuple(_assemble(g, ends) for ends, *_ in built),
+        replicates=tuple(g._replace(ends=ends, adj_index=adj) for ends, adj, *_ in built),
         seed=seed,
         swaps_per_edge=swaps_per_edge,
         stats=stats,
@@ -461,10 +435,11 @@ def latticeize(
 
 def ring_index_cost(g: SpatialGraph, node_order: Sequence[str]) -> int:
     """Total ring-index cost of a graph under the given node ordering."""
-    positions = {node_id: i for i, node_id in enumerate(node_order)}
+    rank = {node_id: i for i, node_id in enumerate(node_order)}
+    position = [rank[node_id] for node_id in g.node_ids]
     n = len(node_order)
     total = 0
-    for edge in g.edges:
-        gap = abs(positions[edge.u] - positions[edge.v])
+    for u, v in g.ends:
+        gap = abs(position[u] - position[v])
         total += min(gap, n - gap)
     return total

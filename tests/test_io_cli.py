@@ -23,6 +23,7 @@ import fixtures
 from spatialnet import EdgeRecord, build_graph, cli, fitting, shared
 from spatialnet.cli import AnalysisConfig, ConfigError, main, run
 from spatialnet.empirical import VariableScore
+from spatialnet.graph import SpatialGraph
 from spatialnet.io import (
     CsvSchemaError,
     MissingResponseError,
@@ -728,6 +729,24 @@ def test_each_command_forks_at_most_once(tmp_path, capsys, monkeypatch, command,
         assert main([command, *SAMPLE_FLAGS, "--seed", "1", "--replicates", "2",
                      "--out", str(tmp_path / "out")]) == 0
     assert len(forks) == (allowed and command in ("analyze", "omega", "all"))
+
+
+@pytest.mark.parametrize("allowed", [False, True], ids=["serial", "forked"])
+def test_all_reads_no_edge_records(tmp_path, capsys, monkeypatch, allowed):
+    # every stage reads the graph's integer edge columns: the edge records
+    # are a view for library callers, and the bundle is the same without it
+    argv = ["all", *SAMPLE_FLAGS, "--seed", "1", "--out"]
+    _counting_forks(monkeypatch, False)
+    assert main([*argv, str(tmp_path / "records")]) == 0
+
+    def no_records(g):
+        raise AssertionError("SpatialGraph.edges was read")
+
+    monkeypatch.setattr(SpatialGraph, "edges", property(no_records))
+    forks = _counting_forks(monkeypatch, allowed)
+    assert main([*argv, str(tmp_path / "columns")]) == 0
+    assert len(forks) == allowed
+    assert _raw_bundle_bytes(tmp_path / "columns") == _raw_bundle_bytes(tmp_path / "records")
 
 
 @pytest.mark.parametrize("argv", [

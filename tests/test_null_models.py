@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-import random
 from functools import partial
 from pathlib import Path
 
@@ -166,24 +165,22 @@ def test_replicates_pinned_on_multiword_bitsets():
     assert all(stats.converged for stats in rand.stats.per_replicate + latt.stats.per_replicate)
 
 
-@pytest.mark.parametrize("rewire", [null_models._randomize_replicate,
-                                    null_models._latticeize_replicate])
-def test_replicates_assembled_as_build_graph_assembles_them(rewire):
-    # replicates skip build_graph's checks and component count; they must
-    # still be the graph that build_graph makes of their edge records
+def test_ring_index_cost_matches_a_sum_over_edge_records():
+    def by_id(g, node_order):
+        position = {node_id: i for i, node_id in enumerate(node_order)}
+        n = len(node_order)
+        gaps = [abs(position[edge.u] - position[edge.v]) for edge in g.edges]
+        return sum(min(gap, n - gap) for gap in gaps)
+
     sample, _ = ingest(DATA / "nodes.csv", DATA / "edges.csv")
-    for g in (sample, fixtures.ws_graph(160, 4, 0.2, seed=11)):
-        start = {} if rewire is null_models._randomize_replicate else {
-            "start": _RingDeltas(_Rewirer(g).ends, g.n)}
-        rewirer, accepted, _, _ = rewire(g, random.Random(5), 2, **start)
-        assert accepted > 0
-        replicate = null_models._assemble(g, rewirer.ends)
-        expected = build_graph(g.nodes, null_models._edge_records(g, rewirer.ends))
-        assert replicate.nodes == expected.nodes
-        assert replicate.edges == expected.edges
-        assert replicate.index == expected.index
-        assert replicate.components == expected.components == 1
-        assert replicate.adj_index == expected.adj_index
+    ensemble = latticeize(sample, seed=1)
+    for g in (sample, *ensemble.replicates):
+        assert ring_index_cost(g, ensemble.node_order) == by_id(g, ensemble.node_order)
+    small = fixtures.clustered_fixture(seed=1)
+    ids = small.node_ids
+    for order in (ids, ids[::2] + ids[1::2]):
+        assert ring_index_cost(small, order) == by_id(small, order)
+    assert ring_index_cost(small, ids) != ring_index_cost(small, ids[::2] + ids[1::2])
 
 
 def test_lattice_descent_counters_on_sample():
@@ -209,7 +206,7 @@ def test_lattice_replicates_start_from_the_input_alone(monkeypatch, g):
     ensemble = latticeize(g, seed=3, swaps_per_edge=2, replicates=4)
     for k, (replicate, stats) in enumerate(zip(ensemble.replicates, ensemble.stats.per_replicate)):
         fresh = partial(null_models._latticeize_replicate, start=_RingDeltas(_Rewirer(g).ends, g.n))
-        ends, *fields = null_models._replicates(iter([k]), g, fresh, 3, 2)[k]
+        ends, _, *fields = null_models._replicates(iter([k]), g, fresh, 3, 2)[k]
         assert [(e.u, e.v) for e in replicate.edges] == [
             (g.node_ids[u], g.node_ids[v]) for u, v in ends]
         assert stats == ReplicateStats(*fields)
@@ -289,19 +286,19 @@ def test_forked_ensemble_leaves_nothing_behind(monkeypatch):
 
 
 @pytest.mark.parametrize("allowed", [False, True], ids=["serial", "forked"])
-def test_each_replicate_graph_is_assembled_once(monkeypatch, allowed):
-    # both halves send integer edge lists; this process assembles every
-    # replicate graph once, after both halves, whichever built it
-    g, _ = ingest(DATA / "nodes.csv", DATA / "edges.csv")
-    assembled = []
-    assemble = null_models._assemble
-    monkeypatch.setattr(null_models, "_assemble",
-                        lambda *args: assembled.append(1) or assemble(*args))
+def test_replicates_are_the_input_with_new_ends(monkeypatch, allowed):
+    # a replicate is the input graph with rewired ends and their neighbour
+    # lists, whichever process built it, and the graph that build_graph
+    # makes of its edge records
+    sample, _ = ingest(DATA / "nodes.csv", DATA / "edges.csv")
     _allow_fork(monkeypatch, allowed)
-    for builder in (randomize, latticeize):
-        del assembled[:]
-        assert len(builder(g, seed=1, replicates=20).replicates) == 20
-        assert len(assembled) == 20
+    for g in (sample, fixtures.ws_graph(160, 4, 0.2, seed=11)):
+        for builder in (randomize, latticeize):
+            for replicate in builder(g, seed=1, swaps_per_edge=2, replicates=2).replicates:
+                for field in ("nodes", "index", "km", "minutes"):
+                    assert getattr(replicate, field) is getattr(g, field), field
+                assert replicate.ends != g.ends
+                assert replicate == build_graph(g.nodes, replicate.edges)
 
 
 def test_failed_fork_builds_the_upper_half_here(monkeypatch):

@@ -56,6 +56,16 @@ def test_edge_records_without_times_share_no_mutable_mapping():
     assert EdgeRecord("a", "b", 1.0) == EdgeRecord("a", "b", 1.0, {})
 
 
+def test_graph_keeps_its_own_read_only_copy_of_edge_times():
+    times = {"2010": 5.0}
+    g = build_graph([NodeRecord("a"), NodeRecord("b")], [EdgeRecord("a", "b", 1.0, times)])
+    times["2010"] = -3.0
+    assert g.costs("time", "2010") == (((1, 5.0),), ((0, 5.0),))
+    with pytest.raises(TypeError):
+        g.edges[0].time_min["2010"] = -3.0
+    assert g.edges[0].time_min == {"2010": 5.0}
+
+
 def test_records_unpack_and_compare_as_tuples():
     node = NodeRecord("a", "A", 38.0, 23.0)
     node_id, label, lat, lon = node

@@ -68,3 +68,16 @@ def test_no_module_imports_the_heavy_standard_modules():
             found += [f"{path.stem}: {name}" for name in names
                       if name.split(".")[0] in heavy]
     assert found == ["cli: hashlib"]
+
+
+def test_only_graph_reads_edge_record_fields():
+    # graph turns edge records into integer ends and cost columns and back;
+    # every other module reads the columns, by node number
+    fields = {"u", "v", "distance_km", "time_min"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "graph":
+            found += [f"{path.stem}:{node.lineno} .{node.attr}"
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(node, ast.Attribute) and node.attr in fields]
+    assert found == []
