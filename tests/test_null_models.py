@@ -8,7 +8,7 @@ import pytest
 
 from spatialnet import null_models, shared
 from spatialnet.exceptions import DisconnectedError
-from spatialnet.graph import build_graph
+from spatialnet.graph import SpatialGraph, build_graph
 from spatialnet.io import ingest
 from spatialnet.measures import clustering
 from spatialnet.null_models import (
@@ -283,6 +283,44 @@ def test_forked_ensemble_leaves_nothing_behind(monkeypatch):
     with fixtures.leaves_nothing_behind():
         ensemble = latticeize(g, seed=1, replicates=4)
     assert len(ensemble.replicates) == 4
+
+
+@pytest.mark.parametrize("rewire", [null_models._randomize_replicate,
+                                    null_models._latticeize_replicate])
+def test_replicates_assembled_as_build_graph_assembles_them(rewire):
+    # replicates skip build_graph's checks and component count; they must
+    # still be the graph that build_graph makes of their edge records
+    sample, _ = ingest(DATA / "nodes.csv", DATA / "edges.csv")
+    kind = "random" if rewire is null_models._randomize_replicate else "lattice"
+    for g in (sample, fixtures.ws_graph(160, 4, 0.2, seed=11)):
+        step = rewire if kind == "random" else partial(rewire, start=_RingDeltas(g.ends, g.n))
+        done = null_models._replicates(iter(range(2)), g, step, 5, 2)
+        ensemble = null_models._build_ensemble(g, kind, 5, 2, 2, done)
+        for replicate, stats in zip(ensemble.replicates, ensemble.stats.per_replicate):
+            assert stats.accepted_swaps > 0
+            expected = build_graph(g.nodes, replicate.edges)
+            assert replicate.nodes == expected.nodes
+            assert replicate.edges == expected.edges
+            assert replicate.index == expected.index
+            assert replicate.adj_index == expected.adj_index
+            assert replicate.components == expected.components == 1
+
+
+@pytest.mark.parametrize("allowed", [False, True], ids=["serial", "forked"])
+def test_each_replicate_graph_is_assembled_once(monkeypatch, allowed):
+    # both halves send edge ends and neighbour lists; this process
+    # assembles every replicate graph once, after both halves, whichever
+    # built it
+    g, _ = ingest(DATA / "nodes.csv", DATA / "edges.csv")
+    assembled = []
+    assemble = SpatialGraph._replace
+    monkeypatch.setattr(SpatialGraph, "_replace",
+                        lambda *args, **kwargs: assembled.append(1) or assemble(*args, **kwargs))
+    _allow_fork(monkeypatch, allowed)
+    for builder in (randomize, latticeize):
+        del assembled[:]
+        assert len(builder(g, seed=1, replicates=20).replicates) == 20
+        assert len(assembled) == 20
 
 
 @pytest.mark.parametrize("allowed", [False, True], ids=["serial", "forked"])
