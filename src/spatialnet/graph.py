@@ -16,8 +16,9 @@ number. So two files that list the same nodes in different orders give
 the same graph. All traversals run on those lists: one BFS kernel for
 binary mode, and for km/time one counted Dijkstra kernel and one
 distance-only kernel, all returning per-source lists indexed by node
-number. ``traverse`` is the one entry point to them; ``shortest_paths``
-maps a traversal back onto node ids.
+number. ``sweep`` is the one entry point to them, from one source or
+all: it alone picks the kernel, the bucket width and the arc pruning
+(below), and ``shortest_paths`` maps a one-source sweep onto node ids.
 
 BFS and counted Dijkstra return the number of shortest paths
 (``sigma``) and the predecessors on them (``preds``), which only Brandes
@@ -33,8 +34,8 @@ Sanders, J. Algorithms 2003): a reached node is keyed by ``label //
 width`` in a dict of lists, a small heap of live keys visits the buckets
 in increasing order, each bucket's list is scanned while it grows, and a
 node is scanned again whenever its label falls. It returns the same
-floats as the heap loop (see ``TIE_RTOL``). ``bucket_width`` is half the
-median arc cost of the arc table, taken once per all-sources pass: a
+floats as the heap loop (see ``TIE_RTOL``). The width is half the
+median arc cost of the arc table, taken once per sweep: a
 median, unlike a mean, does not follow a heavy tail of long arcs, and
 unlike a width from a source's own arcs, it puts no long route from a
 source with short arcs at a huge bucket number. The one case
@@ -53,16 +54,16 @@ after u and ``dist[u] + w <= dist[v] * (1 + TIE_RTOL)`` on final
 distances, so 0.1 + 0.2 and 0.15 + 0.15 km are one length and both
 routes count. The tie is judged once, so counts match in both directions.
 
-An all-sources pass that needs distances only may shrink its own copy of
-the arc lists as it goes: after the Dijkstra from s, ``drop_dominated_arcs``
-removes each arc s-v longer than v's distance from s by more than
-``TIE_RTOL`` times s's largest distance. Such an arc lies on no shortest
-path (the "essential subgraph" of Karger, Koller & Phillips, 1993), and
-the margin, absolute and scaled by the largest distance, outweighs the
-rounding of every float route sum, so later traversals return the same
-floats; the argument is given beside ``TIE_RTOL``. Counted traversals
-never run on pruned lists: their tie rule is relative to ``dist[v]``,
-so it can count an arc that the margin drops.
+A distance-only weighted sweep shrinks its own copy of the arc lists as
+it goes: after the traversal from s, it removes each arc s-v longer than
+v's distance from s by more than ``TIE_RTOL`` times s's largest
+distance. Such an arc lies on no shortest path (the "essential
+subgraph" of Karger, Koller & Phillips, 1993), and the margin, absolute
+and scaled by the largest distance, outweighs the rounding of every
+float route sum, so later traversals return the same floats, for any
+order and any subset of sources; the argument is given beside
+``TIE_RTOL``. Counted sweeps never prune: their tie rule is relative to
+``dist[v]``, so it can count an arc that the margin drops.
 
 A SpatialGraph is immutable once built, so concurrent read-only
 traversals are safe. Unreachable targets are reported with an explicit
@@ -72,6 +73,7 @@ traversals are safe. Unreachable targets are reported with an explicit
 from __future__ import annotations
 
 import math
+from functools import partial
 from heapq import heappush, heappop
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional
@@ -84,7 +86,7 @@ MODES = ("binary", "km", "time")
 # shortest path: far above the rounding of a float sum of edge costs (about
 # 1e-16 relative per edge) and far below one metre in 1000 km.
 #
-# ``drop_dominated_arcs`` uses TIE_RTOL as an absolute margin too: after the
+# ``_drop_dominated_arcs`` uses TIE_RTOL as an absolute margin too: after the
 # Dijkstra from s, an arc s-v with w > dist[v] + TIE_RTOL * ecc_s (ecc_s the
 # largest distance from s) goes from both ends' lists, and no later
 # distance-only traversal changes.
@@ -176,12 +178,12 @@ class EdgeRecord(NamedTuple):
 class SpatialGraph(NamedTuple):
     """Validated undirected graph. Build through :func:`build_graph`.
 
-    A node's number is its position in ``nodes``, and ``index`` maps its
-    id to that number (the field hides ``tuple.index``). Edge k joins the
-    node numbers ``ends[k]`` and costs ``km[k]`` kilometres and
-    ``minutes[k][epoch]`` minutes per epoch, a read-only copy of its
-    record's ``time_min``. ``adj_index[i]`` lists the numbers of node i's
-    neighbours in the order of the edges that join them.
+    A node's number is its position in ``nodes``, and ``index``, a
+    read-only mapping, takes its id to that number (the field hides
+    ``tuple.index``). Edge k joins the node numbers ``ends[k]`` and costs
+    ``km[k]`` kilometres and ``minutes[k][epoch]`` minutes per epoch, a
+    read-only copy of its record's ``time_min``. ``adj_index[i]`` lists the
+    numbers of node i's neighbours in the order of the edges that join them.
     """
 
     nodes: tuple[NodeRecord, ...]
@@ -291,7 +293,7 @@ def build_graph(nodes: Iterable[NodeRecord], edges: Iterable[EdgeRecord]) -> Spa
         if node.lon is not None and not -180.0 <= node.lon <= 180.0:
             raise InvalidCoordinateError(f"node {node.id!r}: lon {node.lon} outside [-180, 180]")
     node_list = tuple(sorted(node_list, key=lambda node: node.id))
-    index = {node.id: i for i, node in enumerate(node_list)}
+    index = MappingProxyType({node.id: i for i, node in enumerate(node_list)})
 
     ends: list[tuple[int, int]] = []
     pairs: set[tuple[int, int]] = set()
@@ -362,7 +364,7 @@ def shortest_paths(
     if source not in g.index:
         raise UnknownNodeError(f"source {source!r} is not in the graph")
     ids = g.node_ids
-    dist, sigma, preds, order = traverse(g, g.index[source], g.costs(mode, epoch), True)
+    _, dist, _, sigma, preds, order = next(sweep(g, g.costs(mode, epoch), [g.index[source]], True))
     return PathTable(
         source=source,
         mode=mode,
@@ -374,31 +376,37 @@ def shortest_paths(
     )
 
 
-def traverse(g: SpatialGraph, source: int, arcs=None, count: bool = False,
-             width: Optional[float] = None):
-    """One single-source traversal from node number ``source``: BFS when
-    ``arcs`` is None, otherwise over ``arcs`` (see ``SpatialGraph.costs``)
-    counted Dijkstra with ``count`` and the bucket queue without it, keyed
-    by ``width`` (``bucket_width(arcs)`` when None; an all-sources pass
-    computes it once).
+def sweep(g: SpatialGraph, arcs, sources: Iterable[int], count: bool = False):
+    """One traversal from each node number in ``sources``, each run when
+    the caller asks for its row: BFS when ``arcs`` is None, otherwise over
+    ``arcs`` (see ``SpatialGraph.costs``) counted Dijkstra with ``count``
+    and, without it, the bucket queue on a copy of ``arcs`` that the sweep
+    prunes as it goes.
 
-    Returns ``(dist, sigma, preds, order)``: lists indexed by node number
-    holding the distance (``math.inf`` when unreachable), the number of
-    shortest paths, and the predecessors on them in arrival order (None
-    when unreachable), plus the reached nodes in nondecreasing distance.
-    BFS always counts paths and ignores ``count``. The bucket queue
-    returns only ``dist``, with None for the other three; counted Dijkstra
-    reads the counts off the final distances in settle order.
+    Yields ``(source, dist, far, sigma, preds, order)``: lists indexed by
+    node number holding the distance (``math.inf`` when unreachable), its
+    largest entry ``far``, the number of shortest paths, and the
+    predecessors on them in arrival order (None when unreachable), plus
+    the reached nodes in nondecreasing distance. BFS always counts paths
+    and ignores ``count``; the bucket queue yields None for the last three.
     """
     # positional calls: tests count kernel calls through ``*args`` wrappers
     if arcs is None:
-        return _bfs(g.adj_index, source)
-    if count:
-        return _dijkstra(arcs, source)
-    return _bucket_distances(arcs, source, bucket_width(arcs) if width is None else width)
+        kernel = partial(_bfs, g.adj_index)
+    elif count:
+        kernel = partial(_dijkstra, arcs)
+    else:
+        arcs = list(map(list, arcs))
+        kernel = partial(_bucket_distances, arcs, _bucket_width(arcs))
+    for source in sources:
+        dist, sigma, preds, order = kernel(source)
+        far = max(dist)
+        if sigma is None:  # the bucket queue's sweep: distances only
+            _drop_dominated_arcs(arcs, source, dist, far)
+        yield source, dist, far, sigma, preds, order
 
 
-def bucket_width(arcs) -> float:
+def _bucket_width(arcs) -> float:
     """The distance-only kernel's bucket width for the arc table ``arcs``:
     half its median arc cost (1.0 for a table with no arcs)."""
     costs = sorted(w for row in arcs for _, w in row)
@@ -408,7 +416,7 @@ def bucket_width(arcs) -> float:
     return median / 2.0 or median  # half the least subnormal rounds to 0
 
 
-def drop_dominated_arcs(arcs: list, source: int, dist, far: float) -> None:
+def _drop_dominated_arcs(arcs: list, source: int, dist, far: float) -> None:
     """Remove from both ends' lists each arc source-v of ``arcs`` (per-node
     lists of ``(neighbour, cost)``) whose cost exceeds ``dist[v]`` by more
     than ``TIE_RTOL * far``. ``dist`` is the distance-only Dijkstra from
@@ -490,7 +498,7 @@ def _bfs(adj, source: int):
     return dist, sigma, preds, order
 
 
-def _bucket_distances(arcs, source: int, width: float):
+def _bucket_distances(arcs, width: float, source: int):
     n = len(arcs)
     dist = [math.inf] * n
     dist[source] = 0.0

@@ -17,35 +17,24 @@ Conventions used throughout:
   with an Earth radius of 6371 km.
 
 Every path-based measure is read off one all-sources pass per cost mode
-(``_sweep``): one traversal from each node over the integer core of
-``graph``, yielding closeness, the path-length sum and diameter, and on
-request Brandes betweenness accumulation and straightness in the same
-loop. ``measure_report`` runs that pass once for binary, once for km,
-and once for time when an epoch is given: 3n traversals, over one arc
-table per cost mode and process, shared with a child process (below).
-Every BFS counts shortest paths, which the report's binary pass needs for
-betweenness; a weighted traversal counts them only for ``betweenness``
-in km or time mode, so the report's km and time passes run
-distance-only traversals: ``graph``'s bucket queue, with one bucket
-width per pass (``graph.bucket_width``). A binary pass that needs
-distances only (``closeness``, ``path_length_and_diameter``) runs no
-per-source traversal at all: it reads the integer hop sums and the diameter off
-``graph.hop_distances``, which gives the same floats. Weighted path
-costs within ``graph.TIE_RTOL`` of the shortest count as ties, and
-graphs with non-finite weights cannot be built.
-
-The distance-only weighted passes (the report's km and time passes, and
-``closeness`` or ``path_length_and_diameter`` in km or time) prune as
-they go: after the traversal from s, ``graph.drop_dominated_arcs``
-removes each arc s-v that is longer than v's distance from s by more
-than ``TIE_RTOL`` times s's largest distance. No shortest path uses such
-an arc, and that margin exceeds the rounding of any route sum in the
-graph, so every later distance, and so every reported byte, is the same
-as without pruning. Counted passes (``betweenness`` in km or time) keep
-every arc, since their tie rule, relative to the target's distance, can
-still count a pruned arc. Straightness computes each unordered pair's
-haversine once, which is symmetric to the bit, and hands it to the later
-node through a per-node array that is freed once read.
+(``_pass``): the rows of one ``graph.sweep`` over every node, read into
+closeness, the path-length sum and diameter, and on request Brandes
+betweenness accumulation and straightness in the same loop.
+``measure_report`` runs that pass once for binary, once for km, and once
+for time when an epoch is given: 3n traversals, over one arc table per
+cost mode and process, shared with a child process (below). Only
+``betweenness`` asks the sweep to count shortest paths (BFS always
+does), so the report's km and time passes are distance-only sweeps,
+which pick their own bucket width and prune their own arc copy
+(``graph.sweep``), changing no distance. A binary pass that
+needs distances only (``closeness``, ``path_length_and_diameter``) runs
+no per-source traversal at all: it reads the integer hop sums and the
+diameter off ``graph.hop_distances``, which gives the same floats.
+Weighted path costs within ``graph.TIE_RTOL`` of the shortest count as
+ties, and graphs with non-finite weights cannot be built. Straightness
+computes each unordered pair's haversine once, which is symmetric to the
+bit, and hands it to the later node through a per-node array that is
+freed once read.
 
 ``plan_report`` runs every check and cheap step of the report first, in
 the serial order, so a failing input raises its serial error and never
@@ -55,10 +44,10 @@ pass with straightness, and one item per source of the time pass, given
 an epoch, and the step that finishes the report from their results, with
 the cheap results bound in it. ``measure_report`` runs the two jobs on
 their own; ``cli`` runs them in one ``shared.run`` with the null-model
-ensembles' jobs. Each process prunes its own copy of the time arc table,
-which is sound for any order and subset of sources, so each source's
-``(fsum, max)`` is the same wherever it runs, and ``_path_stats`` sums
-the merged rows in node order, as the serial pass does.
+ensembles' jobs. Each process sweeps the time sources it claims, so
+each source's ``(fsum, max)`` is the same wherever it runs, and
+``_path_stats`` sums the merged rows in node order, as the serial pass
+does.
 
 All functions are pure; sums accumulate in node order (sorted node ids) via
 ``math.fsum`` so repeated runs are bit-stable.
@@ -73,7 +62,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, 
 
 from . import shared
 from .exceptions import ComputeError, DisconnectedError
-from .graph import SpatialGraph, bucket_width, drop_dominated_arcs, hop_distances, traverse
+from .graph import SpatialGraph, hop_distances, sweep
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -108,7 +97,7 @@ class PathStats(NamedTuple):
     diameter: float
 
 
-class _SweepResult(NamedTuple):
+class _PassResult(NamedTuple):
     closeness: dict[str, float]
     path_stats: PathStats
     betweenness: Optional[dict[str, float]]
@@ -219,14 +208,14 @@ def _require_coordinates(g: SpatialGraph) -> None:
         raise MissingCoordinatesError(f"nodes without coordinates: {missing}")
 
 
-def _sweep(
+def _pass(
     g: SpatialGraph,
     what: str,
     mode: str = "binary",
     epoch: Optional[str] = None,
     brandes: bool = False,
     straight: bool = False,
-) -> _SweepResult:
+) -> _PassResult:
     """One traversal from every node under one cost mode, read into
     closeness, path stats and, when asked, betweenness and straightness.
 
@@ -241,14 +230,14 @@ def _sweep(
     ids = g.node_ids
     n = g.n
     if n < 2:
-        return _SweepResult(dict.fromkeys(ids, 0.0), PathStats(0.0, 0.0),
+        return _PassResult(dict.fromkeys(ids, 0.0), PathStats(0.0, 0.0),
                             dict.fromkeys(ids, 0.0) if brandes else None,
                             dict.fromkeys(ids, 1.0) if straight else None)
     if arcs is None and not (brandes or straight):
         # binary distances only: integer hop sums from all sources at once,
         # equal to the per-source float sums below, which are exact too
         sums, hops = hop_distances(g.adj_index)
-        return _SweepResult({node_id: total / (n - 1) for node_id, total in zip(ids, sums)},
+        return _PassResult({node_id: total / (n - 1) for node_id, total in zip(ids, sums)},
                             PathStats(sum(sums) / (n * (n - 1)), float(hops)), None, None)
     rows, raw, straight_by_node = _traversals(g, arcs, range(n), brandes, straight)
     between = None
@@ -257,22 +246,16 @@ def _sweep(
         between = dict.fromkeys(ids, 0.0) if pairs <= 0 else {
             node_id: value / 2.0 / pairs for node_id, value in zip(ids, raw)
         }
-    return _SweepResult({node_id: rows[s][0] / (n - 1) for s, node_id in enumerate(ids)},
+    return _PassResult({node_id: rows[s][0] / (n - 1) for s, node_id in enumerate(ids)},
                         _path_stats(rows, n), between, straight_by_node if straight else None)
 
 
 def _traversals(g: SpatialGraph, arcs, sources: Iterable[int], brandes: bool = False,
                 straight: bool = False) -> tuple[dict, list[float], dict[str, float]]:
-    """``_sweep``'s per-source loop, from the node numbers in ``sources`` in
-    that order: rows ``{s: (fsum, max) of s's distances to the others}``,
-    Brandes' raw sums by node number, and straightness by node id (which
-    needs every source, in node order)."""
-    # a distance-only weighted pass drops each arc that no shortest path uses
-    # once a traversal from one of its ends shows it (see graph.TIE_RTOL)
-    prune = arcs is not None and not brandes
-    width = bucket_width(arcs) if prune else None
-    if prune:
-        arcs = list(map(list, arcs))
+    """``_pass``'s per-source loop, over the ``graph.sweep`` from the node
+    numbers in ``sources`` in that order: rows ``{s: (fsum, max) of s's
+    distances to the others}``, Brandes' raw sums by node number, and
+    straightness by node id (which needs every source, in node order)."""
     n = g.n
     if straight:
         # haversine_km is inlined below, with each node's cos(lat) computed once
@@ -286,13 +269,9 @@ def _traversals(g: SpatialGraph, arcs, sources: Iterable[int], brandes: bool = F
     raw = [0.0] * n
     straight_by_node: dict[str, float] = {}
     sin, radians, sqrt, atan2 = math.sin, math.radians, math.sqrt, math.atan2
-    for s in sources:
-        dist, sigma, preds, order = traverse(g, s, arcs, brandes, width)
+    for s, dist, far, sigma, preds, order in sweep(g, arcs, sources, brandes):
         others = dist[:s] + dist[s + 1:]
-        far = max(others)
         rows[s] = math.fsum(others), far
-        if prune:
-            drop_dominated_arcs(arcs, s, dist, far)
         if brandes:
             delta = [0.0] * n
             for w in reversed(order):
@@ -328,7 +307,7 @@ def _path_stats(rows: Mapping[int, tuple[float, float]], n: int) -> PathStats:
 
 def closeness(g: SpatialGraph, mode: str = "binary", epoch: Optional[str] = None) -> dict[str, float]:
     """Mean shortest-path distance from each node to all others."""
-    return _sweep(g, "closeness", mode, epoch).closeness
+    return _pass(g, "closeness", mode, epoch).closeness
 
 
 def betweenness(g: SpatialGraph, mode: str = "binary", epoch: Optional[str] = None) -> dict[str, float]:
@@ -338,7 +317,7 @@ def betweenness(g: SpatialGraph, mode: str = "binary", epoch: Optional[str] = No
     distance order, halves the total to de-duplicate ordered pairs, then
     divides by (n-1)(n-2)/2.
     """
-    return _sweep(g, "betweenness", mode, epoch, brandes=True).betweenness
+    return _pass(g, "betweenness", mode, epoch, brandes=True).betweenness
 
 
 def local_clustering(adj) -> tuple[list[float], float]:
@@ -373,7 +352,7 @@ def path_length_and_diameter(
     g: SpatialGraph, mode: str = "binary", epoch: Optional[str] = None
 ) -> PathStats:
     """Mean ordered-pair shortest-path length and the maximum (diameter)."""
-    return _sweep(g, "average path length", mode, epoch).path_stats
+    return _pass(g, "average path length", mode, epoch).path_stats
 
 
 def straightness(g: SpatialGraph) -> dict[str, float]:
@@ -382,7 +361,7 @@ def straightness(g: SpatialGraph) -> dict[str, float]:
     Equals 1 only when every route out of the node is as short as the
     great-circle line; any detour pulls the value below 1.
     """
-    return _sweep(g, "straightness", "km", straight=True).straightness
+    return _pass(g, "straightness", "km", straight=True).straightness
 
 
 def avg_nearest_neighbor(g: SpatialGraph) -> NeighborStats:
@@ -419,17 +398,17 @@ def _report_passes(indices: Iterator[int], g: SpatialGraph) -> dict:
     done = {}
     for item in indices:
         if item == 0:
-            binary = _sweep(g, "closeness", "binary", brandes=True)
+            binary = _pass(g, "closeness", "binary", brandes=True)
             done["binary"] = binary.closeness, binary.betweenness, *binary.path_stats
         else:
-            km = _sweep(g, "straightness", "km", straight=True)
+            km = _pass(g, "straightness", "km", straight=True)
             done["km"] = km.straightness, *km.path_stats
     return done
 
 
 def _time_rows(indices: Iterator[int], g: SpatialGraph, time_arcs) -> dict:
     """The time pass's row of each source in ``indices``, under its node
-    number, from one traversal loop that prunes one copy of ``time_arcs``."""
+    number, from one sweep over ``time_arcs``."""
     return _traversals(g, time_arcs, indices)[0]
 
 

@@ -19,6 +19,7 @@ import pytest
 
 from spatialnet import null_models, shared
 from spatialnet.cli import AnalysisConfig, run
+from spatialnet.graph import TIE_RTOL
 from spatialnet.measures import (
     betweenness,
     closeness,
@@ -74,6 +75,23 @@ def test_straightness_matches_oracle(geo200):
         assert value == pytest.approx(expected[node_id], abs=1e-12)
 
 
+def _assert_pair_dependency_betweenness(g, mode, ids, dist, sigma, rtol=0.0):
+    # v lies on a shortest s-t path when d(s, v) + d(v, t) = d(s, t), within
+    # rtol times d(s, t), and carries sigma(s, v) sigma(v, t) / sigma(s, t)
+    # of the pair's dependency
+    assert sigma.max() < 2.0 ** 53  # every count is exact in float64
+    n = len(ids)
+    raw = np.zeros(n)
+    for v in range(n):
+        on_path = np.abs(dist[:, v, None] + dist[None, v, :] - dist) <= rtol * dist
+        on_path[v, :] = on_path[:, v] = False
+        raw[v] = np.sum(np.where(on_path, np.outer(sigma[:, v], sigma[v, :]) / sigma, 0.0))
+    expected = raw / 2.0 / ((n - 1) * (n - 2) / 2.0)  # ordered pairs, halved
+    got = betweenness(g, mode, WEIGHTS[mode][0])
+    for i, node_id in enumerate(ids):
+        assert got[node_id] == pytest.approx(expected[i], abs=1e-12)
+
+
 def test_binary_betweenness_matches_pair_dependency_oracle(geo200):
     # sigma(s, t) = (A^d(s,t))_st: a walk of d(s, t) steps from s to t is a
     # shortest path, so A^L kept on the pairs at distance L gives each count,
@@ -87,16 +105,31 @@ def test_binary_betweenness_matches_pair_dependency_oracle(geo200):
     for length in range(1, int(dist.max()) + 1):
         power = np.where(dist == length, power @ a, 0.0)
         sigma += power
-    assert sigma.max() < 2.0 ** 53  # every count is exact in float64
-    raw = np.zeros(n)
-    for v in range(n):
-        on_path = dist[:, v, None] + dist[None, v, :] == dist
-        on_path[v, :] = on_path[:, v] = False
-        raw[v] = np.sum(np.where(on_path, np.outer(sigma[:, v], sigma[v, :]) / sigma, 0.0))
-    expected = raw / 2.0 / ((n - 1) * (n - 2) / 2.0)  # ordered pairs, halved
-    got = betweenness(g)
-    for i, node_id in enumerate(ids):
-        assert got[node_id] == pytest.approx(expected[i], abs=1e-12)
+    _assert_pair_dependency_betweenness(g, "binary", ids, dist, sigma)
+
+
+@pytest.mark.parametrize("mode", ["km", "time"])
+def test_weighted_betweenness_matches_pair_dependency_oracle(geo200, mode):
+    # on Floyd-Warshall distances, an arc u-v is tight from s when
+    # d(s, u) + w = d(s, v) within TIE_RTOL; tight arcs form a DAG, as
+    # weights are positive, so sigma(s, t) is the number of tight walks
+    # from s to t, summed over the powers of its adjacency matrix
+    _, g = geo200
+    _, weight = WEIGHTS[mode]
+    ids, dist = oracles.floyd_warshall(g, weight)
+    n = len(ids)
+    w = np.full((n, n), np.inf)
+    for edge in g.edges:
+        u, v = ids.index(edge.u), ids.index(edge.v)
+        w[u, v] = w[v, u] = weight(edge)
+    sigma = np.zeros((n, n))
+    for s in range(n):
+        tight = np.abs(dist[s, :, None] + w - dist[s, None, :]) <= TIE_RTOL * dist[s, None, :]
+        walks = np.eye(n)[s]
+        while walks.any():
+            sigma[s] += walks
+            walks = walks @ tight
+    _assert_pair_dependency_betweenness(g, mode, ids, dist, sigma, TIE_RTOL)
 
 
 def test_random_replicate_matches_the_plain_chain(geo200):

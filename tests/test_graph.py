@@ -18,9 +18,10 @@ from spatialnet.graph import (
     SelfLoopError,
     UnknownEpochError,
     UnknownNodeError,
-    bucket_width,
-    drop_dominated_arcs,
-    traverse,
+    _bucket_distances,
+    _bucket_width,
+    _drop_dominated_arcs,
+    sweep,
 )
 
 import fixtures
@@ -178,6 +179,11 @@ def _short_arcs():
                                      km={**short, **dict.fromkeys(chain, 10.0)})
 
 
+def _distances(g, arcs, source, count=False):
+    """The distances from ``source`` alone, by a sweep over every arc."""
+    return next(sweep(g, arcs, [source], count))[1]
+
+
 # BFS always counts, so only the weighted modes have a distance-only
 # kernel; the ids are those the cases had beside the binary ones
 @pytest.mark.parametrize("g, mode, epoch", [
@@ -191,19 +197,24 @@ def _short_arcs():
 def test_distance_only_kernels_match_counted_kernels(g, mode, epoch):
     arcs = g.costs(mode, epoch)
     assert tuple(tuple(v for v, _ in row) for row in arcs) == g.adj_index
+    # from each source on every arc, as a forked pass starts from any source
     for source in range(g.n):
-        dist, sigma, preds, order = traverse(g, source, arcs)
-        counted = traverse(g, source, arcs, True)
+        assert _distances(g, arcs, source) == _distances(g, arcs, source, True)
+    # from every source in turn, the distance-only sweep pruning its arc
+    # copy as it goes, against the counted sweep over every arc
+    sources = range(g.n)
+    for row, counted in zip(sweep(g, arcs, sources), sweep(g, arcs, sources, True), strict=True):
+        source, dist, far, sigma, preds, order = row
         assert (sigma, preds, order) == (None, None, None)
-        assert dist == counted[0]
+        assert (source, dist, far) == counted[:3]
 
 
 def test_bucket_width_is_half_the_median_arc_cost():
-    assert bucket_width(_short_arcs().costs("km")) == 5.0
-    assert bucket_width(_extreme_weights().costs("km")) == 5e-301
-    assert bucket_width(build_graph([NodeRecord("a"), NodeRecord("b")],
-                                    [EdgeRecord("a", "b", 5e-324)]).costs("km")) == 5e-324
-    assert bucket_width(((), ())) == 1.0
+    assert _bucket_width(_short_arcs().costs("km")) == 5.0
+    assert _bucket_width(_extreme_weights().costs("km")) == 5e-301
+    assert _bucket_width(build_graph([NodeRecord("a"), NodeRecord("b")],
+                                     [EdgeRecord("a", "b", 5e-324)]).costs("km")) == 5e-324
+    assert _bucket_width(((), ())) == 1.0
 
 
 @st.composite
@@ -234,7 +245,7 @@ def test_bucket_queue_equals_the_heap_on_log_uniform_weights(g):
     for mode, epoch in (("km", None), ("time", "2010")):
         arcs = g.costs(mode, epoch)
         for source in range(g.n):
-            assert traverse(g, source, arcs)[0] == traverse(g, source, arcs, True)[0]
+            assert _distances(g, arcs, source) == _distances(g, arcs, source, True)
 
 
 class _CountedReads(list):
@@ -255,7 +266,8 @@ def test_bucket_queue_rescans_only_the_nodes_whose_label_fell():
     # scanned once, at its final distance, as is the rest of the chain
     g = _short_arcs()
     arcs = _CountedReads(g.costs("km"))
-    traverse(g, g.index["s"], arcs)
+    dist = _bucket_distances(arcs, _bucket_width(arcs), g.index["s"])[0]
+    assert dist == _distances(g, g.costs("km"), g.index["s"], True)
     assert dict(zip(g.node_ids, arcs.reads)) == {**dict.fromkeys(g.node_ids, 1), "a": 2, "c": 2}
 
 
@@ -269,10 +281,11 @@ def test_bucket_queue_scans_each_node_once_when_no_arc_is_below_the_width():
     g = fixtures.graph_from_edges([(e.u, e.v) for e in g.edges],
                                   km={(e.u, e.v): rng.uniform(1.0, 2.0) for e in g.edges})
     arcs = g.costs("km")
-    assert bucket_width(arcs) < 1.0
+    width = _bucket_width(arcs)
+    assert width < 1.0
     for source in range(g.n):
         counted = _CountedReads(arcs)
-        assert traverse(g, source, counted)[0] == traverse(g, source, arcs, True)[0]
+        assert _bucket_distances(counted, width, source)[0] == _distances(g, arcs, source, True)
         assert counted.reads == [1] * g.n
 
 
@@ -280,9 +293,9 @@ def test_distance_only_dijkstra_keeps_smaller_float_tie():
     # from s the larger sum reaches t first, from t the smaller one does
     g = _float_tie_square()
     ids = g.node_ids
-    dist = traverse(g, ids.index("s"), g.costs("km"))[0]
+    dist = _distances(g, g.costs("km"), ids.index("s"))
     assert dist[ids.index("t")] == 0.3
-    assert traverse(g, ids.index("t"), g.costs("km"))[0][ids.index("s")] == 0.3
+    assert _distances(g, g.costs("km"), ids.index("t"))[ids.index("s")] == 0.3
 
 
 @pytest.mark.parametrize("direct, kept", [(3.0, True), (3.5, False)])
@@ -295,8 +308,8 @@ def test_drop_dominated_arcs_on_a_triangle(direct, kept):
     )
     a, b, c = (g.index[x] for x in "abc")
     arcs = list(map(list, g.costs("km")))
-    dist = traverse(g, a, arcs)[0]
-    drop_dominated_arcs(arcs, a, dist, max(dist))
+    dist = _distances(g, arcs, a)
+    _drop_dominated_arcs(arcs, a, dist, max(dist))
     expected = [[(b, 1.0), (c, direct)], [(a, 1.0), (c, 2.0)], [(b, 2.0), (a, direct)]]
     if not kept:
         expected = [[(b, 1.0)], [(a, 1.0), (c, 2.0)], [(b, 2.0)]]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from spatialnet import (EdgeRecord, NodeRecord, build_graph, cli, graph, measures, shared,
                         shortest_paths)
 from spatialnet.exceptions import ComputeError, DisconnectedError
-from spatialnet.graph import TIE_RTOL, UnknownEpochError, drop_dominated_arcs, traverse
+from spatialnet.graph import TIE_RTOL, UnknownEpochError, _drop_dominated_arcs, sweep
 from spatialnet.io import ingest
 from spatialnet.measures import (
     IsolatedNodeError,
@@ -92,7 +92,7 @@ def test_density_planar_needs_three_nodes():
 
 
 def test_one_node_graph_measures():
-    # _sweep's n < 2 branch: binary closeness would otherwise divide by n - 1
+    # _pass's n < 2 branch: binary closeness would otherwise divide by n - 1
     g = build_graph([NodeRecord("a", "A", 38.0, 22.0)], [])
     assert (closeness(g), betweenness(g), straightness(g)) == ({"a": 0.0}, {"a": 0.0}, {"a": 1.0})
     assert tuple(path_length_and_diameter(g)) == (0.0, 0.0)
@@ -342,21 +342,22 @@ def test_forked_report_runs_each_pass_once(monkeypatch, tmp_path):
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    traverse = measures.traverse
+    sweep = measures.sweep
     with (fixtures.PidLog(tmp_path / "passes") as passes,
           fixtures.PidLog(tmp_path / "sources") as sources,
           fixtures.PidLog(tmp_path / "binary") as binary,
           fixtures.PidLog(tmp_path / "km") as km,
           fixtures.PidLog(tmp_path / "time") as time_sources):
 
-        def logged(g, source, arcs=None, count=False, width=None):
-            # pruning keeps every node's arc to its nearest neighbour, so a
-            # source's list is never empty and its weights tell the mode
-            (binary if arcs is None else km if arcs[source][0][1] in km_weights
-             else time_sources).write(source)
-            return traverse(g, source, arcs, count, width)
+        def logged(g, arcs, sources, count=False):
+            # a sweep is handed the whole arc table, whose weights tell the mode
+            log = (binary if arcs is None else km if arcs[0][0][1] in km_weights
+                   else time_sources)
+            for row in sweep(g, arcs, sources, count):
+                log.write(row[0])
+                yield row
 
-        monkeypatch.setattr(measures, "traverse", logged)
+        monkeypatch.setattr(measures, "sweep", logged)
         monkeypatch.setattr(measures, "_report_passes", passes.claims(measures._report_passes))
         monkeypatch.setattr(measures, "_time_rows", sources.claims(measures._time_rows))
         with fixtures.leaves_nothing_behind():
@@ -424,7 +425,7 @@ def _adversarial_graph(seed=5, n=40):
     # each detour is as long as c00's largest distance, which it stays
     far = {}
     for mode, epoch in (("km", None), ("time", "2010")):
-        far[mode] = max(traverse(base, 0, base.costs(mode, epoch))[0])
+        far[mode] = next(sweep(base, base.costs(mode, epoch), [0]))[2]
     half = {mode: far[mode] / 2.0 for mode in far}
     for name, factor in MARGIN_FACTORS.items():
         nodes += [NodeRecord(f"x_{name}"), NodeRecord(f"q_{name}")]
@@ -436,12 +437,13 @@ def _adversarial_graph(seed=5, n=40):
 
 
 def _unpruned_sweep(g, mode, epoch):
-    """Closeness and path stats read off Dijkstra rows over every arc."""
+    """Closeness and path stats read off distance-only rows over every
+    arc: each a sweep from its source alone, on its own copy of the arcs."""
     arcs = g.costs(mode, epoch)
     n = g.n
     close, total, diameter = {}, 0.0, 0.0
     for s, node_id in enumerate(g.node_ids):
-        dist = traverse(g, s, arcs)[0]
+        dist = next(sweep(g, arcs, [s]))[1]
         others = dist[:s] + dist[s + 1:]
         close[node_id] = math.fsum(others) / (n - 1)
         total += math.fsum(others)
@@ -454,8 +456,7 @@ def _unpruned_betweenness(g, mode):
     arcs = g.costs(mode)
     n = g.n
     raw = [0.0] * n
-    for s in range(n):
-        _, sigma, preds, order = traverse(g, s, arcs, True)
+    for s, _, _, sigma, preds, order in sweep(g, arcs, range(n), True):
         delta = [0.0] * n
         for w in reversed(order):
             for v in preds[w]:
@@ -470,8 +471,8 @@ def test_adversarial_graph_prunes_the_arc_above_the_margin_only():
     g = _adversarial_graph()
     for mode, epoch in (("km", None), ("time", "2010")):
         arcs = list(map(list, g.costs(mode, epoch)))
-        dist = traverse(g, 0, arcs)[0]
-        drop_dominated_arcs(arcs, 0, dist, max(dist))
+        _, dist, far, *_ = next(sweep(g, arcs, [0]))
+        _drop_dominated_arcs(arcs, 0, dist, far)
         left = {g.node_ids[v] for v, _ in arcs[0]}
         assert "q_below" in left and "q_above" not in left
         assert [v for v, _ in arcs[g.index["q_above"]]] == [g.index["x_above"]]
@@ -522,7 +523,7 @@ def test_counted_km_pass_keeps_the_arcs_that_pruning_drops():
     g = _adversarial_graph()
     # from c00's farthest node the direct c00-q_above arc is a float tie, so
     # a counted pass must still see it; the detour ends tie that distance
-    dist = traverse(g, g.index["c00"], g.costs("km"))[0]
+    dist = next(sweep(g, g.costs("km"), [g.index["c00"]]))[1]
     hung = {f"{end}_{name}" for end in "xq" for name in MARGIN_FACTORS}
     far = max((v for v in g.node_ids if v not in hung), key=lambda v: dist[g.index[v]])
     assert sorted(shortest_paths(g, far, "km").preds["q_above"]) == ["c00", "x_above"]

@@ -48,7 +48,7 @@ from hypothesis import strategies as st
 from spatialnet import null_models, shortest_paths
 from spatialnet.communities import modularity
 from spatialnet.exceptions import DisconnectedError
-from spatialnet.graph import EdgeRecord, NodeRecord, build_graph, hop_distances, traverse
+from spatialnet.graph import EdgeRecord, NodeRecord, build_graph, hop_distances, sweep
 from spatialnet.measures import (
     PathStats, betweenness, closeness, path_length_and_diameter, straightness)
 from spatialnet.null_models import _RingDeltas, _Rewirer, latticeize, randomize, ring_index_cost
@@ -366,7 +366,7 @@ def _bfs_sweep(g):
     total = 0.0
     diameter = 0.0
     for s, node_id in enumerate(g.node_ids):
-        dist = traverse(g, s)[0]
+        dist = next(sweep(g, None, [s]))[1]
         others = dist[:s] + dist[s + 1:]
         dist_sum = math.fsum(others)
         close[node_id] = dist_sum / (n - 1)

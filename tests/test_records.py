@@ -66,6 +66,20 @@ def test_graph_keeps_its_own_read_only_copy_of_edge_times():
     assert g.edges[0].time_min == {"2010": 5.0}
 
 
+def test_graph_index_is_read_only_for_the_graph_and_its_replicates():
+    # the index that every null-model replicate shares with its input
+    g = build_graph([NodeRecord(x) for x in "abc"],
+                    [EdgeRecord("a", "b", 1.0), EdgeRecord("b", "c", 1.0)])
+    replicate = null_models.randomize(g, seed=1, replicates=1).replicates[0]
+    assert replicate.index is g.index
+    with pytest.raises(TypeError):
+        g.index["a"] = 1
+    with pytest.raises(TypeError):
+        del g.index["a"]
+    assert dict(g.index) == {"a": 0, "b": 1, "c": 2}
+    assert (g.degree("a"), replicate.degree("a")) == (1, 1)
+
+
 def test_records_unpack_and_compare_as_tuples():
     node = NodeRecord("a", "A", 38.0, 23.0)
     node_id, label, lat, lon = node
